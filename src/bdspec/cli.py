@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,11 +22,6 @@ from .catalog import TABLE61_ROWS, TABLE71_ROWS, catalog, table71_v
 from .errors import BdspecError
 from .model import BoundaryCode, load_model
 from .series import Certainty
-
-
-def _env_float(name, default):
-    v = os.environ.get(name)
-    return float(v) if v else default
 
 
 def _env_int(name, default):
@@ -292,20 +286,16 @@ def _v_products(v):
 
 def cmd_table(args):
     which = args.which
-    threads = args.threads or _env_int("BDSPEC_THREADS", 1)
     t0 = time.time()
     if which == "table6_1":
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-            rows = list(ex.map(_table61_row, TABLE61_ROWS))
+        rows = [_table61_row(row) for row in TABLE61_ROWS]
         cols = ["row", "lambda1_inv_exact", "lambda1_inv_oracle", "eta_bar_1",
                 "eta_1", "ratio", "kappa", "dev_eta_bar", "dev_eta", "dev_kappa"]
     elif which == "table7_1":
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-            rows = list(ex.map(_table71_row, TABLE71_ROWS))
+        rows = [_table71_row(row) for row in TABLE71_ROWS]
         cols = ["row", "lambda0_exact", "lambda0_oracle", "dev_oracle",
                 "r_residual", "identity_from"]
     elif which == "ex5_3_sequences":
-        tr = approx.eta_seq_nn(catalog("ex6_7", a=4.0, b=1.0), steps=5)
         model = catalog("ex5_3", a=4.0, b=1.0)
         dp, bars = _ex5_3_sequences(model, 5)
         rows = [{"n": n + 1, "delta_prime_hat": dp[n], "bar_delta_hat": bars[n]}
@@ -376,8 +366,6 @@ def main(argv=None):
     common.add_argument("--m", type=int, help="truncation level")
     common.add_argument("--steps", type=int, help="iteration steps")
     common.add_argument("--grid", default="", help="comma-separated grid values")
-    common.add_argument("--tol", type=float, default=_env_float("BDSPEC_TOL", 1e-10))
-    common.add_argument("--threads", type=int, default=_env_int("BDSPEC_THREADS", 1))
     common.add_argument("--json", action="store_true")
     common.add_argument("--csv", action="store_true")
     sub.add_parser("estimate", parents=[common]).set_defaults(fn=cmd_estimate)

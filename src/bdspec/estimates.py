@@ -50,26 +50,54 @@ def _masked_sup(values: np.ndarray, genuinely_infinite: bool) -> float:
     return float(np.max(values[sel])) if sel.any() else 0.0
 
 
-def _nu_tail_array(ws: WeightSystem, kind: str) -> np.ndarray:
-    """nu[n, N] for every window index n (hint, or suffix sums + remainder)."""
-    arr = ws.nu_b if kind == "b" else ws.nu_a
-    tot = (ws.nu_b_total if kind == "b" else ws.nu_a_total).value
-    hint = ws.model.hint("nu_%s_tail" % kind)
+def _tail_array(ws: WeightSystem, key: str, arr: np.ndarray, total: float) -> np.ndarray:
+    """``key``[n, N] for every window index n (hint, or suffix sums + remainder);
+    computed once per weight system."""
+    cached = ws._suffix_cache.get("tail_" + key)
+    if cached is not None:
+        return cached
+    hint = ws.model.hint(key + "_tail")
     if hint is not None:
-        return np.asarray([hint(int(n)) for n in range(ws.base, ws.top + 1)], dtype=float)
-    if not math.isfinite(tot):
-        return np.full(len(arr), math.inf)
-    return ws._suffix("nu_%s" % kind, arr, tot)[:-1]
+        out = np.asarray([hint(int(n)) for n in range(ws.base, ws.top + 1)], dtype=float)
+    elif not math.isfinite(total):
+        out = np.full(len(arr), math.inf)
+    else:
+        out = ws._suffix(key, arr, total)[:-1]
+    ws._suffix_cache["tail_" + key] = out
+    return out
+
+
+def _nu_tail_array(ws: WeightSystem, kind: str) -> np.ndarray:
+    arr, tot = (ws.nu_b, ws.nu_b_total) if kind == "b" else (ws.nu_a, ws.nu_a_total)
+    return _tail_array(ws, "nu_" + kind, arr, tot.value)
 
 
 def _mu_tail_array(ws: WeightSystem) -> np.ndarray:
-    hint = ws.model.hint("mu_tail")
-    if hint is not None:
-        return np.asarray([hint(int(n)) for n in range(ws.base, ws.top + 1)], dtype=float)
-    tot = ws.mu_total.value
-    if not math.isfinite(tot):
-        return np.full(len(ws.mu), math.inf)
-    return ws._suffix("mu", ws.mu, tot)[:-1]
+    return _tail_array(ws, "mu", ws.mu, ws.mu_total.value)
+
+
+def _kappa_terms(ws: WeightSystem, reflecting: bool):
+    """(L, R, mid, strict) of kappa^(6.13) for a reflecting origin, of
+    kappa^(7.5) for an absorbing one: L and R are the reciprocal boundary
+    sums with 1/inf = 0, mid the middle weights (see series.half_line_pairs)."""
+    if reflecting:
+        left, right, mid = ws.mu_prefix_arr, _mu_tail_array(ws), ws.nu_b
+    else:
+        with np.errstate(over="ignore"):
+            left = np.cumsum(ws.nu_a)
+        right, mid = _nu_tail_array(ws, "b"), ws.mu
+    with np.errstate(all="ignore"):
+        inv_left = np.where(left > 0, 1.0 / left, math.inf)
+        inv_right = np.where(right > 0, 1.0 / right, math.inf)
+    return (np.where(np.isfinite(left), inv_left, 0.0),
+            np.where(np.isfinite(right), inv_right, 0.0), mid, reflecting)
+
+
+def _kappa(ws: WeightSystem, reflecting: bool, s: float = 1.0):
+    """kappa^(6.13) or kappa^(7.5) and its scan report; with s = 2/p on the
+    absorbing side, the Sobolev-type B of (8.6)."""
+    rep = series.half_line_pairs(*_kappa_terms(ws, reflecting), ws.base, ws.finite, s)
+    return (1.0 / rep.value if rep.value > 0 else math.inf), rep
 
 
 def delta_nd(model: ChainModel, n_max: int = 10 ** 5):
@@ -105,7 +133,8 @@ def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
         rep = series.ExtremumReport(ws.base, math.inf, series.Certainty.CERTIFIED,
                                     (ws.base, ws.top))
         return math.inf, _bracket_from_constant(math.inf, "delta_4_4", rep)
-    nu_pref = np.cumsum(ws.nu_a)
+    with np.errstate(over="ignore"):
+        nu_pref = np.cumsum(ws.nu_a)
     mu_tails = _mu_tail_array(ws)
     with np.errstate(all="ignore"):
         obj = nu_pref * mu_tails
@@ -119,61 +148,6 @@ def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
     return rep.value, _bracket_from_constant(rep.value, "delta_4_4", rep)
 
 
-def _kappa_scan(inv_left: np.ndarray, inv_right: np.ndarray, mid: np.ndarray,
-                base: int, strict: bool, finite_top: bool):
-    """inf over n <= m (or n < m when strict) of [L(n) + R(m)] / MID(n, m).
-
-    ``inv_left[n]`` and ``inv_right[m]`` are the two reciprocal boundary terms
-    (already with 1/inf = 0), ``mid`` the per-index middle weights; the middle
-    sum runs over [n, m] (inclusive) or [n, m-1] when strict.
-    """
-    W = len(mid)
-    with np.errstate(over="ignore"):
-        midc = np.concatenate([[0.0], np.cumsum(mid)])
-
-    def row(n, ms):
-        k = n - base
-        ms0 = np.asarray(ms) - base
-        if strict:
-            denom = midc[ms0] - midc[k]
-        else:
-            denom = midc[ms0 + 1] - midc[k]
-        with np.errstate(all="ignore"):
-            v = (inv_left[k] + inv_right[ms0]) / denom
-        # an overflowed middle sum must not masquerade as a zero objective
-        ok = np.isfinite(denom) & (denom > 0.0)
-        return np.where(ok, v, math.inf)
-
-    m_lo = (lambda n: n + 1) if strict else (lambda n: n)
-    cap = W - 1
-    rep = series.extremize_pairs(
-        lambda n, ms: row(n, ms), "inf", base,
-        lambda n: m_lo(n) + base - base, n_hi=base + cap if finite_top else None,
-        m_hi=base + cap, hard_cap=cap)
-    if finite_top or rep.arg is None:
-        return rep
-    # several of the defining infima are attained only as m -> infinity;
-    # refine the best row with an Aitken limit along geometric offsets from
-    # the scanned argmin (offset-anchoring keeps dual scans bit-aligned)
-    n_star, m_star = rep.arg
-    span = base + cap - m_star
-    if span < 8:
-        return rep
-    offs = np.unique(np.geomspace(1.0, span, 24).astype(np.int64))
-    ms = m_star + np.concatenate([[0], offs])
-    vals = row(n_star, ms)
-    good = np.isfinite(vals)
-    best = rep.value
-    if good.sum() >= 4 and np.all(np.diff(vals[good]) < 0):
-        acc = series.aitken(vals[good])
-        if len(acc) and math.isfinite(acc[-1]) and 0.0 < acc[-1] < best:
-            best = float(acc[-1])
-    if best < rep.value:
-        return series.ExtremumReport(rep.arg, best, series.Certainty.WINDOW_STOPPED,
-                                     rep.scanned)
-    return rep
-
-
 def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
     """kappa of the two-sided Neumann chain, (6.13), plus delta_L, delta_R."""
     if model.boundary is not BoundaryCode.NN:
@@ -181,15 +155,8 @@ def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
     ws = build_weights(model, n_max)
     if not math.isfinite(ws.mu_total.value):
         raise NotErgodic("kappa_nn requires sum(mu) < inf")
+    kappa, rep = _kappa(ws, reflecting=True)
     mu_tails = _mu_tail_array(ws)
-    pref = ws.mu_prefix_arr
-    with np.errstate(all="ignore"):
-        inv_left = np.where(pref > 0, 1.0 / pref, math.inf)
-        inv_right = np.where(mu_tails > 0, 1.0 / mu_tails, math.inf)
-    inv_right = np.where(np.isfinite(mu_tails), inv_right, 0.0)
-    rep = _kappa_scan(inv_left, inv_right, ws.nu_b, ws.base, strict=True,
-                      finite_top=ws.finite)
-    kappa = 1.0 / rep.value if rep.value > 0 else math.inf
     # delta_L = sup_{n>=1} nu_a[1,n] mu[n,N]; delta_R = sup_m mu[0,m] nu_b[m,N-1]
     with np.errstate(over="ignore"):
         nu_a_pref = np.cumsum(ws.nu_a)
@@ -198,7 +165,7 @@ def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
     delta_L = _masked_sup(dl, not math.isfinite(ws.mu_total.value))
     nub_tails = _nu_tail_array(ws, "b")
     with np.errstate(all="ignore"):
-        dr = pref * nub_tails
+        dr = ws.mu_prefix_arr * nub_tails
     delta_R = _masked_sup(dr, not math.isfinite(ws.nu_b_total.value))
     bracket = _bracket_from_constant(kappa, "kappa_6_13", rep)
     return kappa, delta_L, delta_R, bracket
@@ -209,17 +176,10 @@ def kappa_dd(model: ChainModel, n_max: int = 10 ** 5):
     if model.boundary is not BoundaryCode.DD:
         raise WrongBoundary("kappa_dd needs a DD model")
     ws = build_weights(model, n_max)
+    kappa, rep = _kappa(ws, reflecting=False)
     with np.errstate(over="ignore"):
         nu_a_pref = np.cumsum(ws.nu_a)
     nub_tails = _nu_tail_array(ws, "b")
-    with np.errstate(all="ignore"):
-        inv_left = np.where(nu_a_pref > 0, 1.0 / nu_a_pref, math.inf)
-        inv_right = np.where(nub_tails > 0, 1.0 / nub_tails, math.inf)
-    inv_right = np.where(np.isfinite(nub_tails), inv_right, 0.0)
-    inv_left = np.where(np.isfinite(nu_a_pref), inv_left, 0.0)
-    rep = _kappa_scan(inv_left, inv_right, ws.mu, ws.base, strict=False,
-                      finite_top=ws.finite)
-    kappa = 1.0 / rep.value if rep.value > 0 else math.inf
     mu_tails = _mu_tail_array(ws)
     with np.errstate(all="ignore"):
         dl = nu_a_pref * mu_tails
@@ -235,16 +195,6 @@ def kappa_dd(model: ChainModel, n_max: int = 10 ** 5):
         S = float(np.sum(ws.nu_a)) + (1.0 / mb if mb > 0 else math.inf)
     bracket = _bracket_from_constant(kappa, "kappa_7_5", rep)
     return kappa, delta_L, delta_R, S, bracket
-
-
-def _log_cum(logs):
-    """Running logsumexp prefix of a 1-d array."""
-    out = np.empty(len(logs))
-    run = -math.inf
-    for k, x in enumerate(logs):
-        run = np.logaddexp(run, x)
-        out[k] = run
-    return out
 
 
 def kappa_bilateral(model: ChainModel, variant: str = "DD_7_11",
@@ -276,35 +226,36 @@ def kappa_bilateral(model: ChainModel, variant: str = "DD_7_11",
     return kappa, _bracket_from_constant(kappa, method, rep)
 
 
-def _kappa_bilateral_scan(model: ChainModel, variant: str, half_window: int):
+def _bilateral_sums(log_mua: np.ndarray, log_mub: np.ndarray):
+    """log sum_{i<=m} 1/(mu_i a_i) and log sum_{i>=n} 1/(mu_i b_i)."""
+    return (np.logaddexp.accumulate(-log_mua),
+            np.logaddexp.accumulate((-log_mub)[::-1])[::-1])
+
+
+def _bilateral_scan(model: ChainModel, variant: str, half_window: int, s: float = 1.0):
+    """log of the infimum (7.11) (with middle exponent s, (8.4)) or (7.12),
+    its index pair and the index span of the window."""
     idx, log_mu, log_mua, log_mub = bilateral_log_weights(model, half_window)
-    la = _log_cum(-log_mua)                 # log sum_{i<=m} 1/(mu_i a_i)
-    lb = _log_cum((-log_mub)[::-1])[::-1]   # log sum_{i>=n} 1/(mu_i b_i)
-    W = len(idx)
-    log_best = math.inf
-    arg = None
     if variant == "DD_7_11":
-        for mi in range(W):
-            # middle sums accumulated per row: prefix differences of log-sums
-            # cancel catastrophically when the weights explode both ways
-            lmid = _log_cum(log_mu[mi:])
-            vals = np.logaddexp(-la[mi], -lb[mi:]) - lmid
-            k = int(np.argmin(vals))
-            if vals[k] < log_best:
-                log_best, arg = float(vals[k]), (int(idx[mi]), int(idx[mi + k]))
+        la, lb = _bilateral_sums(log_mua, log_mub)
+        log_best, arg = series.log_triangle(-la, -lb, log_mu, s)
+        shift = 0
     else:
         # (7.12): m < n, mu-tails both sides, middle sum of 1/(mu b) over [m, n-1]
-        lmu = _log_cum(log_mu)
-        lmu_suf = _log_cum(log_mu[::-1])[::-1]
-        for mi in range(W - 1):
-            lmid = _log_cum(-log_mub[mi: W - 1])
-            vals = np.logaddexp(-lmu[mi], -lmu_suf[mi + 1:]) - lmid
-            k = int(np.argmin(vals))
-            if vals[k] < log_best:
-                log_best, arg = float(vals[k]), (int(idx[mi]), int(idx[mi + 1 + k]))
+        lmu = np.logaddexp.accumulate(log_mu)
+        lmu_suf = np.logaddexp.accumulate(log_mu[::-1])[::-1]
+        log_best, arg = series.log_triangle(-lmu[:-1], -lmu_suf[1:], -log_mub[:-1])
+        shift = 1  # triangle column c pairs with state index c + 1
+    if arg is not None:
+        arg = (int(idx[arg[0]]), int(idx[arg[1] + shift]))
+    return log_best, arg, (int(idx[0]), int(idx[-1]))
+
+
+def _kappa_bilateral_scan(model: ChainModel, variant: str, half_window: int):
+    log_best, arg, span = _bilateral_scan(model, variant, half_window)
     inv_kappa = math.exp(log_best) if math.isfinite(log_best) else math.inf
     kappa = 1.0 / inv_kappa if inv_kappa > 0 and math.isfinite(inv_kappa) else math.inf
-    return kappa, arg, (int(idx[0]), int(idx[-1]))
+    return kappa, arg, span
 
 
 def naive_upper(model: ChainModel, n_max: int = 10 ** 5):
@@ -348,48 +299,26 @@ def basic_bracket(model: ChainModel, n_max: int = 10 ** 5) -> BasicBracketReport
     nub_tails = _nu_tail_array(ws, "b")
     with np.errstate(over="ignore"):
         nu_a_pref = np.cumsum(ws.nu_a)
-    pref = ws.mu_prefix_arr
     # delta^(4.4) and delta^(3.1) with saturation conventions
     with np.errstate(all="ignore"):
         d44 = nu_a_pref[1:] * mu_tails[1:] if ws.base == 0 else nu_a_pref * mu_tails
-        d31 = pref * nub_tails
+        d31 = ws.mu_prefix_arr * nub_tails
     mu_fin = math.isfinite(ws.mu_total.value)
     nub_fin = math.isfinite(ws.nu_b_total.value)
     delta44 = _masked_sup(d44, not mu_fin) if len(d44) else math.inf
     delta31 = _masked_sup(d31, not nub_fin)
+    method = "kappa_6_13" if model.boundary.origin_reflecting else "kappa_7_5"
     if not mu_fin and not nub_fin:
         # zero-recurrent: rate exactly zero, no scan can tighten [0, 0]
         rep = series.ExtremumReport(None, math.inf, series.Certainty.CERTIFIED,
                                     (ws.base, ws.top))
-        method = "kappa_6_13" if model.boundary.origin_reflecting else "kappa_7_5"
         return BasicBracketReport(Bracket(0.0, 0.0, method, rep), math.inf,
                                   method, delta31, delta44, False, "delta_3_1")
-    if model.boundary.origin_reflecting:
-        method = "kappa_6_13"
-        with np.errstate(all="ignore"):
-            inv_left = np.where(pref > 0, 1.0 / pref, math.inf)
-            inv_right = np.where(mu_tails > 0, 1.0 / mu_tails, math.inf)
-        inv_right = np.where(np.isfinite(mu_tails), inv_right, 0.0)
-        rep = _kappa_scan(inv_left, inv_right, ws.nu_b, ws.base, strict=True,
-                          finite_top=ws.finite)
-    else:
-        method = "kappa_7_5"
-        with np.errstate(all="ignore"):
-            inv_left = np.where(nu_a_pref > 0, 1.0 / nu_a_pref, math.inf)
-            inv_right = np.where(nub_tails > 0, 1.0 / nub_tails, math.inf)
-        inv_left = np.where(np.isfinite(nu_a_pref), inv_left, 0.0)
-        inv_right = np.where(np.isfinite(nub_tails), inv_right, 0.0)
-        rep = _kappa_scan(inv_left, inv_right, ws.mu, ws.base, strict=False,
-                          finite_top=ws.finite)
-    kappa = 1.0 / rep.value if rep.value > 0 else math.inf
+    kappa, rep = _kappa(ws, model.boundary.origin_reflecting)
     if mu_fin:
-        criterion = "delta_4_4"
-        positive = math.isfinite(delta44)
+        criterion, positive = "delta_4_4", math.isfinite(delta44)
     else:
-        criterion = "delta_3_1"
-        positive = math.isfinite(delta31) if nub_fin or not mu_fin else None
-        if not mu_fin and not nub_fin:
-            positive = False  # zero-recurrent: rate is exactly zero
+        criterion, positive = "delta_3_1", math.isfinite(delta31)
     if positive is False:
         kappa = math.inf  # window scans produce vacuous finite values here
     return BasicBracketReport(_bracket_from_constant(kappa, method, rep), kappa,

@@ -287,7 +287,8 @@ def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResu
     u[0] = (a[0] - z) / b[0]
     for i in range(1, len(a)):
         u[i] = (a[i] * u[i - 1] / (1.0 + u[i - 1]) - z) / b[i]
-    g = np.cumprod(np.concatenate([[1.0], 1.0 + np.maximum(u[:-1], 0.0)]))
+    with np.errstate(over="ignore"):
+        g = np.cumprod(np.concatenate([[1.0], 1.0 + np.maximum(u[:-1], 0.0)]))
     return SpectralResult(z, g, top - 1, hi - lo, "Shooting", base=1)
 
 

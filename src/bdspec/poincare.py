@@ -15,7 +15,8 @@ import numpy as np
 
 from . import series
 from .errors import WrongVariant
-from .estimates import _mu_tail_array, _nu_tail_array
+from .estimates import (_bilateral_scan, _bilateral_sums, _kappa, _kappa_terms,
+                        _mu_tail_array, _nu_tail_array)
 from .model import BoundaryCode, ChainModel, bilateral_log_weights, build_weights
 
 VARIANTS = ("bilateral_8_4", "half_line_8_6", "neumann_8_9")
@@ -33,15 +34,6 @@ class SobolevConstant:
         if not math.isfinite(self.B):
             return (math.inf, math.inf)
         return (self.B, 4.0 * self.B)
-
-
-def _log_cum(x):
-    out = np.empty(len(x))
-    run = -math.inf
-    for k, v in enumerate(x):
-        run = np.logaddexp(run, v)
-        out[k] = run
-    return out
 
 
 def sobolev_constant(model: ChainModel, p: float, variant: str,
@@ -80,47 +72,14 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
     if variant == "half_line_8_6":
         if model.boundary is not BoundaryCode.DD or model.base != 1:
             raise WrongVariant("half_line_8_6 needs the Dirichlet-origin shape")
-        ws = build_weights(model, n_max)
-        with np.errstate(over="ignore"):
-            nu_a_pref = np.cumsum(ws.nu_a)
-        nub_tails = _nu_tail_array(ws, "b")
-        with np.errstate(all="ignore"):
-            inv_left = np.where(nu_a_pref > 0, 1.0 / nu_a_pref, math.inf)
-            inv_right = np.where(nub_tails > 0, 1.0 / nub_tails, math.inf)
-        inv_left = np.where(np.isfinite(nu_a_pref), inv_left, 0.0)
-        inv_right = np.where(np.isfinite(nub_tails), inv_right, 0.0)
-        with np.errstate(over="ignore"):
-            mid = np.concatenate([[0.0], np.cumsum(ws.mu)])
-
-        def row(n, ms):
-            k = n - ws.base
-            ms0 = np.asarray(ms) - ws.base
-            blk = mid[ms0 + 1] - mid[k]
-            with np.errstate(all="ignore"):
-                return (inv_left[k] + inv_right[ms0]) * blk ** (-2.0 / p)
-
-        rep = series.extremize_pairs(row, "inf", ws.base, lambda n: n,
-                                     n_hi=ws.top if ws.finite else None,
-                                     m_hi=ws.top, hard_cap=len(ws.mu) - 1)
-        B = 1.0 / rep.value if rep.value > 0 else math.inf
+        B, rep = _kappa(build_weights(model, n_max), reflecting=False, s=2.0 / p)
         return SobolevConstant(p, variant, B, rep)
     # bilateral_8_4 in the log domain
     if model.boundary is not BoundaryCode.DD_BILATERAL:
         raise WrongVariant("bilateral_8_4 needs a bilateral model")
-    idx, log_mu, log_mua, log_mub = bilateral_log_weights(model, half_window)
-    la = _log_cum(-log_mua)
-    lb = _log_cum((-log_mub)[::-1])[::-1]
-    W = len(idx)
-    log_best = math.inf
-    arg = None
-    for mi in range(W):
-        lmid = _log_cum(log_mu[mi:])
-        vals = np.logaddexp(-la[mi], -lb[mi:]) - (2.0 / p) * lmid
-        k = int(np.argmin(vals))
-        if vals[k] < log_best:
-            log_best, arg = float(vals[k]), (int(idx[mi]), int(idx[mi + k]))
+    log_best, arg, span = _bilateral_scan(model, "DD_7_11", half_window, s=2.0 / p)
     rep = series.ExtremumReport(arg, math.exp(log_best) if math.isfinite(log_best) else math.inf,
-                                series.Certainty.WINDOW_STOPPED, (int(idx[0]), int(idx[-1])))
+                                series.Certainty.WINDOW_STOPPED, span)
     B = math.exp(-log_best) if math.isfinite(log_best) else math.inf
     return SobolevConstant(p, variant, B, rep)
 
@@ -134,55 +93,41 @@ def b_constants_split(model: ChainModel, p: float,
     """
     if p < 2.0:
         raise WrongVariant("p must be >= 2")
+    t = 2.0 / p
     if model.boundary is BoundaryCode.DD_BILATERAL:
         idx, log_mu, log_mua, log_mub = bilateral_log_weights(model, half_window)
-        la = _log_cum(-log_mua)
-        lb = _log_cum((-log_mub)[::-1])[::-1]
-        lmu_pre = _log_cum(log_mu)
-        lmu_suf = _log_cum(log_mu[::-1])[::-1]
-        W = len(idx)
+        la, lb = _bilateral_sums(log_mua, log_mub)
         # B_L = sup_n nu_a[-M, n] * ||1_{[n, N]}||, norm = mu[n, N]^{2/p}
         with np.errstate(all="ignore"):
-            bl = la + (2.0 / p) * lmu_suf
-            br = lb + (2.0 / p) * lmu_pre
-        B_L = math.inf if np.max(bl) > 600 else float(np.exp(np.max(bl)))
-        B_R = math.inf if np.max(br) > 600 else float(np.exp(np.max(br)))
-        log_best = -math.inf
-        for mi in range(W):
-            lmid = _log_cum(log_mu[mi:])
-            vals = la[mi] + lb[mi:] + (2.0 / p) * lmid
-            log_best = max(log_best, float(np.max(vals)))
+            bl = la + t * np.logaddexp.accumulate(log_mu[::-1])[::-1]
+            br = lb + t * np.logaddexp.accumulate(log_mu)
+        B_L, B_R, S = (math.inf if x > 600 else float(np.exp(x))
+                       for x in (np.max(bl), np.max(br), la[-1]))
+        # log B = sup_{n<=m} log[nu_a[-M, n] nu_b[m, M] mu[n, m]^{2/p}]
+        log_best = -series.log_triangle(-la, -lb, log_mu, t, product=True)[0]
         B = float(np.exp(log_best)) if log_best < 600 else math.inf
-        S = math.inf if la[-1] > 600 else float(np.exp(la[-1]))
-        return B_L, B_R, B, S
-    if model.boundary is not BoundaryCode.DD or model.base != 1:
-        raise WrongVariant("split constants need the Dirichlet-origin shape")
-    ws = build_weights(model, n_max)
-    with np.errstate(over="ignore"):
-        nu_a_pref = np.cumsum(ws.nu_a)
-    mu_tails = _mu_tail_array(ws)
-    nub_tails = _nu_tail_array(ws, "b")
-    pref = ws.mu_prefix_arr
-    with np.errstate(all="ignore"):
-        bl = nu_a_pref * mu_tails ** (2.0 / p)
-        br = nub_tails * pref ** (2.0 / p)
-    B_L = float(np.max(np.where(np.isfinite(bl), bl, math.inf)))
-    B_R = float(np.max(np.where(np.isfinite(br), br, math.inf)))
-    with np.errstate(over="ignore"):
-        mid = np.concatenate([[0.0], np.cumsum(ws.mu)])
-    best = -math.inf
-    for k in range(len(ws.mu)):
-        ns = np.arange(k, len(ws.mu))
+    else:
+        if model.boundary is not BoundaryCode.DD or model.base != 1:
+            raise WrongVariant("split constants need the Dirichlet-origin shape")
+        ws = build_weights(model, n_max)
+        with np.errstate(over="ignore"):
+            nu_a_pref = np.cumsum(ws.nu_a)
         with np.errstate(all="ignore"):
-            vals = nu_a_pref[k] * nub_tails[ns] * (mid[ns + 1] - mid[k]) ** (2.0 / p)
-        vals = vals[np.isfinite(vals)]
-        if len(vals):
-            best = max(best, float(np.max(vals)))
-    S = ws.nu_a_total.value
-    if ws.finite:
-        mb = ws.mu[-1] * ws.b[-1]
-        S = float(np.sum(ws.nu_a)) + (1.0 / mb if mb > 0 else math.inf)
-    return B_L, B_R, float(best), S
+            bl = nu_a_pref * _mu_tail_array(ws) ** t
+            br = _nu_tail_array(ws, "b") * ws.mu_prefix_arr ** t
+        B_L = float(np.max(np.where(np.isfinite(bl), bl, math.inf)))
+        B_R = float(np.max(np.where(np.isfinite(br), br, math.inf)))
+        S = ws.nu_a_total.value
+        if ws.finite:
+            mb = ws.mu[-1] * ws.b[-1]
+            S = float(np.sum(ws.nu_a)) + (1.0 / mb if mb > 0 else math.inf)
+        # 1/B = inf over n <= m of (1/nu_a[1, n]) (1/nu_b[m, N]) / mu[n, m]^{2/p}
+        rep = series.half_line_pairs(*_kappa_terms(ws, reflecting=False), ws.base, True,
+                                     s=t, product=True)
+        B = 1.0 / rep.value if rep.arg is not None else math.inf
+    if not math.isfinite(S):
+        B = min(B_L, B_R)
+    return B_L, B_R, B, S
 
 
 def recurrent_blowup_check(model: ChainModel, p: float, n_max: int = 10 ** 5) -> str:

@@ -1,9 +1,14 @@
-"""Certified tail sums and index-functional extremization.
+"""Tail sums and index-functional extremization.
 
-Every sup/inf over chain indices in this package funnels through
-:func:`extremize`, and every infinite series through :func:`tail_sum`, so the
-certification story (exhaustive / window-stopped / estimated) lives in one
-place.
+One-index sups and infs go through :func:`extremize`. The two-index
+constants, infima over n <= m of (L_n + R_m) M(n, m)^-s or of L_n R_m
+M(n, m)^-s (a supremum is taken through its reciprocal), go through
+:func:`half_line_pairs` (linear weights, prefix-difference middle sums) or
+:func:`log_triangle` (log weights, for two-sided chains whose weights leave
+float range both ways); the caller's boundary code picks the routine.
+:func:`tail_sum` is a stand-alone certified summation for library users; the
+weight layer (``model.WeightSystem``) sums its own tails with
+:func:`estimate_remainder_block`.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ DIVERGENCE_CAP = 1e12
 GROWTH_WINDOW = 64      # increments must keep decaying over this many terms
 STOP_WINDOW = 256       # no-improvement window for unbounded scans
 CONSECUTIVE_SMALL = 16  # increments below tol*sum this many times => converged
+BLOCK_ENTRIES = 1 << 20  # entries per 2-D block of a two-index scan
 
 
 class Certainty(enum.Enum):
@@ -163,14 +169,12 @@ def extremize(objective: Callable[[np.ndarray], np.ndarray],
               lo: int,
               hi: Optional[int] = None,
               window: int = STOP_WINDOW,
-              hard_cap: int = 10 ** 6,
-              envelope: Optional[Callable[[int], float]] = None) -> ExtremumReport:
+              hard_cap: int = 10 ** 6) -> ExtremumReport:
     """Sup or Inf of objective(i) over i in [lo, hi] (hi=None means unbounded).
 
     Exhaustive on finite ranges. On unbounded ranges, scans in blocks and
     stops after ``window`` consecutive indices without improvement
-    (WindowStopped) or when a supplied monotone ``envelope`` bound proves the
-    tail cannot improve the current best (Certified). +-inf values are legal.
+    (WindowStopped). +-inf values are legal.
     """
     if direction not in ("sup", "inf"):
         raise ValueError("direction must be 'sup' or 'inf'")
@@ -198,13 +202,8 @@ def extremize(objective: Callable[[np.ndarray], np.ndarray],
         else:
             since_improve += len(idx)
         last = top
-        if hi is None:
-            if envelope is not None and math.isfinite(best):
-                env = sign * envelope(last)
-                if env < best:
-                    return ExtremumReport(arg, sign * best, Certainty.CERTIFIED, (lo, last))
-            if since_improve >= window:
-                return ExtremumReport(arg, sign * best, Certainty.WINDOW_STOPPED, (lo, last))
+        if hi is None and since_improve >= window:
+            return ExtremumReport(arg, sign * best, Certainty.WINDOW_STOPPED, (lo, last))
         cur = top + 1
         block = min(2 * block, 1 << 16)
     cert = Certainty.CERTIFIED if hi is not None else Certainty.RANGE_TRUNCATED
@@ -265,6 +264,105 @@ def extremize_pairs(row_values: Callable[[int, np.ndarray], np.ndarray],
         n += 1
     cert = Certainty.CERTIFIED if (n_hi is not None and m_hi is not None) else Certainty.WINDOW_STOPPED
     return ExtremumReport(arg, sign * best, cert, (n_lo, min(n, n_cap)))
+
+
+def _row_blocks(rows: int, cols: int) -> list:
+    """Row ranges [r0, r1) whose blocks of ``cols`` columns hold about
+    BLOCK_ENTRIES entries."""
+    step = max(1, BLOCK_ENTRIES // max(cols, 1))
+    return [(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
+
+
+def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict: bool,
+                    base: int, exhaustive: bool, s: float = 1.0,
+                    product: bool = False) -> ExtremumReport:
+    """inf over n <= m (n < m when strict) of (L_n + R_m) / M(n, m)^s.
+
+    ``left[n]`` and ``right[m]`` are reciprocal boundary terms (1/inf = 0
+    already applied) and M(n, m) is the sum of ``mid`` over [n, m], or over
+    [n, m-1] when strict, taken as a prefix difference. An overflowed or empty
+    middle sum never counts as a small value. ``product`` puts L_n R_m in the
+    numerator instead; a vanishing product (an infinite boundary sum) does not
+    count. Rows are evaluated in blocks, each to the end of the window. Unless
+    ``exhaustive`` (a finite chain), rows stop after STOP_WINDOW of them
+    without improvement and the best row gets an Aitken limit along m, since
+    several of the defining infima are attained only as m -> infinity.
+    Ties break toward the smallest (n, m).
+    """
+    W = len(mid)
+    with np.errstate(over="ignore"):
+        midc = np.concatenate([[0.0], np.cumsum(mid)])
+
+    def values(n, m):
+        with np.errstate(all="ignore"):
+            den = midc[m if strict else m + 1] - midc[n]
+            v = left[n] * right[m] if product else left[n] + right[m]
+            ok = np.isfinite(den) & (den > 0.0) & (m >= n + strict)
+            v /= den ** s
+        ok &= (v > 0.0) if product else ~np.isnan(v)
+        v[~ok] = math.inf
+        return v
+
+    best, arg, last_imp, stop = math.inf, None, -1, W - 1
+    for r0, r1 in _row_blocks(W, W):
+        rows = np.arange(r0, r1)
+        v = values(rows[:, None], np.arange(r0, W)[None, :])
+        rv = v.min(axis=1)
+        imp = rv < np.minimum.accumulate(np.concatenate([[best], rv]))[:-1]
+        if not exhaustive:
+            since = rows - np.maximum.accumulate(np.where(imp, rows, last_imp))
+            hit = np.flatnonzero(since >= STOP_WINDOW)
+            if len(hit):
+                stop = r0 + int(hit[0])
+                imp[hit[0]:] = False
+        if imp.any():
+            j = int(np.flatnonzero(imp)[-1])
+            best, arg, last_imp = float(rv[j]), (r0 + j, r0 + int(np.argmin(v[j]))), r0 + j
+        if stop < W - 1:
+            break
+    cert = Certainty.CERTIFIED if exhaustive else Certainty.WINDOW_STOPPED
+    rep = ExtremumReport(None if arg is None else (base + arg[0], base + arg[1]), best,
+                         cert, (base, base + stop))
+    if exhaustive or arg is None or W - 1 - arg[1] < 8:
+        return rep
+    offs = np.unique(np.geomspace(1.0, W - 1 - arg[1], 24).astype(np.int64))
+    vals = values(arg[0], arg[1] + np.concatenate([[0], offs]))
+    vals = vals[np.isfinite(vals)]
+    if len(vals) >= 4 and np.all(np.diff(vals) < 0):
+        acc = aitken(vals)
+        if len(acc) and math.isfinite(acc[-1]) and 0.0 < acc[-1] < best:
+            return ExtremumReport(rep.arg, float(acc[-1]), cert, rep.scanned)
+    return rep
+
+
+def log_triangle(row: np.ndarray, col: np.ndarray, log_w: np.ndarray, s: float = 1.0,
+                 product: bool = False):
+    """inf over r <= c of log[(L_r + R_c) / M(r, c)^s], all in logs.
+
+    ``row``, ``col`` and ``log_w`` hold log L, log R and the log middle
+    weights; M(r, c) sums exp(log_w) over [r, c] and is accumulated along
+    each row with ``np.logaddexp.accumulate``, since prefix differences of
+    log-sums cancel catastrophically when the weights explode both ways.
+    ``product`` puts L_r R_c (a ``+`` of logs) in place of the sum (a
+    ``logaddexp``). Rows r < len(row) go in blocks of about BLOCK_ENTRIES
+    entries; a row holding a NaN does not count. Returns ``(value, (r, c))``
+    with the first minimal pair in row-major order, or ``(inf, None)``.
+    """
+    W = len(log_w)
+    best, arg = math.inf, None
+    for r0, r1 in _row_blocks(len(row), W):
+        tri = np.arange(r0, W)[None, :] >= np.arange(r0, r1)[:, None]
+        lr, lc = row[r0:r1, None], col[None, r0:]
+        with np.errstate(all="ignore"):
+            acc = np.logaddexp.accumulate(np.where(tri, log_w[r0:], -math.inf), axis=1)
+            v = (lr + lc if product else np.logaddexp(lr, lc)) - s * acc
+        v[~tri] = math.inf
+        rv = v.min(axis=1)
+        rv[np.isnan(rv)] = math.inf
+        j = int(np.argmin(rv))
+        if rv[j] < best:
+            best, arg = float(rv[j]), (r0 + j, r0 + int(np.argmin(v[j])))
+    return best, arg
 
 
 # ---------------------------------------------------------------------------

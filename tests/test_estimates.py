@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bdspec import estimates
+from bdspec import estimates, poincare
 from bdspec.catalog import catalog
 from bdspec.errors import NotErgodic, WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel
@@ -144,25 +144,34 @@ def test_basic_bracket_dispatch():
     assert rep.method == "kappa_7_5" and rep.kappa == pytest.approx(3.0 / 7.0, rel=1e-12)
 
 
-def test_kappa_bilateral_nn_variant_matches_brute_force():
-    # 5-state bilateral chain with summable weights: (7.12) by exhaustive scan
-    rates_b = {-2: 1.0, -1: 2.0, 0: 1.5, 1: 0.7, 2: 1.2}
-    rates_a = {-2: 0.9, -1: 1.1, 0: 2.2, 1: 1.3, 2: 0.8}
+# 5-state bilateral chain with summable weights, checked by exhaustive scans
+RATES_B = {-2: 1.0, -1: 2.0, 0: 1.5, 1: 0.7, 2: 1.2}
+RATES_A = {-2: 0.9, -1: 1.1, 0: 2.2, 1: 1.3, 2: 0.8}
 
+
+def _five_state():
     def birth(i):
-        return np.asarray([rates_b[int(k)] for k in np.atleast_1d(i)], dtype=float)
+        return np.asarray([RATES_B[int(k)] for k in np.atleast_1d(i)], dtype=float)
 
     def death(i):
-        return np.asarray([rates_a[int(k)] for k in np.atleast_1d(i)], dtype=float)
+        return np.asarray([RATES_A[int(k)] for k in np.atleast_1d(i)], dtype=float)
 
-    m = ChainModel(BoundaryCode.DD_BILATERAL, -2, 2, birth, death)
-    k, br = estimates.kappa_bilateral(m, "NN_7_12", half_window=8)
-    # brute force over m < n with linear-scale weights
+    model = ChainModel(BoundaryCode.DD_BILATERAL, -2, 2, birth, death)
+    # linear-scale weights, normalized at state 0 as the library does
     idx = np.arange(-2, 3)
     mu = np.ones(5)
     for j in range(1, 5):
-        mu[j] = mu[j - 1] * rates_b[int(idx[j - 1])] / rates_a[int(idx[j])]
-    nub = 1.0 / (mu * np.asarray([rates_b[int(v)] for v in idx]))
+        mu[j] = mu[j - 1] * RATES_B[int(idx[j - 1])] / RATES_A[int(idx[j])]
+    mu /= mu[2]
+    nua = 1.0 / (mu * np.asarray([RATES_A[int(v)] for v in idx]))
+    nub = 1.0 / (mu * np.asarray([RATES_B[int(v)] for v in idx]))
+    return model, mu, nua, nub
+
+
+def test_kappa_bilateral_nn_variant_matches_brute_force():
+    m, mu, _, nub = _five_state()
+    k, br = estimates.kappa_bilateral(m, "NN_7_12", half_window=8)
+    # brute force over m < n with linear-scale weights
     best = math.inf
     for mi in range(5):
         for ni in range(mi + 1, 5):
@@ -170,3 +179,29 @@ def test_kappa_bilateral_nn_variant_matches_brute_force():
             val = (1.0 / mu[: mi + 1].sum() + 1.0 / mu[ni:].sum()) / mid
             best = min(best, val)
     assert k == pytest.approx(1.0 / best, rel=1e-12)
+
+
+def test_kappa_bilateral_dd_variant_matches_brute_force():
+    m, mu, nua, nub = _five_state()
+    k, br = estimates.kappa_bilateral(m, "DD_7_11", half_window=8)
+    best = math.inf
+    for ni in range(5):
+        for mi in range(ni, 5):
+            val = (1.0 / nua[: ni + 1].sum() + 1.0 / nub[mi:].sum()) / mu[ni: mi + 1].sum()
+            best = min(best, val)
+    assert k == pytest.approx(1.0 / best, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_bilateral_split_matches_brute_force(p):
+    m, mu, nua, nub = _five_state()
+    bl, br, bb, S = poincare.b_constants_split(m, p, half_window=8)
+    t = 2.0 / p
+    B = max(nua[: ni + 1].sum() * nub[mi:].sum() * mu[ni: mi + 1].sum() ** t
+            for ni in range(5) for mi in range(ni, 5))
+    assert bb == pytest.approx(B, rel=1e-12)
+    assert bl == pytest.approx(max(nua[: n + 1].sum() * mu[n:].sum() ** t for n in range(5)),
+                               rel=1e-12)
+    assert br == pytest.approx(max(nub[n:].sum() * mu[: n + 1].sum() ** t for n in range(5)),
+                               rel=1e-12)
+    assert S == pytest.approx(nua.sum(), rel=1e-12)

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from bdspec import estimates, poincare
-from bdspec.catalog import catalog
+from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import WrongVariant
+from bdspec.model import BoundaryCode
 
 
 def test_neumann_p2_equals_hardy_constant():
@@ -18,11 +19,14 @@ def test_neumann_p2_equals_hardy_constant():
 
 
 def test_half_line_p2_equals_kappa_quantity():
-    for name in ("ex7_6_1", "table7_1_row7", "table7_1_row1"):
+    names = [n for n in catalog_names() if catalog(n).boundary is BoundaryCode.DD
+             and catalog(n).killing is None]
+    assert len(names) == 13
+    for name in names:
         model = catalog(name)
         sc = poincare.sobolev_constant(model, 2.0, "half_line_8_6")
         k = estimates.kappa_dd(model)[0]
-        assert sc.B == pytest.approx(k, rel=1e-10)
+        assert sc.B == k, name
 
 
 def test_bilateral_p2_equals_kappa_bilateral():
@@ -66,16 +70,21 @@ def test_ex8_9_split_constants():
 
 
 def test_half_line_split_sandwich():
-    model = catalog("ex7_6_1")
-    bl, br, bb, S = poincare.b_constants_split(model, 2.0)
-    sc = poincare.sobolev_constant(model, 2.0, "half_line_8_6")
-    assert sc.B <= min(bl, br) + 1e-12
-    a1 = 1.0
-    lower = (1.0 if not math.isfinite(S) else 0.0) + \
-        (0.0 if not math.isfinite(S) else 1.0 / (a1 * S))
-    assert sc.B >= lower * min(bl, br) * 0 + sc.B * 0 + lower * bb * 0 + 0  # see below
-    # Corollary-style sandwich: B >= (1_{S=inf} + 1/(a_1 S)) * (B_L ^ B_R)
-    assert sc.B >= lower * min(bl, br) - 1e-12
+    for name in ("ex7_6_1", "ex7_5_1"):
+        model = catalog(name)
+        bl, br, bb, S = poincare.b_constants_split(model, 2.0)
+        sc = poincare.sobolev_constant(model, 2.0, "half_line_8_6")
+        assert sc.B <= min(bl, br) + 1e-12
+        a1 = float(model.death(1))
+        lower = (1.0 if not math.isfinite(S) else 0.0) + \
+            (0.0 if not math.isfinite(S) else 1.0 / (a1 * S))
+        assert sc.B >= lower * min(bl, br) * 0 + sc.B * 0 + lower * bb * 0 + 0  # see below
+        # Corollary-style sandwich: B >= (1_{S=inf} + 1/(a_1 S)) * (B_L ^ B_R)
+        assert sc.B >= lower * min(bl, br) - 1e-12
+    # ex7_5_1: the reciprocal death series diverges (S = inf), so B = B_L ^ B_R,
+    # which is kappa = 1/2 there
+    assert not math.isfinite(S)
+    assert bb == min(bl, br) == sc.B == 0.5
 
 
 def test_recurrent_blowup():
