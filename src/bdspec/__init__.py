@@ -16,7 +16,7 @@ from .approx import (ApproxTrace, TestFunction, dd_first_step, delta_prime_seq_n
 from .duality import DualPair, dualize, similarity_check, v_transform
 from .oracle import (SpectralResult, TruncationTrace, eigen_identity_check,
                      principal_eigen, shooting_rate, splitting_bracket,
-                     sturm_count, truncation_limit)
+                     truncation_limit)
 from .killing import (KillingBounds, ReductionResult, corollary_9_9,
                       dispatch_9_12, limsup_upper, r_operator_bounds,
                       reduce_9_11, sqrt_test_bound, upper_9_9, xi_zeta)

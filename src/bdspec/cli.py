@@ -354,8 +354,16 @@ def _ex5_3_sequences(model, steps):
     return [float(x) for x in best_dp], [float(x) for x in best_bar]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors exit 1, like model errors; 2 means "not fully certified"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, "%s: error: %s\n" % (self.prog, message))
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bdspec",
         description="Brackets, refinements and oracles for birth-death decay rates")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -3,7 +3,7 @@
 The generator is symmetrized by diag(sqrt(mu)), which leaves a symmetric
 tridiagonal matrix whose entries depend on rate ratios only (no absolute
 weights, so nothing over- or underflows). The smallest eigenvalues come from
-Sturm-sequence bisection; truncation sequences get a decay-aware
+LAPACK bisection through scipy; truncation sequences get a decay-aware
 extrapolation; the shooting recursion provides an independent route for the
 Dirichlet-at-origin chains.
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from . import series
 from .errors import (DegenerateRecursion, NoConvergence, TruncationTooSmall,
@@ -32,42 +33,22 @@ class SpectralResult:
     base: int = 0
 
 
-def sturm_count(diag: np.ndarray, off2: np.ndarray, shifts) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift (LDL^T sign count)."""
-    s = np.atleast_1d(np.asarray(shifts, dtype=float))
-    d = diag[0] - s
-    cnt = (d < 0.0).astype(np.int64)
-    tiny = 1e-300
-    for i in range(1, len(diag)):
-        d = np.where(np.abs(d) < tiny, -tiny, d)
-        d = (diag[i] - s) - off2[i - 1] / d
-        cnt += d < 0.0
-    return cnt
+# Absolute bisection tolerance for LAPACK's dstebz: the value it documents as
+# "most accurate". The default (eps * ||T||) is far too coarse on graded
+# matrices, whose smallest eigenvalue is tiny next to the norm (Demmel & Kahan
+# 1990; Barlow & Demmel 1990).
+TOL = 2.0 * np.finfo(float).tiny
 
 
-def _eig_k(diag: np.ndarray, off: np.ndarray, k: int = 0,
-           atol: float = 1e-12, grid: int = 64, budget: int = 240) -> float:
-    """k-th smallest eigenvalue by multi-shift Sturm bisection."""
-    off2 = off * off
-    pad = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
-    lo = float(np.min(diag - pad))
-    hi = float(np.max(diag + pad))
-    rounds = 0
-    while hi - lo > atol:
-        rounds += 1
-        if rounds > budget:
-            raise NoConvergence("Sturm bisection exceeded its budget")
-        xs = np.linspace(lo, hi, grid)
-        cs = sturm_count(diag, off2, xs)
-        j = int(np.searchsorted(cs, k + 1))
-        if j == 0:
-            hi = xs[0]
-            break
-        if j == grid:
-            lo = xs[-1]
-            break
-        lo, hi = xs[j - 1], xs[j]
-    return 0.5 * (lo + hi)
+def _eig_k(diag: np.ndarray, off: np.ndarray, k: int = 0, vector: bool = False):
+    """k-th smallest eigenvalue of the symmetric tridiagonal (diag, off), with
+    its eigenvector when asked: LAPACK bisection (stebz) and inverse
+    iteration (stein)."""
+    out = eigh_tridiagonal(diag, off, eigvals_only=not vector, select="i",
+                           select_range=(k, k), lapack_driver="stebz", tol=TOL)
+    if vector:
+        return float(out[0][0]), out[1][:, 0]
+    return float(out[0])
 
 
 def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
@@ -94,14 +75,14 @@ def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
         a = np.asarray(model.death(idx + 1), dtype=float)
         with np.errstate(over="ignore"):
             r = b / a
-        for rr in r:
-            p_prev = p
-            p *= rr
-            s += p
-            if p < tol * s:
-                return s
-            if not math.isfinite(s):
-                return math.inf
+            for rr in r:
+                p_prev = p
+                p *= rr
+                s += p
+                if p < tol * s:
+                    return s
+                if not math.isfinite(s):
+                    return math.inf
         j = hi
         block = min(2 * block, 1 << 16)
     if model.hi is not None and j >= model.hi:
@@ -135,37 +116,6 @@ def _tridiag(model: ChainModel, lo: int, top: int, boundary_at_m: str):
     return diag, off
 
 
-def _inverse_iteration(diag, off, lam):
-    n = len(diag)
-    shift = lam - 1e-10 * max(1.0, abs(lam))
-    d = diag - shift
-    v = np.ones(n) / math.sqrt(n)
-    for _ in range(3):
-        # Thomas solve (T - shift) x = v
-        cp = np.empty(n - 1) if n > 1 else np.empty(0)
-        dp = np.empty(n)
-        dd = d[0] if abs(d[0]) > 1e-300 else 1e-300
-        dp[0] = v[0] / dd
-        prev = dd
-        for i in range(1, n):
-            cp[i - 1] = off[i - 1] / prev
-            prev = d[i] - off[i - 1] * cp[i - 1]
-            if abs(prev) < 1e-300:
-                prev = 1e-300
-            dp[i] = (v[i] - off[i - 1] * dp[i - 1]) / prev
-        x = np.empty(n)
-        x[-1] = dp[-1]
-        for i in range(n - 2, -1, -1):
-            x[i] = dp[i] - cp[i] * x[i + 1]
-        nrm = float(np.linalg.norm(x))
-        if nrm == 0.0 or not math.isfinite(nrm):
-            return v
-        v = x / nrm
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return v
-
-
 def default_truncation_boundary(model: ChainModel) -> str:
     """Faithful truncation per boundary family: Dirichlet cutoffs for the
     absorbing-at-infinity codes, lumped Neumann for the reflecting ones."""
@@ -180,8 +130,9 @@ def principal_eigen(model: ChainModel, m: int,
 
     For NN models the smallest eigenvalue of the conservative truncation is 0,
     so the reported value defaults to the second-smallest (the spectral gap);
-    every other code reports the smallest. Eigenvector by inverse iteration;
-    the class invariant is a residual below 1e-8 * max(1, lam).
+    every other code reports the smallest. Eigenvalue by LAPACK bisection
+    (stebz), eigenvector by LAPACK inverse iteration (stein); the class
+    invariant is a residual below 1e-8 * max(1, lam).
     """
     if m < 2:
         raise TruncationTooSmall("need m >= 2")
@@ -197,16 +148,20 @@ def principal_eigen(model: ChainModel, m: int,
     if k is None:
         k = 1 if (model.boundary is BoundaryCode.NN
                   and boundary_at_m.lower() != "dirichlet") else 0
-    lam = _eig_k(diag, off, k=k)
-    # the symmetrized generator has negative off-diagonals; the Sturm count
-    # only sees off^2 but the eigenvector sign structure needs the real sign
-    vec = _inverse_iteration(diag, -off, lam)
+    # the symmetrized generator has negative off-diagonals
+    lam, vec = _eig_k(diag, -off, k=k, vector=True)
+    if k == 0:
+        # the Perron vector is positive; stein leaves sign noise in its tail,
+        # in entries far below rounding
+        vec = np.abs(vec)
+    elif vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
     tv = diag * vec
     if len(vec) > 1:
         tv[:-1] -= off * vec[1:]
         tv[1:] -= off * vec[:-1]
     residual = float(np.max(np.abs(tv - lam * vec)))
-    return SpectralResult(lam, vec, top, residual, "SturmBisection", base=lo)
+    return SpectralResult(lam, vec, top, residual, "LAPACK stebz/stein", base=lo)
 
 
 @dataclass(frozen=True)
@@ -350,25 +305,20 @@ def _local_pair(model: ChainModel, theta: int, gamma: float, m: int):
     """Eigenvalues of the split processes left/right of theta (7.13)."""
     lo = theta - m if model.lo is None else max(model.lo, theta - m)
     hi = theta + m if model.hi is None else min(model.hi, theta + m)
-    # right side on [theta, hi]: reflect at theta, b_theta -> gamma/(gamma-1) b_theta
-    idxR = np.arange(theta, hi + 1, dtype=np.int64)
-    aR = np.asarray(model.death(idxR), dtype=float).copy()
-    bR = np.asarray(model.birth(idxR), dtype=float).copy()
-    aR[0] = 0.0
-    bR[0] *= gamma / (gamma - 1.0)
-    diag = aR + bR
-    off = np.sqrt(bR[:-1] * aR[1:])
-    lamR = _eig_k(diag, off) if len(diag) >= 2 else diag[0]
-    # left side on [lo, theta] mirrored: reflect at theta, a_theta -> gamma a_theta
-    idxL = np.arange(theta, lo - 1, -1, dtype=np.int64)
-    aL = np.asarray(model.birth(idxL), dtype=float).copy()   # mirrored roles
-    bL = np.asarray(model.death(idxL), dtype=float).copy()
-    aL[0] = 0.0
-    bL[0] *= gamma
-    diag = aL + bL
-    off = np.sqrt(bL[:-1] * aL[1:])
-    lamL = _eig_k(diag, off) if len(diag) >= 2 else diag[0]
-    return lamL, lamR
+    # left side on [lo, theta] mirrored (birth and death swap roles): reflect at
+    # theta, a_theta -> gamma a_theta; right side on [theta, hi]: reflect at
+    # theta, b_theta -> gamma/(gamma-1) b_theta
+    lams = []
+    for idx, down, up, scale in (
+            (np.arange(theta, lo - 1, -1, dtype=np.int64), model.birth, model.death, gamma),
+            (np.arange(theta, hi + 1, dtype=np.int64), model.death, model.birth,
+             gamma / (gamma - 1.0))):
+        a = np.asarray(down(idx), dtype=float).copy()
+        b = np.asarray(up(idx), dtype=float).copy()
+        a[0] = 0.0
+        b[0] *= scale
+        lams.append(_eig_k(a + b, -np.sqrt(b[:-1] * a[1:])))
+    return lams[0], lams[1]
 
 
 def gamma_from_eigvec(model: ChainModel, theta: int, g_theta_m1: float,

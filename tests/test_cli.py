@@ -99,6 +99,17 @@ def test_error_exit_code(capsys):
     assert cli.main(["estimate"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--model", "table7_1_row1", "--threads", "2"],   # unknown flag
+    ["table", "table9_9"],                                        # bad choice
+])
+def test_flag_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1   # 2 is reserved for "not fully certified"
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_console_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "bdspec.cli", "estimate",
                            "--model", "ex7_6_1", "--json"],

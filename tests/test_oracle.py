@@ -1,12 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal
 
 from bdspec import oracle
-from bdspec.catalog import catalog, table71_v
+from bdspec.catalog import catalog, catalog_names, table71_v
 from bdspec.errors import TruncationTooSmall, WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel
 
@@ -26,9 +26,51 @@ def _table_model(a, b, c):
     return ChainModel(BoundaryCode.DD, 1, n, pick(b), pick(a), killing=pick(c))
 
 
+def _mp_eig_k(diag, off, k, dps=40):
+    """k-th smallest eigenvalue of a float tridiagonal matrix by Sturm-count
+    bisection in mpmath at dps digits: a reference independent of LAPACK."""
+    with mpmath.workdps(dps):
+        d = [mpmath.mpf(float(x)) for x in diag]
+        o2 = [mpmath.mpf(float(x)) ** 2 for x in off]
+        tiny = mpmath.mpf(10) ** (-2 * dps)
+
+        def below(x):
+            # LDL^T pivot signs; a zero pivot counts as negative (as in dstebz)
+            cnt = 0
+            q = 1
+            for i in range(len(d)):
+                q = (d[i] - x) - (o2[i - 1] / q if i else 0)
+                if q == 0:
+                    q = -tiny
+                cnt += q < 0
+            return cnt
+
+        # Gershgorin interval, widened by 1 against rounding in its float ends
+        pad = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
+        lo = mpmath.mpf(float(np.min(diag - pad))) - 1
+        hi = mpmath.mpf(float(np.max(diag + pad))) + 1
+        for _ in range(2000):
+            if hi - lo <= mpmath.mpf(10) ** (5 - dps) * max(abs(lo), abs(hi)):
+                break
+            mid = (lo + hi) / 2
+            if below(mid) > k:
+                hi = mid
+            else:
+                lo = mid
+        return float((lo + hi) / 2)
+
+
+def _mp_reference(model, got):
+    """The mpmath eigenvalue of the very matrix principal_eigen solved."""
+    bd = oracle.default_truncation_boundary(model)
+    diag, off = oracle._tridiag(model, got.base, got.m, bd)
+    k = 1 if (model.boundary is BoundaryCode.NN and bd != "dirichlet") else 0
+    return _mp_eig_k(diag, off, k)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(3, 40), st.integers(0, 10 ** 6))
-def test_principal_eigen_matches_lapack(n, seed):
+def test_principal_eigen_matches_mpmath_sturm(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.1, 4.0, n)
     b = rng.uniform(0.1, 4.0, n)
@@ -38,9 +80,26 @@ def test_principal_eigen_matches_lapack(n, seed):
     got = oracle.principal_eigen(model, n)
     diag = a + b + c
     off = np.sqrt(b[:-1] * a[1:])
-    ref = eigh_tridiagonal(diag, -off, select="i", select_range=(0, 0))[0][0]
-    assert got.lam == pytest.approx(ref, abs=1e-10)
+    assert got.lam == pytest.approx(_mp_eig_k(diag, off, 0), rel=1e-12, abs=0.0)
     assert got.residual <= 1e-8 * max(1.0, got.lam)
+
+
+# const_dn and symmetric_nn have no summable mu tail, so no default truncation
+TRUNCATABLE = [n for n in catalog_names() if n not in ("const_dn", "symmetric_nn")]
+
+
+@pytest.mark.parametrize("name", TRUNCATABLE)
+def test_principal_eigen_catalog_matches_mpmath_sturm(name):
+    model = catalog(name)
+    got = oracle.principal_eigen(model, 200)
+    assert got.lam == pytest.approx(_mp_reference(model, got), rel=1e-12, abs=0.0)
+    assert got.residual <= 1e-8 * max(1.0, got.lam)
+
+
+@pytest.mark.parametrize("name", ["const_dn", "symmetric_nn"])
+def test_principal_eigen_needs_summable_tail(name):
+    with pytest.raises(WrongBoundary):
+        oracle.principal_eigen(catalog(name), 250)
 
 
 def test_closed_form_two_state_killing():
@@ -77,18 +136,15 @@ def test_three_state_cubic_eigenvalue():
     assert got.lam == pytest.approx(ref, abs=1e-9)
 
 
-def test_sturm_count_monotone_in_shift():
-    rng = np.random.default_rng(7)
-    diag = rng.uniform(0.5, 4.0, 60)
-    off = rng.uniform(0.1, 2.0, 59)
-    shifts = np.linspace(-1.0, 8.0, 200)
-    counts = oracle.sturm_count(diag, off * off, shifts)
-    assert np.all(np.diff(counts) >= 0)
-
-
 def test_principal_eigvec_positive():
     got = oracle.principal_eigen(catalog("ex9_18"), 200)
-    assert np.all(got.eigvec > 0) or np.all(got.eigvec < 0)
+    assert np.all(got.eigvec > 0)
+    # at depth the Perron vector's tail lies far below rounding; it may
+    # underflow to zero (ex8_9) but must never change sign
+    for name, m in [("ex9_18", 4000), ("ex5_7", 4000), ("linear_nd", 4000),
+                    ("table7_1_row7", 4000), ("ex8_9", 250)]:
+        vec = oracle.principal_eigen(catalog(name), m).eigvec
+        assert np.all(vec >= 0) and vec.max() > 0, (name, m)
 
 
 def test_truncation_monotone_and_limit():
