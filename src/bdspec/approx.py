@@ -68,9 +68,8 @@ def _safe_window(ws: WeightSystem, cap: int) -> int:
 
 def _phi_nd(ws: WeightSystem, W: int) -> np.ndarray:
     """phi_i = nu[i, N] (birth convention) for i in [0, W-1], tail-corrected."""
-    hint = ws.model.hint("nu_b_tail")
-    if hint is not None:
-        return np.asarray([hint(int(n)) for n in range(ws.base, ws.base + W)])
+    if ws.model.hint("nu_b_tail") is not None:
+        return ws.nu_tails("b")[:W]
     nu = ws.nu_b[:W]
     suf = np.cumsum(nu[::-1])[::-1]
     top = len(ws.nu_b)
@@ -308,7 +307,7 @@ def _nn_arrays(model: ChainModel, window: int):
     nu_shift[0] = 0.0
     nu_shift[1:] = ws.nu_b[: W - 1]          # 1/(mu_i a_i), i >= 1
     phi = np.cumsum(np.concatenate([[0.0], ws.nu_b[: W - 1]]))  # nu[0, i-1]
-    tail = np.asarray([ws.mu_tail(ws.base + W)], dtype=float)[0]
+    tail = ws.mu_tail(ws.base + W)
     Z = ws.mu_total.value
     return ws, W, mu, nu_shift, phi, tail, Z
 
@@ -466,3 +465,33 @@ def dd_first_step(model: ChainModel, window: int = 200000):
         val = (A - B * B / S_full) / pm
         best = max(best, val)
     return delta, delta1, float(best)
+
+
+# ---------------------------------------------------------------------------
+# DN: the increasing dual sequences of Example 5.3
+# ---------------------------------------------------------------------------
+
+def ex5_3_sequences(model: ChainModel, steps: int):
+    """The increasing dual sequences of the constant-rate chain (Example 5.3):
+    the best delta'_n-hat and bar-delta_n-hat over stopping levels m < 400."""
+    ws = build_weights(model, 600)
+    mu, nu, a = ws.mu, ws.nu_a, ws.a
+    healthy = np.isfinite(nu) & (nu > 0) & (mu > 1e-280)
+    W = int(np.argmin(healthy)) if not healthy.all() else len(mu)
+    best_dp = np.full(steps, -np.inf)
+    best_bar = np.full(steps, -np.inf)
+    for m in range(1, min(400, W - 1)):
+        n = m
+        phi = np.cumsum(nu[:n])
+        f = phi / phi[-1]  # every reported quantity is scale-invariant
+        tailmu = ws.mu_tail(ws.base + m)
+        for s in range(steps):
+            suf = np.cumsum((mu[:n] * f)[::-1])[::-1] + f[-1] * tailmu
+            nxt = np.cumsum(nu[:n] * suf)
+            best_dp[s] = max(best_dp[s], float(np.min(nxt / f)))
+            l2 = float(np.sum(mu[:n] * f * f)) + tailmu * f[-1] ** 2
+            fprev = np.concatenate([[0.0], f[:-1]])
+            dd = float(np.sum(mu[:n] * a[:n] * (f - fprev) ** 2))
+            best_bar[s] = max(best_bar[s], l2 / dd)
+            f = nxt / np.max(nxt)
+    return [float(x) for x in best_dp], [float(x) for x in best_bar]

@@ -4,6 +4,13 @@ Each entry returns a fresh :class:`~bdspec.model.ChainModel` with closed-form
 tail hints attached wherever the series have elementary sums (geometric
 chains, trigamma/Hurwitz tails); everything else is left to the estimated
 tail machinery on purpose, so both code paths stay exercised.
+
+Tail hints follow the protocol of ``ChainModel.tail_hint``: array in, array
+out. ``hint(n)`` takes an int or an int array and returns a float or an
+ndarray of the same shape, in O(len(n)) memory; scalars go through the same
+numpy expressions as arrays (see :func:`_tail`), so a window of tails
+evaluated in one call equals the tails evaluated one index at a time, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .model import BoundaryCode, ChainModel
 
 SQRT2 = math.sqrt(2.0)
 SQRT33 = math.sqrt(33.0)
+LINEAR_ND_ZERO = 1074   # 0.5 ** (i + 1) is 0.0 from here on (2^-1074 is the least double)
 
 
 def _const(v):
@@ -27,6 +35,16 @@ def _const(v):
 
 def _f(fn):
     return lambda i, fn=fn: np.asarray(fn(np.asarray(i, dtype=float)), dtype=float)
+
+
+def _tail(fn):
+    """A tail hint from ``fn``, an expression in numpy ufuncs of an int array:
+    an int gives a float, an array an array of its shape."""
+    def hint(n):
+        n = np.asarray(n)
+        out = fn(n)
+        return float(out) if n.ndim == 0 else out
+    return hint
 
 
 def _table(vals, base=1, then_last=True):
@@ -51,7 +69,7 @@ def _const_nd(a=1.0, b=2.0):
     hint = None
     if b > a:
         hint = {
-            "nu_b_tail": lambda n: (a / b) ** n / (b - a),
+            "nu_b_tail": _tail(lambda n: (a / b) ** n / (b - a)),
             "nu_b_total": 1.0 / (b - a),
             "mu_total": math.inf,
             "uniq_1_2": "holds",
@@ -67,11 +85,17 @@ def _linear_nd(gamma=1.0):
     hint = {"mu_total": math.inf, "uniq_1_2": "holds"}
     if g == 1.0:
         # nu_i = 2^{-i-1}/(i+1); the tail series converges geometrically, so
-        # summing it directly keeps full relative precision at every n
+        # summing 60 terms directly keeps full relative precision at every n.
+        # Every term from i = LINEAR_ND_ZERO on underflows to 0, so only the
+        # indices below it get a row of terms: the block has at most
+        # LINEAR_ND_ZERO rows, whatever the window
         def nu_tail(n):
-            k = np.arange(n, n + 60, dtype=float)
-            return float(np.sum(0.5 ** (k + 1) / (k + 1)))
-        hint["nu_b_tail"] = nu_tail
+            out = np.zeros(n.shape)
+            live = n < LINEAR_ND_ZERO
+            k = n[live][:, None] + np.arange(60.0)
+            out[live] = np.sum(0.5 ** (k + 1) / (k + 1), axis=-1)
+            return out
+        hint["nu_b_tail"] = _tail(nu_tail)
         hint["nu_b_total"] = math.log(2.0)
     return ChainModel(BoundaryCode.ND, 0, None,
                       _f(lambda i: 2.0 * (i + g)), _f(lambda i: i),
@@ -80,7 +104,7 @@ def _linear_nd(gamma=1.0):
 
 def _quadratic_nd():
     hint = {
-        "nu_b_tail": lambda n: float(polygamma(1, n + 1.0)),
+        "nu_b_tail": _tail(lambda n: polygamma(1, n + 1.0)),
         "nu_b_total": math.pi ** 2 / 6.0,
         "mu_total": math.inf,
         "uniq_1_2": "holds",
@@ -102,7 +126,7 @@ def _const_dn(a=1.0, b=2.0):
     hint = None
     if a > b:
         r = b / a
-        hint = {"mu_tail": lambda n: r ** (n - 1) / (1.0 - r),
+        hint = {"mu_tail": _tail(lambda n: r ** (n - 1) / (1.0 - r)),
                 "mu_total": 1.0 / (1.0 - r)}
     return ChainModel(BoundaryCode.DN, 1, None, _const(b), _const(a),
                       tail_hint=hint, name="const_dn", params={"a": a, "b": b})
@@ -116,7 +140,7 @@ def _ex5_3(a=4.0, b=1.0):
 
 
 def _ex5_5():
-    hint = {"mu_tail": lambda n: float(polygamma(1, float(n))),
+    hint = {"mu_tail": _tail(lambda n: polygamma(1, n)),
             "mu_total": math.pi ** 2 / 6.0}
     return ChainModel(BoundaryCode.DN, 1, None, _f(lambda i: i * i), _f(lambda i: i * i),
                       tail_hint=hint, name="ex5_5")
@@ -134,21 +158,22 @@ def _nn(birth, death, name, hint=None, params=None):
 
 def _t61_row1():
     return _nn(_f(lambda i: i + 1.0), _f(lambda i: 2.0 * i), "table6_1_row1",
-               hint={"mu_tail": lambda n: 2.0 ** (1 - n), "mu_total": 2.0})
+               hint={"mu_tail": _tail(lambda n: 2.0 ** (1 - n)), "mu_total": 2.0})
 
 
 def _t61_row5():
     def mu_tail(n):
-        return 3.0 if n <= 0 else 2.0 ** (2 - n)
+        return np.where(n <= 0, 3.0, 2.0 ** (2 - n))
     return _nn(_const(1.0), _f(lambda i: np.minimum(i, 2.0)), "table6_1_row5",
-               hint={"mu_tail": mu_tail, "mu_total": 3.0})
+               hint={"mu_tail": _tail(mu_tail), "mu_total": 3.0})
 
 
 def _t61_row7():
-    def mu_tail(n):
-        return 1.0 + math.pi ** 2 / 6.0 if n <= 0 else float(polygamma(1, float(n)))
+    def mu_tail(n):   # np.maximum keeps polygamma off its pole at 0
+        return np.where(n <= 0, 1.0 + math.pi ** 2 / 6.0, polygamma(1, np.maximum(n, 1.0)))
     return _nn(_f(lambda i: np.where(i == 0, 1.0, i * i)), _f(lambda i: i * i),
-               "table6_1_row7", hint={"mu_tail": mu_tail, "mu_total": 1.0 + math.pi ** 2 / 6.0})
+               "table6_1_row7",
+               hint={"mu_tail": _tail(mu_tail), "mu_total": 1.0 + math.pi ** 2 / 6.0})
 
 
 def _t61_row8():
@@ -163,7 +188,8 @@ def _ex6_7(a=4.0, b=1.0):
         raise BadParameter("ex6_7 needs a > b > 0")
     r = b / a
     return _nn(_const(b), _const(a), "ex6_7",
-               hint={"mu_tail": lambda n: r ** n / (1.0 - r), "mu_total": 1.0 / (1.0 - r)},
+               hint={"mu_tail": _tail(lambda n: r ** n / (1.0 - r)),
+                     "mu_total": 1.0 / (1.0 - r)},
                params={"a": a, "b": b})
 
 
@@ -205,7 +231,7 @@ def _ex8_8(gamma=3.0):
     if g <= 1.0:
         raise BadParameter("ex8_8 needs gamma > 1")
     hint = {
-        "nu_b_tail": lambda n: float(zeta(g, n + 1.0)),
+        "nu_b_tail": _tail(lambda n: zeta(g, n + 1.0)),
         "nu_b_total": float(zeta(g, 1.0)),
         "mu_total": math.inf,
     }
@@ -268,11 +294,11 @@ def _ex9_18(c2=None):
         return np.where(i == 2, cc2, out)
 
     def mu_tail(n):
-        return 3.5 if n <= 1 else 5.0 * 2.0 ** (1 - n)
+        return np.where(n <= 1, 3.5, 5.0 * 2.0 ** (1 - n))
 
     return _dd(_f(lambda i: np.where(i == 1, 2.5, 1.0)),
                _f(lambda i: np.where(i == 1, 0.0, 2.0)), "ex9_18",
-               killing=_f(kill), hint={"mu_tail": mu_tail, "mu_total": 3.5},
+               killing=_f(kill), hint={"mu_tail": _tail(mu_tail), "mu_total": 3.5},
                params={} if c2 is None else {"c2": cc2})
 
 

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -54,10 +55,36 @@ def _resolve_model(args):
     return catalog(args.model, **_parse_params(args.param))
 
 
+def _strict(obj, path, flags):
+    """``obj`` with every non-finite float replaced by None; ``flags`` maps
+    the path of each one to "inf", "-inf" or "nan"."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return obj
+        flags[path] = "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+        return None
+    if isinstance(obj, dict):
+        return {k: _strict(v, "%s.%s" % (path, k) if path else str(k), flags)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v, "%s[%d]" % (path, i), flags) for i, v in enumerate(obj)]
+    return obj
+
+
+def _write_json(report):
+    """Strict JSON (RFC 8259): a non-finite float is written as null, and the
+    report's "nonfinite" map names it, e.g. {"B_R": "inf"}."""
+    flags = {}
+    doc = _strict(report, "", flags)
+    if flags:
+        doc["nonfinite"] = flags
+    json.dump(doc, sys.stdout, indent=2, default=str, allow_nan=False)
+    sys.stdout.write("\n")
+
+
 def _emit(report, args):
     if args.json:
-        json.dump(report, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        _write_json(report)
         return
     if args.csv:
         w = csv.writer(sys.stdout)
@@ -297,7 +324,7 @@ def cmd_table(args):
                 "r_residual", "identity_from"]
     elif which == "ex5_3_sequences":
         model = catalog("ex5_3", a=4.0, b=1.0)
-        dp, bars = _ex5_3_sequences(model, 5)
+        dp, bars = approx.ex5_3_sequences(model, 5)
         rows = [{"n": n + 1, "delta_prime_hat": dp[n], "bar_delta_hat": bars[n]}
                 for n in range(5)]
         cols = ["n", "delta_prime_hat", "bar_delta_hat"]
@@ -306,8 +333,7 @@ def cmd_table(args):
     report = {"command": "table", "which": which, "rows": rows,
               "wall_time_s": time.time() - t0}
     if args.json:
-        json.dump(report, sys.stdout, indent=2, default=str)
-        sys.stdout.write("\n")
+        _write_json(report)
         return 0
     out = io.StringIO()
     w = csv.DictWriter(out, fieldnames=cols)
@@ -326,32 +352,6 @@ def cmd_table(args):
             cells.append(("%.6g" % v if isinstance(v, float) else str(v)).ljust(widths[c]))
         print("  ".join(cells))
     return 0
-
-
-def _ex5_3_sequences(model, steps):
-    """The increasing dual sequences of the constant-rate chain."""
-    from .model import build_weights
-    ws = build_weights(model, 600)
-    mu, nu, a = ws.mu, ws.nu_a, ws.a
-    healthy = np.isfinite(nu) & (nu > 0) & (mu > 1e-280)
-    W = int(np.argmin(healthy)) if not healthy.all() else len(mu)
-    best_dp = np.full(steps, -np.inf)
-    best_bar = np.full(steps, -np.inf)
-    for m in range(1, min(400, W - 1)):
-        n = m
-        phi = np.cumsum(nu[:n])
-        f = phi / phi[-1]  # every reported quantity is scale-invariant
-        tailmu = ws.mu_tail(ws.base + m)
-        for s in range(steps):
-            suf = np.cumsum((mu[:n] * f)[::-1])[::-1] + f[-1] * tailmu
-            nxt = np.cumsum(nu[:n] * suf)
-            best_dp[s] = max(best_dp[s], float(np.min(nxt / f)))
-            l2 = float(np.sum(mu[:n] * f * f)) + tailmu * f[-1] ** 2
-            fprev = np.concatenate([[0.0], f[:-1]])
-            dd = float(np.sum(mu[:n] * a[:n] * (f - fprev) ** 2))
-            best_bar[s] = max(best_bar[s], l2 / dd)
-            f = nxt / np.max(nxt)
-    return [float(x) for x in best_dp], [float(x) for x in best_bar]
 
 
 class _Parser(argparse.ArgumentParser):

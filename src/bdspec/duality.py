@@ -84,7 +84,8 @@ def _forward_hint(model: ChainModel, b0: float):
 
     Closed-form primal hints carry over as closed forms; otherwise the
     primal's own (estimated) tails are handed down so both sides of every
-    duality identity consume one set of numbers.
+    duality identity consume one set of numbers. Like the primal's, the
+    dual hints take an index or an index array.
     """
     hint = {}
     nu_tail = model.hint("nu_b_tail")
@@ -93,13 +94,13 @@ def _forward_hint(model: ChainModel, b0: float):
     if nu_tail is None or mu_tail is None:
         wp = build_weights(model, DEFAULT_NMAX)
     if nu_tail is not None:
-        hint["mu_tail"] = lambda n: b0 * float(nu_tail(n - 1))
+        hint["mu_tail"] = lambda n: b0 * nu_tail(n - 1)
         hint["mu_total"] = b0 * float(nu_tail(0))
     else:
         hint["mu_tail"] = lambda n: b0 * wp.nu_tail(n - 1, "b")
         hint["mu_total"] = b0 * wp.nu_b_total.value
     if mu_tail is not None:
-        hint["nu_b_tail"] = lambda n: float(mu_tail(n)) / b0
+        hint["nu_b_tail"] = lambda n: mu_tail(n) / b0
         hint["nu_b_total"] = float(mu_tail(model.base)) / b0
     else:
         hint["nu_b_tail"] = lambda n: wp.mu_tail(n) / b0

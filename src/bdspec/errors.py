@@ -49,10 +49,6 @@ class EmptyRange(BdspecError):
     """Extremum requested over an empty index range."""
 
 
-class NegativeTerm(BdspecError):
-    """Tail summation received a negative term."""
-
-
 class TruncationTooSmall(BdspecError):
     """Eigensolver truncation level below the minimum (2 states)."""
 

@@ -50,42 +50,16 @@ def _masked_sup(values: np.ndarray, genuinely_infinite: bool) -> float:
     return float(np.max(values[sel])) if sel.any() else 0.0
 
 
-def _tail_array(ws: WeightSystem, key: str, arr: np.ndarray, total: float) -> np.ndarray:
-    """``key``[n, N] for every window index n (hint, or suffix sums + remainder);
-    computed once per weight system."""
-    cached = ws._suffix_cache.get("tail_" + key)
-    if cached is not None:
-        return cached
-    hint = ws.model.hint(key + "_tail")
-    if hint is not None:
-        out = np.asarray([hint(int(n)) for n in range(ws.base, ws.top + 1)], dtype=float)
-    elif not math.isfinite(total):
-        out = np.full(len(arr), math.inf)
-    else:
-        out = ws._suffix(key, arr, total)[:-1]
-    ws._suffix_cache["tail_" + key] = out
-    return out
-
-
-def _nu_tail_array(ws: WeightSystem, kind: str) -> np.ndarray:
-    arr, tot = (ws.nu_b, ws.nu_b_total) if kind == "b" else (ws.nu_a, ws.nu_a_total)
-    return _tail_array(ws, "nu_" + kind, arr, tot.value)
-
-
-def _mu_tail_array(ws: WeightSystem) -> np.ndarray:
-    return _tail_array(ws, "mu", ws.mu, ws.mu_total.value)
-
-
 def _kappa_terms(ws: WeightSystem, reflecting: bool):
     """(L, R, mid, strict) of kappa^(6.13) for a reflecting origin, of
     kappa^(7.5) for an absorbing one: L and R are the reciprocal boundary
     sums with 1/inf = 0, mid the middle weights (see series.half_line_pairs)."""
     if reflecting:
-        left, right, mid = ws.mu_prefix_arr, _mu_tail_array(ws), ws.nu_b
+        left, right, mid = ws.mu_prefix_arr, ws.mu_tails(), ws.nu_b
     else:
         with np.errstate(over="ignore"):
             left = np.cumsum(ws.nu_a)
-        right, mid = _nu_tail_array(ws, "b"), ws.mu
+        right, mid = ws.nu_tails("b"), ws.mu
     with np.errstate(all="ignore"):
         inv_left = np.where(left > 0, 1.0 / left, math.inf)
         inv_right = np.where(right > 0, 1.0 / right, math.inf)
@@ -105,7 +79,7 @@ def delta_nd(model: ChainModel, n_max: int = 10 ** 5):
     if model.boundary is not BoundaryCode.ND:
         raise WrongBoundary("delta_nd needs an ND model")
     ws = build_weights(model, n_max)
-    tails = _nu_tail_array(ws, "b")
+    tails = ws.nu_tails("b")
     if not math.isfinite(ws.nu_b_total.value):
         rep = series.ExtremumReport(ws.base, math.inf, series.Certainty.CERTIFIED,
                                     (ws.base, ws.top))
@@ -135,7 +109,7 @@ def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
         return math.inf, _bracket_from_constant(math.inf, "delta_4_4", rep)
     with np.errstate(over="ignore"):
         nu_pref = np.cumsum(ws.nu_a)
-    mu_tails = _mu_tail_array(ws)
+    mu_tails = ws.mu_tails()
     with np.errstate(all="ignore"):
         obj = nu_pref * mu_tails
     obj = np.where(np.isfinite(obj), obj, 0.0)
@@ -156,14 +130,14 @@ def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
     if not math.isfinite(ws.mu_total.value):
         raise NotErgodic("kappa_nn requires sum(mu) < inf")
     kappa, rep = _kappa(ws, reflecting=True)
-    mu_tails = _mu_tail_array(ws)
+    mu_tails = ws.mu_tails()
     # delta_L = sup_{n>=1} nu_a[1,n] mu[n,N]; delta_R = sup_m mu[0,m] nu_b[m,N-1]
     with np.errstate(over="ignore"):
         nu_a_pref = np.cumsum(ws.nu_a)
     with np.errstate(all="ignore"):
         dl = nu_a_pref[1:] * mu_tails[1:]
     delta_L = _masked_sup(dl, not math.isfinite(ws.mu_total.value))
-    nub_tails = _nu_tail_array(ws, "b")
+    nub_tails = ws.nu_tails("b")
     with np.errstate(all="ignore"):
         dr = ws.mu_prefix_arr * nub_tails
     delta_R = _masked_sup(dr, not math.isfinite(ws.nu_b_total.value))
@@ -179,8 +153,8 @@ def kappa_dd(model: ChainModel, n_max: int = 10 ** 5):
     kappa, rep = _kappa(ws, reflecting=False)
     with np.errstate(over="ignore"):
         nu_a_pref = np.cumsum(ws.nu_a)
-    nub_tails = _nu_tail_array(ws, "b")
-    mu_tails = _mu_tail_array(ws)
+    nub_tails = ws.nu_tails("b")
+    mu_tails = ws.mu_tails()
     with np.errstate(all="ignore"):
         dl = nu_a_pref * mu_tails
     delta_L = _masked_sup(dl, not math.isfinite(ws.mu_total.value)
@@ -295,8 +269,8 @@ def basic_bracket(model: ChainModel, n_max: int = 10 ** 5) -> BasicBracketReport
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise WrongBoundary("basic_bracket covers the four half-line codes")
     ws = build_weights(model, n_max)
-    mu_tails = _mu_tail_array(ws)
-    nub_tails = _nu_tail_array(ws, "b")
+    mu_tails = ws.mu_tails()
+    nub_tails = ws.nu_tails("b")
     with np.errstate(over="ignore"):
         nu_a_pref = np.cumsum(ws.nu_a)
     # delta^(4.4) and delta^(3.1) with saturation conventions

@@ -54,6 +54,14 @@ class ChainModel:
     DN/DD start at 1 (Dirichlet at 0, death(1) > 0 acts as killing); finite
     ``hi`` is a Dirichlet point at hi+1 for ND/DD and a reflecting top
     (birth(hi) = 0) for DN/NN.
+
+    ``tail_hint`` maps keys to closed forms: the totals ``mu_total``,
+    ``nu_a_total`` and ``nu_b_total`` (floats), the tails ``mu_tail``,
+    ``nu_a_tail`` and ``nu_b_tail``, ``log_mu``, and the uniqueness verdicts
+    ``uniq_*``. A tail hint takes array in, array out: ``hint(n)`` accepts an
+    int or an int array and returns mu[n, N] (or nu[n, N]) as a float or as
+    an ndarray of the same shape, in O(len(n)) memory, and a window of tails
+    evaluated in one call equals the same tails evaluated one at a time.
     """
     boundary: BoundaryCode
     lo: Optional[int]
@@ -129,7 +137,7 @@ class WeightSystem:
     mu_total: series.TailSum
     nu_a_total: series.TailSum
     nu_b_total: series.TailSum
-    _suffix_cache: dict = field(default_factory=dict, compare=False)
+    _cache: dict = field(default_factory=dict, compare=False)
 
     def __len__(self):
         return len(self.mu)
@@ -156,7 +164,7 @@ class WeightSystem:
         subtracting prefixes from the total would bottom out at the rounding
         floor of the total and inflate deep tails by hundreds of orders.
         """
-        cached = self._suffix_cache.get(key)
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
         with np.errstate(over="ignore"):
@@ -170,34 +178,48 @@ class WeightSystem:
             if not math.isfinite(rem):
                 rem = max(total - float(suf[0]), 0.0)
         out = np.concatenate([suf + rem, [rem]])
-        self._suffix_cache[key] = out
+        self._cache[key] = out
         return out
 
-    def mu_tail(self, n: int) -> float:
-        """mu[n, N]; certified by hint or suffix window + remainder estimate."""
-        fn = self.model.hint("mu_tail")
+    def _tail(self, key: str, n):
+        """``key``[n, N] at an index or an index array: the model's tail hint,
+        else the suffix sums plus the beyond-window remainder."""
+        fn = self.model.hint(key + "_tail")
+        scalar = np.ndim(n) == 0
         if fn is not None:
-            return float(fn(n))
-        total = self.mu_total.value
+            return float(fn(n)) if scalar else fn(n)
+        total = getattr(self, key + "_total").value
         if not math.isfinite(total):
-            return math.inf
-        suf = self._suffix("mu", self.mu, total)
-        k = min(max(n - self.base, 0), len(suf) - 1)
-        return float(suf[k])
+            return math.inf if scalar else np.full(np.shape(n), math.inf)
+        suf = self._suffix(key, getattr(self, key), total)
+        if scalar:
+            return float(suf[min(max(n - self.base, 0), len(suf) - 1)])
+        return suf[np.clip(np.asarray(n) - self.base, 0, len(suf) - 1)]
 
-    def nu_tail(self, n: int, kind: Optional[str] = None) -> float:
-        """nu[n, N] under the requested convention."""
-        kind = kind or self.convention
-        fn = self.model.hint("nu_%s_tail" % kind)
-        if fn is not None:
-            return float(fn(n))
-        arr = self.nu_b if kind == "b" else self.nu_a
-        tot = self.nu_b_total if kind == "b" else self.nu_a_total
-        if not math.isfinite(tot.value):
-            return math.inf
-        suf = self._suffix("nu_%s" % kind, arr, tot.value)
-        k = min(max(n - self.base, 0), len(suf) - 1)
-        return float(suf[k])
+    def _window_tail(self, key: str) -> np.ndarray:
+        """``key``[n, N] for every window index n, in one call; cached."""
+        out = self._cache.get("tail_" + key)
+        if out is None:
+            out = np.asarray(self._tail(key, np.arange(self.base, self.top + 1)), dtype=float)
+            self._cache["tail_" + key] = out
+        return out
+
+    def mu_tail(self, n):
+        """mu[n, N] at an index (a float) or an index array (an array of its
+        shape); certified by hint or suffix window + remainder estimate."""
+        return self._tail("mu", n)
+
+    def nu_tail(self, n, kind: Optional[str] = None):
+        """nu[n, N] under the requested convention, like :meth:`mu_tail`."""
+        return self._tail("nu_" + (kind or self.convention), n)
+
+    def mu_tails(self) -> np.ndarray:
+        """mu[n, N] for n = base..top, evaluated once per weight system."""
+        return self._window_tail("mu")
+
+    def nu_tails(self, kind: Optional[str] = None) -> np.ndarray:
+        """nu[n, N] for n = base..top, evaluated once per weight system."""
+        return self._window_tail("nu_" + (kind or self.convention))
 
     def certified_tails(self) -> bool:
         return (self.model.hint("mu_tail") is not None or self.mu_total.certified) and \

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import series
 from .errors import WrongVariant
-from .estimates import (_bilateral_scan, _bilateral_sums, _kappa, _kappa_terms,
-                        _mu_tail_array, _nu_tail_array)
+from .estimates import _bilateral_scan, _bilateral_sums, _kappa, _kappa_terms
 from .model import BoundaryCode, ChainModel, bilateral_log_weights, build_weights
 
 VARIANTS = ("bilateral_8_4", "half_line_8_6", "neumann_8_9")
@@ -52,7 +51,7 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
         if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
             raise WrongVariant("neumann_8_9 needs a reflecting origin")
         ws = build_weights(model, n_max)
-        tails = _nu_tail_array(ws, "b")
+        tails = ws.nu_tails("b")
         with np.errstate(all="ignore"):
             obj = tails * ws.mu_prefix_arr ** (2.0 / p)
         if not math.isfinite(ws.nu_b_total.value):
@@ -113,8 +112,8 @@ def b_constants_split(model: ChainModel, p: float,
         with np.errstate(over="ignore"):
             nu_a_pref = np.cumsum(ws.nu_a)
         with np.errstate(all="ignore"):
-            bl = nu_a_pref * _mu_tail_array(ws) ** t
-            br = _nu_tail_array(ws, "b") * ws.mu_prefix_arr ** t
+            bl = nu_a_pref * ws.mu_tails() ** t
+            br = ws.nu_tails("b") * ws.mu_prefix_arr ** t
         B_L = float(np.max(np.where(np.isfinite(bl), bl, math.inf)))
         B_R = float(np.max(np.where(np.isfinite(br), br, math.inf)))
         S = ws.nu_a_total.value

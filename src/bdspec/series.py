@@ -6,9 +6,8 @@ M(n, m)^-s (a supremum is taken through its reciprocal), go through
 :func:`half_line_pairs` (linear weights, prefix-difference middle sums) or
 :func:`log_triangle` (log weights, for two-sided chains whose weights leave
 float range both ways); the caller's boundary code picks the routine.
-:func:`tail_sum` is a stand-alone certified summation for library users; the
-weight layer (``model.WeightSystem``) sums its own tails with
-:func:`estimate_remainder_block`.
+Tails and totals of the weight series belong to ``model.WeightSystem``,
+which sums them with :func:`estimate_remainder_block`.
 """
 
 from __future__ import annotations
@@ -20,12 +19,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyRange, NegativeTerm
+from .errors import EmptyRange
 
 DIVERGENCE_CAP = 1e12
-GROWTH_WINDOW = 64      # increments must keep decaying over this many terms
 STOP_WINDOW = 256       # no-improvement window for unbounded scans
-CONSECUTIVE_SMALL = 16  # increments below tol*sum this many times => converged
 BLOCK_ENTRIES = 1 << 20  # entries per 2-D block of a two-index scan
 
 
@@ -108,60 +105,6 @@ def estimate_remainder_block(terms: np.ndarray, start: int, block: int = 64) -> 
     if p <= 1.0 + 1e-9:
         return math.inf
     return s1 / block * k / (p - 1.0)
-
-
-def tail_sum(term: Callable[[np.ndarray], np.ndarray],
-             start: int,
-             hint: Optional[float] = None,
-             tol: float = 1e-10,
-             n_max: int = 10 ** 7,
-             block: int = 1024) -> TailSum:
-    """Sum term(i) for i >= start.
-
-    ``term`` must be vectorized over an int64 array and nonnegative. A closed
-    form ``hint`` short-circuits everything. Otherwise terms are accumulated
-    in growing blocks; the result carries an integral-test remainder estimate
-    and the flag says how trustworthy the value is.
-    """
-    if hint is not None:
-        return TailSum(float(hint), "closed_form")
-    total = 0.0
-    lo = start
-    small_run = 0
-    incr_hist: list[float] = []
-    t_prev = t_last = 0.0
-    used = 0
-    while lo < start + n_max:
-        hi = min(lo + block, start + n_max)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        t = np.asarray(term(idx), dtype=float)
-        if np.any(t < 0.0):
-            raise NegativeTerm("negative term at index %d" % int(idx[np.argmax(t < 0)]))
-        total += float(t.sum())
-        used += len(idx)
-        t_prev, t_last = (float(t[-2]) if len(t) > 1 else t_last), float(t[-1])
-        incr_hist.append(float(t[-1]))
-        # divergence heuristic: huge sum with non-decaying increments
-        if total > DIVERGENCE_CAP and len(incr_hist) >= 2 \
-                and incr_hist[-1] >= incr_hist[max(0, len(incr_hist) - GROWTH_WINDOW // 8)] * (1 - 1e-12):
-            return TailSum(math.inf, "divergent", used)
-        if t_last <= tol * max(total, 1e-300):
-            small_run += 1
-        else:
-            small_run = 0
-        rem = _estimate_remainder(t_prev, t_last, hi - 1)
-        if math.isfinite(rem) and rem <= tol * max(total, 1e-300) and small_run >= 1:
-            return TailSum(total + rem, "converged", used)
-        if small_run >= CONSECUTIVE_SMALL and t_last == 0.0:
-            return TailSum(total, "converged", used)
-        lo = hi
-        block = min(2 * block, 1 << 20)
-    rem = _estimate_remainder(t_prev, t_last, start + n_max - 1)
-    if not math.isfinite(rem):
-        # the integral-test exponent stayed <= 1 through the whole budget:
-        # that is the divergence verdict, not a usable partial sum
-        return TailSum(math.inf, "divergent", used)
-    return TailSum(total + rem, "estimated" if rem > tol * max(total, 1e-300) else "converged", used)
 
 
 def extremize(objective: Callable[[np.ndarray], np.ndarray],

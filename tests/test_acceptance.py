@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from bdspec import approx, cli, duality, estimates, killing, oracle, poincare
+from bdspec import approx, duality, estimates, killing, oracle, poincare
 from bdspec.catalog import TABLE61_ROWS, TABLE71_ROWS, catalog, table71_v
 from bdspec.model import BoundaryCode, ChainModel, build_weights
 
@@ -96,7 +96,7 @@ def test_criterion_04_quartic_chain():
 
 def test_criterion_05_dual_constant_sequences():
     model = catalog("ex5_3", a=4.0, b=1.0)
-    dp, bars = cli._ex5_3_sequences(model, 5)
+    dp, bars = approx.ex5_3_sequences(model, 5)
     expect_dp = [5.0 / 9.0, 0.644444, 0.71, 0.755, 0.79]
     expect_bars = [5.0 / 9.0, 0.71, 0.79, 0.835, 0.8647]
     checks = [

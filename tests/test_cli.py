@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from bdspec import cli, estimates
-from bdspec.catalog import catalog
+from bdspec.catalog import catalog, catalog_names
 
 
 def run_cli(args, capsys):
@@ -108,6 +108,63 @@ def test_flag_error_exits_1(argv, capsys):
         cli.main(argv)
     assert exc.value.code == 1   # 2 is reserved for "not fully certified"
     assert "usage:" in capsys.readouterr().err
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError("non-strict JSON token %s" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+FINITE = [name for name in catalog_names() if catalog(name).hi is not None]
+# approx on these chains is a known open defect: ex7_5_1 raises IndexError in
+# dd_first_step; on the killed ex9_14 and ex9_15 it warns (an all-NaN nanmax)
+# and reports inf, nan and -inf
+APPROX_RAISES = {"ex7_5_1"}
+APPROX_WARNS = {"ex9_14", "ex9_15"}
+
+
+def _check_strict(out):
+    doc = strict_json(out)
+    for path, flag in doc.get("nonfinite", {}).items():
+        assert flag in ("inf", "-inf", "nan")
+        if path in doc:
+            assert doc[path] is None
+    return doc
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_json_output_is_strict(name, capsys):
+    for cmd in ("estimate", "poincare"):
+        code, out = run_cli([cmd, "--model", name, "--json"], capsys)
+        assert code in (0, 2)
+        _check_strict(out)
+    if name in APPROX_RAISES:
+        return
+    if name in APPROX_WARNS:
+        with pytest.warns(RuntimeWarning):
+            code, out = run_cli(["approx", "--model", name, "--json"], capsys)
+        assert set(_check_strict(out)["nonfinite"].values()) == {"inf", "nan", "-inf"}
+    else:
+        code, out = run_cli(["approx", "--model", name, "--json"], capsys)
+        _check_strict(out)
+    assert code in (0, 2)
+
+
+def test_json_nonfinite_flags(capsys):
+    code, out = run_cli(["poincare", "--model", "ex7_5_1", "--json"], capsys)
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["B_R"] is None and doc["S"] is None and doc["B_split"] == 0.5
+    assert doc["nonfinite"] == {"B_R": "inf", "S": "inf"}
+
+
+@pytest.mark.parametrize("which", ["table6_1", "table7_1"])
+def test_table_json_is_strict(which, capsys):
+    code, out = run_cli(["table", which, "--json"], capsys)
+    assert code == 0
+    assert len(strict_json(out)["rows"]) == {"table6_1": 8, "table7_1": 9}[which]
 
 
 def test_console_entrypoint_runs():

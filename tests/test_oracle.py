@@ -259,3 +259,18 @@ def test_splitting_collapses_with_eigvec_gamma():
 def test_splitting_requires_bilateral():
     with pytest.raises(WrongBoundary):
         oracle.splitting_bracket(catalog("const_nd"), [0])
+
+
+@pytest.mark.parametrize("m", [6000, 8000, 16000])
+def test_principal_eigen_residual_relative_to_norm(m):
+    # quartic rates make ||T|| ~ m^4, so the absolute residual outgrows any
+    # multiple of max(1, lam); backward stability bounds it by n eps ||T||_inf
+    model = catalog("quartic_nd")
+    got = oracle.principal_eigen(model, m)
+    a, b, c = model.rates(0, m)
+    off = np.sqrt(b[:-1] * a[1:])
+    rows = a + b + c
+    rows[:-1] += off
+    rows[1:] += off
+    n = m + 1
+    assert got.residual <= n * np.finfo(float).eps * float(np.max(rows))

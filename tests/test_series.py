@@ -5,35 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdspec import series
-from bdspec.errors import EmptyRange, NegativeTerm
-
-
-def test_tail_sum_geometric():
-    ts = series.tail_sum(lambda i: 0.5 ** i, 0)
-    assert ts.flag in ("converged", "estimated")
-    assert ts.value == pytest.approx(2.0, rel=1e-12)
-
-
-def test_tail_sum_inverse_squares():
-    ts = series.tail_sum(lambda i: (i + 1.0) ** -2.0, 1, tol=1e-12)
-    assert ts.value == pytest.approx(math.pi ** 2 / 6.0 - 1.0, rel=1e-9)
-
-
-def test_tail_sum_harmonic_diverges():
-    ts = series.tail_sum(lambda i: 1.0 / (i + 1.0), 0, n_max=10 ** 6)
-    assert ts.flag == "divergent" and ts.value == math.inf
-    ts2 = series.tail_sum(lambda i: np.ones(np.shape(i)), 0, n_max=10 ** 5)
-    assert ts2.value == math.inf
-
-
-def test_tail_sum_hint_short_circuits():
-    ts = series.tail_sum(lambda i: 1.0 / (i + 1.0), 0, hint=123.5)
-    assert ts.value == 123.5 and ts.flag == "closed_form"
-
-
-def test_tail_sum_negative_term_raises():
-    with pytest.raises(NegativeTerm):
-        series.tail_sum(lambda i: -np.ones(np.shape(i)), 0)
+from bdspec.errors import EmptyRange
 
 
 def test_extremize_finite_exhaustive():
