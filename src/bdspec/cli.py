@@ -20,7 +20,7 @@ import numpy as np
 
 from . import approx, duality, estimates, killing, oracle, poincare
 from .catalog import TABLE61_ROWS, TABLE71_ROWS, catalog, table71_v
-from .errors import BdspecError
+from .errors import BdspecError, KilledChain
 from .model import BoundaryCode, load_model
 from .series import Certainty
 
@@ -111,11 +111,6 @@ def _flatten(obj, prefix=""):
     return rows
 
 
-def _certified(*flags):
-    return all(f in (Certainty.CERTIFIED, "certified", "closed_form", "converged", True)
-               for f in flags)
-
-
 def cmd_estimate(args):
     model = _resolve_model(args)
     t0 = time.time()
@@ -167,6 +162,9 @@ def cmd_approx(args):
     t0 = time.time()
     steps = args.steps or 5
     grid = [int(v) for v in args.grid.split(",") if v] or None
+    if model.killing is not None:
+        raise KilledChain("approx covers killing-free chains; %s has killing rates, "
+                          "use `bdspec killing`" % model.name)
     res = {"model": model.name, "params": model.params, "command": "approx"}
     if model.boundary is BoundaryCode.ND:
         d1, d1p = approx.first_step_closed(model)

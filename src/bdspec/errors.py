@@ -81,5 +81,9 @@ class ShapeViolation(BdspecError):
     """Killing-reduction applied to a model outside the required shape."""
 
 
+class KilledChain(BdspecError):
+    """Operation covers killing-free chains only; killed ones have their own bounds."""
+
+
 class HypothesisUnverified(UserWarning):
     """Result returned although a hypothesis could not be verified numerically."""

@@ -21,7 +21,6 @@ import numpy as np
 from . import series
 from .errors import BadParameter, NonPositiveRate, Overflow
 
-LOG_LINEAR_CAP = 600.0  # |log mu| beyond this: linear arrays saturate, use logs
 DEFAULT_NMAX = 10 ** 5
 DEFAULT_TOL = 1e-10
 
@@ -88,11 +87,6 @@ class ChainModel:
             return self.lo
         return 0  # bilateral reference point
 
-    def size(self) -> Optional[int]:
-        if self.lo is None or self.hi is None:
-            return None
-        return self.hi - self.lo + 1
-
     def rates(self, i0: int, i1: int):
         """(death, birth, killing) on [i0, i1] with boundary conventions applied."""
         idx = np.arange(i0, i1 + 1, dtype=np.int64)
@@ -149,13 +143,6 @@ class WeightSystem:
     @property
     def finite(self) -> bool:
         return self.model.hi is not None and self.top >= self.model.hi
-
-    def nu(self) -> np.ndarray:
-        return self.nu_b if self.convention == "b" else self.nu_a
-
-    def mu_prefix(self, n) -> np.ndarray:
-        """mu[base, n] for n in the window (vectorized)."""
-        return self.mu_prefix_arr[np.asarray(n) - self.base]
 
     def _suffix(self, key: str, arr: np.ndarray, total: float) -> np.ndarray:
         """Suffix sums plus the beyond-window remainder.
@@ -220,11 +207,6 @@ class WeightSystem:
     def nu_tails(self, kind: Optional[str] = None) -> np.ndarray:
         """nu[n, N] for n = base..top, evaluated once per weight system."""
         return self._window_tail("nu_" + (kind or self.convention))
-
-    def certified_tails(self) -> bool:
-        return (self.model.hint("mu_tail") is not None or self.mu_total.certified) and \
-               (self.model.hint("nu_%s_tail" % self.convention) is not None
-                or (self.nu_b_total if self.convention == "b" else self.nu_a_total).certified)
 
 
 def _sum_with_tail(arr: np.ndarray, term, start: int, finite: bool,

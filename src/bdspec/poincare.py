@@ -123,7 +123,7 @@ def b_constants_split(model: ChainModel, p: float,
         # 1/B = inf over n <= m of (1/nu_a[1, n]) (1/nu_b[m, N]) / mu[n, m]^{2/p}
         rep = series.half_line_pairs(*_kappa_terms(ws, reflecting=False), ws.base, True,
                                      s=t, product=True)
-        B = 1.0 / rep.value if rep.arg is not None else math.inf
+        B = 1.0 / rep.value if rep.arg is not None and rep.value > 0 else math.inf
     if not math.isfinite(S):
         B = min(B_L, B_R)
     return B_L, B_R, B, S

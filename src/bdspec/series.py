@@ -6,6 +6,9 @@ M(n, m)^-s (a supremum is taken through its reciprocal), go through
 :func:`half_line_pairs` (linear weights, prefix-difference middle sums) or
 :func:`log_triangle` (log weights, for two-sided chains whose weights leave
 float range both ways); the caller's boundary code picks the routine.
+:func:`half_line_pairs` searches the finite part of its window exactly, by
+Dinkelbach's iteration for the sum (kappa of (6.13) and (7.5), B of (8.6))
+and a monotone-argmin search for the product (the half-line split B).
 Tails and totals of the weight series belong to ``model.WeightSystem``,
 which sums them with :func:`estimate_remainder_block`.
 """
@@ -49,10 +52,6 @@ class TailSum:
     value: float           # may be math.inf on a divergence verdict
     flag: str              # closed_form | converged | estimated | divergent
     terms_used: int = 0
-
-    @property
-    def certified(self):
-        return self.flag in ("closed_form", "converged")
 
 
 def _estimate_remainder(t_prev: float, t_last: float, k_last: int) -> float:
@@ -153,62 +152,6 @@ def extremize(objective: Callable[[np.ndarray], np.ndarray],
     return ExtremumReport(arg, sign * best, cert, (lo, last))
 
 
-def extremize_pairs(row_values: Callable[[int, np.ndarray], np.ndarray],
-                    direction: str,
-                    n_lo: int,
-                    m_of_n: Callable[[int], int],
-                    n_hi: Optional[int] = None,
-                    m_hi: Optional[int] = None,
-                    window: int = STOP_WINDOW,
-                    hard_cap: int = 10 ** 5) -> ExtremumReport:
-    """Two-index extremum over the triangle {(n, m): m >= m_of_n(n)}.
-
-    ``row_values(n, ms)`` returns the objective along row n. Rows and columns
-    are window-stopped independently; ties break toward the smallest (n, m).
-    """
-    sign = 1.0 if direction == "sup" else -1.0
-    best = -math.inf
-    arg = None
-    n = n_lo
-    rows_since_improve = 0
-    n_cap = n_hi if n_hi is not None else n_lo + hard_cap
-    while n <= n_cap:
-        m0 = m_of_n(n)
-        m_cap = m_hi if m_hi is not None else m0 + hard_cap
-        m = m0
-        since = 0
-        row_best = -math.inf
-        block = 128
-        while m <= m_cap:
-            top = min(m + block - 1, m_cap)
-            ms = np.arange(m, top + 1, dtype=np.int64)
-            with np.errstate(all="ignore"):
-                vals = sign * np.asarray(row_values(n, ms), dtype=float)
-            vals = np.where(np.isnan(vals), -math.inf, vals)
-            k = int(np.argmax(vals))
-            if vals[k] > row_best:
-                row_best = float(vals[k])
-                row_arg = int(ms[k])
-                since = int(top - ms[k])
-            else:
-                since += len(ms)
-            if m_hi is None and since >= window:
-                break
-            m = top + 1
-            block = min(2 * block, 1 << 14)
-        if row_best > best:
-            best = row_best
-            arg = (n, row_arg)
-            rows_since_improve = 0
-        else:
-            rows_since_improve += 1
-        if n_hi is None and rows_since_improve >= window:
-            return ExtremumReport(arg, sign * best, Certainty.WINDOW_STOPPED, (n_lo, n))
-        n += 1
-    cert = Certainty.CERTIFIED if (n_hi is not None and m_hi is not None) else Certainty.WINDOW_STOPPED
-    return ExtremumReport(arg, sign * best, cert, (n_lo, min(n, n_cap)))
-
-
 def _row_blocks(rows: int, cols: int) -> list:
     """Row ranges [r0, r1) whose blocks of ``cols`` columns hold about
     BLOCK_ENTRIES entries."""
@@ -222,50 +165,42 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
     """inf over n <= m (n < m when strict) of (L_n + R_m) / M(n, m)^s.
 
     ``left[n]`` and ``right[m]`` are reciprocal boundary terms (1/inf = 0
-    already applied) and M(n, m) is the sum of ``mid`` over [n, m], or over
-    [n, m-1] when strict, taken as a prefix difference. An overflowed or empty
-    middle sum never counts as a small value. ``product`` puts L_n R_m in the
-    numerator instead; a vanishing product (an infinite boundary sum) does not
-    count. Rows are evaluated in blocks, each to the end of the window. Unless
-    ``exhaustive`` (a finite chain), rows stop after STOP_WINDOW of them
-    without improvement and the best row gets an Aitken limit along m, since
-    several of the defining infima are attained only as m -> infinity.
-    Ties break toward the smallest (n, m).
+    already applied) and M(n, m) = Q_m - P_n is the sum of ``mid`` over
+    [n, m], or over [n, m-1] when strict, as a difference of prefix sums. An
+    overflowed or empty middle sum never counts as a small value. ``product``
+    puts L_n R_m in the numerator instead; a vanishing product (an infinite
+    boundary sum) does not count.
+
+    Only the first W_eff columns are searched, up to the last one whose Q_m
+    and R_m are finite (and R_m > 0 for the product), since no later column
+    holds a finite entry; ``scanned`` is (base, base + W_eff - 1). The sum
+    goes to :func:`_fractional_min` and the product to :func:`_monge_min`,
+    both exact and sub-quadratic. Unless ``exhaustive`` (a finite chain),
+    the best pair then gets an Aitken limit along m, since several of the
+    defining infima are attained only as m -> infinity.
     """
     W = len(mid)
     with np.errstate(over="ignore"):
         midc = np.concatenate([[0.0], np.cumsum(mid)])
+    P, Q = midc[:W], midc[1 - strict:W + 1 - strict]
 
     def values(n, m):
         with np.errstate(all="ignore"):
-            den = midc[m if strict else m + 1] - midc[n]
+            den = Q[m] - P[n]
             v = left[n] * right[m] if product else left[n] + right[m]
-            ok = np.isfinite(den) & (den > 0.0) & (m >= n + strict)
+            ok = np.isfinite(den) & (den > 0.0)
             v /= den ** s
         ok &= (v > 0.0) if product else ~np.isnan(v)
         v[~ok] = math.inf
         return v
 
-    best, arg, last_imp, stop = math.inf, None, -1, W - 1
-    for r0, r1 in _row_blocks(W, W):
-        rows = np.arange(r0, r1)
-        v = values(rows[:, None], np.arange(r0, W)[None, :])
-        rv = v.min(axis=1)
-        imp = rv < np.minimum.accumulate(np.concatenate([[best], rv]))[:-1]
-        if not exhaustive:
-            since = rows - np.maximum.accumulate(np.where(imp, rows, last_imp))
-            hit = np.flatnonzero(since >= STOP_WINDOW)
-            if len(hit):
-                stop = r0 + int(hit[0])
-                imp[hit[0]:] = False
-        if imp.any():
-            j = int(np.flatnonzero(imp)[-1])
-            best, arg, last_imp = float(rv[j]), (r0 + j, r0 + int(np.argmin(v[j]))), r0 + j
-        if stop < W - 1:
-            break
+    cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(right) & ((right > 0.0) | (not product)))
+    w_eff = int(cols[-1]) + 1 if len(cols) else 0
+    lr = (left[:w_eff], right[:w_eff], P[:w_eff], Q[:w_eff])
+    best, arg = _monge_min(*lr, s) if product else _fractional_min(*lr, s)
     cert = Certainty.CERTIFIED if exhaustive else Certainty.WINDOW_STOPPED
     rep = ExtremumReport(None if arg is None else (base + arg[0], base + arg[1]), best,
-                         cert, (base, base + stop))
+                         cert, (base, base + w_eff - 1))
     if exhaustive or arg is None or W - 1 - arg[1] < 8:
         return rep
     offs = np.unique(np.geomspace(1.0, W - 1 - arg[1], 24).astype(np.int64))
@@ -276,6 +211,87 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
         if len(acc) and math.isfinite(acc[-1]) and 0.0 < acc[-1] < best:
             return ExtremumReport(rep.arg, float(acc[-1]), cert, rep.scanned)
     return rep
+
+
+def _fractional_min(L, R, P, Q, s):
+    """(min, argmin) of (L_n + R_m) / (Q_m - P_n)^s over Q_m > P_n, or (inf, None).
+
+    Dinkelbach's iteration (1967), from the pairs of the first row with
+    finite L: given the least ratio c so far, the pairs minimising
+    (L_n + R_m) / c - (Q_m - P_n)^s are found, and c falls to their least
+    exact ratio until it stops falling. At s = 1 the form is separable and
+    column m takes the prefix argmin of P_n + L_n / c, ranked as an exact
+    two-sum: rounded, the sum drops L_n / c wherever that is below an ulp of
+    P_n and misses the pairs with small middle sums. Otherwise each row
+    takes its argmin from :func:`_monge_argmins`.
+    """
+    rows = np.flatnonzero(np.isfinite(L))
+    if not len(rows):
+        return math.inf, None
+    idx = np.arange(len(Q))
+    n, m, c, arg = np.full(len(Q), rows[0]), idx, math.inf, None
+    with np.errstate(all="ignore"):
+        while c > 0.0:
+            den = Q[m] - P[n]
+            r = np.where(den > 0.0, (L[n] + R[m]) / den ** s, math.inf)
+            j = int(np.argmin(r))
+            if not r[j] < c:
+                break
+            c, arg = float(r[j]), (int(n[j]), int(m[j]))
+            if s == 1.0:
+                t = L / c
+                hi = P + t
+                order = np.lexsort(((P - (hi - (hi - P))) + (t - (hi - P)), hi))
+                rank = np.empty_like(order)
+                rank[order] = idx
+                n = order[np.minimum.accumulate(rank)]
+            else:
+                n, m = _monge_argmins(L / c, R / c, P, Q, lambda t: -t ** s)
+    return c, arg
+
+
+def _monge_min(L, R, P, Q, s):
+    """(min, argmin) of L_n R_m / (Q_m - P_n)^s over Q_m > P_n, or (inf, None):
+    each row's argmin from its logarithm (:func:`_monge_argmins`), then the
+    least of their values."""
+    with np.errstate(all="ignore"):
+        n, m = _monge_argmins(np.log(L), np.log(R), P, Q, lambda t: -s * np.log(t))
+        v = L[n] * R[m] / (Q[m] - P[n]) ** s
+    if not len(v):
+        return math.inf, None
+    k = int(np.argmin(v))
+    return float(v[k]), (int(n[k]), int(m[k]))
+
+
+def _monge_argmins(a, b, x, y, phi):
+    """Row argmins of A[n, m] = a_n + b_m + phi(y_m - x_n), +inf where
+    y_m <= x_n, for convex phi and nondecreasing x and y: the rows n with a
+    finite entry and their leftmost argmins m(n).
+
+    A is Monge (phi(y - x) has a nonpositive mixed derivative, and the +inf
+    staircase keeps the property), so m(n) does not decrease down the rows,
+    and a divide and conquer on it (Aggarwal et al. 1987) evaluates
+    O(rows + columns) entries per level. Rows with a non-finite a_n, columns
+    with a non-finite b_m and the trailing rows no column reaches go first.
+    """
+    rows, cols = np.flatnonzero(np.isfinite(a)), np.flatnonzero(np.isfinite(b))
+    rows = rows[x[rows] < y[cols[-1]]] if len(cols) else rows[:0]
+    a, x, b, y = a[rows], x[rows], b[cols], y[cols]
+    row_arg = np.empty(len(rows), dtype=np.int64)
+    r_lo, r_hi, c_lo, c_hi = (np.array([k]) for k in (0, len(rows) - 1, 0, len(cols) - 1))
+    while len(rows) and len(r_lo):
+        rm, width = (r_lo + r_hi) // 2, c_hi - c_lo + 1
+        starts = np.cumsum(width) - width
+        seg = np.repeat(np.arange(len(rm)), width)
+        i, j = rm[seg], c_lo[seg] + np.arange(len(seg)) - starts[seg]
+        with np.errstate(all="ignore"):
+            v = np.where(y[j] > x[i], a[i] + b[j] + phi(y[j] - x[i]), math.inf)
+        vmin = np.minimum.reduceat(v, starts)
+        row_arg[rm] = jmin = np.minimum.reduceat(np.where(v == vmin[seg], j, len(cols)), starts)
+        top, bot = r_lo < rm, rm < r_hi
+        r_lo, r_hi = np.concatenate([r_lo[top], rm[bot] + 1]), np.concatenate([rm[top] - 1, r_hi[bot]])
+        c_lo, c_hi = np.concatenate([c_lo[top], jmin[bot]]), np.concatenate([jmin[top], c_hi[bot]])
+    return rows, cols[row_arg]
 
 
 def log_triangle(row: np.ndarray, col: np.ndarray, log_w: np.ndarray, s: float = 1.0,

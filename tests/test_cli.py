@@ -118,11 +118,8 @@ def strict_json(text):
 
 
 FINITE = [name for name in catalog_names() if catalog(name).hi is not None]
-# approx on these chains is a known open defect: ex7_5_1 raises IndexError in
-# dd_first_step; on the killed ex9_14 and ex9_15 it warns (an all-NaN nanmax)
-# and reports inf, nan and -inf
+# approx on ex7_5_1 is a known open defect: it raises IndexError in dd_first_step
 APPROX_RAISES = {"ex7_5_1"}
-APPROX_WARNS = {"ex9_14", "ex9_15"}
 
 
 def _check_strict(out):
@@ -142,13 +139,13 @@ def test_json_output_is_strict(name, capsys):
         _check_strict(out)
     if name in APPROX_RAISES:
         return
-    if name in APPROX_WARNS:
-        with pytest.warns(RuntimeWarning):
-            code, out = run_cli(["approx", "--model", name, "--json"], capsys)
-        assert set(_check_strict(out)["nonfinite"].values()) == {"inf", "nan", "-inf"}
-    else:
-        code, out = run_cli(["approx", "--model", name, "--json"], capsys)
-        _check_strict(out)
+    if catalog(name).killing is not None:
+        assert cli.main(["approx", "--model", name, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bdspec killing" in captured.err
+        return
+    code, out = run_cli(["approx", "--model", name, "--json"], capsys)
+    _check_strict(out)
     assert code in (0, 2)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdspec import series
+from bdspec import estimates, series
+from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import EmptyRange
+from bdspec.model import BoundaryCode, build_weights
 
 
 def test_extremize_finite_exhaustive():
@@ -43,13 +45,107 @@ def test_extremize_dominates_every_scanned_point(vals):
     assert rep2.value <= arr.min() + 1e-12 * max(1.0, abs(arr.min()))
 
 
-def test_extremize_pairs_triangle():
-    def row(n, ms):
-        ms = np.asarray(ms, float)
-        return (ms - 10.0) ** 2 + (n - 5.0) ** 2
+def brute_pairs(L, R, mid, strict, s=1.0, product=False):
+    """Reference for series.half_line_pairs: every pair n <= m - strict
+    evaluated, in blocks of rows. Returns the first minimum in row-major
+    order, its pair, the tolerance max(1e-13, 16 eps Q_m / M(n, m)) at that
+    pair, and whether no other pair lies within that tolerance of it."""
+    W = len(mid)
+    with np.errstate(over="ignore"):
+        midc = np.concatenate([[0.0], np.cumsum(mid)])
+    best, arg, second = math.inf, None, math.inf
+    for r0 in range(0, W, 256):
+        n, m = np.arange(r0, min(r0 + 256, W))[:, None], np.arange(r0, W)[None, :]
+        with np.errstate(all="ignore"):
+            den = midc[m + 1 - strict] - midc[n]
+            v = (L[n] * R[m] if product else L[n] + R[m]) / den ** s
+        ok = np.isfinite(den) & (den > 0.0) & (m >= n + strict) & ~np.isnan(v)
+        if product:
+            ok &= (L[n] > 0.0) & (R[m] > 0.0)
+        v = np.where(ok, v, math.inf).ravel()
+        two = np.partition(v, 1)[:2] if len(v) > 1 else np.append(v, math.inf)
+        k = int(np.argmin(v))
+        if v[k] < best:
+            second = min(best, two[1])
+            best, arg = float(v[k]), (r0 + k // m.shape[1], r0 + k % m.shape[1])
+        else:
+            second = min(second, two[0])
+    if arg is None:
+        return best, None, 0.0, True
+    q = midc[arg[1] + 1 - strict]
+    tol = max(1e-13, 16 * np.finfo(float).eps * q / (q - midc[arg[0]]))
+    return best, arg, tol, second > best * (1.0 + 2.0 * tol)
 
-    rep = series.extremize_pairs(row, "inf", 0, lambda n: n, n_hi=50, m_hi=60)
-    assert rep.arg == (5, 10) and rep.value == 0.0
+
+def _check_pairs(L, R, mid, strict, s=1.0, product=False, base=0):
+    """The product, ranked in logs, agrees with the reference to its rounding
+    bound; the sum, whose pairs are chosen exactly on the stored prefix sums,
+    to a few ulps even where that bound is loose."""
+    best, arg, tol, unique = brute_pairs(L, R, mid, strict, s, product)
+    rep = series.half_line_pairs(L, R, mid, strict, base, True, s, product)
+    assert rep.certified is series.Certainty.CERTIFIED
+    if arg is None:
+        assert rep.arg is None and rep.value == math.inf
+        return
+    rel = tol if product else 4 * np.finfo(float).eps
+    assert rep.value == pytest.approx(best, rel=rel, abs=0.0)
+    if unique:
+        assert rep.arg == (base + arg[0], base + arg[1])
+
+
+HALF_LINE = [name for name in catalog_names()
+             if catalog(name).boundary is not BoundaryCode.DD_BILATERAL]
+
+
+@pytest.mark.parametrize("name", HALF_LINE)
+def test_half_line_pairs_matches_brute_force_on_catalog(name):
+    """kappa of (6.13) on a reflecting origin, of (7.5) on an absorbing one,
+    and on DD chains the (8.6) sum at s = 2/3 and the split product at s = 1
+    and 2/3, against every pair of the first 4096 states."""
+    model = catalog(name)
+    ws = build_weights(model, 4096)
+    terms = estimates._kappa_terms(ws, model.boundary.origin_reflecting)
+    _check_pairs(*terms, base=ws.base)
+    if model.boundary is BoundaryCode.DD:
+        _check_pairs(*terms, s=2.0 / 3.0, base=ws.base)
+        for s in (1.0, 2.0 / 3.0):
+            _check_pairs(*terms, s=s, product=True, base=ws.base)
+
+
+def _random_terms(rng, W):
+    """Boundary and middle terms with the hazards of real windows: zero and
+    infinite boundary terms (an infinite or an underflowed sum behind them),
+    underflowed middle weights and middle sums that overflow."""
+    L = np.exp(rng.normal(0.0, 4.0, W))
+    R = np.exp(rng.normal(0.0, 4.0, W))
+    mid = np.exp(rng.normal(0.0, 4.0, W))
+    for arr, bad in ((L, 0.0), (L, math.inf), (R, 0.0), (R, math.inf), (mid, 0.0)):
+        arr[rng.random(W) < 0.15] = bad
+    if rng.random() < 0.3:
+        k = rng.integers(W)
+        mid[k:] = 1e307 * rng.random(W - k)
+    return L, R, mid
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 64])
+@pytest.mark.parametrize("strict", [True, False])
+def test_half_line_pairs_matches_brute_force_on_random_terms(W, strict):
+    rng = np.random.default_rng(1000 * W + strict)
+    for _ in range(40):
+        L, R, mid = _random_terms(rng, W)
+        for s in (1.0, 2.0 / 3.0):
+            _check_pairs(L, R, mid, strict, s=s)
+            _check_pairs(L, R, mid, strict, s=s, product=True)
+
+
+def test_half_line_pairs_reports_the_finite_extent():
+    """scanned covers the columns that can hold a finite entry: table6_1_row6's
+    mu tails underflow to 0 from state 172 on (R_m = 1/0 = inf there),
+    table6_1_row7's stay positive over the whole 10^5 window."""
+    short = estimates.kappa_nn(catalog("table6_1_row6"))[3].delta_like
+    full = estimates.kappa_nn(catalog("table6_1_row7"))[3].delta_like
+    assert short.scanned == (0, 171)
+    assert full.scanned == (0, 10 ** 5 - 1)
 
 
 def test_aitken_geometric_exact():
