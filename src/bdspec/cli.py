@@ -230,7 +230,8 @@ def cmd_killing(args):
     if args.m:
         res["oracle"] = oracle.principal_eigen(model, args.m).lam
     _emit(res, args)
-    return 0
+    certified = Certainty.CERTIFIED.value
+    return 0 if low99.flags["certainty"] == sqrt_b.flags["certainty"] == certified else 2
 
 
 def cmd_dual(args):

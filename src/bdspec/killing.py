@@ -4,13 +4,20 @@ Lower bounds come from the difference operator with killing and from the
 xi/zeta interpolation machinery; upper bounds from the weighted test-function
 infima. The reduction maps a killed chain to a plain dual chain whenever the
 killing dominates the stated rate differences.
+
+One kernel, ``_xi_zeta_rows``, evaluates the xi/zeta bound for a whole grid
+of test functions (one per row) on weights built once: ``xi_zeta`` is its
+one-row call, and the two explicit families (``corollary_9_9`` and
+``sqrt_test_bound``) make one call over their grid. A test function that is
+not positive and finite on the window, or that breaks the membership
+inequality, is not admissible; the families skip it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -19,6 +26,10 @@ from . import oracle, series
 from .errors import (EtaOutOfRange, HypothesisUnverified, NotInF,
                      ShapeViolation, WrongBoundary)
 from .model import BoundaryCode, ChainModel, build_weights
+
+# rows of the (ell, m) triangle of upper_9_9 per block: at most 32 x 8192
+# doubles (2 MB) per temporary on the default window
+ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -56,23 +67,47 @@ def _arrays(model: ChainModel, window: int):
     return ws, W
 
 
+def _killing_floor(ws, W):
+    """The window's killing with the bottom death rate folded in, and its minimum."""
+    c = ws.c[:W].copy()
+    c[0] += ws.a[0]
+    return c, float(np.min(c))
+
+
+def _covers_chain(model: ChainModel, ws, W) -> bool:
+    return model.hi is not None and ws.base + W - 1 >= model.hi
+
+
+def _certainty(certified: bool) -> str:
+    return (series.Certainty.CERTIFIED if certified else series.Certainty.WINDOW_STOPPED).value
+
+
+def _family_floor(cmin: float, finite: bool) -> KillingBounds:
+    """A family without an admissible member: the killing floor alone."""
+    return KillingBounds(cmin, math.inf, 0.0, 0.0, 0.0, cmin,
+                         flags={"family_insufficient": True, "certainty": _certainty(finite)})
+
+
 def _robust_inf(values: np.ndarray, finite: bool):
-    """min over the window, refined by an Aitken limit of the tail trend."""
-    vals = np.asarray(values, dtype=float)
-    ok = np.isfinite(vals)
-    if not ok.any():
-        return math.inf, series.Certainty.CERTIFIED
-    m = float(np.min(vals[ok]))
-    cert = series.Certainty.CERTIFIED if finite else series.Certainty.WINDOW_STOPPED
-    if finite or len(vals) < 32:
-        return m, cert
-    ks = np.unique(np.geomspace(4, len(vals) - 1, 24).astype(int))
-    sub = vals[ks]
-    if np.all(np.isfinite(sub)) and np.all(np.diff(sub) < 0):
-        acc = series.aitken(sub)
-        if len(acc) and math.isfinite(acc[-1]):
-            m = min(m, float(acc[-1]))
-    return m, cert
+    """Row minima of a (G, n) array over the window, each refined on an
+    infinite window by an Aitken limit of its row's tail trend.
+
+    Returns the minima and, per row, whether it is certified: always on a
+    finite window, and on a row without a finite entry (its minimum is inf).
+    """
+    ok = np.isfinite(values)
+    mins = np.min(np.where(ok, values, math.inf), axis=1, initial=math.inf)
+    some = ok.any(axis=1)
+    n = values.shape[1]
+    if not finite and n >= 32:
+        ks = np.unique(np.geomspace(4, n - 1, 24).astype(int))
+        for g in np.flatnonzero(some):
+            sub = values[g, ks]
+            if np.all(np.isfinite(sub)) and np.all(np.diff(sub) < 0):
+                acc = series.aitken(sub)
+                if len(acc) and math.isfinite(acc[-1]):
+                    mins[g] = min(mins[g], float(acc[-1]))
+    return mins, finite | ~some
 
 
 def r_operator_bounds(model: ChainModel, v, lo: int = 1,
@@ -116,57 +151,108 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None,
     """Weighted-test-function upper bound: the double infimum, or its value at
     a pinned (ell, m); also the looser single-infimum variant. Returns the
     tighter value and the details.
+
+    The double infimum runs over the (ell, m) triangle with ell below
+    ``ell_cap``, in blocks of ``ROW_BLOCK`` rows; ``at`` is its first
+    strict minimum in (ell, m) row-major order, and a row holding a NaN is
+    skipped.
     """
     ws, W = _arrays(model, window)
     mu = ws.mu[:W]
-    c = ws.c[:W].copy()
-    a = ws.a[:W]
-    c[0] += a[0]
-    cmin = float(np.min(c)) if (model.hi is not None and W >= len(ws.mu)) else \
-        float(np.min(c))
+    # the (ell, m) test function lives on [1, m] inside the window, and a
+    # constant shift of the killing moves the rate by the same constant, so
+    # the window minimum is a valid floor for the bound
+    c, cmin = _killing_floor(ws, W)
     ct = c - cmin
-    nb = ws.nu_b[:W]
-    nbc = np.cumsum(nb)
+    nbc = np.cumsum(ws.nu_b[:W])
     mc = np.cumsum(mu * ct)
     muc = ws.mu_prefix_arr[:W]
-
-    def value_at(ell, m):
-        k, j = ell - ws.base, m - ws.base
-        mid = nbc[j] - (nbc[k - 1] if k >= 1 else 0.0)
-        return cmin + (1.0 / mid + mc[j]) / muc[k]
+    with np.errstate(all="ignore"):
+        loose_vals = (mu * ws.b[:W] + mc) / muc
+    loose_vals = loose_vals[np.isfinite(loose_vals)]
+    loose = cmin + float(np.min(loose_vals)) if len(loose_vals) else math.inf
 
     if lm is not None:
-        pinned = value_at(*lm)
-        return pinned, {"at": tuple(lm), "loose_9_10": _loose_9_10(cmin, muc, mu, ws, ct, W)}
+        k, j = lm[0] - ws.base, lm[1] - ws.base
+        mid = nbc[j] - (nbc[k - 1] if k >= 1 else 0.0)
+        return cmin + (1.0 / mid + mc[j]) / muc[k], {"at": tuple(lm), "loose_9_10": loose}
     best = math.inf
     arg = None
-    for ell in range(ws.base, ws.base + min(ell_cap, W - 1)):
-        k = ell - ws.base
-        j = np.arange(k, W)
-        mid = nbc[j] - (nbc[k - 1] if k >= 1 else 0.0)
+    rows = min(ell_cap, W - 1)
+    for k0 in range(0, rows, ROW_BLOCK):
+        k = np.arange(k0, min(k0 + ROW_BLOCK, rows))
+        j = np.arange(k0, W)
+        below = np.where(k >= 1, nbc[k - 1], 0.0)
         with np.errstate(all="ignore"):
-            vals = (1.0 / mid + mc[j]) / muc[k]
-        t = float(np.min(vals))
-        if t < best:
-            best = t
-            arg = (ell, int(ws.base + j[int(np.argmin(vals))]))
-    loose = _loose_9_10(cmin, muc, mu, ws, ct, W)
+            vals = (1.0 / (nbc[k0:] - below[:, None]) + mc[k0:]) / muc[k, None]
+        vals[j < k[:, None]] = math.inf   # m < ell lies outside the triangle
+        t = np.min(vals, axis=1)
+        t[np.isnan(t)] = math.inf
+        r = int(np.argmin(t))
+        if t[r] < best:
+            best = float(t[r])
+            arg = (int(ws.base + k[r]), int(ws.base + j[int(np.argmin(vals[r]))]))
     return min(cmin + best, loose), {"at": arg, "loose_9_10": loose,
                                      "double_inf": cmin + best}
 
 
-def _loose_9_10(cmin, muc, mu, ws, ct, W):
-    with np.errstate(all="ignore"):
-        vals = (mu * ws.b[:W] + np.cumsum(mu * ct)) / muc
-    vals = vals[np.isfinite(vals)]
-    return cmin + float(np.min(vals)) if len(vals) else math.inf
-
-
 def _II_r(mu, nu_b, f, r):
-    """II^r_i(f) = sum_{k<i} nu_k sum_{j<=k} r_j mu_j f_j (array over the window)."""
-    inner = np.cumsum(r * mu * f)
-    out = np.zeros(len(mu))
-    out[1:] = np.cumsum(inner[:-1] * nu_b[:-1])
+    """II^r_i(f) = sum_{k<i} nu_k sum_{j<=k} r_j mu_j f_j along the last axis."""
+    inner = np.cumsum(r * mu * f, axis=-1)
+    out = np.zeros(np.shape(inner))
+    out[..., 1:] = np.cumsum(inner[..., :-1] * nu_b[:-1], axis=-1)
+    return out
+
+
+def _xi_zeta_rows(ws, W: int, finite: bool, F: np.ndarray, eta=None) -> list:
+    """The bound inf c + zeta(eta, f) for each row f of the (G, W) array ``F``.
+
+    Returns one ``KillingBounds`` per row, or the ``NotInF`` error of a row
+    outside the admissible family. ``eta = None`` picks eta = xi_f per row.
+    Rows are independent: each equals the same computation on that row
+    alone, bit for bit (every window sum is a cumsum along the row).
+    """
+    mu, nu_b = ws.mu[:W], ws.nu_b[:W]
+    c, cmin = _killing_floor(ws, W)
+    ct = c - cmin
+    out = [None] * len(F)
+    positive = np.all(np.isfinite(F) & (F > 0), axis=1)
+    for g in np.flatnonzero(~positive):
+        out[g] = NotInF("f must be positive and finite")
+    rows = np.flatnonzero(positive)
+    Fa = F[rows]
+    II1 = _II_r(mu, nu_b, Fa, 1.0)
+    IIc = _II_r(mu, nu_b, Fa, ct)
+    member = ~np.any(Fa[:, 1:] >= Fa[:, :1] + IIc[:, 1:], axis=1)
+    for g in rows[~member]:
+        out[g] = NotInF("membership inequality f_i < f_1 + II^c(f) fails on the range")
+    rows, Fa, II1, IIc = rows[member], Fa[member], II1[member], IIc[member]
+    if not len(rows):
+        return out
+    with np.errstate(all="ignore"):
+        obj = (Fa[:, :1] - Fa + IIc) / II1
+    xi, certified = _robust_inf(obj[:, 1:], finite)
+    # np.where keeps Python's min/max semantics (first argument on ties)
+    xi = np.where(0.0 > xi, 0.0, xi)  # the membership inequality keeps it positive
+    if finite:
+        ratio = np.sum(ct * mu * Fa, axis=1) / np.sum(mu * Fa, axis=1)
+        xi = np.where(ratio < xi, ratio, xi)
+    etas = xi if eta is None else np.full(len(rows), float(eta))
+    if not np.all((0.0 <= etas) & (etas <= xi + 1e-15)):
+        raise EtaOutOfRange("eta must lie in [0, xi_f]")
+    den = Fa[:, :1] + _II_r(mu, nu_b, Fa, ct - etas[:, None])
+    mask = ct[1:] < etas[:, None]
+    with np.errstate(all="ignore"):
+        vals = ct[1:] + (etas[:, None] - ct[1:]) * Fa[:, 1:] / den[:, 1:]
+    zeta, _ = _robust_inf(np.where(mask & (den[:, 1:] > 0), vals, math.inf), finite)
+    zeta = np.where(mask.any(axis=1) & ~(etas < zeta), zeta, etas)
+    zeta = np.where(0.0 > zeta, 0.0, zeta)
+    for r, g in enumerate(rows):
+        out[g] = KillingBounds(
+            lower=cmin + float(zeta[r]), upper=math.inf, xi=float(xi[r]),
+            zeta=float(zeta[r]), eta_used=float(etas[r]), c_floor=cmin,
+            f_used=Fa[r].copy(),   # a view would pin the whole batch
+            flags={"certainty": _certainty(bool(certified[r]))})
     return out
 
 
@@ -174,52 +260,19 @@ def xi_zeta(model: ChainModel, f, eta: Optional[float] = None,
             window: int = 8192) -> KillingBounds:
     """The interpolated lower bound: inf c + zeta(eta, f) for admissible f.
 
-    ``f`` is a callable on the state indices, positive, with
-    f_i < f_1 + II^{c-tilde}_i(f) on the scanned range (membership in the
-    admissible family); eta = None means the automatic choice eta = xi_f,
-    which maximizes zeta but is itself not a valid bound.
+    ``f`` is a callable on the state indices (or an array over the window),
+    positive and finite, with f_i < f_1 + II^{c-tilde}_i(f) on the scanned
+    range (membership in the admissible family); eta = None means the
+    automatic choice eta = xi_f, which maximizes zeta but is itself not a
+    valid bound.
     """
     ws, W = _arrays(model, window)
     idx = np.arange(ws.base, ws.base + W, dtype=np.int64)
     fv = np.asarray(f(idx), dtype=float) if callable(f) else np.asarray(f, dtype=float)[:W]
-    if np.any(fv <= 0):
-        raise NotInF("f must be positive")
-    mu, nu_b = ws.mu[:W], ws.nu_b[:W]
-    c = ws.c[:W].copy()
-    c[0] += ws.a[0]
-    cmin = float(np.min(c))
-    ct = c - cmin
-    II1 = _II_r(mu, nu_b, fv, np.ones(W))
-    IIc = _II_r(mu, nu_b, fv, ct)
-    if np.any(fv[1:] >= fv[0] + IIc[1:]):
-        raise NotInF("membership inequality f_i < f_1 + II^c(f) fails on the range")
-    finite = model.hi is not None and ws.base + W - 1 >= model.hi
-    with np.errstate(all="ignore"):
-        obj = (fv[0] - fv + IIc) / II1
-    xi, cert = _robust_inf(obj[1:], finite)
-    xi = max(xi, 0.0)  # the membership inequality keeps the objective positive
-    if finite:
-        num = float(np.sum(ct * mu * fv))
-        den = float(np.sum(mu * fv))
-        xi = min(xi, num / den)
-    if eta is None:
-        eta = xi
-    if not 0.0 <= eta <= xi + 1e-15:
-        raise EtaOutOfRange("eta must lie in [0, xi_f]")
-    den = fv[0] + _II_r(mu, nu_b, fv, ct - eta)
-    mask = ct[1:] < eta
-    if mask.any():
-        with np.errstate(all="ignore"):
-            vals = ct[1:] + (eta - ct[1:]) * fv[1:] / den[1:]
-        cand = np.where(mask & (den[1:] > 0), vals, math.inf)
-        zeta, _ = _robust_inf(cand, finite)
-        zeta = min(zeta, eta)
-    else:
-        zeta = eta
-    zeta = max(zeta, 0.0)
-    return KillingBounds(lower=cmin + zeta, upper=math.inf, xi=xi, zeta=zeta,
-                         eta_used=eta, c_floor=cmin, f_used=fv,
-                         flags={"certainty": cert.value})
+    kb, = _xi_zeta_rows(ws, W, _covers_chain(model, ws, W), fv[None, :], eta)
+    if isinstance(kb, NotInF):
+        raise kb
+    return kb
 
 
 def corollary_9_9(model: ChainModel, eps_grid=None, window: int = 8192) -> KillingBounds:
@@ -230,65 +283,52 @@ def corollary_9_9(model: ChainModel, eps_grid=None, window: int = 8192) -> Killi
     produces a positive gain the family is flagged insufficient.
     """
     ws, W = _arrays(model, window)
-    c = ws.c[:W].copy()
-    c[0] += ws.a[0]
-    cmin = float(np.min(c))
-    ct1 = c[0] - cmin
+    finite = _covers_chain(model, ws, W)
+    c, cmin = _killing_floor(ws, W)
     if eps_grid is None:
         eps_grid = np.linspace(0.05, 0.95, 19)
     grid = [float(e) for e in eps_grid if 0.0 < float(e) < 1.0]
-    if ct1 > 0:
+    if c[0] - cmin > 0:
         grid.append(1.0)
+    F = np.repeat(np.reshape(grid, (-1, 1)), W, axis=1)
+    F[:, 0] = 1.0
     best = None
-    for eps in grid:
-        fv = np.full(W, eps)
-        fv[0] = 1.0
-        try:
-            kb = xi_zeta(model, fv, window=window)
-        except NotInF:
-            continue
-        if best is None or kb.zeta > best.zeta:
-            best = KillingBounds(kb.lower, math.inf, kb.xi, kb.zeta, kb.eta_used,
-                                 kb.c_floor, kb.f_used,
-                                 dict(kb.flags, eps=eps))
+    for eps, kb in zip(grid, _xi_zeta_rows(ws, W, finite, F)):
+        if isinstance(kb, KillingBounds) and (best is None or kb.zeta > best.zeta):
+            best = replace(kb, flags=dict(kb.flags, eps=eps))
     if best is None:
-        return KillingBounds(cmin, math.inf, 0.0, 0.0, 0.0, cmin,
-                             flags={"family_insufficient": True})
+        return _family_floor(cmin, finite)
     scale = max(abs(best.c_floor), 1.0)
     if best.zeta <= 1e-9 * scale:
-        best = KillingBounds(best.lower, best.upper, best.xi, best.zeta,
-                             best.eta_used, best.c_floor, best.f_used,
-                             dict(best.flags, family_insufficient=True))
+        best = replace(best, flags=dict(best.flags, family_insufficient=True))
     return best
 
 
 def sqrt_test_bound(model: ChainModel, m_grid=None, window: int = 8192) -> KillingBounds:
     """Lower bound from the square-root tail seeds, optimized over the stop level."""
     ws, W = _arrays(model, window)
-    c1t = float(ws.c[0] + ws.a[0] - np.min(ws.c[:W] + np.where(np.arange(W) == 0, ws.a[0], 0.0)))
+    finite = _covers_chain(model, ws, W)
+    c, cmin = _killing_floor(ws, W)
+    ct1 = c[0] - cmin
     if m_grid is None:
         m_grid = sorted({int(round(g)) for g in np.geomspace(2, min(512, W - 1), 16)})
     nu_b = ws.nu_b[:W]
-    best = None
+    k = np.arange(W)
+    levels, seeds = [], []
     for m in m_grid:
-        if m < 1 or (m < 2 and c1t <= 0):
+        if m < 1 or (m < 2 and ct1 <= 0):
             continue
-        k = np.arange(W)
         km = np.minimum(k, m - ws.base)
         suf = np.concatenate([np.cumsum(nu_b[: m - ws.base + 1][::-1])[::-1], [0.0]])
         fv = np.sqrt(np.maximum(suf[km], suf[m - ws.base]))
-        fv = np.where(fv > 0, fv, math.sqrt(max(nu_b[m - ws.base], 1e-300)))
-        try:
-            kb = xi_zeta(model, fv, window=window)
-        except NotInF:
-            continue
-        if best is None or kb.lower > best.lower:
-            best = KillingBounds(kb.lower, math.inf, kb.xi, kb.zeta, kb.eta_used,
-                                 kb.c_floor, kb.f_used, dict(kb.flags, m=m))
+        seeds.append(np.where(fv > 0, fv, math.sqrt(max(nu_b[m - ws.base], 1e-300))))
+        levels.append(m)
+    best = None
+    for m, kb in zip(levels, _xi_zeta_rows(ws, W, finite, np.reshape(seeds, (-1, W)))):
+        if isinstance(kb, KillingBounds) and (best is None or kb.lower > best.lower):
+            best = replace(kb, flags=dict(kb.flags, m=m))
     if best is None:
-        cmin = float(np.min(ws.c[:W] + np.where(np.arange(W) == 0, ws.a[0], 0.0)))
-        return KillingBounds(cmin, math.inf, 0.0, 0.0, 0.0, cmin,
-                             flags={"family_insufficient": True})
+        return _family_floor(cmin, finite)
     return best
 
 
@@ -390,9 +430,7 @@ def limsup_upper(model: ChainModel, window: int = 200000, trail: int = 256):
     """
     ws, W = _arrays(model, window)
     mu = ws.mu[:W]
-    c = ws.c[:W].copy()
-    c[0] += ws.a[0]
-    cmin = float(np.min(c))
+    c, cmin = _killing_floor(ws, W)
     ct = c - cmin
     muc = np.cumsum(mu)
     flux = mu * ws.b[:W] / muc
@@ -414,8 +452,7 @@ def dispatch_9_12(model: ChainModel, window: int = 65536) -> str:
     if model.hi is not None:
         return "positive"
     ws, W = _arrays(model, window)
-    c = ws.c[:W].copy()
-    c[0] += ws.a[0]
+    c, _ = _killing_floor(ws, W)
     # liminf c > 0: the trailing minimum must stay level, not drift to zero
     m_far = float(np.min(c[3 * W // 4:]))
     m_mid = float(np.min(c[W // 2: 3 * W // 4]))

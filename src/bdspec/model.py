@@ -266,8 +266,10 @@ def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX,
     with np.errstate(over="ignore"):
         ratios = np.concatenate([[1.0], b[:-1] / a[1:]])
         mu = np.cumprod(ratios)
-        mu = np.where(np.isfinite(mu), mu, np.exp(np.clip(log_mu, -745.0, 709.0))
-                      * np.where(log_mu > 709.0, math.inf, 1.0))
+    sat = ~np.isfinite(mu)
+    if sat.any():
+        mu[sat] = (np.exp(np.clip(log_mu[sat], -745.0, 709.0))
+                   * np.where(log_mu[sat] > 709.0, math.inf, 1.0))
     hint_log = model.hint("log_mu")
     if hint_log is not None:
         idx = np.arange(base, top + 1, dtype=np.int64)

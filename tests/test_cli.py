@@ -63,12 +63,22 @@ def test_dual_similarity_flag(capsys):
 
 
 def test_killing_command(capsys):
+    # ex9_19 is an infinite chain: its lower bounds are window-stopped
     code, out = run_cli(["killing", "--model", "ex9_19", "--param", "beta=0.25",
                          "--json"], capsys)
-    assert code == 0
+    assert code == 2
     doc = json.loads(out)
     assert doc["upper_9_9"] <= 0.75 + 1e-12
     assert doc["lower_cor_9_9"] <= 0.375 + 1e-6
+
+
+@pytest.mark.parametrize("name,expected", [("ex9_15", 0), ("ex9_16", 2)])
+def test_killing_exit_code_follows_certainty(name, expected, capsys):
+    code, out = run_cli(["killing", "--model", name, "--json"], capsys)
+    doc = json.loads(out)
+    assert code == expected
+    certainties = (doc["flags"]["certainty"], doc["flags"]["sqrt"]["certainty"])
+    assert (certainties == ("certified", "certified")) == (expected == 0)
 
 
 def test_poincare_command(capsys):

@@ -247,13 +247,154 @@ def test_zeta_monotone_in_eta():
 
 
 def test_bounds_bracket_oracle_on_killing_catalog():
-    for name, kwargs in (("ex9_18", {}), ("ex9_19", {"beta": 0.25}), ("ex9_20", {}),
-                         ("ex9_21", {})):
+    for name, kwargs in (("ex9_16", {}), ("ex9_18", {}), ("ex9_19", {"beta": 0.25}),
+                         ("ex9_20", {}), ("ex9_21", {})):
         model = catalog(name, **kwargs)
-        lam = oracle.principal_eigen(model, 2000).lam
+        lam = oracle.principal_eigen(model, 8000 if name == "ex9_16" else 2000).lam
         up, _ = killing.upper_9_9(model)
         assert up >= lam - 1e-6
+        if name == "ex9_16":
+            continue  # its killing 1/i tends to 0: the window floor 1/8192 is no lower bound
         kb = killing.corollary_9_9(model)
         assert kb.lower <= lam + 1e-6
         sq = killing.sqrt_test_bound(model)
         assert sq.lower <= lam + 1e-6
+
+
+def test_sqrt_test_bound_rejects_infinite_seed():
+    # b_N = 0 makes nu_b[N] infinite, so every square-root seed is inf
+    model = catalog("ex9_14")
+    kb = killing.sqrt_test_bound(model)
+    assert kb.lower == 1.0 == kb.c_floor
+    assert kb.flags == {"family_insufficient": True, "certainty": "certified"}
+    assert kb.lower <= oracle.principal_eigen(model, 2).lam
+    with pytest.raises(NotInF):
+        killing.xi_zeta(model, np.array([math.inf, math.inf]))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against row-by-row references
+
+KILLED_CATALOG = (("ex9_14", {}), ("ex9_15", {}), ("ex9_16", {}), ("ex9_17", {}),
+                  ("ex9_18", {}), ("ex9_19", {}), ("ex9_20", {}), ("ex9_21", {}),
+                  ("ex9_21", {"printed_killing": True}))
+
+
+def _sweep_chain(rng, n):
+    """A killed chain as the finite benchmark sweep draws them."""
+    a, b, c = (rng.uniform(0.2, 3.0, n), rng.uniform(0.2, 3.0, n),
+               rng.uniform(0.0, 2.0, n))
+
+    def pick(arr):
+        return lambda i: arr[np.clip(np.asarray(i, dtype=np.int64) - 1, 0, n - 1)]
+
+    return ChainModel(BoundaryCode.DD, 1, n, pick(b), pick(a), killing=pick(c),
+                      name="sweep_n%d" % n)
+
+
+def _killed_models():
+    models = [catalog(name, **kw) for name, kw in KILLED_CATALOG]
+    rng = np.random.default_rng(2024)
+    return models + [_sweep_chain(rng, int(n)) for n in np.linspace(3, 64, 40)]
+
+
+def _same(kb, ref, **extra):
+    for name in ("lower", "upper", "xi", "zeta", "eta_used", "c_floor"):
+        assert repr(getattr(kb, name)) == repr(getattr(ref, name)), name
+    assert kb.f_used.tobytes() == ref.f_used.tobytes()
+    assert kb.f_used.base is None
+    assert kb.flags == dict(ref.flags, **extra)
+
+
+def _best_of_loop(model, rows, key):
+    best = None
+    for label, f in rows:
+        try:
+            kb = killing.xi_zeta(model, f)
+        except NotInF:
+            continue
+        if best is None or key(kb) > key(best[1]):
+            best = (label, kb)
+    return best
+
+
+def _floor(model, W):
+    idx = np.arange(1, W + 1)
+    c = np.asarray(model.killing(idx), dtype=float)
+    c[0] += float(model.death(idx[:1])[0])
+    return c[0] - np.min(c)
+
+
+@pytest.mark.parametrize("model", _killed_models(), ids=lambda m: m.name)
+def test_families_match_xi_zeta_loops(model):
+    ws, W = killing._arrays(model, 8192)
+    ct1 = _floor(model, W)
+    grid = list(np.linspace(0.05, 0.95, 19)) + ([1.0] if ct1 > 0 else [])
+    rows = [(float(e), np.concatenate([[1.0], np.full(W - 1, e)])) for e in grid]
+    kb = killing.corollary_9_9(model)
+    best = _best_of_loop(model, rows, lambda r: r.zeta)
+    if best is None:
+        assert kb.flags["family_insufficient"] and kb.f_used is None
+    else:
+        extra = {"eps": best[0]}
+        if best[1].zeta <= 1e-9 * max(abs(best[1].c_floor), 1.0):
+            extra["family_insufficient"] = True
+        _same(kb, best[1], **extra)
+
+    nu_b = ws.nu_b[:W]
+    rows = []
+    for m in sorted({int(round(g)) for g in np.geomspace(2, min(512, W - 1), 16)}):
+        if m < 2 and ct1 <= 0:
+            continue
+        suf = np.cumsum(nu_b[:m][::-1])[::-1]
+        f = np.sqrt(suf[np.minimum(np.arange(W), m - 1)])
+        rows.append((m, np.where(f > 0, f, math.sqrt(max(nu_b[m - 1], 1e-300)))))
+    kb = killing.sqrt_test_bound(model)
+    best = _best_of_loop(model, rows, lambda r: r.lower)
+    if best is None:
+        assert kb.flags["family_insufficient"] and kb.f_used is None
+    else:
+        _same(kb, best[1], m=best[0])
+
+
+@pytest.mark.parametrize("model", _killed_models(), ids=lambda m: m.name)
+def test_upper_9_9_matches_per_ell_loop(model):
+    ws, W = killing._arrays(model, 8192)
+    c = ws.c[:W].copy()
+    c[0] += ws.a[0]
+    cmin = float(np.min(c))
+    nbc = np.cumsum(ws.nu_b[:W])
+    mc = np.cumsum(ws.mu[:W] * (c - cmin))
+    muc = ws.mu_prefix_arr[:W]
+    best, arg = math.inf, None
+    for k in range(min(512, W - 1)):
+        j = np.arange(k, W)
+        with np.errstate(all="ignore"):
+            vals = (1.0 / (nbc[j] - (nbc[k - 1] if k else 0.0)) + mc[j]) / muc[k]
+        t = float(np.min(vals))
+        if t < best:
+            best, arg = t, (k + 1, int(j[np.argmin(vals)]) + 1)
+    up, detail = killing.upper_9_9(model)
+    assert detail["at"] == arg
+    assert repr(detail["double_inf"]) == repr(cmin + best)
+    assert repr(up) == repr(min(cmin + best, detail["loose_9_10"]))
+
+
+def test_kernel_mixed_batch_matches_single_rows():
+    model = _sweep_chain(np.random.default_rng(7), 12)
+    ws, W = killing._arrays(model, 8192)
+    i = np.arange(1, W + 1, dtype=float)
+    batch = np.array([np.ones(W), np.where(i == 1, 1.0, 0.5), -np.ones(W),
+                      np.where(i == 3, math.inf, 1.0), i ** 2, np.where(i == 1, 1.0, 0.8),
+                      np.where(i == 2, math.nan, 1.0)])
+    out = killing._xi_zeta_rows(ws, W, True, batch)
+    admissible = 0
+    for row, got in zip(batch, out):
+        try:
+            ref = killing.xi_zeta(model, row)
+        except NotInF:
+            assert isinstance(got, NotInF)
+            continue
+        admissible += 1
+        _same(got, ref)
+    assert admissible >= 2 and admissible < len(batch)

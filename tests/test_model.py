@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bdspec.catalog import catalog
+from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import BadParameter, NonPositiveRate, UnknownModel
 from bdspec.model import (BoundaryCode, ChainModel, Verdict, bilateral_log_weights,
                           build_weights, classify_uniqueness, dump_model,
@@ -132,3 +132,28 @@ def test_table_rate_error_mode():
     m = model_from_dict(doc)
     with pytest.raises(BadParameter):
         m.killing(np.array([5]))
+
+
+def test_saturated_weights_match_whole_window_exp():
+    # reference: exp of the accumulated logs over the whole window, kept
+    # where the cumprod overflowed (build_weights evaluates only those)
+    saturated = 0
+    for name in catalog_names():
+        model = catalog(name)
+        if model.boundary is BoundaryCode.DD_BILATERAL or model.hint("log_mu") is not None:
+            continue
+        for n_max in (4096, 10 ** 5, 3 * 10 ** 5):
+            ws = build_weights(model, n_max)
+            a, b, log_mu = ws.a, ws.b, ws.log_mu
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                mu = np.cumprod(np.concatenate([[1.0], b[:-1] / a[1:]]))
+                saturated += int(np.any(~np.isfinite(mu)))
+                mu = np.where(np.isfinite(mu), mu, np.exp(np.clip(log_mu, -745.0, 709.0))
+                              * np.where(log_mu > 709.0, math.inf, 1.0))
+                mub, mua = mu * b, mu * a
+                nu_b = np.where(np.isfinite(mub), np.where(mub > 0.0, 1.0 / mub, math.inf), 0.0)
+                nu_a = np.where(np.isfinite(mua), np.where(mua > 0.0, 1.0 / mua, math.inf), 0.0)
+            # nu_a at the bottom state follows the boundary convention, and mu_0 = 1
+            for ref, got in ((mu, ws.mu), (nu_b, ws.nu_b), (nu_a[1:], ws.nu_a[1:])):
+                assert ref.tobytes() == got.tobytes(), name
+    assert saturated >= 10
