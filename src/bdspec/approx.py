@@ -34,7 +34,6 @@ class TestFunction:
     lo: int
     values: np.ndarray
     tail: str = "zero"
-    kind: str = ""
 
     @property
     def hi(self) -> int:
@@ -55,7 +54,6 @@ class ApproxTrace:
     direction: str                      # "decreasing" or "increasing"
     certification: tuple
     grid: tuple = ()
-    test_functions: tuple = ()
     extras: dict = field(default_factory=dict)
 
 
@@ -138,16 +136,9 @@ def op_double_sum(ws: WeightSystem, f: TestFunction, i: int) -> float:
     vals = np.asarray([f.at(j) for j in range(ws.base, hi + 1)])
     tail = f.at(f.hi) * ws.mu_tail(hi + 1) if (f.tail == "constant" and not ws.finite) else 0.0
     T = np.cumsum((ws.mu[: hi - ws.base + 1] * vals)[::-1])[::-1] + tail
-    nu = ws.nu_a if model.boundary is BoundaryCode.DN else _nu_shift_nn(ws)
+    # NN: 1/(mu_j a_j) = 1/(mu_{j-1} b_{j-1}), and inf at j = 0
+    nu = ws.nu_a if model.boundary is BoundaryCode.DN else np.append(math.inf, ws.nu_b[:-1])
     return float(np.sum(nu[: k + 1] * T[: k + 1])) / f.at(i)
-
-
-def _nu_shift_nn(ws: WeightSystem) -> np.ndarray:
-    """1/(mu_j a_j) = 1/(mu_{j-1} b_{j-1}) for the Neumann-at-origin chain."""
-    out = np.empty(len(ws.mu))
-    out[0] = math.inf  # j = 0 never enters (sums start at 1)
-    out[1:] = ws.nu_b[:-1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +166,7 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
     f = np.sqrt(phi)
     vals, certs = [], []
     for _ in range(steps):
-        S = np.cumsum(mu * f)
-        T = np.concatenate([np.cumsum((mu * phi_trunc * f)[::-1])[::-1][1:], [0.0]])
-        nxt = phi_trunc * S + T
+        nxt = _double_sum(mu, phi_trunc, f)
         ratios = nxt / f
         k = int(np.argmax(ratios))
         vals.append(float(ratios[k]))
@@ -188,19 +177,36 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
     return ApproxTrace(tuple(vals), mono, "decreasing", tuple(certs))
 
 
-def _iterate_lm(mu, nu, ell, m, steps):
-    """The (ell, m)-truncated iterates; returns per-step (min-ratio, f, prev)."""
+def _double_sum(mu, kern, f):
+    """f_i II_i(f) on a truncated support, along the last axis of f:
+    kern_i sum_{j <= i} mu_j f_j + sum_{j > i} mu_j kern_j f_j."""
+    T = np.zeros_like(f)
+    T[..., :-1] = np.cumsum((mu * kern * f)[..., ::-1], axis=-1)[..., -2::-1]
+    return kern * np.cumsum(mu * f, axis=-1) + T
+
+
+def _lm_rows(mu, nu, b, ells, m, steps):
+    """The (ell, m)-truncated iterates for every ell of ``ells`` at once.
+
+    Row r starts from f = nu[(i v ell_r), m] on [0, m]. Returns, per step, the
+    largest over the rows of the min-ratio min_i II_i(f)/f_i and of the
+    Rayleigh quotient ||f||^2 / D(f). Every product, cumulative sum and sum
+    runs along a row, so each row equals its one-row computation bit for bit.
+    """
     n = m + 1
+    mu, mub = mu[:n], mu[:n] * b[:n]
     kern = np.cumsum(nu[:n][::-1])[::-1]      # nu[j, m]
-    f = np.where(np.arange(n) <= ell, kern[ell], kern[:n])  # nu[(i v ell), m]
-    out = []
-    for _ in range(steps):
-        S = np.cumsum(mu[:n] * f)
-        T = np.concatenate([np.cumsum((mu[:n] * kern * f)[::-1])[::-1][1:], [0.0]])
-        nxt = kern * S + T
-        out.append(float(np.min(nxt / f)))
-        f = nxt / np.max(nxt)
-    return out
+    f = np.where(np.arange(n) <= ells[:, None], kern[ells][:, None], kern)
+    ratios, quotients = np.empty(steps), np.empty(steps)
+    for s in range(steps):
+        l2 = np.sum(mu * f * f, axis=1)
+        dd = np.sum(mub * np.diff(f, axis=1, append=0.0) ** 2, axis=1)  # f_{m+1} = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quotients[s] = np.max(np.where(dd > 0, l2 / dd, math.inf))
+        nxt = _double_sum(mu, kern, f)
+        ratios[s] = np.max(np.min(nxt / f, axis=1))
+        f = nxt / np.max(nxt, axis=1, keepdims=True)
+    return ratios, quotients
 
 
 def delta_prime_seq_nd(model: ChainModel, steps: int = 6,
@@ -219,39 +225,20 @@ def delta_prime_seq_nd(model: ChainModel, steps: int = 6,
     if m_grid is None:
         m_grid = sorted({min(W - 1, int(round(g)))
                          for g in np.geomspace(1, min(512, W - 1), 24)})
-    mu, nu = ws.mu[:W], ws.nu_b[:W]
+    mu, nu, b = ws.mu[:W], ws.nu_b[:W], ws.b[:W]
     prim = np.full(steps, -math.inf)
     bars = np.full(steps, -math.inf)
-    for ell in ell_grid:
-        for m in m_grid:
-            if m <= ell:
-                continue
-            ratios = _iterate_lm(mu, nu, ell, m, steps)
+    for m in m_grid:
+        ells = np.array([ell for ell in ell_grid if ell < m], dtype=np.int64)
+        if len(ells):
+            ratios, quotients = _lm_rows(mu, nu, b, ells, m, steps)
             prim = np.maximum(prim, ratios)
-            bars = np.maximum(bars, _bars_lm(mu, nu, ws.b[:W], ell, m, steps))
+            bars = np.maximum(bars, quotients)
     mono = all(y >= x * (1 - 1e-12) - 1e-9 for x, y in zip(prim, prim[1:]))
     return ApproxTrace(tuple(float(v) for v in prim), mono, "increasing",
                        (series.Certainty.WINDOW_STOPPED,) * steps,
                        grid=(tuple(ell_grid), tuple(m_grid)),
                        extras={"bars": tuple(float(v) for v in bars)})
-
-
-def _bars_lm(mu, nu, b, ell, m, steps):
-    """Rayleigh quotients ||f_n||^2 / D(f_n) along the (ell, m) iteration."""
-    n = m + 1
-    kern = np.cumsum(nu[:n][::-1])[::-1]
-    f = np.where(np.arange(n) <= ell, kern[ell], kern[:n])
-    out = []
-    for _ in range(steps):
-        l2 = float(np.sum(mu[:n] * f * f))
-        fx = np.concatenate([f, [0.0]])
-        dd = float(np.sum(mu[:n] * b[:n] * (fx[1:] - fx[:-1]) ** 2))
-        out.append(l2 / dd if dd > 0 else math.inf)
-        S = np.cumsum(mu[:n] * f)
-        T = np.concatenate([np.cumsum((mu[:n] * kern * f)[::-1])[::-1][1:], [0.0]])
-        nxt = kern * S + T
-        f = nxt / np.max(nxt)
-    return out
 
 
 def first_step_closed(model: ChainModel, window: int = 200000):
@@ -317,16 +304,14 @@ def eta1_closed(model: ChainModel, window: int = 300000):
     ws, W, mu, nu_shift, phi, tail, Z = _nn_arrays(model, window)
     sphi = np.sqrt(phi)
     psi = _suffix_with_remainder(mu * sphi, 0, ws.finite)[:W]
-    mu_tail_arr = np.concatenate([np.cumsum(mu[::-1])[::-1], [0.0]]) + tail
-    i = np.arange(1, W)
-    eta1 = float(np.nanmax((sphi[i] + sphi[i - 1])
-                           * (psi[i] - psi[1] * mu_tail_arr[i] / Z)))
+    mt = np.cumsum(mu[::-1])[::-1][1:] + tail         # mu[i, N] for i = 1..W-1
+    eta1 = float(np.nanmax((sphi[1:] + sphi[:-1]) * (psi[1:] - psi[1] * mt / Z)))
     c1 = np.cumsum(mu * phi * phi)
     c2 = np.cumsum(mu * phi)
     with np.errstate(all="ignore"):
-        A = c1[i - 1] + phi[i] ** 2 * mu_tail_arr[i]
-        B = c2[i - 1] + phi[i] * mu_tail_arr[i]
-        ebar = (A - B * B / Z) / phi[i]
+        A = c1[:-1] + phi[1:] ** 2 * mt
+        B = c2[:-1] + phi[1:] * mt
+        ebar = (A - B * B / Z) / phi[1:]
     etabar1 = float(np.nanmax(np.where(np.isfinite(ebar), ebar, -math.inf)))
     return eta1, etabar1
 
@@ -417,7 +402,7 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     ws = build_weights(model, window)
     W = _safe_window(ws, window)
     finite = ws.finite
-    nu = ws.nu_a[:W].copy()
+    nu = ws.nu_a[:W]
     mu = ws.mu[:W]
     if not finite and not math.isfinite(ws.nu_a_total.value):
         raise Condition72Fails("sum 1/(mu_i a_i) must converge (7.2)")
@@ -440,31 +425,26 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     if finite:
         psi = psi + (math.sqrt(phi[-1]) * Nterm if math.isfinite(Nterm) else math.inf)
     S_full = nu_suf[0]
-    i = np.arange(W)
     sphi_prev = np.concatenate([[0.0], sphi[:-1]])
     with np.errstate(all="ignore"):
         d1vals = (sphi + sphi_prev) * (psi - psi[0] * (nu_suf[1:W + 1] if not finite
                                                        else np.concatenate([nu_suf[1:W], [Nterm]])) / S_full)
     delta1 = float(np.nanmax(d1vals))
-    # bar-delta_1 over stopping levels m
+    # bar-delta_1 over stopping levels m < W (a one-state window has W = 2,
+    # and phi_1 raises): phi does not decrease, so min(phi_j, phi_m) is phi_j
+    # for j <= m and phi_m beyond, and each sum over j is a prefix sum plus
+    # phi_m (or its square) times the nu mass beyond m: nu[m + 2, N] plus
+    # 1/(mu_N b_N) on a finite chain, nu_suf[m + 1] on an infinite one (which
+    # counts nu_{m+1} twice; ROADMAP item 9)
+    pm = phi[np.arange(W)]
     nu_next = np.concatenate([nu[1:], [0.0]])
-    best = -math.inf
-    for mi in range(W):
-        pm = phi[mi]
-        if not pm > 0:
-            continue
-        phim = np.minimum(phi, pm)
-        A = float(np.sum(nu_next * phim * phim))
-        B = float(np.sum(nu_next * phim))
-        if finite:
-            A += pm * pm * Nterm
-            B += pm * Nterm
-        else:
-            A += pm * pm * (nu_suf[mi + 1] - float(nu_next[mi + 1:].sum()))
-            B += pm * (nu_suf[mi + 1] - float(nu_next[mi + 1:].sum()))
-        val = (A - B * B / S_full) / pm
-        best = max(best, val)
-    return delta, delta1, float(best)
+    beyond = np.concatenate([nu_suf[2:], [Nterm]]) if finite else nu_suf[1:W + 1]
+    with np.errstate(all="ignore"):
+        A = np.cumsum(nu_next * phi * phi) + pm * pm * beyond
+        B = np.cumsum(nu_next * phi) + pm * beyond
+        vals = (A - B * B / S_full) / pm
+    vals = vals[(pm > 0) & ~np.isnan(vals)]
+    return delta, delta1, float(vals.max()) if len(vals) else -math.inf
 
 
 # ---------------------------------------------------------------------------

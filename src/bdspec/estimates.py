@@ -74,6 +74,19 @@ def _kappa(ws: WeightSystem, reflecting: bool, s: float = 1.0):
     return (1.0 / rep.value if rep.value > 0 else math.inf), rep
 
 
+def _window_sup(ws: WeightSystem, obj, name: str):
+    """sup of ``obj`` over the window (non-finite entries count as 0) and its
+    bracket; ``obj`` None stands for a divergent total, whose sup is inf."""
+    if obj is None:
+        rep = series.ExtremumReport(ws.base, math.inf, series.Certainty.CERTIFIED,
+                                    (ws.base, ws.top))
+        return math.inf, _bracket_from_constant(math.inf, name, rep)
+    obj = np.where(np.isfinite(obj), obj, 0.0)
+    rep = series.extremize(lambda idx: obj[np.asarray(idx) - ws.base], "sup", ws.base,
+                           ws.top if ws.finite else None, hard_cap=len(obj) - 1)
+    return rep.value, _bracket_from_constant(rep.value, name, rep)
+
+
 def delta_nd(model: ChainModel, n_max: int = 10 ** 5):
     """delta = sup_n mu[0,n] nu[n,N]; bracket [1/(4 delta), 1/delta]."""
     if model.boundary is not BoundaryCode.ND:
@@ -81,21 +94,10 @@ def delta_nd(model: ChainModel, n_max: int = 10 ** 5):
     ws = build_weights(model, n_max)
     tails = ws.nu_tails("b")
     if not math.isfinite(ws.nu_b_total.value):
-        rep = series.ExtremumReport(ws.base, math.inf, series.Certainty.CERTIFIED,
-                                    (ws.base, ws.top))
-        return math.inf, _bracket_from_constant(math.inf, "delta_3_1", rep)
-    pref = ws.mu_prefix_arr
+        return _window_sup(ws, None, "delta_3_1")
     with np.errstate(all="ignore"):
-        obj = pref * tails
-    obj = np.where(np.isfinite(obj), obj, 0.0)
-    hi = ws.top if ws.finite else None
-
-    def objective(idx):
-        return obj[np.asarray(idx) - ws.base]
-
-    rep = series.extremize(objective, "sup", ws.base, hi if hi is not None else None,
-                           hard_cap=len(obj) - 1)
-    return rep.value, _bracket_from_constant(rep.value, "delta_3_1", rep)
+        obj = ws.mu_prefix_arr * tails
+    return _window_sup(ws, obj, "delta_3_1")
 
 
 def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
@@ -104,22 +106,13 @@ def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
         raise WrongBoundary("delta_dn needs a DN model")
     ws = build_weights(model, n_max)
     if not math.isfinite(ws.mu_total.value):
-        rep = series.ExtremumReport(ws.base, math.inf, series.Certainty.CERTIFIED,
-                                    (ws.base, ws.top))
-        return math.inf, _bracket_from_constant(math.inf, "delta_4_4", rep)
+        return _window_sup(ws, None, "delta_4_4")
     with np.errstate(over="ignore"):
         nu_pref = np.cumsum(ws.nu_a)
     mu_tails = ws.mu_tails()
     with np.errstate(all="ignore"):
         obj = nu_pref * mu_tails
-    obj = np.where(np.isfinite(obj), obj, 0.0)
-    hi = ws.top if ws.finite else None
-
-    def objective(idx):
-        return obj[np.asarray(idx) - ws.base]
-
-    rep = series.extremize(objective, "sup", ws.base, hi, hard_cap=len(obj) - 1)
-    return rep.value, _bracket_from_constant(rep.value, "delta_4_4", rep)
+    return _window_sup(ws, obj, "delta_4_4")
 
 
 def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):

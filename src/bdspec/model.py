@@ -23,6 +23,7 @@ from .errors import BadParameter, NonPositiveRate, Overflow
 
 DEFAULT_NMAX = 10 ** 5
 DEFAULT_TOL = 1e-10
+LOG_TINY = math.log(np.finfo(float).tiny)   # -708.4: the underflow threshold
 
 
 class BoundaryCode(enum.Enum):
@@ -61,6 +62,8 @@ class ChainModel:
     int or an int array and returns mu[n, N] (or nu[n, N]) as a float or as
     an ndarray of the same shape, in O(len(n)) memory, and a window of tails
     evaluated in one call equals the same tails evaluated one at a time.
+    Rates and hints must be pure functions of their argument: calls on the
+    same model object reuse its last weight system (see :func:`build_weights`).
     """
     boundary: BoundaryCode
     lo: Optional[int]
@@ -115,7 +118,8 @@ class WeightSystem:
     ``mu[k]`` is the weight of state ``base + k``; ``log_mu`` is always exact
     while ``mu`` saturates to 0/inf outside float range. ``convention`` names
     the nu used by the boundary family: 1/(mu_i b_i) for ND/NN, 1/(mu_i a_i)
-    for DN/DD. Both variants are available.
+    for DN/DD. Both variants are available. Its arrays, the cached tails
+    included, are read-only: a weight system is shared by the calls on a model.
     """
     model: ChainModel
     base: int
@@ -154,18 +158,15 @@ class WeightSystem:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        out = np.zeros(len(arr) + 1)
         with np.errstate(over="ignore"):
-            suf = np.cumsum(arr[::-1])[::-1]
-        rem = 0.0
+            np.cumsum(arr[::-1], out=out[-2::-1])
         if math.isfinite(total) and not self.finite:
-            # beyond-window remainder from the trailing blocks; subtracting
-            # prefix from total would produce a rounding-noise floor that can
-            # exceed deep tails by hundreds of orders of magnitude
             rem = series.estimate_remainder_block(arr, self.base)
             if not math.isfinite(rem):
-                rem = max(total - float(suf[0]), 0.0)
-        out = np.concatenate([suf + rem, [rem]])
-        self._cache[key] = out
+                rem = max(total - float(out[0]), 0.0)
+            out += rem
+        out = self._cache[key] = _read_only(out)
         return out
 
     def _tail(self, key: str, n):
@@ -188,7 +189,7 @@ class WeightSystem:
         out = self._cache.get("tail_" + key)
         if out is None:
             out = np.asarray(self._tail(key, np.arange(self.base, self.top + 1)), dtype=float)
-            self._cache["tail_" + key] = out
+            out = self._cache["tail_" + key] = _read_only(out)
         return out
 
     def mu_tail(self, n):
@@ -209,7 +210,7 @@ class WeightSystem:
         return self._window_tail("nu_" + (kind or self.convention))
 
 
-def _sum_with_tail(arr: np.ndarray, term, start: int, finite: bool,
+def _sum_with_tail(arr: np.ndarray, start: int, finite: bool,
                    hint_total, tol: float) -> series.TailSum:
     """Total of a nonnegative sequence: window part + estimated remainder."""
     if hint_total is not None:
@@ -227,6 +228,11 @@ def _sum_with_tail(arr: np.ndarray, term, start: int, finite: bool,
     return series.TailSum(head + rem, flag, len(arr))
 
 
+# the last weight system built, as (model, n_max, tol, WeightSystem): the
+# calls made for one chain share it; one slot, so two windows are never held
+_last = None
+
+
 def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX,
                   tol: float = DEFAULT_TOL) -> WeightSystem:
     """Weights by the multiplicative recurrence mu_{n+1} a_{n+1} = mu_n b_n.
@@ -234,7 +240,26 @@ def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX,
     The window ends at the model's top state, at ``n_max`` states, or where
     the linear weights leave float range (log accumulation continues and the
     saturated entries are inf/0; sums involving them are guarded upstream).
+
+    A call with the same model object, ``n_max`` and ``tol`` as the previous
+    call returns the previous weight system, tail caches included.
     """
+    global _last
+    last = _last
+    if last is not None and last[0] is model and last[1:3] == (n_max, tol):
+        return last[3]
+    _last = None                  # let the previous window go before building
+    ws = _build(model, n_max, tol)
+    _last = (model, n_max, tol, ws)
+    return ws
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _build(model: ChainModel, n_max: int, tol: float) -> WeightSystem:
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise BadParameter("use bilateral_log_weights for bilateral models")
     if n_max < 1:
@@ -243,10 +268,10 @@ def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX,
     top = base + n_max - 1 if model.hi is None else min(model.hi, base + n_max - 1)
     a, b, c = model.rates(base, top)
     n = len(a)
-    interior_b = b[:-1] if (model.hi is not None and top == model.hi) else b
-    if np.any(interior_b <= 0.0):
+    finite = model.hi is not None and top == model.hi
+    if np.any((b[:-1] if finite else b) <= 0.0):
         raise NonPositiveRate("birth rate <= 0 inside the range")
-    if model.hi is not None and top == model.hi and b[-1] < 0.0:
+    if finite and b[-1] < 0.0:
         raise NonPositiveRate("top birth rate must be >= 0")
     if np.any(a[1:] <= 0.0):
         raise NonPositiveRate("death rate <= 0 inside the range")
@@ -254,46 +279,50 @@ def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX,
         raise NonPositiveRate("death rate at the bottom state must be >= 0")
     if np.any(c < 0.0):
         raise NonPositiveRate("killing rate < 0")
-    log_mu = np.zeros(n)
-    with np.errstate(divide="ignore"):
-        steps = np.log(b[:-1]) - np.log(a[1:])
-    log_mu[1:] = np.cumsum(steps)
-    if not np.all(np.isfinite(log_mu)):
-        raise Overflow("log-weights not finite; rates invalid at some index")
-    # multiplicative recurrence mu_{n+1} = mu_n b_n / a_{n+1}: exact where the
-    # ratios are, unlike exp of the accumulated logs (which only backs the
-    # saturated region)
-    with np.errstate(over="ignore"):
-        ratios = np.concatenate([[1.0], b[:-1] / a[1:]])
-        mu = np.cumprod(ratios)
-    sat = ~np.isfinite(mu)
-    if sat.any():
-        mu[sat] = (np.exp(np.clip(log_mu[sat], -745.0, 709.0))
-                   * np.where(log_mu[sat] > 709.0, math.inf, 1.0))
+    if not (np.isfinite(b[:-1]).all() and np.isfinite(a[1:]).all()):
+        raise Overflow("rates not finite at some index")
     hint_log = model.hint("log_mu")
     if hint_log is not None:
-        idx = np.arange(base, top + 1, dtype=np.int64)
-        log_mu = np.asarray(hint_log(idx), dtype=float)
+        log_mu = np.asarray(hint_log(np.arange(base, top + 1, dtype=np.int64)), dtype=float)
         with np.errstate(over="ignore"):
             mu = np.exp(log_mu)
+    else:
+        log_mu = np.zeros(n)
+        np.cumsum(np.log(b[:-1]) - np.log(a[1:]), out=log_mu[1:])
+        # multiplicative recurrence mu_{n+1} = mu_n b_n / a_{n+1}: exact where
+        # the ratios are, unlike exp of the accumulated logs
+        mu = np.ones(n)
+        with np.errstate(over="ignore"):
+            np.divide(b[:-1], a[1:], out=mu[1:])
+            np.cumprod(mu, out=mu)
+        if not 0.0 < mu[-1] < math.inf:
+            # 0 and inf absorb the cumprod, even where the weights come back
+            # into float range: from its first 0 or inf on, exp of the logs
+            # takes over where they are back below 709 after an overflow, back
+            # above the underflow threshold after an underflow (inf above 709)
+            k = int(np.argmin((mu > 0.0) & (mu < math.inf)))
+            tail, lm = mu[k:], log_mu[k:]
+            redo = ((lm > LOG_TINY) if tail[0] == 0.0 else (lm <= 709.0)) | np.isnan(tail)
+            lm = lm[redo]
+            tail[redo] = np.exp(np.clip(lm, -745.0, 709.0)) * np.where(lm > 709.0, math.inf, 1.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (overflowed weight)
-        mub = mu * b
-        nu_b = np.where(mub > 0.0, 1.0 / mub, math.inf)
-        nu_b = np.where(np.isfinite(mub), nu_b, 0.0)
-        mua = mu * a
-        nu_a = np.zeros(n)
-        nu_a[1:] = np.where(mua[1:] > 0.0, 1.0 / mua[1:], math.inf)
-        nu_a[1:] = np.where(np.isfinite(mua[1:]), nu_a[1:], 0.0)
-        if model.boundary in (BoundaryCode.DN, BoundaryCode.DD) and a[0] > 0.0:
-            nu_a[0] = 1.0 / mua[0]
+        # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (an overflowed
+        # weight); the rates are positive and finite inside the range, so
+        # inf * 0 = nan can only arise at the top state, where nu is 0
+        nu_b = 1.0 / (mu * b)
+        nu_a = 1.0 / (mu * a)
+    if math.isnan(nu_b[-1]):
+        nu_b[-1] = 0.0
+    if not (model.boundary in (BoundaryCode.DN, BoundaryCode.DD) and a[0] > 0.0):
+        nu_a[0] = 0.0             # the bottom death rate is ignored or vanished
     convention = "b" if model.boundary in (BoundaryCode.ND, BoundaryCode.NN) else "a"
-    finite = model.hi is not None and top == model.hi
     with np.errstate(over="ignore", invalid="ignore"):
         mu_prefix = np.cumsum(mu)
-    mu_total = _sum_with_tail(mu, None, base, finite, model.hint("mu_total"), tol)
-    nu_a_total = _sum_with_tail(nu_a, None, base, finite, model.hint("nu_a_total"), tol)
-    nu_b_total = _sum_with_tail(nu_b, None, base, finite, model.hint("nu_b_total"), tol)
+    mu_total = _sum_with_tail(mu, base, finite, model.hint("mu_total"), tol)
+    nu_a_total = _sum_with_tail(nu_a, base, finite, model.hint("nu_a_total"), tol)
+    nu_b_total = _sum_with_tail(nu_b, base, finite, model.hint("nu_b_total"), tol)
+    mu, log_mu, a, b, c, mu_prefix, nu_a, nu_b = map(
+        _read_only, (mu, log_mu, a, b, c, mu_prefix, nu_a, nu_b))
     return WeightSystem(model=model, base=base, mu=mu, log_mu=log_mu, a=a, b=b, c=c,
                         convention=convention, mu_prefix_arr=mu_prefix,
                         nu_a=nu_a, nu_b=nu_b, mu_total=mu_total,
@@ -465,11 +494,7 @@ def _rate_from_spec(spec, base: int):
 
 
 def _end(v):
-    if v in ("inf", "+inf"):
-        return None
-    if v == "-inf":
-        return None
-    return int(v)
+    return None if v in ("inf", "+inf", "-inf") else int(v)
 
 
 def model_from_dict(doc: dict) -> ChainModel:

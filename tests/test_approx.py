@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from bdspec import approx, estimates, oracle
 from bdspec.approx import TestFunction
 from bdspec.catalog import catalog
 from bdspec.errors import OutsideSupport, WrongBoundary
-from bdspec.model import build_weights
+from bdspec.model import BoundaryCode, ChainModel, build_weights
 
 SQRT2 = math.sqrt(2.0)
 
@@ -199,3 +201,169 @@ def test_dd_first_step_ex7_6_2(eps):
 def test_dd_first_step_wrong_boundary():
     with pytest.raises(WrongBoundary):
         approx.dd_first_step(catalog("const_nd"))
+
+
+# ---------------------------------------------------------------------------
+# the batched kernels against the per-(ell, m) and per-level loops they replace
+# ---------------------------------------------------------------------------
+
+def _lm_loop(mu, nu, b, ell, m, steps):
+    """One (ell, m) iteration: per step, the min-ratio and the Rayleigh quotient."""
+    n = m + 1
+    kern = np.cumsum(nu[:n][::-1])[::-1]
+    f = np.where(np.arange(n) <= ell, kern[ell], kern[:n])
+    ratios, quotients = [], []
+    for _ in range(steps):
+        l2 = float(np.sum(mu[:n] * f * f))
+        fx = np.concatenate([f, [0.0]])
+        dd = float(np.sum(mu[:n] * b[:n] * (fx[1:] - fx[:-1]) ** 2))
+        quotients.append(l2 / dd if dd > 0 else math.inf)
+        S = np.cumsum(mu[:n] * f)
+        T = np.concatenate([np.cumsum((mu[:n] * kern * f)[::-1])[::-1][1:], [0.0]])
+        nxt = kern * S + T
+        ratios.append(float(np.min(nxt / f)))
+        f = nxt / np.max(nxt)
+    return ratios, quotients
+
+
+def _delta_prime_loop(model, steps):
+    """delta_prime_seq_nd's (values, bars, grid) by one loop per (ell, m)."""
+    ws = build_weights(model, 2048)
+    W = approx._safe_window(ws, 2048)
+    ell_grid = [e for e in (list(range(0, 17)) + [20, 24, 32, 48, 64]) if e < W - 1]
+    m_grid = sorted({min(W - 1, int(round(g))) for g in np.geomspace(1, min(512, W - 1), 24)})
+    prim = np.full(steps, -math.inf)
+    bars = np.full(steps, -math.inf)
+    for ell in ell_grid:
+        for m in m_grid:
+            if m > ell:
+                ratios, quotients = _lm_loop(ws.mu[:W], ws.nu_b[:W], ws.b[:W], ell, m, steps)
+                prim = np.maximum(prim, ratios)
+                bars = np.maximum(bars, quotients)
+    return tuple(map(float, prim)), tuple(map(float, bars)), (tuple(ell_grid), tuple(m_grid))
+
+
+def _seeded_chain(rng, code, n, finite):
+    """Random rates in [0.2, 3] on n states, constant beyond them."""
+    base = 0 if code.origin_reflecting else 1
+    a, b = rng.uniform(0.2, 3.0, n), rng.uniform(0.2, 3.0, n)
+
+    def pick(arr):
+        return lambda i: arr[np.clip(np.asarray(i, dtype=np.int64) - base, 0, n - 1)]
+    return ChainModel(code, base, base + n - 1 if finite else None, pick(b), pick(a))
+
+
+ND_CATALOG = ["const_nd", "ex8_8", "linear_nd", "quadratic_nd", "quartic_nd"]
+SEEDED_ND = [(n, finite) for n in (3, 17, 64, 300, 700) for finite in (True, False)]
+
+
+@pytest.mark.parametrize("name", ND_CATALOG + ["seeded_%d_%s" % c for c in SEEDED_ND])
+def test_delta_prime_grid_matches_per_pair_loop(name):
+    if name.startswith("seeded"):
+        n, finite = SEEDED_ND[[("seeded_%d_%s" % c) for c in SEEDED_ND].index(name)]
+        model = _seeded_chain(np.random.default_rng(n + finite), BoundaryCode.ND, n, finite)
+    else:
+        model = catalog(name)
+    tr = approx.delta_prime_seq_nd(model, 5)
+    values, bars, grid = _delta_prime_loop(model, 5)
+    assert tr.grid == grid
+    assert tr.values == values            # bit for bit
+    assert tr.extras["bars"] == bars
+
+
+def _delta_bar1_loop(model, window, levels=None):
+    """dd_first_step's bar-delta_1 by one O(W) sum per stopping level m;
+    ``levels`` restricts m to a subset of range(W)."""
+    ws = build_weights(model, window)
+    W = approx._safe_window(ws, window)
+    nu, mu, finite = ws.nu_a[:W], ws.mu[:W], ws.finite
+    Nterm = 0.0
+    if finite:
+        mb = ws.mu[-1] * ws.b[-1]
+        Nterm = 1.0 / mb if mb > 0 else math.inf
+    phi = np.cumsum(mu)
+    nu_suf = approx._suffix_with_remainder(nu, ws.base, finite) + Nterm
+    nu_next = np.concatenate([nu[1:], [0.0]])
+    best = -math.inf
+    with np.errstate(all="ignore"):
+        for mi in range(W) if levels is None else levels:
+            pm = phi[mi]
+            if not pm > 0:
+                continue
+            phim = np.minimum(phi, pm)
+            A = float(np.sum(nu_next * phim * phim))
+            B = float(np.sum(nu_next * phim))
+            beyond = Nterm if finite else nu_suf[mi + 1] - float(nu_next[mi + 1:].sum())
+            A += pm * pm * beyond
+            B += pm * beyond
+            best = max(best, (A - B * B / nu_suf[0]) / pm)
+    return best, W
+
+
+DD_CATALOG = ["ex7_5_1", "ex7_5_2", "ex7_6_1", "ex7_6_2"] + ["table7_1_row%d" % k
+                                                            for k in range(1, 10)]
+
+
+@pytest.mark.parametrize("window", [4096, 200000])
+@pytest.mark.parametrize("name", DD_CATALOG)
+def test_delta_bar1_matches_per_level_loop(name, window):
+    model = catalog(name)
+    if name == "ex7_5_1":
+        # a one-state window: both index phi past its end (a known failure)
+        for fn in (approx.dd_first_step, _delta_bar1_loop):
+            with pytest.raises(IndexError), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)   # delta_1: an all-nan max
+                fn(model, window)
+        return
+    got = approx.dd_first_step(model, window)[2]
+    W = _delta_bar1_loop(model, window, levels=[])[1]
+    levels = None
+    if W > 8192:
+        # the full loop costs W^2: both ends (the supremum sits at the top on
+        # table7_1_row8) and a stride through the middle
+        levels = list(range(512)) + list(range(512, W - 512, 997)) + list(range(W - 512, W))
+    ref = _delta_bar1_loop(model, window, levels)[0]
+    assert got == pytest.approx(ref, rel=1e-13)
+
+
+def _delta_bar1_mp(model, window):
+    """bar-delta_1 of a finite DD chain in 40-digit arithmetic, by prefix sums,
+    with the condition number (A + B^2/S) / (A - B^2/S) of its last
+    subtraction at the maximising level."""
+    ws = build_weights(model, window)
+    W = approx._safe_window(ws, window)
+    with mpmath.workdps(40):
+        mu = [mpmath.mpf(float(x)) for x in ws.mu[:W]]
+        nu = [mpmath.mpf(float(x)) for x in ws.nu_a[:W]]
+        Nterm = 1 / (mpmath.mpf(float(ws.mu[-1])) * mpmath.mpf(float(ws.b[-1])))
+        S = sum(nu) + Nterm
+        beyond = sum(nu[1:]) + Nterm
+        phi = P1 = P2 = mpmath.mpf(0)
+        best = None
+        for m in range(W):
+            phi += mu[m]
+            nxt = nu[m + 1] if m + 1 < W else 0
+            P1, P2, beyond = P1 + nxt * phi, P2 + nxt * phi * phi, beyond - nxt
+            A, B = P2 + phi * phi * beyond, P1 + phi * beyond
+            val = (A - B * B / S) / phi
+            if best is None or val > best[0]:
+                best = (val, (A + B * B / S) / abs(A - B * B / S))
+        return float(best[0]), float(best[1])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_delta_bar1_on_seeded_finite_chains(seed):
+    # where A - B^2/S cancels, the per-level loop and the prefix-sum kernel
+    # both lose about kappa * eps of it (kappa its condition number, up to
+    # 4e5 on these chains): both are held to 1e-13 + 8 kappa eps of a 40-digit
+    # evaluation, and to each other
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(2, 65)) if seed % 3 else int(rng.integers(65, 300))
+    model = _seeded_chain(rng, BoundaryCode.DD, n, finite=True)
+    exact, kappa = _delta_bar1_mp(model, 4096)
+    tol = 1e-13 + 8.0 * kappa * np.finfo(float).eps
+    got = approx.dd_first_step(model, 4096)[2]
+    loop = _delta_bar1_loop(model, 4096)[0]
+    assert got == pytest.approx(exact, rel=tol)
+    assert loop == pytest.approx(exact, rel=tol)
+    assert got == pytest.approx(loop, rel=2 * tol)

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -157,3 +159,85 @@ def test_saturated_weights_match_whole_window_exp():
             for ref, got in ((mu, ws.mu), (nu_b, ws.nu_b), (nu_a[1:], ws.nu_a[1:])):
                 assert ref.tobytes() == got.tobytes(), name
     assert saturated >= 10
+
+
+def _two_slope(code, lo, hi, first, then, turn=400):
+    """b_i / a_{i+1} = e^first below ``turn`` and e^then from there on."""
+    return ChainModel(code, lo, hi,
+                      lambda i: np.where(np.asarray(i) < lo + turn, math.exp(first),
+                                         math.exp(then)),
+                      lambda i: np.ones(np.shape(i)))
+
+
+@pytest.mark.parametrize("first, then", [(2.0, -2.0), (-2.0, 2.0)])
+def test_weights_that_leave_float_range_and_return(first, then):
+    # rise-fall: the cumprod overflows and the weights fall back into range;
+    # fall-rise: it underflows to 0 and they rise back (mu[800] = 1)
+    ws = build_weights(_two_slope(BoundaryCode.ND, 0, None, first, then), 1001)
+    inside = np.abs(ws.log_mu) < 700.0
+    assert inside[:300].all() and inside[500:].any() and not inside.all()
+    expect = np.exp(ws.log_mu[inside])
+    assert np.all(np.abs(ws.mu[inside] - expect) <= 1e-12 * expect)
+    assert ws.mu[800] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_nu_conventions():
+    # a vanished rate or an underflowed weight gives 1/0 = inf, an overflowed
+    # weight 1/inf = 0, and inf * 0 at the top of a reflecting chain gives 0
+    up = ChainModel(BoundaryCode.ND, 0, None, lambda i: np.full(np.shape(i), 8.0),
+                    lambda i: np.ones(np.shape(i)))
+    ws = build_weights(up, 400)
+    over = ws.mu == math.inf
+    assert over[-1] and not over[:300].any()
+    assert np.all(ws.nu_b[over] == 0.0) and np.all(ws.nu_a[over] == 0.0)
+    assert ws.nu_a[0] == 0.0                          # a_0 is ignored at a reflecting origin
+    down = ChainModel(BoundaryCode.DN, 1, None, lambda i: np.ones(np.shape(i)),
+                      lambda i: np.full(np.shape(i), 8.0))
+    ws = build_weights(down, 400)
+    under = ws.mu == 0.0
+    assert under[-1] and not under[:300].any()
+    assert np.all(ws.nu_b[under] == math.inf) and np.all(ws.nu_a[under] == math.inf)
+    assert ws.nu_a[0] == 1.0 / 8.0                    # DN keeps the bottom death rate
+    for code, lo in ((BoundaryCode.NN, 0), (BoundaryCode.DN, 1)):
+        small = ChainModel(code, lo, lo + 9, lambda i: np.full(np.shape(i), 8.0),
+                           lambda i: np.ones(np.shape(i)))
+        ws = build_weights(small, 100)
+        assert ws.b[-1] == 0.0 and math.isfinite(ws.mu[-1])
+        assert ws.nu_b[-1] == math.inf and 0.0 < ws.nu_a[-1] < math.inf
+        big = ChainModel(code, lo, lo + 399, lambda i: np.full(np.shape(i), 8.0),
+                         lambda i: np.ones(np.shape(i)))
+        ws = build_weights(big, 1000)
+        assert ws.b[-1] == 0.0 and ws.mu[-1] == math.inf
+        assert ws.nu_b[-1] == 0.0 and ws.nu_a[-1] == 0.0
+    bottom = ChainModel(BoundaryCode.DD, 1, None, lambda i: np.ones(np.shape(i)),
+                        lambda i: np.where(np.asarray(i) == 1, 0.0, 1.0))
+    assert build_weights(bottom, 50).nu_a[0] == 0.0   # a vanished bottom death rate
+
+
+def test_last_weight_system_is_reused_and_read_only():
+    calls = []
+
+    def birth(i):
+        calls.append(len(i))
+        return np.full(np.shape(i), 2.0)
+
+    model = ChainModel(BoundaryCode.ND, 0, None, birth, lambda i: np.full(np.shape(i), 3.0))
+    ws = build_weights(model, 500)
+    ws.nu_tails()
+    assert build_weights(model, 500) is ws and build_weights(model, 500, 1e-10) is ws
+    assert len(calls) == 1
+    assert build_weights(model, 501) is not ws
+    assert build_weights(model, 501, tol=1e-8) is not ws
+    twin = ChainModel(BoundaryCode.ND, 0, None, birth, model.death)
+    assert build_weights(twin, 501, tol=1e-8) is not ws
+    assert len(calls) == 4
+    arrays = [ws.mu, ws.log_mu, ws.a, ws.b, ws.c, ws.mu_prefix_arr, ws.nu_a, ws.nu_b,
+              ws.mu_tails(), ws.nu_tails("a"), ws.nu_tails("b")]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # one slot: a build for another model lets the previous system go
+    ref = weakref.ref(build_weights(model, 64))
+    build_weights(twin, 64)
+    gc.collect()
+    assert ref() is None
