@@ -10,9 +10,8 @@ from .series import Certainty, ExtremumReport, TailSum, extremize
 from .estimates import (Bracket, BasicBracketReport, basic_bracket, delta_dn,
                         delta_nd, kappa_bilateral, kappa_dd, kappa_nn,
                         naive_upper)
-from .approx import (ApproxTrace, TestFunction, dd_first_step, delta_prime_seq_nd,
-                     delta_seq_nd, eta1_closed, eta_seq_nn, first_step_closed,
-                     op_double_sum, op_single_sum)
+from .approx import (ApproxTrace, dd_first_step, delta_prime_seq_nd, delta_seq_nd,
+                     eta1_closed, eta_seq_nn, first_step_closed)
 from .duality import DualPair, dualize, similarity_check, v_transform
 from .oracle import (SpectralResult, TruncationTrace, eigen_identity_check,
                      principal_eigen, shooting_rate, splitting_bracket,

@@ -1,6 +1,11 @@
 """Monotone approximating sequences and first-step improved bounds.
 
-The double-sum iterates are computed on truncated supports where the
+One row-batched kernel, ``_II``, evaluates the operators I and II on a (G, W)
+array; each caller fixes its sum directions from the boundary shape (ND,
+DN/NN, and the killed chain of ``killing``), and the sequences make one
+batched pass per step with a row per stopping level. It replaced the public
+``op_single_sum``, ``op_double_sum``, ``TestFunction`` and
+``errors.OutsideSupport``. The iterates live on truncated supports where the
 defining recursions are exact, so the traces are monotone to rounding by the
 same proportional argument that proves it for the full chain. First-step
 quantities get dedicated closed-form evaluations with remainder-corrected
@@ -16,35 +21,10 @@ from typing import Optional
 import numpy as np
 
 from . import series
-from .errors import Condition72Fails, OutsideSupport, WrongBoundary
+from .errors import BadParameter, Condition72Fails, WrongBoundary
 from .model import BoundaryCode, ChainModel, WeightSystem, build_weights
 
 LOG_SAFE = 280.0  # keep mu and mu*f products comfortably inside float range
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Values on [lo, hi] plus the tail convention beyond hi.
-
-    ``tail`` is "zero" for the vanishing family (absorbing side) and
-    "constant" for the stopped family f(i) = f(i ^ m).
-    """
-    __test__ = False  # keep pytest from collecting the domain type
-
-    lo: int
-    values: np.ndarray
-    tail: str = "zero"
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
-
-    def at(self, i: int) -> float:
-        if i < self.lo:
-            raise OutsideSupport("index %d below support" % i)
-        if i <= self.hi:
-            return float(self.values[i - self.lo])
-        return float(self.values[-1]) if self.tail == "constant" else 0.0
 
 
 @dataclass(frozen=True)
@@ -90,55 +70,45 @@ def _suffix_with_remainder(terms: np.ndarray, start: int, finite: bool) -> np.nd
     return np.full(len(suf), math.inf)
 
 
+def _levels(m_grid, W: int):
+    """The stopping levels of ``m_grid``, each of which must lie in [1, W - 1]."""
+    levels = np.asarray(m_grid, dtype=np.int64).reshape(-1)
+    if np.any((levels < 1) | (levels > W - 1)):
+        raise BadParameter("stopping levels must lie in [1, %d], the float-safe window"
+                           % (W - 1))
+    return levels
+
+
 # ---------------------------------------------------------------------------
-# the single- and double-sum operators
+# the single- and double-sum operators I and II
 # ---------------------------------------------------------------------------
 
-def op_single_sum(ws: WeightSystem, f: TestFunction, i: int) -> float:
-    """I_i(f): partial-sum over increment, in the direction the case requires.
+def _suffix_sum(x):
+    return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
 
-    Non-monotone spots return +inf (the 1/0 = inf convention); the operator is
-    exact on the window, with the stopped family's tails folded in through
-    the certified mu tails.
+
+def _II(mu, nu, F, inner: str, outer: str, tail: float = 0.0):
+    """The operators I and II on each row f of ``F``, a (G, W) array or one row.
+
+    Returns the inner sums S_i = sum_k mu_k f_k, over k <= i (``inner`` =
+    "prefix") or over k >= i plus ``tail`` * f_{W-1} ("suffix", ``tail``
+    being the mu-mass past the window), whose ratio to the increment of f at
+    i is I_i(f); and f_i II_i(f) = sum_j nu_j S_j, over j >= i (``outer`` =
+    "suffix"), j <= i ("prefix") or j < i ("exclusive", which never reads
+    nu_{W-1}). ``mu`` may carry the row axis too. Every product and cumsum
+    runs along a row, so each row equals its one-row call bit for bit.
     """
-    model = ws.model
-    b = model.boundary
-    k = i - ws.base
-    if b is BoundaryCode.ND:
-        num = float(np.sum(ws.mu[: k + 1] * [f.at(j) for j in range(ws.base, i + 1)]))
-        den = ws.mu[k] * ws.b[k] * (f.at(i) - f.at(i + 1))
-        return num / den if den > 0 else math.inf
-    # DN / NN: increasing direction, sum over the upper range
-    prev = f.at(i - 1) if i - 1 >= f.lo else 0.0
-    den = ws.mu[k] * ws.a[k] * (f.at(i) - prev)
-    hi = min(f.hi, ws.top)
-    idx = np.arange(i, hi + 1)
-    vals = np.asarray([f.at(j) for j in idx])
-    num = float(np.sum(ws.mu[k: hi - ws.base + 1] * vals))
-    if f.tail == "constant" and not ws.finite:
-        num += f.at(f.hi) * ws.mu_tail(hi + 1)
-    return num / den if den > 0 else math.inf
-
-
-def op_double_sum(ws: WeightSystem, f: TestFunction, i: int) -> float:
-    """II_i(f), support-restricted on the vanishing family."""
-    model = ws.model
-    k = i - ws.base
-    if model.boundary is BoundaryCode.ND:
-        if i > f.hi or i < f.lo:
-            raise OutsideSupport("II is defined on supp(f) only")
-        vals = np.asarray([f.at(j) for j in range(ws.base, f.hi + 1)])
-        inner = np.cumsum(ws.mu[: f.hi - ws.base + 1] * vals)
-        nu = ws.nu_b[: f.hi - ws.base + 1]
-        return float(np.sum((nu * inner)[k:])) / f.at(i)
-    # DN / NN shape: II_i(f) = (1/f_i) sum_{j<=i} nu_j sum_{k>=j} mu_k f_k
-    hi = min(f.hi, ws.top)
-    vals = np.asarray([f.at(j) for j in range(ws.base, hi + 1)])
-    tail = f.at(f.hi) * ws.mu_tail(hi + 1) if (f.tail == "constant" and not ws.finite) else 0.0
-    T = np.cumsum((ws.mu[: hi - ws.base + 1] * vals)[::-1])[::-1] + tail
-    # NN: 1/(mu_j a_j) = 1/(mu_{j-1} b_{j-1}), and inf at j = 0
-    nu = ws.nu_a if model.boundary is BoundaryCode.DN else np.append(math.inf, ws.nu_b[:-1])
-    return float(np.sum(nu[: k + 1] * T[: k + 1])) / f.at(i)
+    if inner == "prefix":
+        S = np.cumsum(mu * F, axis=-1)
+    else:
+        S = _suffix_sum(mu * F) + tail * F[..., -1:]
+    if outer == "suffix":
+        return S, _suffix_sum(nu * S)
+    if outer == "prefix":
+        return S, np.cumsum(nu * S, axis=-1)
+    II = np.zeros(np.shape(S))
+    II[..., 1:] = np.cumsum(nu[:-1] * S[..., :-1], axis=-1)
+    return S, II
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +132,10 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
                            (series.Certainty.CERTIFIED,) * steps)
     mu = ws.mu[:W]
     nu = ws.nu_b[:W]
-    phi_trunc = np.cumsum(nu[::-1])[::-1]  # nu[i, W-1]: the truncated kernel
     f = np.sqrt(phi)
     vals, certs = [], []
     for _ in range(steps):
-        nxt = _double_sum(mu, phi_trunc, f)
+        nxt = _II(mu, nu, f, "prefix", "suffix")[1]   # on the truncated support
         ratios = nxt / f
         k = int(np.argmax(ratios))
         vals.append(float(ratios[k]))
@@ -175,14 +144,6 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
         f = nxt / np.max(nxt)
     mono = all(y <= x * (1 + 1e-12) + 1e-9 for x, y in zip(vals, vals[1:]))
     return ApproxTrace(tuple(vals), mono, "decreasing", tuple(certs))
-
-
-def _double_sum(mu, kern, f):
-    """f_i II_i(f) on a truncated support, along the last axis of f:
-    kern_i sum_{j <= i} mu_j f_j + sum_{j > i} mu_j kern_j f_j."""
-    T = np.zeros_like(f)
-    T[..., :-1] = np.cumsum((mu * kern * f)[..., ::-1], axis=-1)[..., -2::-1]
-    return kern * np.cumsum(mu * f, axis=-1) + T
 
 
 def _lm_rows(mu, nu, b, ells, m, steps):
@@ -203,7 +164,7 @@ def _lm_rows(mu, nu, b, ells, m, steps):
         dd = np.sum(mub * np.diff(f, axis=1, append=0.0) ** 2, axis=1)  # f_{m+1} = 0
         with np.errstate(divide="ignore", invalid="ignore"):
             quotients[s] = np.max(np.where(dd > 0, l2 / dd, math.inf))
-        nxt = _double_sum(mu, kern, f)
+        nxt = _II(mu, nu[:n], f, "prefix", "suffix")[1]
         ratios[s] = np.max(np.min(nxt / f, axis=1))
         f = nxt / np.max(nxt, axis=1, keepdims=True)
     return ratios, quotients
@@ -228,7 +189,7 @@ def delta_prime_seq_nd(model: ChainModel, steps: int = 6,
     mu, nu, b = ws.mu[:W], ws.nu_b[:W], ws.b[:W]
     prim = np.full(steps, -math.inf)
     bars = np.full(steps, -math.inf)
-    for m in m_grid:
+    for m in _levels(m_grid, W):
         ells = np.array([ell for ell in ell_grid if ell < m], dtype=np.int64)
         if len(ells):
             ratios, quotients = _lm_rows(mu, nu, b, ells, m, steps)
@@ -331,54 +292,29 @@ def eta_seq_nn(model: ChainModel, steps: int = 6, m: Optional[int] = None,
     m = min(m, W - 1)
     if m_grid is None:
         m_grid = sorted({min(W - 1, int(round(g))) for g in np.geomspace(2, m, 16)})
-
-    def stopped(g, mm):
-        return np.concatenate([g[: mm + 1], np.full(W - mm - 1, g[mm])])
-
-    def center_T(f, mm):
-        pif = (float(np.sum(mu[: mm + 1] * f[: mm + 1]))
-               + f[mm] * (float(mu[mm + 1:].sum()) + tail)) / Z
-        fb = f - pif
-        T = np.cumsum((mu * fb)[::-1])[::-1] + fb[-1] * tail
-        return fb, T
-
-    def advance(T, mm):
-        g = np.cumsum(nu_shift * T)
-        return stopped(g, mm)
-
-    # part (1): seed sqrt(phi), stopped at the window top
-    f = np.sqrt(phi)
-    etas = []
-    i_all = np.arange(1, W)
-    fb, T_prev = center_T(f, W - 1)
-    with np.errstate(all="ignore"):
-        denom = (f[i_all] - f[i_all - 1]) / nu_shift[i_all]
-        vals = np.where(denom > 0, T_prev[i_all] / denom, -math.inf)
-    etas.append(float(np.nanmax(vals)))
-    for _ in range(steps - 1):
-        f = advance(T_prev, W - 1)
-        fb, T = center_T(f, W - 1)
+    # row 0: the sqrt(phi) seed of eta_n; row 1 + k: phi stopped at the k-th
+    # level mm of the grid (f_i = f_{min(i, mm)}), for eta_n' and bar-eta_n
+    stop = np.concatenate([[W - 1], _levels(m_grid, W)])
+    cols = np.minimum(np.arange(W), stop[:, None])
+    F = phi[cols]
+    F[0] = np.sqrt(phi)
+    etas, prim, bars = [], np.empty(steps), np.empty(steps)
+    for n in range(steps):
+        Fb = F - ((np.sum(mu * F, axis=1) + F[:, -1] * tail) / Z)[:, None]
+        T, G = _II(mu, nu_shift, Fb, "suffix", "prefix", tail)
         with np.errstate(all="ignore"):
-            r = np.where(T_prev[i_all] > 0, T[i_all] / T_prev[i_all], -math.inf)
+            denom = np.diff(F, axis=1) / nu_shift[1:]    # 0 past a row's level
+            r = (np.where(denom[0] > 0, T[0, 1:] / denom[0], -math.inf) if n == 0
+                 else np.where(T_prev[1:] > 0, T[0, 1:] / T_prev[1:], -math.inf))
+            vals = np.where(denom[1:] > 0, T[1:, 1:] / denom[1:], math.inf)
+            l2 = np.sum(mu * Fb[1:] * Fb[1:], axis=1) + Fb[1:, -1] ** 2 * tail
+            dd = np.sum(np.diff(F[1:], axis=1) ** 2 / nu_shift[1:], axis=1)
+            quotients = np.where(dd > 0, l2 / dd, -math.inf)
         etas.append(float(np.nanmax(r)))
-        T_prev = T
-    # part (2): the m-grid increasing sequences
-    prim = np.full(steps, -math.inf)
-    bars = np.full(steps, -math.inf)
-    for mm in m_grid:
-        f = stopped(phi, mm)
-        i = np.arange(1, mm + 1)
-        for n in range(steps):
-            fb, T = center_T(f, mm)
-            with np.errstate(all="ignore"):
-                denom = (f[i] - f[i - 1]) / nu_shift[i]
-                vals = np.where(denom > 0, T[i] / denom, math.inf)
-            prim[n] = max(prim[n], float(np.min(vals)))
-            l2 = float(np.sum(mu * fb * fb)) + fb[-1] ** 2 * tail
-            dd = float(np.sum((f[i] - f[i - 1]) ** 2 / nu_shift[i]))
-            if dd > 0:
-                bars[n] = max(bars[n], l2 / dd)
-            f = advance(T, mm)
+        prim[n] = np.fmax.reduce(np.min(vals, axis=1), initial=-math.inf)  # skips NaN rows
+        bars[n] = np.fmax.reduce(quotients, initial=-math.inf)
+        T_prev = T[0]
+        F = np.take_along_axis(G, cols, axis=1)
     mono = all(y <= x * (1 + 1e-12) + 1e-9 for x, y in zip(etas, etas[1:]))
     return ApproxTrace(tuple(etas), mono, "decreasing",
                        (series.Certainty.WINDOW_STOPPED,) * steps,
@@ -412,13 +348,11 @@ def dd_first_step(model: ChainModel, window: int = 200000):
         Nterm = 1.0 / mb if mb > 0 else math.inf
     phi = np.cumsum(mu)                      # mu[1, i]
     nu_suf = _suffix_with_remainder(nu, ws.base, finite) + Nterm
-    # delta = [sup_{n<N} mu[1,n] (nu[n+1,N] + 1_{N<inf}/(mu_N b_N))] v (mu[1,N] * that)
-    upto = W - 1 if finite else W
+    # delta = sup_{n<=N} mu[1,n] (nu[n+1,N] + 1_{N<inf}/(mu_N b_N)); on a finite
+    # chain nu_suf[W] is 0 + 1/(mu_N b_N), so the finite and infinite forms agree
     with np.errstate(all="ignore"):
-        dvals = phi[:upto] * nu_suf[1: upto + 1]
-    delta = float(np.nanmax(dvals)) if len(dvals) else 0.0
-    if finite:
-        delta = max(delta, phi[-1] * Nterm)
+        dvals = phi[:W] * nu_suf[1:W + 1]
+    delta = float(np.nanmax(dvals))
     sphi = np.sqrt(phi)
     psi_terms = np.concatenate([nu[1:], [0.0]]) * sphi  # nu_{j+1} sqrt(phi_j)
     psi = _suffix_with_remainder(psi_terms, ws.base, finite)[:W]
@@ -427,18 +361,17 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     S_full = nu_suf[0]
     sphi_prev = np.concatenate([[0.0], sphi[:-1]])
     with np.errstate(all="ignore"):
-        d1vals = (sphi + sphi_prev) * (psi - psi[0] * (nu_suf[1:W + 1] if not finite
-                                                       else np.concatenate([nu_suf[1:W], [Nterm]])) / S_full)
+        d1vals = (sphi + sphi_prev) * (psi - psi[0] * nu_suf[1:W + 1] / S_full)
     delta1 = float(np.nanmax(d1vals))
     # bar-delta_1 over stopping levels m < W (a one-state window has W = 2,
     # and phi_1 raises): phi does not decrease, so min(phi_j, phi_m) is phi_j
     # for j <= m and phi_m beyond, and each sum over j is a prefix sum plus
-    # phi_m (or its square) times the nu mass beyond m: nu[m + 2, N] plus
-    # 1/(mu_N b_N) on a finite chain, nu_suf[m + 1] on an infinite one (which
-    # counts nu_{m+1} twice; ROADMAP item 9)
+    # phi_m (or its square) times the nu mass beyond m + 1, nu_suf[m + 2]
+    # (plus 1/(mu_N b_N) on a finite chain); at m = W - 1 it is the mass past
+    # the window, nu_suf[W], since nu_next pads nu_W with 0
     pm = phi[np.arange(W)]
     nu_next = np.concatenate([nu[1:], [0.0]])
-    beyond = np.concatenate([nu_suf[2:], [Nterm]]) if finite else nu_suf[1:W + 1]
+    beyond = np.concatenate([nu_suf[2:], nu_suf[-1:]])
     with np.errstate(all="ignore"):
         A = np.cumsum(nu_next * phi * phi) + pm * pm * beyond
         B = np.cumsum(nu_next * phi) + pm * beyond
@@ -458,20 +391,21 @@ def ex5_3_sequences(model: ChainModel, steps: int):
     mu, nu, a = ws.mu, ws.nu_a, ws.a
     healthy = np.isfinite(nu) & (nu > 0) & (mu > 1e-280)
     W = int(np.argmin(healthy)) if not healthy.all() else len(mu)
-    best_dp = np.full(steps, -np.inf)
-    best_bar = np.full(steps, -np.inf)
-    for m in range(1, min(400, W - 1)):
-        n = m
-        phi = np.cumsum(nu[:n])
-        f = phi / phi[-1]  # every reported quantity is scale-invariant
-        tailmu = ws.mu_tail(ws.base + m)
-        for s in range(steps):
-            suf = np.cumsum((mu[:n] * f)[::-1])[::-1] + f[-1] * tailmu
-            nxt = np.cumsum(nu[:n] * suf)
-            best_dp[s] = max(best_dp[s], float(np.min(nxt / f)))
-            l2 = float(np.sum(mu[:n] * f * f)) + tailmu * f[-1] ** 2
-            fprev = np.concatenate([[0.0], f[:-1]])
-            dd = float(np.sum(mu[:n] * a[:n] * (f - fprev) ** 2))
-            best_bar[s] = max(best_bar[s], l2 / dd)
-            f = nxt / np.max(nxt)
-    return [float(x) for x in best_dp], [float(x) for x in best_bar]
+    # one row per stopping level m < 400: f = phi / phi_{m-1} on [0, m - 1],
+    # stopped beyond it, where the row's mu-mass past m - 1 closes the sums
+    levels = np.arange(1, min(400, W - 1))
+    n = max(len(levels), 1)
+    mu, nu, a = mu[:n], nu[:n], a[:n]
+    cols = np.minimum(np.arange(n), levels[:, None] - 1)
+    phi = np.cumsum(nu)
+    F = phi[cols] / phi[levels - 1][:, None]  # every reported quantity is scale-invariant
+    tail = ws.mu_tail(ws.base + n)
+    best_dp, best_bar = [], []
+    for _ in range(steps):
+        nxt = np.take_along_axis(_II(mu, nu, F, "suffix", "prefix", tail)[1], cols, axis=1)
+        best_dp.append(float(np.fmax.reduce(np.min(nxt / F, axis=1), initial=-np.inf)))
+        l2 = np.sum(mu * F * F, axis=1) + tail * F[:, -1] ** 2
+        dd = np.sum(mu * a * np.diff(F, axis=1, prepend=0.0) ** 2, axis=1)
+        best_bar.append(float(np.fmax.reduce(l2 / dd, initial=-np.inf)))
+        F = nxt / np.max(nxt, axis=1, keepdims=True)
+    return best_dp, best_bar

@@ -41,10 +41,6 @@ class DomainViolation(BdspecError):
     """Test-sequence transform applied outside its domain."""
 
 
-class OutsideSupport(BdspecError):
-    """Double-sum operator evaluated outside the support of its argument."""
-
-
 class EmptyRange(BdspecError):
     """Extremum requested over an empty index range."""
 
@@ -54,7 +50,8 @@ class TruncationTooSmall(BdspecError):
 
 
 class NoConvergence(BdspecError):
-    """Bisection budget exceeded; must not occur for tridiagonal Sturm."""
+    """The shooting recursion found no rate within its bisection budget
+    (raised by ``oracle.shooting_rate`` only)."""
 
 
 class DegenerateRecursion(BdspecError):

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracle, series
+from .approx import _II
 from .errors import (EtaOutOfRange, HypothesisUnverified, NotInF,
                      ShapeViolation, WrongBoundary)
 from .model import BoundaryCode, ChainModel, build_weights
@@ -196,14 +197,6 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None,
                                      "double_inf": cmin + best}
 
 
-def _II_r(mu, nu_b, f, r):
-    """II^r_i(f) = sum_{k<i} nu_k sum_{j<=k} r_j mu_j f_j along the last axis."""
-    inner = np.cumsum(r * mu * f, axis=-1)
-    out = np.zeros(np.shape(inner))
-    out[..., 1:] = np.cumsum(inner[..., :-1] * nu_b[:-1], axis=-1)
-    return out
-
-
 def _xi_zeta_rows(ws, W: int, finite: bool, F: np.ndarray, eta=None) -> list:
     """The bound inf c + zeta(eta, f) for each row f of the (G, W) array ``F``.
 
@@ -221,8 +214,9 @@ def _xi_zeta_rows(ws, W: int, finite: bool, F: np.ndarray, eta=None) -> list:
         out[g] = NotInF("f must be positive and finite")
     rows = np.flatnonzero(positive)
     Fa = F[rows]
-    II1 = _II_r(mu, nu_b, Fa, 1.0)
-    IIc = _II_r(mu, nu_b, Fa, ct)
+    # II^r_i(f) = sum_{k<i} nu_k sum_{j<=k} r_j mu_j f_j, with r = 1 and r = ct
+    II1 = _II(mu, nu_b, Fa, "prefix", "exclusive")[1]
+    IIc = _II(ct * mu, nu_b, Fa, "prefix", "exclusive")[1]
     member = ~np.any(Fa[:, 1:] >= Fa[:, :1] + IIc[:, 1:], axis=1)
     for g in rows[~member]:
         out[g] = NotInF("membership inequality f_i < f_1 + II^c(f) fails on the range")
@@ -240,7 +234,7 @@ def _xi_zeta_rows(ws, W: int, finite: bool, F: np.ndarray, eta=None) -> list:
     etas = xi if eta is None else np.full(len(rows), float(eta))
     if not np.all((0.0 <= etas) & (etas <= xi + 1e-15)):
         raise EtaOutOfRange("eta must lie in [0, xi_f]")
-    den = Fa[:, :1] + _II_r(mu, nu_b, Fa, ct - etas[:, None])
+    den = Fa[:, :1] + _II((ct - etas[:, None]) * mu, nu_b, Fa, "prefix", "exclusive")[1]
     mask = ct[1:] < etas[:, None]
     with np.errstate(all="ignore"):
         vals = ct[1:] + (etas[:, None] - ct[1:]) * Fa[:, 1:] / den[:, 1:]

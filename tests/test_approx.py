@@ -5,10 +5,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdspec import approx, estimates, oracle
-from bdspec.approx import TestFunction
-from bdspec.catalog import catalog
-from bdspec.errors import OutsideSupport, WrongBoundary
+from bdspec import approx, duality, estimates, oracle
+from bdspec.catalog import TABLE71_ROWS, catalog
+from bdspec.errors import WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel, build_weights
 
 SQRT2 = math.sqrt(2.0)
@@ -21,60 +20,112 @@ def _eigfun_const(a, b, n):
     return r ** i * (i + 1.0 - i * r)
 
 
+# ---------------------------------------------------------------------------
+# the operator kernel: against the definition, and the operators' lemmas
+# ---------------------------------------------------------------------------
+
+SHAPES = {"ND": ("prefix", "suffix"), "DN_NN": ("suffix", "prefix"),
+          "killed": ("prefix", "exclusive")}
+
+
+def _II_by_definition(mu, nu, f, inner, outer, tail):
+    """S_i and f_i II_i(f) of one row, one double-loop term at a time."""
+    W = len(f)
+    inside = {"prefix": lambda j, i: j <= i, "suffix": lambda j, i: j >= i,
+              "exclusive": lambda j, i: j < i}
+    S = [sum(mu[k] * f[k] for k in range(W) if inside[inner](k, i))
+         + (tail * f[-1] if inner == "suffix" else 0.0) for i in range(W)]
+    II = [sum(nu[j] * S[j] for j in range(W) if inside[outer](j, i)) for i in range(W)]
+    return np.array(S), np.array(II)
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 64])
+@pytest.mark.parametrize("tail", [0.0, 0.7])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_II_kernel_matches_definition(shape, tail, W):
+    inner, outer = SHAPES[shape]
+    rng = np.random.default_rng(W)
+    mu, nu = rng.uniform(0.1, 2.0, W), rng.uniform(0.1, 2.0, W)
+    mu[1::3] = 0.0
+    if outer == "exclusive":
+        nu[-1] = math.inf   # nu_b[N] of a chain with b_N = 0: never read
+    F = rng.uniform(0.1, 2.0, (5, W))
+    S, II = approx._II(mu, nu, F, inner, outer, tail)
+    assert np.all(np.isfinite(II))
+    for g in range(len(F)):
+        S_ref, II_ref = _II_by_definition(mu, nu, F[g], inner, outer, tail)
+        np.testing.assert_allclose(S[g], S_ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(II[g], II_ref, rtol=1e-13, atol=0)
+        S1, II1 = approx._II(mu, nu, F[g], inner, outer, tail)
+        assert S1.tobytes() == S[g].tobytes() and II1.tobytes() == II[g].tobytes()
+
+
+def _I(S, nu, inc):
+    """I_i(f) = S_i nu_i / inc_i, with inc_i = f_i - f_{i+1} in the ND shape and
+    f_i - f_{i-1} in the DN and NN shapes; +inf where inc_i <= 0 (the 1/0 = inf
+    convention)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(inc > 0, S * nu / inc, math.inf)
+
+
+def _I_nd(ws, f):
+    """I_i(f) of the ND shape, f vanishing past its support."""
+    n = len(f)
+    S = approx._II(ws.mu[:n], ws.nu_b[:n], f, *SHAPES["ND"])[0]
+    return _I(S, ws.nu_b[:n], -np.diff(f, append=0.0))
+
+
+def _II_nd(ws, f):
+    """II_i(f) of the ND shape on the support of f."""
+    n = len(f)
+    return approx._II(ws.mu[:n], ws.nu_b[:n], f, *SHAPES["ND"])[1] / f
+
+
 def test_single_sum_on_eigenfunction_is_constant():
-    model = catalog("const_nd", a=1.0, b=2.0)
-    ws = build_weights(model, 80)
+    ws = build_weights(catalog("const_nd", a=1.0, b=2.0), 80)
     lam = (SQRT2 - 1.0) ** 2
-    g = TestFunction(0, _eigfun_const(1.0, 2.0, 60), tail="zero")
-    vals = [approx.op_single_sum(ws, g, i) for i in range(0, 40)]
+    vals = _I_nd(ws, _eigfun_const(1.0, 2.0, 60))[:40]
     assert np.allclose(vals, 1.0 / lam, rtol=1e-10)
 
 
 def test_single_sum_constant_function_is_inf():
-    model = catalog("const_nd", a=1.0, b=2.0)
-    ws = build_weights(model, 50)
-    f = TestFunction(0, np.ones(30), tail="zero")
-    assert approx.op_single_sum(ws, f, 5) == math.inf
+    ws = build_weights(catalog("const_nd", a=1.0, b=2.0), 50)
+    assert _I_nd(ws, np.ones(30))[5] == math.inf
 
 
 def test_single_sum_dn_sqrt_seed_below_4delta():
+    # f = sqrt(i ^ m) on the states 1..1100, stopped beyond them
     model = catalog("ex5_5")
     ws = build_weights(model, 1200)
-    m = 1000
-    vals = np.sqrt(np.minimum(np.arange(1, 1101, dtype=float), float(m)))
-    f = TestFunction(1, vals, tail="constant")
+    m, n = 1000, 1100
+    f = np.sqrt(np.minimum(np.arange(1, n + 1, dtype=float), float(m)))
+    S = approx._II(ws.mu[:n], ws.nu_a[:n], f, *SHAPES["DN_NN"],
+                   tail=ws.mu_tail(ws.base + n))[0]
+    vals = _I(S, ws.nu_a[:n], np.diff(f, prepend=0.0))
     delta = estimates.delta_dn(model)[0]
     for j in (1, 2, 5, 17, 100, 999):
-        assert approx.op_single_sum(ws, f, j) <= 4.0 * delta + 1e-9
+        assert vals[j - ws.base] <= 4.0 * delta + 1e-9
 
 
 def test_double_sum_indicator_monotone():
-    model = catalog("const_nd", a=1.0, b=2.0)
-    ws = build_weights(model, 80)
-    f = TestFunction(0, np.ones(51), tail="zero")
-    vals = [approx.op_double_sum(ws, f, i) for i in range(0, 51)]
+    ws = build_weights(catalog("const_nd", a=1.0, b=2.0), 80)
+    vals = _II_nd(ws, np.ones(51))
     assert all(x >= y - 1e-12 for x, y in zip(vals, vals[1:]))
-    with pytest.raises(OutsideSupport):
-        approx.op_double_sum(ws, f, 51)
 
 
 def test_double_sum_truncated_eigenfunction_remark():
     # min over supp of II(g 1_{<=m}) equals (1 - g_{m+1}/g_m)/lambda
-    model = catalog("const_nd", a=1.0, b=2.0)
-    ws = build_weights(model, 120)
+    ws = build_weights(catalog("const_nd", a=1.0, b=2.0), 120)
     lam = (SQRT2 - 1.0) ** 2
     m = 40
     g_full = _eigfun_const(1.0, 2.0, m + 2)
-    g = TestFunction(0, g_full[: m + 1], tail="zero")
-    vals = [approx.op_double_sum(ws, g, i) for i in range(0, m + 1)]
     expect = (1.0 - g_full[m + 1] / g_full[m]) / lam
-    assert min(vals) == pytest.approx(expect, rel=1e-10)
+    assert min(_II_nd(ws, g_full[: m + 1])) == pytest.approx(expect, rel=1e-10)
 
 
 def test_double_sum_finite_eigenfunction_constant():
     # finite reflecting-origin chain with absorption past the top: the
     # eigenfunction (vanishing at N+1) makes the double sum identically 1/lam
-    from bdspec.model import BoundaryCode, ChainModel
     b = np.array([2.0, 3.0, 1.5])
     a = np.array([0.0, 1.0, 2.0])
     model = ChainModel(BoundaryCode.ND, 0, 2,
@@ -82,9 +133,7 @@ def test_double_sum_finite_eigenfunction_constant():
                        lambda i: a[np.asarray(i, dtype=np.int64)])
     ws = build_weights(model, 3)
     sr = oracle.principal_eigen(model, 2)
-    g = sr.eigvec / np.sqrt(ws.mu)
-    f = TestFunction(0, g, tail="zero")
-    vals = [approx.op_double_sum(ws, f, i) for i in range(3)]
+    vals = _II_nd(ws, sr.eigvec / np.sqrt(ws.mu))
     assert np.allclose(vals, 1.0 / sr.lam, rtol=1e-9)
 
 
@@ -167,7 +216,6 @@ def test_rayleigh_lemma_random_nondecreasing():
     for _ in range(10):
         steps = rng.uniform(0.0, 1.0, 200)
         f = np.concatenate([[0.0], np.cumsum(steps)])
-        tf = TestFunction(0, f, tail="constant")
         Z = ws.mu_total.value
         pif = (float(np.sum(ws.mu[:201] * f)) + f[-1] * ws.mu_tail(201)) / Z
         # mu(fbar^2) / D(f) >= inf_i I_i(fbar)
@@ -175,8 +223,10 @@ def test_rayleigh_lemma_random_nondecreasing():
         l2 = float(np.sum(ws.mu * fb * fb)) + fb[-1] ** 2 * ws.mu_tail(len(ws.mu))
         df = f[1:] - f[:-1]
         dd = float(np.sum(ws.mu[1:201] * ws.a[1:201] * df * df))
-        infI = min(approx.op_single_sum(ws, TestFunction(0, fb[:400], tail="constant"), i)
-                   for i in range(1, 250))
+        # I_i(fbar) on the states 0..399, fbar stopped beyond them
+        S = approx._II(ws.mu[:400], ws.nu_a[:400], fb[:400], *SHAPES["DN_NN"],
+                       tail=ws.mu_tail(400))[0]
+        infI = min(_I(S, ws.nu_a[:400], np.diff(fb[:400], prepend=0.0))[1:250])
         assert l2 / dd >= infI - 1e-9 * abs(infI)
 
 
@@ -196,6 +246,23 @@ def test_dd_first_step_ex7_6_2(eps):
     assert d1 == pytest.approx(expect_d1, rel=1e-12)
     if eps == 0.0:
         assert db1 == pytest.approx(0.5, rel=1e-12)  # collapses to 1/lambda
+
+
+LAMBDA0_71 = {name: lam0 for name, lam0, _ in TABLE71_ROWS}
+
+
+@pytest.mark.parametrize("name", LAMBDA0_71)
+def test_dd_first_step_matches_nn_dual(name):
+    # the inverse dual (7.3) is an NN chain whose eta_1 and bar-eta_1 are the
+    # DD chain's delta_1 and bar-delta_1; row 6 has no dual (its total weight
+    # diverges), and row 8 is window-limited (delta_1 3.7357 against 3.9958)
+    model = catalog(name)
+    _, d1, db1 = approx.dd_first_step(model)
+    assert 1.0 / db1 >= LAMBDA0_71[name]      # an upper bound of the rate
+    if name not in ("table7_1_row6", "table7_1_row8"):
+        e1, eb1 = approx.eta1_closed(duality.dualize(model, "inverse_7_3").dual)
+        assert d1 == pytest.approx(e1, rel=1e-12)
+        assert db1 == pytest.approx(eb1, rel=1e-12)
 
 
 def test_dd_first_step_wrong_boundary():
@@ -219,8 +286,7 @@ def _lm_loop(mu, nu, b, ell, m, steps):
         dd = float(np.sum(mu[:n] * b[:n] * (fx[1:] - fx[:-1]) ** 2))
         quotients.append(l2 / dd if dd > 0 else math.inf)
         S = np.cumsum(mu[:n] * f)
-        T = np.concatenate([np.cumsum((mu[:n] * kern * f)[::-1])[::-1][1:], [0.0]])
-        nxt = kern * S + T
+        nxt = np.cumsum((nu[:n] * S)[::-1])[::-1]
         ratios.append(float(np.min(nxt / f)))
         f = nxt / np.max(nxt)
     return ratios, quotients
@@ -271,6 +337,93 @@ def test_delta_prime_grid_matches_per_pair_loop(name):
     assert tr.extras["bars"] == bars
 
 
+def _eta_loop(model, steps):
+    """eta_seq_nn's (values, eta_prime, eta_bar) by one loop per stopping level."""
+    ws, W, mu, nu_shift, phi, tail, Z = approx._nn_arrays(model, 4096)
+    i_all = np.arange(1, W)
+
+    def center_T(f, mm):
+        pif = (float(np.sum(mu[: mm + 1] * f[: mm + 1]))
+               + f[mm] * (float(mu[mm + 1:].sum()) + tail)) / Z
+        fb = f - pif
+        return fb, np.cumsum((mu * fb)[::-1])[::-1] + fb[-1] * tail
+
+    def advance(T, mm):
+        g = np.cumsum(nu_shift * T)
+        return np.concatenate([g[: mm + 1], np.full(W - mm - 1, g[mm])])
+
+    f = np.sqrt(phi)
+    _, T_prev = center_T(f, W - 1)
+    with np.errstate(all="ignore"):
+        denom = (f[i_all] - f[i_all - 1]) / nu_shift[i_all]
+        etas = [float(np.nanmax(np.where(denom > 0, T_prev[i_all] / denom, -math.inf)))]
+    for _ in range(steps - 1):
+        _, T = center_T(advance(T_prev, W - 1), W - 1)
+        with np.errstate(all="ignore"):
+            r = np.where(T_prev[i_all] > 0, T[i_all] / T_prev[i_all], -math.inf)
+        etas.append(float(np.nanmax(r)))
+        T_prev = T
+    prim, bars = [-math.inf] * steps, [-math.inf] * steps
+    for mm in sorted({min(W - 1, int(round(g))) for g in np.geomspace(2, W - 1, 16)}):
+        f = np.concatenate([phi[: mm + 1], np.full(W - mm - 1, phi[mm])])
+        i = np.arange(1, mm + 1)
+        for n in range(steps):
+            fb, T = center_T(f, mm)
+            with np.errstate(all="ignore"):
+                denom = (f[i] - f[i - 1]) / nu_shift[i]
+                prim[n] = max(prim[n], float(np.min(np.where(denom > 0, T[i] / denom, math.inf))))
+            l2 = float(np.sum(mu * fb * fb)) + fb[-1] ** 2 * tail
+            dd = float(np.sum((f[i] - f[i - 1]) ** 2 / nu_shift[i]))
+            if dd > 0:
+                bars[n] = max(bars[n], l2 / dd)
+            f = advance(T, mm)
+    return etas, prim, bars
+
+
+def _ex5_3_loop(model, steps):
+    """ex5_3_sequences by one loop per stopping level m < 400."""
+    ws = build_weights(model, 600)
+    mu, nu, a = ws.mu, ws.nu_a, ws.a
+    healthy = np.isfinite(nu) & (nu > 0) & (mu > 1e-280)
+    W = int(np.argmin(healthy)) if not healthy.all() else len(mu)
+    best_dp, best_bar = [-math.inf] * steps, [-math.inf] * steps
+    for m in range(1, min(400, W - 1)):
+        phi = np.cumsum(nu[:m])
+        f = phi / phi[-1]
+        tailmu = ws.mu_tail(ws.base + m)
+        for s in range(steps):
+            suf = np.cumsum((mu[:m] * f)[::-1])[::-1] + f[-1] * tailmu
+            nxt = np.cumsum(nu[:m] * suf)
+            best_dp[s] = max(best_dp[s], float(np.min(nxt / f)))
+            l2 = float(np.sum(mu[:m] * f * f)) + tailmu * f[-1] ** 2
+            dd = float(np.sum(mu[:m] * a[:m] * (f - np.concatenate([[0.0], f[:-1]])) ** 2))
+            best_bar[s] = max(best_bar[s], l2 / dd)
+            f = nxt / np.max(nxt)
+    return best_dp, best_bar
+
+
+NN_ERGODIC = ["ex6_7", "ex6_11"] + ["table6_1_row%d" % k for k in range(1, 9)]
+
+
+@pytest.mark.parametrize("name", NN_ERGODIC)
+def test_eta_seq_rows_match_per_level_loop(name):
+    # one batched pass per step against a loop over the levels: the sums run
+    # in another order (the level's centring over the whole window), 1e-13
+    tr = approx.eta_seq_nn(catalog(name), 5)
+    etas, prim, bars = _eta_loop(catalog(name), 5)
+    assert tr.values == pytest.approx(etas, rel=1e-13)
+    assert tr.extras["eta_prime"] == pytest.approx(prim, rel=1e-13)
+    assert tr.extras["eta_bar"] == pytest.approx(bars, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["ex5_3", "ex5_5", "ex5_7"])
+def test_ex5_3_rows_match_per_level_loop(name):
+    dp, bars = approx.ex5_3_sequences(catalog(name), 5)
+    dp_ref, bars_ref = _ex5_3_loop(catalog(name), 5)
+    assert dp == pytest.approx(dp_ref, rel=1e-13)
+    assert bars == pytest.approx(bars_ref, rel=1e-13)
+
+
 def _delta_bar1_loop(model, window, levels=None):
     """dd_first_step's bar-delta_1 by one O(W) sum per stopping level m;
     ``levels`` restricts m to a subset of range(W)."""
@@ -293,7 +446,7 @@ def _delta_bar1_loop(model, window, levels=None):
             phim = np.minimum(phi, pm)
             A = float(np.sum(nu_next * phim * phim))
             B = float(np.sum(nu_next * phim))
-            beyond = Nterm if finite else nu_suf[mi + 1] - float(nu_next[mi + 1:].sum())
+            beyond = Nterm if finite else nu_suf[mi + 1] - float(nu_next[mi:].sum())
             A += pm * pm * beyond
             B += pm * beyond
             best = max(best, (A - B * B / nu_suf[0]) / pm)

@@ -120,6 +120,16 @@ def test_flag_error_exits_1(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model,grid", [("table6_1_row1", "5000"), ("table6_1_row1", "0"),
+                                        ("const_nd", "5000")])
+def test_approx_grid_outside_window_exits_1(model, grid, capsys):
+    assert cli.main(["approx", "--model", model, "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: stopping levels must lie in [1, " in captured.err
+    assert "Traceback" not in captured.err
+
+
 def strict_json(text):
     """json.loads that refuses the non-standard NaN, Infinity and -Infinity."""
     def refuse(token):
