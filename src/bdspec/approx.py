@@ -3,13 +3,13 @@
 One row-batched kernel, ``_II``, evaluates the operators I and II on a (G, W)
 array; each caller fixes its sum directions from the boundary shape (ND,
 DN/NN, and the killed chain of ``killing``), and the sequences make one
-batched pass per step with a row per stopping level. It replaced the public
-``op_single_sum``, ``op_double_sum``, ``TestFunction`` and
-``errors.OutsideSupport``. The iterates live on truncated supports where the
-defining recursions are exact, so the traces are monotone to rounding by the
-same proportional argument that proves it for the full chain. First-step
-quantities get dedicated closed-form evaluations with remainder-corrected
-tail sums, since several of the benchmark suprema sit at infinity.
+batched pass per step with a row per stopping level. It replaced the former
+public one-index operator functions, their test-function type and its
+out-of-support error (listed in the README). Iterates live on truncated
+supports where the defining recursions are exact, so the traces are monotone
+to rounding by the proportional argument that proves it for the full chain.
+First-step quantities get closed-form evaluations with remainder-corrected
+tail sums, since several benchmark suprema sit at infinity.
 """
 
 from __future__ import annotations
@@ -91,9 +91,9 @@ def _II(mu, nu, F, inner: str, outer: str, tail: float = 0.0):
     """The operators I and II on each row f of ``F``, a (G, W) array or one row.
 
     Returns the inner sums S_i = sum_k mu_k f_k, over k <= i (``inner`` =
-    "prefix") or over k >= i plus ``tail`` * f_{W-1} ("suffix", ``tail``
-    being the mu-mass past the window), whose ratio to the increment of f at
-    i is I_i(f); and f_i II_i(f) = sum_j nu_j S_j, over j >= i (``outer`` =
+    "prefix") or over k >= i plus ``tail`` * f_{W-1} ("suffix", ``tail`` the
+    mu-mass past the window), so that S_i nu_i over the increment of f at i
+    is I_i(f); and f_i II_i(f) = sum_j nu_j S_j, over j >= i (``outer`` =
     "suffix"), j <= i ("prefix") or j < i ("exclusive", which never reads
     nu_{W-1}). ``mu`` may carry the row axis too. Every product and cumsum
     runs along a row, so each row equals its one-row call bit for bit.

@@ -50,8 +50,8 @@ class TruncationTooSmall(BdspecError):
 
 
 class NoConvergence(BdspecError):
-    """The shooting recursion found no rate within its bisection budget
-    (raised by ``oracle.shooting_rate`` only)."""
+    """The shooting recursion found no admissible shift (raised by
+    ``oracle.shooting_rate`` only)."""
 
 
 class DegenerateRecursion(BdspecError):

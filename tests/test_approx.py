@@ -371,7 +371,8 @@ def _eta_loop(model, steps):
             fb, T = center_T(f, mm)
             with np.errstate(all="ignore"):
                 denom = (f[i] - f[i - 1]) / nu_shift[i]
-                prim[n] = max(prim[n], float(np.min(np.where(denom > 0, T[i] / denom, math.inf))))
+                vals = np.where(denom > 0, T[i] / denom, math.inf)
+            prim[n] = max(prim[n], float(np.min(vals)))
             l2 = float(np.sum(mu * fb * fb)) + fb[-1] ** 2 * tail
             dd = float(np.sum((f[i] - f[i - 1]) ** 2 / nu_shift[i]))
             if dd > 0:
