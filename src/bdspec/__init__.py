@@ -13,9 +13,9 @@ from .estimates import (Bracket, BasicBracketReport, basic_bracket, delta_dn,
 from .approx import (ApproxTrace, dd_first_step, delta_prime_seq_nd, delta_seq_nd,
                      eta1_closed, eta_seq_nn, first_step_closed)
 from .duality import DualPair, dualize, similarity_check, v_transform
-from .oracle import (SpectralResult, TruncationTrace, eigen_identity_check,
-                     principal_eigen, shooting_rate, splitting_bracket,
-                     truncation_limit)
+from .oracle import (SpectralResult, TruncationTrace, difference_form,
+                     eigen_identity_check, principal_eigen, shooting_rate,
+                     splitting_bracket, truncation_limit, v_products)
 from .killing import (KillingBounds, ReductionResult, corollary_9_9,
                       dispatch_9_12, limsup_upper, r_operator_bounds,
                       reduce_9_11, sqrt_test_bound, upper_9_9, xi_zeta)

@@ -246,6 +246,8 @@ def first_step_closed(model: ChainModel, window: int = 200000):
 # ---------------------------------------------------------------------------
 
 def _nn_arrays(model: ChainModel, window: int):
+    if model.boundary is not BoundaryCode.NN:
+        raise WrongBoundary("eta sequences need an NN model")
     ws = build_weights(model, window)
     if not math.isfinite(ws.mu_total.value):
         raise WrongBoundary("eta sequences need sum(mu) < inf")
@@ -342,10 +344,7 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     mu = ws.mu[:W]
     if not finite and not math.isfinite(ws.nu_a_total.value):
         raise Condition72Fails("sum 1/(mu_i a_i) must converge (7.2)")
-    Nterm = 0.0
-    if finite:
-        mb = ws.mu[-1] * ws.b[-1]
-        Nterm = 1.0 / mb if mb > 0 else math.inf
+    Nterm = ws.top_exit
     phi = np.cumsum(mu)                      # mu[1, i]
     nu_suf = _suffix_with_remainder(nu, ws.base, finite) + Nterm
     # delta = sup_{n<=N} mu[1,n] (nu[n+1,N] + 1_{N<inf}/(mu_N b_N)); on a finite
@@ -387,6 +386,8 @@ def dd_first_step(model: ChainModel, window: int = 200000):
 def ex5_3_sequences(model: ChainModel, steps: int):
     """The increasing dual sequences of the constant-rate chain (Example 5.3):
     the best delta'_n-hat and bar-delta_n-hat over stopping levels m < 400."""
+    if model.boundary is not BoundaryCode.DN:
+        raise WrongBoundary("ex5_3_sequences needs a DN model")
     ws = build_weights(model, 600)
     mu, nu, a = ws.mu, ws.nu_a, ws.a
     healthy = np.isfinite(nu) & (nu > 0) & (mu > 1e-280)

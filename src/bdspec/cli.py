@@ -16,13 +16,14 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import approx, duality, estimates, killing, oracle, poincare
 from .catalog import TABLE61_ROWS, TABLE71_ROWS, catalog, table71_v
 from .errors import BdspecError, KilledChain
 from .model import BoundaryCode, load_model
 from .series import Certainty
+
+# the truncation levels of `bdspec table`'s oracle limits: m = 250 * 2^(k/2)
+TABLE_SCHEDULE = (250, 354, 500, 707, 1000, 1414, 2000, 2828, 4000)
 
 
 def _env_int(name, default):
@@ -277,8 +278,7 @@ def _table61_row(name_exact):
     model = catalog(name)
     e1, eb1 = approx.eta1_closed(model)
     kap = estimates.kappa_nn(model)[0]
-    sched = [250, 354, 500, 707, 1000, 1414, 2000, 2828, 4000]
-    lam = oracle.truncation_limit(model, sched).limit
+    lam = oracle.truncation_limit(model, TABLE_SCHEDULE).limit
     return {"row": name, "lambda1_inv_exact": lam_inv, "lambda1_inv_oracle": 1.0 / lam,
             "eta_bar_1": eb1, "eta_1": e1, "ratio": e1 / eb1, "kappa": kap,
             "dev_eta_bar": abs(eb1 - eb_p) / eb_p, "dev_eta": abs(e1 - e1_p) / e1_p,
@@ -288,26 +288,13 @@ def _table61_row(name_exact):
 def _table71_row(name_exact):
     name, lam0, start = name_exact
     model = catalog(name)
-    v = table71_v(name)
-    g = _v_products(v)
+    g = oracle.v_products(table71_v(name))
     lo = start if start is not None else 2
     resid = oracle.eigen_identity_check(model, lam0, g, lo, 1000)["difference_form"]
-    sched = [250, 354, 500, 707, 1000, 1414, 2000, 2828, 4000]
-    lam = oracle.truncation_limit(model, sched).limit
+    lam = oracle.truncation_limit(model, TABLE_SCHEDULE).limit
     return {"row": name, "lambda0_exact": lam0, "lambda0_oracle": lam,
             "dev_oracle": abs(lam - lam0) / lam0, "r_residual": resid,
             "identity_from": start}
-
-
-def _v_products(v):
-    def g(idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        top = int(idx.max())
-        ii = np.arange(1, top + 1, dtype=np.int64)
-        vv = np.asarray(v(ii), dtype=float)
-        gg = np.concatenate([[1.0], np.cumprod(vv)])  # g_1 = 1, g_{i+1} = g_i v_i
-        return gg[idx - 1]
-    return g
 
 
 def cmd_table(args):
@@ -354,7 +341,12 @@ def cmd_table(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flag errors exit 1, like model errors; 2 means "not fully certified"."""
+    """Flag errors exit 1, like model errors; 2 means "not fully certified".
+    No abbreviations: a flag a subcommand does not take is an error, never a
+    prefix of one it does take (``--m`` of ``--model``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -366,27 +358,30 @@ def main(argv=None):
         prog="bdspec",
         description="Brackets, refinements and oracles for birth-death decay rates")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="catalog model name")
-    common.add_argument("--file", help="model definition file (JSON)")
-    common.add_argument("--param", default="", help="comma-separated k=v pairs")
-    common.add_argument("--m", type=int, help="truncation level")
-    common.add_argument("--steps", type=int, help="iteration steps")
-    common.add_argument("--grid", default="", help="comma-separated grid values")
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--csv", action="store_true")
-    sub.add_parser("estimate", parents=[common]).set_defaults(fn=cmd_estimate)
-    sub.add_parser("approx", parents=[common]).set_defaults(fn=cmd_approx)
-    sub.add_parser("oracle", parents=[common]).set_defaults(fn=cmd_oracle)
-    sub.add_parser("killing", parents=[common]).set_defaults(fn=cmd_killing)
-    p_dual = sub.add_parser("dual", parents=[common])
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--csv", action="store_true")
+    chain = argparse.ArgumentParser(add_help=False, parents=[output])
+    chain.add_argument("--model", help="catalog model name")
+    chain.add_argument("--file", help="model definition file (JSON)")
+    chain.add_argument("--param", default="", help="comma-separated k=v pairs")
+    sub.add_parser("estimate", parents=[chain]).set_defaults(fn=cmd_estimate)
+    p_app = sub.add_parser("approx", parents=[chain])
+    p_app.add_argument("--steps", type=int, help="iteration steps")
+    p_app.add_argument("--grid", default="", help="comma-separated stopping levels")
+    p_app.set_defaults(fn=cmd_approx)
+    for name, fn in (("oracle", cmd_oracle), ("killing", cmd_killing)):
+        p_m = sub.add_parser(name, parents=[chain])
+        p_m.add_argument("--m", type=int, help="truncation level")
+        p_m.set_defaults(fn=fn)
+    p_dual = sub.add_parser("dual", parents=[chain])
     p_dual.add_argument("--check-similarity", action="store_true")
     p_dual.add_argument("--n", type=int)
     p_dual.set_defaults(fn=cmd_dual)
-    p_poi = sub.add_parser("poincare", parents=[common])
+    p_poi = sub.add_parser("poincare", parents=[chain])
     p_poi.add_argument("--p", type=float)
     p_poi.set_defaults(fn=cmd_poincare)
-    p_tab = sub.add_parser("table", parents=[common])
+    p_tab = sub.add_parser("table", parents=[output])
     p_tab.add_argument("which", choices=["table6_1", "table7_1", "ex5_3_sequences"])
     p_tab.set_defaults(fn=cmd_table)
     args = parser.parse_args(argv)

@@ -50,6 +50,18 @@ def _masked_sup(values: np.ndarray, genuinely_infinite: bool) -> float:
     return float(np.max(values[sel])) if sel.any() else 0.0
 
 
+def _delta_terms(ws: WeightSystem, which: str, s: float = 1.0) -> np.ndarray:
+    """The objectives of delta^(3.1) and delta^(4.4) at every window index n:
+    mu[base, n]^s nu_b[n, N] (``which`` = "3.1") or nu_a[1, n] mu[n, N]^s
+    ("4.4", from state 1). s = 2/p gives the L^(p/2) forms of ``poincare``;
+    x ** 1.0 is exact, so s = 1 is the plain product. Overflow (inf) and
+    inf * 0 (nan) are left to the callers' masked scans."""
+    with np.errstate(all="ignore"):
+        if which == "3.1":
+            return ws.mu_prefix_arr ** s * ws.nu_tails("b")
+        return (np.cumsum(ws.nu_a) * ws.mu_tails() ** s)[1 - ws.base:]
+
+
 def _kappa_terms(ws: WeightSystem, reflecting: bool):
     """(L, R, mid, strict) of kappa^(6.13) for a reflecting origin, of
     kappa^(7.5) for an absorbing one: L and R are the reciprocal boundary
@@ -92,12 +104,9 @@ def delta_nd(model: ChainModel, n_max: int = 10 ** 5):
     if model.boundary is not BoundaryCode.ND:
         raise WrongBoundary("delta_nd needs an ND model")
     ws = build_weights(model, n_max)
-    tails = ws.nu_tails("b")
     if not math.isfinite(ws.nu_b_total.value):
         return _window_sup(ws, None, "delta_3_1")
-    with np.errstate(all="ignore"):
-        obj = ws.mu_prefix_arr * tails
-    return _window_sup(ws, obj, "delta_3_1")
+    return _window_sup(ws, _delta_terms(ws, "3.1"), "delta_3_1")
 
 
 def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
@@ -107,12 +116,7 @@ def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
     ws = build_weights(model, n_max)
     if not math.isfinite(ws.mu_total.value):
         return _window_sup(ws, None, "delta_4_4")
-    with np.errstate(over="ignore"):
-        nu_pref = np.cumsum(ws.nu_a)
-    mu_tails = ws.mu_tails()
-    with np.errstate(all="ignore"):
-        obj = nu_pref * mu_tails
-    return _window_sup(ws, obj, "delta_4_4")
+    return _window_sup(ws, _delta_terms(ws, "4.4"), "delta_4_4")
 
 
 def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
@@ -123,17 +127,9 @@ def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
     if not math.isfinite(ws.mu_total.value):
         raise NotErgodic("kappa_nn requires sum(mu) < inf")
     kappa, rep = _kappa(ws, reflecting=True)
-    mu_tails = ws.mu_tails()
     # delta_L = sup_{n>=1} nu_a[1,n] mu[n,N]; delta_R = sup_m mu[0,m] nu_b[m,N-1]
-    with np.errstate(over="ignore"):
-        nu_a_pref = np.cumsum(ws.nu_a)
-    with np.errstate(all="ignore"):
-        dl = nu_a_pref[1:] * mu_tails[1:]
-    delta_L = _masked_sup(dl, not math.isfinite(ws.mu_total.value))
-    nub_tails = ws.nu_tails("b")
-    with np.errstate(all="ignore"):
-        dr = ws.mu_prefix_arr * nub_tails
-    delta_R = _masked_sup(dr, not math.isfinite(ws.nu_b_total.value))
+    delta_L = _masked_sup(_delta_terms(ws, "4.4"), not math.isfinite(ws.mu_total.value))
+    delta_R = _masked_sup(_delta_terms(ws, "3.1"), not math.isfinite(ws.nu_b_total.value))
     bracket = _bracket_from_constant(kappa, "kappa_6_13", rep)
     return kappa, delta_L, delta_R, bracket
 
@@ -144,24 +140,12 @@ def kappa_dd(model: ChainModel, n_max: int = 10 ** 5):
         raise WrongBoundary("kappa_dd needs a DD model")
     ws = build_weights(model, n_max)
     kappa, rep = _kappa(ws, reflecting=False)
-    with np.errstate(over="ignore"):
-        nu_a_pref = np.cumsum(ws.nu_a)
-    nub_tails = ws.nu_tails("b")
-    mu_tails = ws.mu_tails()
-    with np.errstate(all="ignore"):
-        dl = nu_a_pref * mu_tails
-    delta_L = _masked_sup(dl, not math.isfinite(ws.mu_total.value)
+    delta_L = _masked_sup(_delta_terms(ws, "4.4"), not math.isfinite(ws.mu_total.value)
                           and math.isfinite(ws.nu_a_total.value))
-    with np.errstate(all="ignore"):
-        dr = ws.mu_prefix_arr * nub_tails
-    delta_R = _masked_sup(dr, not math.isfinite(ws.nu_b_total.value)
+    delta_R = _masked_sup(_delta_terms(ws, "3.1"), not math.isfinite(ws.nu_b_total.value)
                           and math.isfinite(ws.mu_total.value))
-    S = ws.nu_a_total.value
-    if ws.finite and model.hi is not None:
-        mb = ws.mu[-1] * ws.b[-1]
-        S = float(np.sum(ws.nu_a)) + (1.0 / mb if mb > 0 else math.inf)
     bracket = _bracket_from_constant(kappa, "kappa_7_5", rep)
-    return kappa, delta_L, delta_R, S, bracket
+    return kappa, delta_L, delta_R, ws.exit_mass, bracket
 
 
 def kappa_bilateral(model: ChainModel, variant: str = "DD_7_11",
@@ -262,14 +246,8 @@ def basic_bracket(model: ChainModel, n_max: int = 10 ** 5) -> BasicBracketReport
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise WrongBoundary("basic_bracket covers the four half-line codes")
     ws = build_weights(model, n_max)
-    mu_tails = ws.mu_tails()
-    nub_tails = ws.nu_tails("b")
-    with np.errstate(over="ignore"):
-        nu_a_pref = np.cumsum(ws.nu_a)
     # delta^(4.4) and delta^(3.1) with saturation conventions
-    with np.errstate(all="ignore"):
-        d44 = nu_a_pref[1:] * mu_tails[1:] if ws.base == 0 else nu_a_pref * mu_tails
-        d31 = ws.mu_prefix_arr * nub_tails
+    d44, d31 = _delta_terms(ws, "4.4"), _delta_terms(ws, "3.1")
     mu_fin = math.isfinite(ws.mu_total.value)
     nub_fin = math.isfinite(ws.nu_b_total.value)
     delta44 = _masked_sup(d44, not mu_fin) if len(d44) else math.inf

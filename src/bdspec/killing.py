@@ -113,9 +113,11 @@ def _robust_inf(values: np.ndarray, finite: bool):
 
 def r_operator_bounds(model: ChainModel, v, lo: int = 1,
                       hi: Optional[int] = None, window: int = 8192):
-    """(inf R_i(v), sup R_i(v)) with R_i(v) = a_i(1 - 1/v_{i-1}) + b_i(1 - v_i) + c_i.
+    """(inf R_i(v), sup R_i(v)) with R the kernel ``oracle.difference_form``,
+    R_i(v) = a_i(1 - 1/v_{i-1}) + b_i(1 - v_i) + c_i, over [lo, hi] inside
+    the float-safe weight window.
 
-    The bottom death rate folds into the killing term (the v_0 = inf
+    The bottom death rate folds into the killing term (the 1/v_0 = 0
     convention). The infimum is a certified lower bound of the rate only
     under the membership conditions; the verdict travels in the result.
     """
@@ -125,20 +127,11 @@ def r_operator_bounds(model: ChainModel, v, lo: int = 1,
     vv = np.asarray(v(idx), dtype=float) if callable(v) else np.asarray(v, dtype=float)[: len(idx)]
     if np.any(vv <= 0):
         raise NotInF("test sequence must be positive")
-    a = ws.a[: len(idx)].copy()
-    b = ws.b[: len(idx)]
-    c = ws.c[: len(idx)].copy()
-    c[0] += a[0]
-    a[0] = 0.0
-    r = np.empty(len(idx))
-    r[0] = b[0] * (1.0 - vv[0]) + c[0]
-    r[1:] = a[1:] * (1.0 - 1.0 / vv[:-1]) + b[1:] * (1.0 - vv[1:]) + c[1:]
-    sel = (idx >= lo) & (idx <= (hi if hi is not None else idx[-1]))
-    rs = r[sel]
+    rs = oracle.difference_form(model, vv, ws.base, top)[idx >= lo]
     finite = model.hi is not None and top >= model.hi
     # membership: f from the ratio products must be square-integrable with
     # Omega f / f bounded above -- checked on the scanned range only
-    f = np.cumprod(np.concatenate([[1.0], vv[:-1]]))
+    f = oracle.v_products(vv)(idx)
     terms = ws.mu[: len(idx)] * f * f
     tail_ratio = terms[-1] / terms[-2] if len(terms) > 1 and terms[-2] > 0 else math.inf
     in_l2 = finite or tail_ratio < 0.999

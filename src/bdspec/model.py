@@ -23,7 +23,9 @@ from .errors import BadParameter, NonPositiveRate, Overflow
 
 DEFAULT_NMAX = 10 ** 5
 DEFAULT_TOL = 1e-10
-LOG_TINY = math.log(np.finfo(float).tiny)   # -708.4: the underflow threshold
+TINY = np.finfo(float).tiny                 # the smallest normal float
+LOG_TINY = math.log(TINY)                   # -708.4: the underflow threshold
+LOG_HUGE = math.log(np.finfo(float).max)    # 709.8: the overflow threshold
 
 
 class BoundaryCode(enum.Enum):
@@ -147,6 +149,18 @@ class WeightSystem:
     @property
     def finite(self) -> bool:
         return self.model.hi is not None and self.top >= self.model.hi
+
+    @property
+    def top_exit(self) -> float:
+        """1/(mu_N b_N), the nu-mass of the exit past the top state N of a
+        finite chain the window covers (inf if b_N = 0); 0 otherwise."""
+        mb = self.mu[-1] * self.b[-1] if self.finite else math.inf
+        return 1.0 / mb if mb > 0 else math.inf
+
+    @property
+    def exit_mass(self) -> float:
+        """S = nu_a[base, N] + 1/(mu_N b_N) of a DD chain; nu_a's total if infinite."""
+        return float(np.sum(self.nu_a)) + self.top_exit if self.finite else self.nu_a_total.value
 
     def _suffix(self, key: str, arr: np.ndarray, total: float) -> np.ndarray:
         """Suffix sums plus the beyond-window remainder.
@@ -295,16 +309,19 @@ def _build(model: ChainModel, n_max: int, tol: float) -> WeightSystem:
         with np.errstate(over="ignore"):
             np.divide(b[:-1], a[1:], out=mu[1:])
             np.cumprod(mu, out=mu)
-        if not 0.0 < mu[-1] < math.inf:
-            # 0 and inf absorb the cumprod, even where the weights come back
-            # into float range: from its first 0 or inf on, exp of the logs
-            # takes over where they are back below 709 after an overflow, back
-            # above the underflow threshold after an underflow (inf above 709)
-            k = int(np.argmin((mu > 0.0) & (mu < math.inf)))
-            tail, lm = mu[k:], log_mu[k:]
-            redo = ((lm > LOG_TINY) if tail[0] == 0.0 else (lm <= 709.0)) | np.isnan(tail)
-            lm = lm[redo]
-            tail[redo] = np.exp(np.clip(lm, -745.0, 709.0)) * np.where(lm > 709.0, math.inf, 1.0)
+        if not (np.min(mu) >= TINY and mu[-1] < math.inf):
+            # a subnormal, 0 or inf entry passes its lost digits on to every
+            # later one; where the weights come back into float range, redo
+            # the recurrence from the last normal weight on mu_n 2^-s_n,
+            # s_n = log2 mu_n rounded: exact scalings, products near 1
+            k = int(np.argmin((mu >= TINY) & (mu < math.inf)))
+            lm = log_mu[k:]
+            if np.any((lm > LOG_TINY) & (lm < LOG_HUGE)):
+                sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
+                m = np.ldexp(np.concatenate([mu[k - 1:k], b[k - 1:-1] / a[k:]]),
+                             np.concatenate([-sc[:1], sc[:-1] - sc[1:]]))
+                with np.errstate(over="ignore"):
+                    mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (an overflowed
         # weight); the rates are positive and finite inside the range, so

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import series
-from .errors import (DegenerateRecursion, NoConvergence, TruncationTooSmall,
-                     WrongBoundary)
-from .model import BoundaryCode, ChainModel
+from .errors import (BadParameter, DegenerateRecursion, NoConvergence,
+                     TruncationTooSmall, WrongBoundary)
+from .model import BoundaryCode, ChainModel, build_weights
 
 
 @dataclass(frozen=True)
@@ -247,51 +247,71 @@ def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResu
     for i in range(1, len(a)):
         u[i] = (a[i] * u[i - 1] / (1.0 + u[i - 1]) - z) / b[i]
     with np.errstate(over="ignore"):
-        g = np.cumprod(np.concatenate([[1.0], 1.0 + np.maximum(u[:-1], 0.0)]))
+        g = v_products(1.0 + np.maximum(u, 0.0))(np.arange(1, len(u) + 1))
     return SpectralResult(z, g, top - 1, hi - lo, "Shooting", base=1)
+
+
+def difference_form(model: ChainModel, v, lo: int, hi: int) -> np.ndarray:
+    """R_i(v) = a_i (1 - 1/v_{i-1}) + b_i (1 - v_i) + c_i for i = lo..hi, with
+    ``v`` = v_{lo-1}, ..., v_hi, or v_lo, ..., v_hi when lo is the left end
+    of the state space. There 1/v_{lo-1} = 0: a Dirichlet origin's death
+    rate acts as killing, and a reflecting origin has none (``model.rates``
+    sets it to 0). R is local: any index range, no weights needed."""
+    a, b, c = model.rates(lo, hi)
+    v = np.asarray(v, dtype=float)
+    if lo == model.lo:
+        v = np.concatenate([[math.inf], v])
+    return a * (1.0 - 1.0 / v[:-1]) + b * (1.0 - v[1:]) + c
+
+
+def v_products(v):
+    """The test function g of a ratio sequence v: g_1 = 1, g_{i+1} = g_i v_i.
+    ``v`` is a callable on int arrays or an array v_1, v_2, ...; g is
+    returned as a callable on int arrays of states i >= 1."""
+    def g(idx):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.min() < 1:
+            raise BadParameter("g is defined on the states i >= 1")
+        top = int(idx.max())
+        vv = (np.asarray(v(np.arange(1, top, dtype=np.int64)), dtype=float) if callable(v)
+              else np.asarray(v, dtype=float)[: top - 1])
+        return np.concatenate([[1.0], np.cumprod(vv)])[idx - 1]
+    return g
 
 
 def eigen_identity_check(model: ChainModel, lam: float, g, lo: int, hi: int) -> dict:
     """Residuals of the summed eigen-identity and of the difference form.
 
-    ``g`` is a callable on int arrays (positive on [lo, hi+1]). For the
+    ``g`` is a callable on int arrays (positive on [lo, hi+1]); the
+    difference form is ``difference_form`` of v = g_{i+1}/g_i. For the
     Dirichlet-at-origin codes the death rate at the bottom state acts as a
-    killing term, which is exactly how the difference form treats it via the
-    v_0 = inf convention. Residuals are relative (scale-free).
+    killing term, as the difference form treats it. Residuals are relative
+    (scale-free). Half-line chains only: the weights come from
+    ``build_weights``.
     """
-    idx = np.arange(model.base, hi + 2, dtype=np.int64)
-    a, b, c = model.rates(int(idx[0]), int(idx[-1]))
-    gv = np.asarray(g(idx), dtype=float)
     base = model.base
-    c_eff = c.copy()
-    if model.boundary in (BoundaryCode.DN, BoundaryCode.DD):
-        c_eff[0] += a[0]
-        a = a.copy()
-        a[0] = 0.0
-    mu = np.ones(len(idx))
+    if model.hi is not None and hi > model.hi:
+        raise BadParameter("the identity range ends at the top state %d" % model.hi)
+    idx = np.arange(base, hi + 2, dtype=np.int64)
+    gv = np.asarray(g(idx), dtype=float)
+    ws = build_weights(model, hi + 1 - base)
+    mu, c = ws.mu, ws.c.copy()
+    c[0] += ws.a[0]
     with np.errstate(all="ignore"):
-        for kx in range(1, len(idx)):
-            mu[kx] = mu[kx - 1] * b[kx - 1] / a[kx] if a[kx] > 0 else math.inf
         # (summed form) mu_k b_k (g_k - g_{k+1}) = sum_{i<=k} (lam - c_i) mu_i g_i
-        terms = (lam - c_eff[:-1]) * mu[:-1] * gv[:-1]
-        lhs = mu[:-1] * b[:-1] * (gv[:-1] - gv[1:])
+        terms = (lam - c) * mu * gv[:-1]
+        lhs = mu * ws.b * (gv[:-1] - gv[1:])
         rhs = np.cumsum(terms)
-    healthy = np.isfinite(gv) & (np.abs(gv) > 1e-280)
-    healthy = healthy[:-1] & healthy[1:] & np.isfinite(mu[:-1]) & (mu[:-1] > 1e-280)
-    sel = (idx[:-1] >= lo) & (idx[:-1] <= hi) & np.isfinite(lhs) & np.isfinite(rhs) & healthy
-    # backward-stable scale: a partial sum is only determined up to rounding
-    # in its largest summand, so normalize by the running term magnitude
-    with np.errstate(all="ignore"):
+        # backward-stable scale: a partial sum is only determined up to rounding
+        # in its largest summand, so normalize by the running term magnitude
         scale = np.maximum.accumulate(np.maximum(np.abs(lhs), np.abs(terms)))
-        denom = np.where(scale > 0, scale, 1.0)
-        res_sum = float(np.max(np.abs(lhs - rhs)[sel] / denom[sel])) if sel.any() else math.nan
-    # (difference form) R_i(v) = a_i (1 - 1/v_{i-1}) + b_i (1 - v_i) + c_i
-    with np.errstate(all="ignore"):
-        v = gv[1:] / gv[:-1]
-        r = np.empty(len(idx) - 1)
-        r[0] = a[0] + b[0] * (1.0 - v[0]) + c_eff[0]
-        r[1:] = a[1:-1] * (1.0 - 1.0 / v[:-1]) + b[1:-1] * (1.0 - v[1:]) + c_eff[1:-1]
-    sel_r = (idx[:-1] >= lo) & (idx[:-1] <= hi) & np.isfinite(r) & healthy
+        res = np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)
+        r = difference_form(model, gv[1:] / gv[:-1], base, hi)
+    healthy = np.isfinite(gv) & (np.abs(gv) > 1e-280)
+    sel = (idx[:-1] >= lo) & healthy[:-1] & healthy[1:] & np.isfinite(mu) & (mu > 1e-280)
+    sel_s = sel & np.isfinite(lhs) & np.isfinite(rhs)
+    sel_r = sel & np.isfinite(r)
+    res_sum = float(np.max(res[sel_s])) if sel_s.any() else math.nan
     res_r = float(np.max(np.abs(r - lam)[sel_r] / max(1.0, abs(lam)))) if sel_r.any() else math.nan
     return {"summed_form": res_sum, "difference_form": res_r}
 

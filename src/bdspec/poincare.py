@@ -15,7 +15,8 @@ import numpy as np
 
 from . import series
 from .errors import WrongVariant
-from .estimates import _bilateral_scan, _bilateral_sums, _kappa, _kappa_terms
+from .estimates import (_bilateral_scan, _bilateral_sums, _delta_terms, _kappa,
+                        _kappa_terms)
 from .model import BoundaryCode, ChainModel, bilateral_log_weights, build_weights
 
 VARIANTS = ("bilateral_8_4", "half_line_8_6", "neumann_8_9")
@@ -51,9 +52,7 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
         if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
             raise WrongVariant("neumann_8_9 needs a reflecting origin")
         ws = build_weights(model, n_max)
-        tails = ws.nu_tails("b")
-        with np.errstate(all="ignore"):
-            obj = tails * ws.mu_prefix_arr ** (2.0 / p)
+        obj = _delta_terms(ws, "3.1", 2.0 / p)
         if not math.isfinite(ws.nu_b_total.value):
             return SobolevConstant(p, variant, math.inf, None)
         obj = np.where(np.isfinite(obj), obj, 0.0)
@@ -109,17 +108,10 @@ def b_constants_split(model: ChainModel, p: float,
         if model.boundary is not BoundaryCode.DD or model.base != 1:
             raise WrongVariant("split constants need the Dirichlet-origin shape")
         ws = build_weights(model, n_max)
-        with np.errstate(over="ignore"):
-            nu_a_pref = np.cumsum(ws.nu_a)
-        with np.errstate(all="ignore"):
-            bl = nu_a_pref * ws.mu_tails() ** t
-            br = ws.nu_tails("b") * ws.mu_prefix_arr ** t
+        bl, br = _delta_terms(ws, "4.4", t), _delta_terms(ws, "3.1", t)
         B_L = float(np.max(np.where(np.isfinite(bl), bl, math.inf)))
         B_R = float(np.max(np.where(np.isfinite(br), br, math.inf)))
-        S = ws.nu_a_total.value
-        if ws.finite:
-            mb = ws.mu[-1] * ws.b[-1]
-            S = float(np.sum(ws.nu_a)) + (1.0 / mb if mb > 0 else math.inf)
+        S = ws.exit_mass
         # 1/B = inf over n <= m of (1/nu_a[1, n]) (1/nu_b[m, N]) / mu[n, m]^{2/p}
         rep = series.half_line_pairs(*_kappa_terms(ws, reflecting=False), ws.base, True,
                                      s=t, product=True)

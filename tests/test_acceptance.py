@@ -143,17 +143,9 @@ def test_criterion_08_table_7_1():
     checks = []
     for name, lam0, start in TABLE71_ROWS:
         model = catalog(name)
-        v = table71_v(name)
-
-        def g(idx, v=v):
-            idx = np.asarray(idx, dtype=np.int64)
-            top = int(idx.max())
-            vv = np.asarray(v(np.arange(1, top + 1)), dtype=float)
-            gg = np.concatenate([[1.0], np.cumprod(vv)])
-            return gg[idx - 1]
-
         lo = start if start is not None else 2
-        res = oracle.eigen_identity_check(model, lam0, g, lo, 1000)
+        res = oracle.eigen_identity_check(model, lam0, oracle.v_products(table71_v(name)),
+                                          lo, 1000)
         checks.append(("%s R-residual < 1e-10" % name,
                        res["difference_form"] < 1e-10, res["difference_form"]))
         tr = oracle.truncation_limit(model, SCHEDULE_4000)
@@ -392,8 +384,7 @@ def test_criterion_12_property_suites():
         v = rng.uniform(0.4, 0.95, n)
         lo_r, _, _ = killing.r_operator_bounds(model, pick(v), 1, n)
         if lo_r >= 0:
-            fv = np.concatenate([[1.0], np.cumprod(v[: n - 1])])
-            kbv = killing.xi_zeta(model, pick(fv))
+            kbv = killing.xi_zeta(model, oracle.v_products(v))
             floor_ok &= kbv.xi >= (lo_r - kbv.c_floor) - 1e-9
     checks.append(("9.7 shift property x50", remark_ok, None))
     checks.append(("9.8 xi >= R-floor x50", floor_ok, None))

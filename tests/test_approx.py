@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bdspec import approx, duality, estimates, oracle
-from bdspec.catalog import TABLE71_ROWS, catalog
+from bdspec.catalog import TABLE71_ROWS, catalog, catalog_names
 from bdspec.errors import WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel, build_weights
 
@@ -207,6 +207,18 @@ def test_eta1_closed_and_sequences():
     # all reciprocals bracket the true rate (lambda_1 = 1 for this chain)
     assert all(1.0 / v <= 1.0 + 1e-6 for v in tr.values)
     assert all(1.0 / b >= 1.0 - 1e-6 for b in bars)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_nn_and_dn_sequences_check_the_boundary(name):
+    model = catalog(name)
+    if model.boundary is not BoundaryCode.NN:
+        for fn in (approx.eta1_closed, approx.eta_seq_nn):
+            with pytest.raises(WrongBoundary):
+                fn(model)
+    if model.boundary is not BoundaryCode.DN:
+        with pytest.raises(WrongBoundary):
+            approx.ex5_3_sequences(model, 1)
 
 
 def test_rayleigh_lemma_random_nondecreasing():

@@ -112,6 +112,17 @@ def test_error_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ["estimate", "--model", "table7_1_row1", "--threads", "2"],   # unknown flag
     ["table", "table9_9"],                                        # bad choice
+    # a flag the subcommand would ignore
+    ["estimate", "--model", "const_nd", "--m", "5"],
+    ["estimate", "--model", "const_nd", "--steps", "2"],
+    ["approx", "--model", "const_nd", "--m", "3"],
+    ["oracle", "--model", "const_nd", "--grid", "3"],
+    ["killing", "--model", "ex9_18", "--steps", "3"],
+    ["dual", "--model", "const_nd", "--m", "3"],
+    ["poincare", "--model", "const_nd", "--grid", "3"],
+    ["table", "table7_1", "--model", "const_nd"],
+    ["table", "table7_1", "--file", "chain.json"],
+    ["table", "table7_1", "--param", "a=1"],
 ])
 def test_flag_error_exits_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -206,11 +206,7 @@ def test_remark_9_8_xi_dominates_r_floor(seed):
     lo, hi, _ = killing.r_operator_bounds(model, vv, 1, n)
     if lo < 0:
         return
-    f = np.concatenate([[1.0], np.cumprod(v[: n - 1])])
-
-    def fv(i):
-        return f[np.clip(np.asarray(i, dtype=np.int64) - 1, 0, n - 1)]
-
+    fv = oracle.v_products(v)
     ct_floor = float(np.min(model.killing(np.arange(1, n + 1))
                             + np.where(np.arange(1, n + 1) == 1,
                                        model.death(np.asarray([1]))[0], 0.0)))

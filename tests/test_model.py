@@ -3,6 +3,7 @@ import json
 import math
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,8 +138,10 @@ def test_table_rate_error_mode():
 
 
 def test_saturated_weights_match_whole_window_exp():
-    # reference: exp of the accumulated logs over the whole window, kept
-    # where the cumprod overflowed (build_weights evaluates only those)
+    # reference: the multiplicative recurrence, bit for bit, up to the first
+    # weight that leaves the normal float range; from there on, exp of the
+    # accumulated logs over the whole window, to the rounding of a log of
+    # size 709 (1e-12) above the underflow threshold and inf where it is inf
     saturated = 0
     for name in catalog_names():
         model = catalog(name)
@@ -150,15 +153,36 @@ def test_saturated_weights_match_whole_window_exp():
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 mu = np.cumprod(np.concatenate([[1.0], b[:-1] / a[1:]]))
                 saturated += int(np.any(~np.isfinite(mu)))
-                mu = np.where(np.isfinite(mu), mu, np.exp(np.clip(log_mu, -745.0, 709.0))
-                              * np.where(log_mu > 709.0, math.inf, 1.0))
-                mub, mua = mu * b, mu * a
+                normal = (mu >= np.finfo(float).tiny) & (mu < math.inf)
+                k = int(np.argmin(normal)) if not normal.all() else len(mu)
+                far = np.exp(np.clip(log_mu[k:], -745.0, 709.0)) \
+                    * np.where(log_mu[k:] > 709.0, math.inf, 1.0)
+                close = np.abs(ws.mu[k:] - far) <= 1e-12 * far + np.finfo(float).tiny
+                mub, mua = ws.mu * b, ws.mu * a
                 nu_b = np.where(np.isfinite(mub), np.where(mub > 0.0, 1.0 / mub, math.inf), 0.0)
                 nu_a = np.where(np.isfinite(mua), np.where(mua > 0.0, 1.0 / mua, math.inf), 0.0)
+            assert ws.mu[:k].tobytes() == mu[:k].tobytes(), name
+            assert np.all((ws.mu[k:] == far) | close), name
             # nu_a at the bottom state follows the boundary convention, and mu_0 = 1
-            for ref, got in ((mu, ws.mu), (nu_b, ws.nu_b), (nu_a[1:], ws.nu_a[1:])):
+            for ref, got in ((nu_b, ws.nu_b), (nu_a[1:], ws.nu_a[1:])):
                 assert ref.tobytes() == got.tobytes(), name
     assert saturated >= 10
+
+
+def test_weights_keep_their_digits_through_a_subnormal_dip():
+    # b/a = e^-2 for 365 states, then e^2: log_mu falls to -730, below the
+    # normal range, without the weights reaching 0, and rises back to 0.
+    # Reference: the product of the float ratios at 40 digits
+    model = ChainModel(BoundaryCode.ND, 0, None,
+                       lambda i: np.where(np.asarray(i) < 365, math.exp(-2.0), math.exp(2.0)),
+                       lambda i: np.ones(np.shape(i)))
+    ws = build_weights(model, 1001)
+    assert 0.0 < ws.mu[365] < np.finfo(float).tiny
+    with mpmath.workdps(40):
+        down, up = mpmath.mpf(math.exp(-2.0)), mpmath.mpf(math.exp(2.0))
+        for i in (400, 600, 730, 1000):
+            ref = down ** 365 * up ** (i - 365)
+            assert abs(float(ws.mu[i] / ref) - 1.0) <= 1e-14, i
 
 
 def _two_slope(code, lo, hi, first, then, turn=400):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdspec import oracle
 from bdspec.catalog import catalog, catalog_names, table71_v
-from bdspec.errors import TruncationTooSmall, WrongBoundary
+from bdspec.errors import BadParameter, TruncationTooSmall, WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel
 
 
@@ -218,32 +218,60 @@ def test_shooting_sturm_agreement_random_dn(seed):
 ])
 def test_eigen_identity_table71(row, lam, start):
     model = catalog(row)
-    v = table71_v(row)
-
-    def g(idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        top = int(idx.max())
-        vv = np.asarray(v(np.arange(1, top + 1)), dtype=float)
-        gg = np.concatenate([[1.0], np.cumprod(vv)])
-        return gg[idx - 1]
-
+    g = oracle.v_products(table71_v(row))
     res = oracle.eigen_identity_check(model, lam, g, start, 1000)
     assert res["difference_form"] < 1e-10
 
 
 def test_eigen_identity_ex9_18():
     model = catalog("ex9_18")
-
-    def g(idx):
-        idx = np.asarray(idx, dtype=np.int64)
-        top = int(idx.max())
-        vv = 1.0 + (-1.0) ** np.arange(1.0, top + 1.0) / 3.0
-        gg = np.concatenate([[1.0], np.cumprod(vv)])
-        return gg[idx - 1]
-
+    g = oracle.v_products(lambda i: 1.0 + (-1.0) ** np.asarray(i, float) / 3.0)
     res = oracle.eigen_identity_check(model, 5.0 / 6.0, g, 1, 800)
     assert res["difference_form"] < 1e-12
     assert res["summed_form"] < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("code,killed", [(BoundaryCode.NN, False), (BoundaryCode.ND, False),
+                                         (BoundaryCode.DN, False), (BoundaryCode.DD, False),
+                                         (BoundaryCode.DD, True)])
+def test_difference_form_is_minus_generator_over_f(code, killed, seed):
+    # R_i(v) = -(Omega f)_i / f_i for f the products of v, against a dense
+    # generator built here from the drawn rates: a reflecting end drops the
+    # rate out of the space (the model still returns a positive one there), a
+    # Dirichlet end sends it to the cemetery, where f vanishes past the top
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 30))
+    lo = 0 if code.origin_reflecting else 1
+    a, b = rng.uniform(0.2, 3.0, n), rng.uniform(0.2, 3.0, n)
+    c = rng.uniform(0.0, 2.0, n) if killed else np.zeros(n)
+
+    def pick(arr):
+        return lambda i: arr[np.asarray(i, dtype=np.int64) - lo]
+
+    model = ChainModel(code, lo, lo + n - 1, pick(b), pick(a),
+                       killing=pick(c) if killed else None)
+    reflecting_top = code in (BoundaryCode.DN, BoundaryCode.NN)
+    aq, bq = a.copy(), b.copy()
+    if code.origin_reflecting:
+        aq[0] = 0.0
+    if reflecting_top:
+        bq[-1] = 0.0
+    omega = np.diag(aq[1:], -1) + np.diag(bq[:-1], 1) - np.diag(aq + bq + c)
+    v = rng.uniform(0.5, 2.0, n)
+    if not reflecting_top:
+        v[-1] = 0.0
+    f = oracle.v_products(v)(np.arange(1, n + 1))      # f on the states lo..lo+n-1
+    got = oracle.difference_form(model, v, lo, lo + n - 1)
+    np.testing.assert_allclose(got, -(omega @ f) / f, rtol=1e-12,
+                               atol=1e-12 * float(np.max(aq + bq + c)))
+
+
+def test_v_products_rejects_states_below_1():
+    g = oracle.v_products(np.array([2.0, 3.0]))
+    assert g(np.arange(1, 4)).tolist() == [1.0, 2.0, 6.0]
+    with pytest.raises(BadParameter):
+        g(np.arange(0, 3))
 
 
 def test_splitting_collapses_with_eigvec_gamma():
