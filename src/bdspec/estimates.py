@@ -50,15 +50,18 @@ def _masked_sup(values: np.ndarray, genuinely_infinite: bool) -> float:
     return float(np.max(values[sel])) if sel.any() else 0.0
 
 
-def _delta_terms(ws: WeightSystem, which: str, s: float = 1.0) -> np.ndarray:
-    """The objectives of delta^(3.1) and delta^(4.4) at every window index n:
-    mu[base, n]^s nu_b[n, N] (``which`` = "3.1") or nu_a[1, n] mu[n, N]^s
-    ("4.4", from state 1). s = 2/p gives the L^(p/2) forms of ``poincare``;
-    x ** 1.0 is exact, so s = 1 is the plain product. Overflow (inf) and
-    inf * 0 (nan) are left to the callers' masked scans."""
+def _delta31_terms(ws: WeightSystem, s: float = 1.0) -> np.ndarray:
+    """delta^(3.1)'s objective mu[base, n]^s nu_b[n, N] at every window index
+    n, inf and nan left to the callers' masked scans; s = 2/p gives the
+    L^(p/2) form of ``poincare`` (x ** 1.0 is exact)."""
     with np.errstate(all="ignore"):
-        if which == "3.1":
-            return ws.mu_prefix_arr ** s * ws.nu_tails("b")
+        return ws.mu_prefix_arr ** s * ws.nu_tails("b")
+
+
+def _delta44_terms(ws: WeightSystem, s: float = 1.0) -> np.ndarray:
+    """The objective of delta^(4.4) from state 1 on, nu_a[1, n] mu[n, N]^s;
+    s as in ``_delta31_terms``."""
+    with np.errstate(all="ignore"):
         return (np.cumsum(ws.nu_a) * ws.mu_tails() ** s)[1 - ws.base:]
 
 
@@ -106,7 +109,7 @@ def delta_nd(model: ChainModel, n_max: int = 10 ** 5):
     ws = build_weights(model, n_max)
     if not math.isfinite(ws.nu_b_total.value):
         return _window_sup(ws, None, "delta_3_1")
-    return _window_sup(ws, _delta_terms(ws, "3.1"), "delta_3_1")
+    return _window_sup(ws, _delta31_terms(ws), "delta_3_1")
 
 
 def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
@@ -116,7 +119,7 @@ def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
     ws = build_weights(model, n_max)
     if not math.isfinite(ws.mu_total.value):
         return _window_sup(ws, None, "delta_4_4")
-    return _window_sup(ws, _delta_terms(ws, "4.4"), "delta_4_4")
+    return _window_sup(ws, _delta44_terms(ws), "delta_4_4")
 
 
 def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
@@ -128,8 +131,8 @@ def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
         raise NotErgodic("kappa_nn requires sum(mu) < inf")
     kappa, rep = _kappa(ws, reflecting=True)
     # delta_L = sup_{n>=1} nu_a[1,n] mu[n,N]; delta_R = sup_m mu[0,m] nu_b[m,N-1]
-    delta_L = _masked_sup(_delta_terms(ws, "4.4"), not math.isfinite(ws.mu_total.value))
-    delta_R = _masked_sup(_delta_terms(ws, "3.1"), not math.isfinite(ws.nu_b_total.value))
+    delta_L = _masked_sup(_delta44_terms(ws), not math.isfinite(ws.mu_total.value))
+    delta_R = _masked_sup(_delta31_terms(ws), not math.isfinite(ws.nu_b_total.value))
     bracket = _bracket_from_constant(kappa, "kappa_6_13", rep)
     return kappa, delta_L, delta_R, bracket
 
@@ -140,9 +143,9 @@ def kappa_dd(model: ChainModel, n_max: int = 10 ** 5):
         raise WrongBoundary("kappa_dd needs a DD model")
     ws = build_weights(model, n_max)
     kappa, rep = _kappa(ws, reflecting=False)
-    delta_L = _masked_sup(_delta_terms(ws, "4.4"), not math.isfinite(ws.mu_total.value)
+    delta_L = _masked_sup(_delta44_terms(ws), not math.isfinite(ws.mu_total.value)
                           and math.isfinite(ws.nu_a_total.value))
-    delta_R = _masked_sup(_delta_terms(ws, "3.1"), not math.isfinite(ws.nu_b_total.value)
+    delta_R = _masked_sup(_delta31_terms(ws), not math.isfinite(ws.nu_b_total.value)
                           and math.isfinite(ws.mu_total.value))
     bracket = _bracket_from_constant(kappa, "kappa_7_5", rep)
     return kappa, delta_L, delta_R, ws.exit_mass, bracket
@@ -247,7 +250,7 @@ def basic_bracket(model: ChainModel, n_max: int = 10 ** 5) -> BasicBracketReport
         raise WrongBoundary("basic_bracket covers the four half-line codes")
     ws = build_weights(model, n_max)
     # delta^(4.4) and delta^(3.1) with saturation conventions
-    d44, d31 = _delta_terms(ws, "4.4"), _delta_terms(ws, "3.1")
+    d44, d31 = _delta44_terms(ws), _delta31_terms(ws)
     mu_fin = math.isfinite(ws.mu_total.value)
     nub_fin = math.isfinite(ws.nu_b_total.value)
     delta44 = _masked_sup(d44, not mu_fin) if len(d44) else math.inf

@@ -127,11 +127,11 @@ def r_operator_bounds(model: ChainModel, v, lo: int = 1,
     vv = np.asarray(v(idx), dtype=float) if callable(v) else np.asarray(v, dtype=float)[: len(idx)]
     if np.any(vv <= 0):
         raise NotInF("test sequence must be positive")
-    rs = oracle.difference_form(model, vv, ws.base, top)[idx >= lo]
+    rs = oracle.difference_form(model, np.concatenate([[math.inf], vv]), ws.base, top)[idx >= lo]
     finite = model.hi is not None and top >= model.hi
     # membership: f from the ratio products must be square-integrable with
     # Omega f / f bounded above -- checked on the scanned range only
-    f = oracle.v_products(vv)(idx)
+    f = oracle.v_products(vv)
     terms = ws.mu[: len(idx)] * f * f
     tail_ratio = terms[-1] / terms[-2] if len(terms) > 1 and terms[-2] > 0 else math.inf
     in_l2 = finite or tail_ratio < 0.999

@@ -1,8 +1,8 @@
 """Chain specifications, symmetric-measure weights and uniqueness checks.
 
 A :class:`ChainModel` holds the boundary code, the index range and the rate
-rules. :func:`build_weights` turns it into windowed weight arrays (with
-log-domain fallback for weights beyond float range) plus certified or
+rules. :func:`build_weights` turns it into windowed weight arrays (rescaled
+where they leave float range and come back) plus certified or
 estimated tail sums. :func:`classify_uniqueness` evaluates the three
 divergence conditions that decide whether the process / Dirichlet form is
 unique.
@@ -306,20 +306,23 @@ def _build(model: ChainModel, n_max: int, tol: float) -> WeightSystem:
         # multiplicative recurrence mu_{n+1} = mu_n b_n / a_{n+1}: exact where
         # the ratios are, unlike exp of the accumulated logs
         mu = np.ones(n)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             np.divide(b[:-1], a[1:], out=mu[1:])
+            normal = (mu >= TINY) & (mu < math.inf)          # the ratios
             np.cumprod(mu, out=mu)
-        if not (np.min(mu) >= TINY and mu[-1] < math.inf):
-            # a subnormal, 0 or inf entry passes its lost digits on to every
-            # later one; where the weights come back into float range, redo
-            # the recurrence from the last normal weight on mu_n 2^-s_n,
-            # s_n = log2 mu_n rounded: exact scalings, products near 1
-            k = int(np.argmin((mu >= TINY) & (mu < math.inf)))
+        normal &= (mu >= TINY) & (mu < math.inf)
+        if not normal.all():
+            # a subnormal, 0 or inf ratio or weight passes its lost digits on to
+            # every later weight; where the weights come back into float range,
+            # redo the recurrence from the last normal weight on mu_n 2^-s_n,
+            # s_n = log2 mu_n rounded, each ratio from the mantissas of b and a
+            k = int(np.argmin(normal))
             lm = log_mu[k:]
-            if np.any((lm > LOG_TINY) & (lm < LOG_HUGE)):
+            if np.any((lm > LOG_TINY) & (lm < LOG_HUGE)) or math.isnan(mu[-1]):
                 sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
-                m = np.ldexp(np.concatenate([mu[k - 1:k], b[k - 1:-1] / a[k:]]),
-                             np.concatenate([-sc[:1], sc[:-1] - sc[1:]]))
+                (fb, eb), (fa, ea) = np.frexp(b[k - 1:-1]), np.frexp(a[k:])
+                m = np.ldexp(np.concatenate([mu[k - 1:k], fb / fa]),
+                             np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
                 with np.errstate(over="ignore"):
                     mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

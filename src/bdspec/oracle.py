@@ -247,47 +247,43 @@ def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResu
     for i in range(1, len(a)):
         u[i] = (a[i] * u[i - 1] / (1.0 + u[i - 1]) - z) / b[i]
     with np.errstate(over="ignore"):
-        g = v_products(1.0 + np.maximum(u, 0.0))(np.arange(1, len(u) + 1))
+        g = v_products(1.0 + np.maximum(u, 0.0))
     return SpectralResult(z, g, top - 1, hi - lo, "Shooting", base=1)
 
 
 def difference_form(model: ChainModel, v, lo: int, hi: int) -> np.ndarray:
-    """R_i(v) = a_i (1 - 1/v_{i-1}) + b_i (1 - v_i) + c_i for i = lo..hi, with
-    ``v`` = v_{lo-1}, ..., v_hi, or v_lo, ..., v_hi when lo is the left end
-    of the state space. There 1/v_{lo-1} = 0: a Dirichlet origin's death
-    rate acts as killing, and a reflecting origin has none (``model.rates``
-    sets it to 0). R is local: any index range, no weights needed."""
+    """R_i(v) = a_i (1 - 1/v_{i-1}) + b_i (1 - v_i) + c_i for i = lo..hi, from
+    ``v`` = v_{lo-1}, ..., v_hi. At the left end of the state space v_{lo-1}
+    = inf, so 1/v_{lo-1} = 0: a Dirichlet origin's death rate acts as
+    killing, and a reflecting origin has none (``model.rates`` sets it to 0).
+    R is local: any index range, no weights needed."""
     a, b, c = model.rates(lo, hi)
     v = np.asarray(v, dtype=float)
-    if lo == model.lo:
-        v = np.concatenate([[math.inf], v])
     return a * (1.0 - 1.0 / v[:-1]) + b * (1.0 - v[1:]) + c
 
 
 def v_products(v):
     """The test function g of a ratio sequence v: g_1 = 1, g_{i+1} = g_i v_i.
-    ``v`` is a callable on int arrays or an array v_1, v_2, ...; g is
-    returned as a callable on int arrays of states i >= 1."""
+    From an array v_1, ..., v_n, the array g_1, ..., g_n; from a callable on
+    int arrays, g as a callable on int arrays of states i >= 1."""
+    if not callable(v):
+        return np.cumprod(np.concatenate([[1.0], np.asarray(v, dtype=float)[:-1]]))
+
     def g(idx):
         idx = np.asarray(idx, dtype=np.int64)
         if idx.min() < 1:
             raise BadParameter("g is defined on the states i >= 1")
-        top = int(idx.max())
-        vv = (np.asarray(v(np.arange(1, top, dtype=np.int64)), dtype=float) if callable(v)
-              else np.asarray(v, dtype=float)[: top - 1])
-        return np.concatenate([[1.0], np.cumprod(vv)])[idx - 1]
+        return v_products(v(np.arange(1, int(idx.max()) + 1, dtype=np.int64)))[idx - 1]
     return g
 
 
 def eigen_identity_check(model: ChainModel, lam: float, g, lo: int, hi: int) -> dict:
-    """Residuals of the summed eigen-identity and of the difference form.
+    """Relative (scale-free) residuals of the summed eigen-identity and of the
+    difference form, ``difference_form`` of v = g_{i+1}/g_i.
 
-    ``g`` is a callable on int arrays (positive on [lo, hi+1]); the
-    difference form is ``difference_form`` of v = g_{i+1}/g_i. For the
-    Dirichlet-at-origin codes the death rate at the bottom state acts as a
-    killing term, as the difference form treats it. Residuals are relative
-    (scale-free). Half-line chains only: the weights come from
-    ``build_weights``.
+    ``g`` is a callable on int arrays, positive on [lo, hi+1]. At a Dirichlet
+    origin the bottom death rate acts as killing, as in the difference form.
+    Half-line chains only: the weights come from ``build_weights``.
     """
     base = model.base
     if model.hi is not None and hi > model.hi:
@@ -306,7 +302,7 @@ def eigen_identity_check(model: ChainModel, lam: float, g, lo: int, hi: int) -> 
         # in its largest summand, so normalize by the running term magnitude
         scale = np.maximum.accumulate(np.maximum(np.abs(lhs), np.abs(terms)))
         res = np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)
-        r = difference_form(model, gv[1:] / gv[:-1], base, hi)
+        r = difference_form(model, np.concatenate([[math.inf], gv[1:] / gv[:-1]]), base, hi)
     healthy = np.isfinite(gv) & (np.abs(gv) > 1e-280)
     sel = (idx[:-1] >= lo) & healthy[:-1] & healthy[1:] & np.isfinite(mu) & (mu > 1e-280)
     sel_s = sel & np.isfinite(lhs) & np.isfinite(rhs)

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import series
 from .errors import WrongVariant
-from .estimates import (_bilateral_scan, _bilateral_sums, _delta_terms, _kappa,
-                        _kappa_terms)
+from .estimates import (_bilateral_scan, _bilateral_sums, _delta31_terms, _delta44_terms,
+                        _kappa, _kappa_terms)
 from .model import BoundaryCode, ChainModel, bilateral_log_weights, build_weights
 
 VARIANTS = ("bilateral_8_4", "half_line_8_6", "neumann_8_9")
@@ -52,7 +52,7 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
         if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
             raise WrongVariant("neumann_8_9 needs a reflecting origin")
         ws = build_weights(model, n_max)
-        obj = _delta_terms(ws, "3.1", 2.0 / p)
+        obj = _delta31_terms(ws, 2.0 / p)
         if not math.isfinite(ws.nu_b_total.value):
             return SobolevConstant(p, variant, math.inf, None)
         obj = np.where(np.isfinite(obj), obj, 0.0)
@@ -108,7 +108,7 @@ def b_constants_split(model: ChainModel, p: float,
         if model.boundary is not BoundaryCode.DD or model.base != 1:
             raise WrongVariant("split constants need the Dirichlet-origin shape")
         ws = build_weights(model, n_max)
-        bl, br = _delta_terms(ws, "4.4", t), _delta_terms(ws, "3.1", t)
+        bl, br = _delta44_terms(ws, t), _delta31_terms(ws, t)
         B_L = float(np.max(np.where(np.isfinite(bl), bl, math.inf)))
         B_R = float(np.max(np.where(np.isfinite(br), br, math.inf)))
         S = ws.exit_mass

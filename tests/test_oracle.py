@@ -261,15 +261,16 @@ def test_difference_form_is_minus_generator_over_f(code, killed, seed):
     v = rng.uniform(0.5, 2.0, n)
     if not reflecting_top:
         v[-1] = 0.0
-    f = oracle.v_products(v)(np.arange(1, n + 1))      # f on the states lo..lo+n-1
-    got = oracle.difference_form(model, v, lo, lo + n - 1)
+    f = oracle.v_products(v)                      # f on the states lo..lo+n-1
+    got = oracle.difference_form(model, np.concatenate([[math.inf], v]), lo, lo + n - 1)
     np.testing.assert_allclose(got, -(omega @ f) / f, rtol=1e-12,
                                atol=1e-12 * float(np.max(aq + bq + c)))
 
 
 def test_v_products_rejects_states_below_1():
-    g = oracle.v_products(np.array([2.0, 3.0]))
-    assert g(np.arange(1, 4)).tolist() == [1.0, 2.0, 6.0]
+    assert oracle.v_products(np.array([2.0, 3.0, 4.0])).tolist() == [1.0, 2.0, 6.0]
+    g = oracle.v_products(lambda i: np.asarray(i) + 1.0)
+    assert g(np.array([3, 1, 2])).tolist() == [6.0, 1.0, 2.0]
     with pytest.raises(BadParameter):
         g(np.arange(0, 3))
 
