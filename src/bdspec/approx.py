@@ -44,32 +44,6 @@ def _safe_window(ws: WeightSystem, cap: int) -> int:
     return max(2, min(cap, n, len(ws.log_mu)))
 
 
-def _phi_nd(ws: WeightSystem, W: int) -> np.ndarray:
-    """phi_i = nu[i, N] (birth convention) for i in [0, W-1], tail-corrected."""
-    if ws.model.hint("nu_b_tail") is not None:
-        return ws.nu_tails("b")[:W]
-    nu = ws.nu_b[:W]
-    suf = np.cumsum(nu[::-1])[::-1]
-    top = len(ws.nu_b)
-    rem = series._estimate_remainder(float(ws.nu_b[-2]), float(ws.nu_b[-1]),
-                                     ws.base + top - 1) if not ws.finite else 0.0
-    extra = float(ws.nu_b[W:].sum()) + (rem if math.isfinite(rem) else 0.0)
-    if not math.isfinite(rem) and not ws.finite:
-        return np.full(W, math.inf)
-    return suf + extra
-
-
-def _suffix_with_remainder(terms: np.ndarray, start: int, finite: bool) -> np.ndarray:
-    """suffix[i] = sum_{k >= i} terms[k] (+ estimated tail past the window)."""
-    suf = np.concatenate([np.cumsum(terms[::-1])[::-1], [0.0]])
-    if finite or len(terms) < 3:
-        return suf
-    rem = series.estimate_remainder_block(terms, start)
-    if math.isfinite(rem):
-        return suf + rem
-    return np.full(len(suf), math.inf)
-
-
 def _levels(m_grid, W: int):
     """The stopping levels of ``m_grid``, each of which must lie in [1, W - 1]."""
     levels = np.asarray(m_grid, dtype=np.int64).reshape(-1)
@@ -126,7 +100,7 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
         raise WrongBoundary("delta_seq_nd needs an ND model")
     ws = build_weights(model, max(window, 2))
     W = _safe_window(ws, window)
-    phi = _phi_nd(ws, W)
+    phi = ws.nu_tails("b")[:W]
     if not math.isfinite(phi[0]):
         return ApproxTrace((math.inf,) * steps, True, "decreasing",
                            (series.Certainty.CERTIFIED,) * steps)
@@ -209,36 +183,33 @@ def first_step_closed(model: ChainModel, window: int = 200000):
     carry an integral-test remainder so suprema attained at infinity are
     approached from the correct side.
     """
+    if model.boundary not in (BoundaryCode.ND, BoundaryCode.DN):
+        raise WrongBoundary("first_step_closed covers the ND and DN cases")
+    ws = build_weights(model, window)
+    W = _safe_window(ws, window)
+    mu = ws.mu[:W]
+    rem = 0.0 if ws.finite else None        # estimate the weighted tails' remainders
     if model.boundary is BoundaryCode.ND:
-        ws = build_weights(model, window)
-        W = _safe_window(ws, window)
-        phi = _phi_nd(ws, W)
+        phi = ws.nu_tails("b")[:W]
         if not math.isfinite(phi[0]):
             return math.inf, math.inf
-        mu = ws.mu[:W]
         sphi = np.sqrt(phi)
         pre = np.cumsum(mu * sphi)
-        suf32 = _suffix_with_remainder(mu * phi * sphi, ws.base, ws.finite)
+        suf32 = series.tail_sums(mu * phi * sphi, ws.base, rem)
         d1 = sphi * pre + np.concatenate([suf32[1:], [0.0]])[:W] / sphi
-        suf2 = _suffix_with_remainder(mu * phi * phi, ws.base, ws.finite)
+        suf2 = series.tail_sums(mu * phi * phi, ws.base, rem)
         d1p = phi * ws.mu_prefix_arr[:W] + np.concatenate([suf2[1:], [0.0]])[:W] / phi
         return float(np.nanmax(d1)), float(np.nanmax(d1p))
-    if model.boundary is BoundaryCode.DN:
-        ws = build_weights(model, window)
-        if not math.isfinite(ws.mu_total.value):
-            return math.inf, math.inf
-        W = _safe_window(ws, window)
-        mu = ws.mu[:W]
-        phi = np.cumsum(ws.nu_a[:W])
-        sphi = np.sqrt(phi)
-        mu_suf = _suffix_with_remainder(mu * sphi, ws.base, ws.finite)
-        pre32 = np.concatenate([[0.0], np.cumsum(mu * phi * sphi)[:-1]])
-        d1 = pre32 / sphi + sphi * mu_suf[:W]
-        pre2 = np.concatenate([[0.0], np.cumsum(mu * phi * phi)[:-1]])
-        mu_tail = _suffix_with_remainder(mu, ws.base, ws.finite)
-        d1p = pre2 / phi + phi * mu_tail[:W]
-        return float(np.nanmax(d1)), float(np.nanmax(d1p))
-    raise WrongBoundary("first_step_closed covers the ND and DN cases")
+    if not math.isfinite(ws.mu_total.value):
+        return math.inf, math.inf
+    phi = np.cumsum(ws.nu_a[:W])
+    sphi = np.sqrt(phi)
+    mu_suf = series.tail_sums(mu * sphi, ws.base, rem)
+    pre32 = np.concatenate([[0.0], np.cumsum(mu * phi * sphi)[:-1]])
+    d1 = pre32 / sphi + sphi * mu_suf[:W]
+    pre2 = np.concatenate([[0.0], np.cumsum(mu * phi * phi)[:-1]])
+    d1p = pre2 / phi + phi * series.tail_sums(mu, ws.base, ws.mu_tail(ws.base + W))[:W]
+    return float(np.nanmax(d1)), float(np.nanmax(d1p))
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +237,8 @@ def eta1_closed(model: ChainModel, window: int = 300000):
     """eta_1 and bar-eta_1 by their closed forms (centered first iterates)."""
     ws, W, mu, nu_shift, phi, tail, Z = _nn_arrays(model, window)
     sphi = np.sqrt(phi)
-    psi = _suffix_with_remainder(mu * sphi, 0, ws.finite)[:W]
-    mt = np.cumsum(mu[::-1])[::-1][1:] + tail         # mu[i, N] for i = 1..W-1
+    psi = series.tail_sums(mu * sphi, ws.base, 0.0 if ws.finite else None)[:W]
+    mt = series.tail_sums(mu, ws.base, tail)[1:W]    # mu[i, N] for i = 1..W-1
     eta1 = float(np.nanmax((sphi[1:] + sphi[:-1]) * (psi[1:] - psi[1] * mt / Z)))
     c1 = np.cumsum(mu * phi * phi)
     c2 = np.cumsum(mu * phi)
@@ -346,7 +317,7 @@ def dd_first_step(model: ChainModel, window: int = 200000):
         raise Condition72Fails("sum 1/(mu_i a_i) must converge (7.2)")
     Nterm = ws.top_exit
     phi = np.cumsum(mu)                      # mu[1, i]
-    nu_suf = _suffix_with_remainder(nu, ws.base, finite) + Nterm
+    nu_suf = series.tail_sums(nu, ws.base, ws.nu_tail(ws.base + W, "a")) + Nterm
     # delta = sup_{n<=N} mu[1,n] (nu[n+1,N] + 1_{N<inf}/(mu_N b_N)); on a finite
     # chain nu_suf[W] is 0 + 1/(mu_N b_N), so the finite and infinite forms agree
     with np.errstate(all="ignore"):
@@ -354,7 +325,7 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     delta = float(np.nanmax(dvals))
     sphi = np.sqrt(phi)
     psi_terms = np.concatenate([nu[1:], [0.0]]) * sphi  # nu_{j+1} sqrt(phi_j)
-    psi = _suffix_with_remainder(psi_terms, ws.base, finite)[:W]
+    psi = series.tail_sums(psi_terms, ws.base, 0.0 if finite else None)[:W]
     if finite:
         psi = psi + (math.sqrt(phi[-1]) * Nterm if math.isfinite(Nterm) else math.inf)
     S_full = nu_suf[0]
@@ -389,6 +360,8 @@ def ex5_3_sequences(model: ChainModel, steps: int):
     if model.boundary is not BoundaryCode.DN:
         raise WrongBoundary("ex5_3_sequences needs a DN model")
     ws = build_weights(model, 600)
+    if not math.isfinite(ws.mu_total.value):
+        raise WrongBoundary("ex5_3_sequences needs sum(mu) < inf")
     mu, nu, a = ws.mu, ws.nu_a, ws.a
     healthy = np.isfinite(nu) & (nu > 0) & (mu > 1e-280)
     W = int(np.argmin(healthy)) if not healthy.all() else len(mu)

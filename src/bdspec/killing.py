@@ -376,9 +376,7 @@ def reduce_9_11(model: ChainModel, beta: float, gamma: Optional[float] = None,
         schedule = (N, N + 1, N + 2)  # truncations clamp at N: exact values
     # branch: sum over i>=2 of mu_i / b_{i-1} (the dual reciprocal series)
     terms = ws.mu[1:W] / b[: W - 1]
-    t_prev, t_last = float(terms[-2]), float(terms[-1])
-    rem = series._estimate_remainder(t_prev, t_last, W - 1)
-    diverges = not math.isfinite(rem) and not finite
+    diverges = not finite and not math.isfinite(series.estimate_remainder_block(terms, 1))
     if diverges:
         branch = "dual_4_1"
 

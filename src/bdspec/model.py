@@ -162,25 +162,19 @@ class WeightSystem:
         """S = nu_a[base, N] + 1/(mu_N b_N) of a DD chain; nu_a's total if infinite."""
         return float(np.sum(self.nu_a)) + self.top_exit if self.finite else self.nu_a_total.value
 
-    def _suffix(self, key: str, arr: np.ndarray, total: float) -> np.ndarray:
-        """Suffix sums plus the beyond-window remainder.
-
-        Suffix accumulation keeps full relative accuracy at every scale;
-        subtracting prefixes from the total would bottom out at the rounding
-        floor of the total and inflate deep tails by hundreds of orders.
-        """
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        out = np.zeros(len(arr) + 1)
-        with np.errstate(over="ignore"):
-            np.cumsum(arr[::-1], out=out[-2::-1])
-        if math.isfinite(total) and not self.finite:
-            rem = series.estimate_remainder_block(arr, self.base)
-            if not math.isfinite(rem):
-                rem = max(total - float(out[0]), 0.0)
-            out += rem
-        out = self._cache[key] = _read_only(out)
+    def _suffix(self, key: str) -> np.ndarray:
+        """Suffix sums of ``key`` plus the remainder past the window, which
+        the build estimated; where that estimate is infinite under a hinted
+        finite total, the remainder is what the total leaves."""
+        out = self._cache.get(key)
+        if out is None:
+            rem = self._cache["rem_" + key]
+            if math.isfinite(rem):
+                out = series.tail_sums(getattr(self, key), self.base, rem)
+            else:
+                out = series.tail_sums(getattr(self, key), self.base, 0.0)
+                out += max(getattr(self, key + "_total").value - float(out[0]), 0.0)
+            out = self._cache[key] = _read_only(out)
         return out
 
     def _tail(self, key: str, n):
@@ -190,10 +184,9 @@ class WeightSystem:
         scalar = np.ndim(n) == 0
         if fn is not None:
             return float(fn(n)) if scalar else fn(n)
-        total = getattr(self, key + "_total").value
-        if not math.isfinite(total):
+        if not math.isfinite(getattr(self, key + "_total").value):
             return math.inf if scalar else np.full(np.shape(n), math.inf)
-        suf = self._suffix(key, getattr(self, key), total)
+        suf = self._suffix(key)
         if scalar:
             return float(suf[min(max(n - self.base, 0), len(suf) - 1)])
         return suf[np.clip(np.asarray(n) - self.base, 0, len(suf) - 1)]
@@ -224,47 +217,42 @@ class WeightSystem:
         return self._window_tail("nu_" + (kind or self.convention))
 
 
-def _sum_with_tail(arr: np.ndarray, start: int, finite: bool,
-                   hint_total, tol: float) -> series.TailSum:
-    """Total of a nonnegative sequence: window part + estimated remainder."""
+def _sum_with_tail(arr: np.ndarray, hint_total, rem: float) -> series.TailSum:
+    """Total of a nonnegative sequence: window part + the remainder past it
+    (0 on a finite chain). The caller ignores overflow in the window sum."""
     if hint_total is not None:
         return series.TailSum(float(hint_total), "closed_form")
-    with np.errstate(over="ignore"):
-        head = float(arr.sum())
-    if not math.isfinite(head):
+    head = float(arr.sum())
+    if not math.isfinite(head) or not math.isfinite(rem):
         return series.TailSum(math.inf, "divergent", len(arr))
-    if finite:
-        return series.TailSum(head, "converged", len(arr))
-    rem = series.estimate_remainder_block(arr, start)
-    if not math.isfinite(rem):
-        return series.TailSum(math.inf, "divergent", len(arr))
-    flag = "converged" if rem <= tol * max(head, 1e-300) else "estimated"
+    flag = "converged" if rem <= DEFAULT_TOL * max(head, 1e-300) else "estimated"
     return series.TailSum(head + rem, flag, len(arr))
 
 
-# the last weight system built, as (model, n_max, tol, WeightSystem): the
-# calls made for one chain share it; one slot, so two windows are never held
+# the last weight system built, as (model, n_max, WeightSystem): the calls
+# made for one chain share it; one slot, so two windows are never held
 _last = None
 
 
-def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX,
-                  tol: float = DEFAULT_TOL) -> WeightSystem:
+def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX) -> WeightSystem:
     """Weights by the multiplicative recurrence mu_{n+1} a_{n+1} = mu_n b_n.
 
     The window ends at the model's top state, at ``n_max`` states, or where
     the linear weights leave float range (log accumulation continues and the
     saturated entries are inf/0; sums involving them are guarded upstream).
+    A total whose remainder estimate is below DEFAULT_TOL of its window part
+    is flagged converged, else estimated.
 
-    A call with the same model object, ``n_max`` and ``tol`` as the previous
-    call returns the previous weight system, tail caches included.
+    A call with the same model object and ``n_max`` as the previous call
+    returns the previous weight system, tail caches included.
     """
     global _last
     last = _last
-    if last is not None and last[0] is model and last[1:3] == (n_max, tol):
-        return last[3]
+    if last is not None and last[0] is model and last[1] == n_max:
+        return last[2]
     _last = None                  # let the previous window go before building
-    ws = _build(model, n_max, tol)
-    _last = (model, n_max, tol, ws)
+    ws = _build(model, n_max)
+    _last = (model, n_max, ws)
     return ws
 
 
@@ -273,7 +261,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _build(model: ChainModel, n_max: int, tol: float) -> WeightSystem:
+def _build(model: ChainModel, n_max: int) -> WeightSystem:
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise BadParameter("use bilateral_log_weights for bilateral models")
     if n_max < 1:
@@ -338,15 +326,22 @@ def _build(model: ChainModel, n_max: int, tol: float) -> WeightSystem:
     convention = "b" if model.boundary in (BoundaryCode.ND, BoundaryCode.NN) else "a"
     with np.errstate(over="ignore", invalid="ignore"):
         mu_prefix = np.cumsum(mu)
-    mu_total = _sum_with_tail(mu, base, finite, model.hint("mu_total"), tol)
-    nu_a_total = _sum_with_tail(nu_a, base, finite, model.hint("nu_a_total"), tol)
-    nu_b_total = _sum_with_tail(nu_b, base, finite, model.hint("nu_b_total"), tol)
+    # each series' remainder past the window, estimated once: the total and
+    # the suffix tails both add it
+    cache, totals = {}, []
+    with np.errstate(over="ignore"):
+        for key, arr in (("mu", mu), ("nu_a", nu_a), ("nu_b", nu_b)):
+            rem = cache["rem_" + key] = (
+                0.0 if finite else series.estimate_remainder_block(arr, base))
+            totals.append(_sum_with_tail(arr, model.hint(key + "_total"), rem))
+    mu_total, nu_a_total, nu_b_total = totals
     mu, log_mu, a, b, c, mu_prefix, nu_a, nu_b = map(
         _read_only, (mu, log_mu, a, b, c, mu_prefix, nu_a, nu_b))
     return WeightSystem(model=model, base=base, mu=mu, log_mu=log_mu, a=a, b=b, c=c,
                         convention=convention, mu_prefix_arr=mu_prefix,
                         nu_a=nu_a, nu_b=nu_b, mu_total=mu_total,
-                        nu_a_total=nu_a_total, nu_b_total=nu_b_total)
+                        nu_a_total=nu_a_total, nu_b_total=nu_b_total,
+                        _cache=cache)
 
 
 def bilateral_log_weights(model: ChainModel, half_window: int):

@@ -62,9 +62,10 @@ def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
             return num / den
         if not math.isfinite(num):
             return math.inf
-    s = 1.0
-    p = 1.0
-    p_prev = 1.0
+    # p = mu_k / mu_top and s = sum of p so far; each block continues both
+    # from its running values by cumprod and cumsum, the same products and
+    # sums as a term-by-term loop, stopping at the first term below tol * s
+    s, p, terms = 1.0, 1.0, np.ones(1)
     j = top
     block = 512
     end = top + cap if model.hi is None else min(model.hi, top + cap)
@@ -73,22 +74,21 @@ def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
         idx = np.arange(j, hi, dtype=np.int64)
         b = np.asarray(model.birth(idx), dtype=float)
         a = np.asarray(model.death(idx + 1), dtype=float)
-        with np.errstate(over="ignore"):
-            r = b / a
-            for rr in r:
-                p_prev = p
-                p *= rr
-                s += p
-                if p < tol * s:
-                    return s
-                if not math.isfinite(s):
-                    return math.inf
+        with np.errstate(all="ignore"):
+            P = np.cumprod(np.concatenate([[p], b / a]))[1:]
+            S = np.cumsum(np.concatenate([[s], P]))[1:]
+            stop = (P < tol * S) | ~np.isfinite(S)
+        if stop.any():
+            k = int(np.argmax(stop))
+            return float(S[k]) if P[k] < tol * S[k] else math.inf
+        # the remainder estimator reads the trailing 2 x 64 terms at most
+        p, s, terms = P[-1], S[-1], np.concatenate([terms[-128:], P])
         j = hi
         block = min(2 * block, 1 << 16)
     if model.hi is not None and j >= model.hi:
-        return s
-    rem = series._estimate_remainder(p_prev, p, end)
-    return s + rem if math.isfinite(rem) else math.inf
+        return float(s)
+    rem = series.estimate_remainder_block(terms, end - len(terms) + 1)
+    return float(s) + rem if math.isfinite(rem) else math.inf
 
 
 def _tridiag(model: ChainModel, lo: int, top: int, boundary_at_m: str):

@@ -9,8 +9,12 @@ float range both ways); the caller's boundary code picks the routine.
 :func:`half_line_pairs` searches the finite part of its window exactly, by
 Dinkelbach's iteration for the sum (kappa of (6.13) and (7.5), B of (8.6))
 and a monotone-argmin search for the product (the half-line split B).
-Tails and totals of the weight series belong to ``model.WeightSystem``,
-which sums them with :func:`estimate_remainder_block`.
+Every tail goes one route: :func:`estimate_remainder_block` is the one
+remainder estimator and :func:`tail_sums` the one suffix-plus-remainder sum.
+``model.WeightSystem`` owns the weight series' totals and tails and estimates
+each remainder once; the weighted first-step sums of ``approx``, the
+divergence verdict of ``killing.reduce_9_11`` and the capped tail ratio of
+``oracle`` read the same two functions.
 """
 
 from __future__ import annotations
@@ -54,43 +58,27 @@ class TailSum:
     terms_used: int = 0
 
 
-def _estimate_remainder(t_prev: float, t_last: float, k_last: int) -> float:
-    """Remainder estimate after the last computed term.
-
-    Geometric if the term ratio is clearly < 1, else integral test with the
-    local power fitted from the ratio. Returns +inf when the terms do not
-    decay.
-    """
-    if t_last <= 0.0:
-        return 0.0
-    if t_prev <= 0.0:
-        return math.inf
-    r = t_last / t_prev
-    if r >= 1.0:
-        return math.inf
-    if r < 0.9:
-        return t_last * r / (1.0 - r)
-    # algebraic decay: t_k ~ C k^-p with p from the local ratio
-    p = math.log(r) / math.log((k_last - 1.0) / k_last) if k_last > 1 else math.inf
-    if p <= 1.0 + 1e-9:
-        return math.inf
-    return t_last * k_last / (p - 1.0)
-
-
 def estimate_remainder_block(terms: np.ndarray, start: int, block: int = 64) -> float:
-    """Remainder estimate from the trailing block sums.
+    """The remainder past the last term of a nonnegative series, estimated
+    from its trailing terms: the one remainder estimator of the package.
 
-    Block aggregation is robust to periodic term patterns that confuse the
-    per-term ratio (alternating-rate chains). Falls back to the per-term
-    estimator on short inputs.
+    ``terms[k]`` is the term of index ``start + k``. The estimate compares the
+    sums of the last two blocks of ``block`` terms, which is robust to
+    periodic term patterns that confuse a per-term ratio (alternating-rate
+    chains); inputs shorter than two blocks compare their last two terms
+    instead. A ratio q clearly below 1 gives the geometric remainder
+    t q / (1 - q); otherwise the integral test with the local power p fitted
+    from q gives t k / (p - 1), t the mean trailing term and k the last index.
+    Returns +inf when the terms do not decay.
     """
     n = len(terms)
+    if n < 2:
+        return math.inf if (n and terms[-1] > 0) else 0.0
     if n < 2 * block + 2:
-        if n < 2:
-            return math.inf if (n and terms[-1] > 0) else 0.0
-        return _estimate_remainder(float(terms[-2]), float(terms[-1]), start + n - 1)
-    s1 = float(np.sum(terms[-block:]))
-    s0 = float(np.sum(terms[-2 * block:-block]))
+        block = 1
+    with np.errstate(over="ignore"):
+        s1 = float(np.sum(terms[-block:]))
+        s0 = float(np.sum(terms[-2 * block:-block]))
     if s1 <= 0.0:
         return 0.0
     if s0 <= 0.0 or s1 >= s0:
@@ -98,12 +86,28 @@ def estimate_remainder_block(terms: np.ndarray, start: int, block: int = 64) -> 
     q = s1 / s0
     if q < 0.9:
         return s1 * q / (1.0 - q)
-    # algebraic block decay: fit the power from the block ratio
     k = start + n - 1
     p = math.log(q) / math.log((k - block) / float(k)) if k > block else math.inf
     if p <= 1.0 + 1e-9:
         return math.inf
     return s1 / block * k / (p - 1.0)
+
+
+def tail_sums(terms: np.ndarray, start: int, rem: Optional[float] = None) -> np.ndarray:
+    """out[i] = sum of terms[k] over k >= i plus the remainder past the last
+    term, for i = 0..len(terms) (so out[-1] is the remainder alone).
+
+    ``rem`` is that remainder: 0 for a series that ends with its last term,
+    None to estimate it by :func:`estimate_remainder_block`. Suffix
+    accumulation keeps full relative accuracy at every scale; subtracting
+    prefixes from a total would bottom out at the total's rounding floor and
+    inflate deep tails by hundreds of orders.
+    """
+    out = np.zeros(len(terms) + 1)
+    with np.errstate(over="ignore"):
+        np.cumsum(terms[::-1], out=out[-2::-1])
+    out += estimate_remainder_block(terms, start) if rem is None else rem
+    return out
 
 
 def extremize(objective: Callable[[np.ndarray], np.ndarray],

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdspec import approx, duality, estimates, oracle
+from bdspec import approx, duality, estimates, oracle, series
 from bdspec.catalog import TABLE71_ROWS, catalog, catalog_names
 from bdspec.errors import WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel, build_weights
@@ -219,6 +219,14 @@ def test_nn_and_dn_sequences_check_the_boundary(name):
     if model.boundary is not BoundaryCode.DN:
         with pytest.raises(WrongBoundary):
             approx.ex5_3_sequences(model, 1)
+
+
+def test_ex5_3_sequences_need_a_finite_mu_mass():
+    # const_dn has sum(mu) = inf: a clear error before any arithmetic, no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WrongBoundary, match=r"needs sum\(mu\) < inf"):
+            approx.ex5_3_sequences(catalog("const_dn"), 3)
 
 
 def test_rayleigh_lemma_random_nondecreasing():
@@ -448,7 +456,7 @@ def _delta_bar1_loop(model, window, levels=None):
         mb = ws.mu[-1] * ws.b[-1]
         Nterm = 1.0 / mb if mb > 0 else math.inf
     phi = np.cumsum(mu)
-    nu_suf = approx._suffix_with_remainder(nu, ws.base, finite) + Nterm
+    nu_suf = series.tail_sums(nu, ws.base, ws.nu_tail(ws.base + W, "a")) + Nterm
     nu_next = np.concatenate([nu[1:], [0.0]])
     best = -math.inf
     with np.errstate(all="ignore"):

@@ -7,10 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from bdspec import duality, series
 from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import BadParameter, NonPositiveRate, UnknownModel
-from bdspec.model import (BoundaryCode, ChainModel, Verdict, bilateral_log_weights,
-                          build_weights, classify_uniqueness, dump_model,
+from bdspec.model import (DEFAULT_NMAX, BoundaryCode, ChainModel, Verdict,
+                          bilateral_log_weights, build_weights, classify_uniqueness, dump_model,
                           load_model, model_from_dict)
 
 RECURRENCE_MODELS = ["const_nd", "linear_nd", "quadratic_nd", "quartic_nd",
@@ -69,6 +70,92 @@ def test_hint_vs_hintless_tails_agree():
     for n in (0, 1, 10, 100):
         # the hint-free value carries an estimated integral-test remainder
         assert w1.nu_tail(n, "b") == pytest.approx(w2.nu_tail(n, "b"), rel=1e-3)
+
+
+REF_TERMS = 4 * 10 ** 6
+WEIGHT_KEYS = ("mu", "nu_a", "nu_b")
+
+
+def _estimated_series():
+    """(model, keys) for every infinite half-line catalog chain and forward
+    dual whose mu, nu_a or nu_b total is finite but has no closed form."""
+    out = []
+    for name in catalog_names():
+        model = catalog(name)
+        if model.boundary is BoundaryCode.DD_BILATERAL or model.hi is not None:
+            continue
+        models = [model]
+        if model.boundary.origin_reflecting:
+            models.append(duality.dualize(model, "forward_5_1").dual)
+        for m in models:
+            ws = build_weights(m)
+            keys = tuple(k for k in WEIGHT_KEYS if m.hint(k + "_total") is None
+                         and math.isfinite(getattr(ws, k + "_total").value))
+            if keys:
+                out.append((m, keys))
+    return out
+
+
+def _ratio_product_sums(model, starts, keys):
+    """{key: the sums over k >= n of that weight series, for each n of
+    ``starts``}: the terms of the first REF_TERMS states from the ratio
+    products mu_{k+1} = mu_k b_k / a_{k+1} (mu_base = 1), in chunks, plus the
+    remainder past them estimated from their last terms. That remainder is at
+    most 16 % of a reference (quartic_nd's nu tails at 10^5) and 2.5 %
+    elsewhere, and at 4M terms the estimator's O(64/k) bias is 40 times
+    smaller than at the 10^5-state window and 1000 times smaller than at the
+    4096-state one."""
+    base, end = model.base, model.base + REF_TERMS
+    sums = {k: np.zeros(len(starts)) for k in keys}
+    mu0 = b0 = None
+    lo, chunk = base, 1 << 16
+    while lo < end:
+        hi = min(lo + chunk, end)                 # states lo .. hi - 1
+        a, b, _ = model.rates(lo, hi)
+        with np.errstate(all="ignore"):
+            mu = np.cumprod(np.concatenate([[1.0 if mu0 is None else mu0 * b0 / a[0]],
+                                            b[:-2] / a[1:-1]]))
+            terms = {"mu": mu, "nu_a": 1.0 / (mu * a[:-1]), "nu_b": 1.0 / (mu * b[:-1])}
+        if mu0 is None and not (model.boundary in (BoundaryCode.DN, BoundaryCode.DD)
+                                and a[0] > 0.0):
+            terms["nu_a"][0] = 0.0
+        for k in keys:
+            for j, n in enumerate(starts):
+                sums[k][j] += float(np.sum(terms[k][max(n - lo, 0):]))
+        if all(terms[k][-1] == 0.0 for k in keys):   # a weight saturated: all later terms are 0
+            return sums
+        mu0, b0, lo, chunk = mu[-1], b[-2], hi, min(2 * chunk, 1 << 20)
+    return {k: sums[k] + series.estimate_remainder_block(terms[k], end - len(terms[k]))
+            for k in keys}
+
+
+ESTIMATED = [pytest.param(m, keys, id="%s-%s" % (m.name, "-".join(keys)), marks=(
+    pytest.mark.xfail(strict=True, reason="sum(mu) = sum 3/i diverges, but the block "
+                      "power fit sits O(64/k) above 1, so the total reads finite")
+    if m.name == "ex9_19" else ())) for m, keys in _estimated_series()]
+
+
+# The errors measured against the reference (window 4096, then 10^5; total,
+# then the tail at the window's last state): quartic_nd nu_a -9.1e-5, -1.17 %
+# and -7.5e-7, -4.7e-4; nu_b -8.7e-5, -1.12 % and -7.1e-7, -4.5e-4; mu (and
+# its dual's nu_a) +2.3e-8, +0.67 % and +8e-12, +2.8e-4; ex8_8 nu_a +2.9e-10,
+# +1.18 % and +2e-14, +4.8e-4; ex9_21 mu +1.2e-14, +2.11 % and -6e-16,
+# +8.5e-4; table7_1_row8 nu_a (and table6_1_row7's dual) -2.3e-8, -2.5e-4
+# and -2e-11, -5.2e-6; table7_1_row8 nu_b, quadratic_nd nu_a and ex9_20 mu
+# at most 5.3e-10, 3.6e-6 and 2.9e-11, 4.8e-6. The geometric series match
+# to rounding, with both tails 0 where the terms underflow.
+@pytest.mark.parametrize("model,keys", ESTIMATED)
+def test_estimated_tails_match_a_long_window(model, keys):
+    windows = ((4096, 1e-4, 2.5e-2), (DEFAULT_NMAX, 1e-6, 1e-3))
+    tops = [model.base + W - 1 for W, _, _ in windows]
+    ref = _ratio_product_sums(model, [model.base] + tops, keys)
+    for j, (W, tol_total, tol_tail) in enumerate(windows):
+        ws = build_weights(model, W)
+        for k in keys:
+            tail = ws.mu_tail(tops[j]) if k == "mu" else ws.nu_tail(tops[j], k[-1])
+            assert getattr(ws, k + "_total").value == pytest.approx(
+                ref[k][0], rel=tol_total, abs=0)
+            assert tail == pytest.approx(ref[k][j + 1], rel=tol_tail, abs=0)
 
 
 def test_classify_uniqueness_examples():
@@ -289,13 +376,12 @@ def test_last_weight_system_is_reused_and_read_only():
     model = ChainModel(BoundaryCode.ND, 0, None, birth, lambda i: np.full(np.shape(i), 3.0))
     ws = build_weights(model, 500)
     ws.nu_tails()
-    assert build_weights(model, 500) is ws and build_weights(model, 500, 1e-10) is ws
+    assert build_weights(model, 500) is ws
     assert len(calls) == 1
     assert build_weights(model, 501) is not ws
-    assert build_weights(model, 501, tol=1e-8) is not ws
     twin = ChainModel(BoundaryCode.ND, 0, None, birth, model.death)
-    assert build_weights(twin, 501, tol=1e-8) is not ws
-    assert len(calls) == 4
+    assert build_weights(twin, 501) is not ws
+    assert len(calls) == 3
     arrays = [ws.mu, ws.log_mu, ws.a, ws.b, ws.c, ws.mu_prefix_arr, ws.nu_a, ws.nu_b,
               ws.mu_tails(), ws.nu_tails("a"), ws.nu_tails("b")]
     for arr in arrays:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -303,3 +304,67 @@ def test_principal_eigen_residual_relative_to_norm(m):
     rows[1:] += off
     n = m + 1
     assert got.residual <= n * np.finfo(float).eps * float(np.max(rows))
+
+
+def _tail_ratio_loop(model, top, tol=1e-14, cap=200000):
+    """The per-term reference of ``oracle._tail_ratio``: the hint's ratio, or
+    p = mu_k / mu_top and s = sum of p multiplied and added one term at a
+    time, stopping at the first p < tol * s; None where it reaches the cap."""
+    hint = model.hint("mu_tail")
+    if hint is not None:
+        num = float(hint(top))
+        den = float(hint(top)) - float(hint(top + 1))
+        if den > 0 and math.isfinite(num):
+            return num / den
+        if not math.isfinite(num):
+            return math.inf
+    s = p = 1.0
+    j, block = top, 512
+    end = top + cap if model.hi is None else min(model.hi, top + cap)
+    while j < end:
+        hi = min(j + block, end)
+        idx = np.arange(j, hi, dtype=np.int64)
+        r = (np.asarray(model.birth(idx), dtype=float)
+             / np.asarray(model.death(idx + 1), dtype=float))
+        with np.errstate(over="ignore"):
+            for rr in r:
+                p *= rr
+                s += p
+                if p < tol * s:
+                    return s
+                if not math.isfinite(s):
+                    return math.inf
+        j, block = hi, min(2 * block, 1 << 16)
+    return s if model.hi is not None and j >= model.hi else None
+
+
+NN_DN = [n for n in catalog_names()
+         if catalog(n).boundary in (BoundaryCode.NN, BoundaryCode.DN)]
+
+
+@pytest.mark.parametrize("hinted", [True, False], ids=["hint", "bare"])
+@pytest.mark.parametrize("name", NN_DN)
+def test_tail_ratio_equals_the_per_term_loop(name, hinted):
+    # bit for bit wherever the loop stops before the cap; at the cap (ex5_5,
+    # table6_1_row7 and symmetric_nn without a mu_tail hint) the remainder
+    # comes from the estimator, and the cap test below checks it
+    model = catalog(name)
+    if not hinted:
+        model = dataclasses.replace(model, tail_hint=None)
+    for top in (250, 1000, 4000):
+        ref = _tail_ratio_loop(model, top)
+        if ref is not None:
+            assert oracle._tail_ratio(model, top) == ref
+
+
+def test_tail_ratio_at_the_cap():
+    # mu_k = 1/k^2: the hinted closed form is 4000.50004...; the loop sums
+    # 200000 terms and the estimator adds the rest
+    hinted = catalog("ex5_5")
+    bare = dataclasses.replace(hinted, tail_hint=None)
+    assert _tail_ratio_loop(bare, 4000) is None
+    exact = oracle._tail_ratio(hinted, 4000)
+    assert exact == pytest.approx(4000.50004, rel=1e-9)
+    assert oracle._tail_ratio(bare, 4000) == pytest.approx(exact, rel=1e-7)
+    # a non-decaying tail (symmetric_nn: mu_k = 1) reaches the cap and is infinite
+    assert oracle._tail_ratio(catalog("symmetric_nn"), 4000) == math.inf

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,3 +165,44 @@ def test_extrapolate_limit_modes():
     assert mode == "log_model" and lim == pytest.approx(0.25, abs=5e-3)
     flat = [2.0, 2.0, 2.0]
     assert series.extrapolate_limit([1, 2, 3], flat)[1] == "converged"
+
+
+@pytest.mark.parametrize("r,n", [(0.5, 50), (0.95, 1000)])
+def test_remainder_of_a_geometric_series_is_exact(r, n):
+    # 50 terms take the last-two-terms branch, 1000 the block branch
+    t = r ** np.arange(n, dtype=float)
+    assert series.estimate_remainder_block(t, 0) == pytest.approx(r ** n / (1.0 - r), rel=1e-13, abs=0)
+    assert series.tail_sums(t, 0)[-1] == series.estimate_remainder_block(t, 0)
+    assert series.tail_sums(t, 0, 0.0)[0] == np.cumsum(t[::-1])[-1]
+
+
+def test_remainder_of_a_period_2_series():
+    # the term ratios alternate 1/6 and 3/2, like table7_1_row9's nu_a: the
+    # ratio of the last two terms reads 3/2 (no decay), the block sums decay
+    # by exactly 4^-32 per block, so the geometric remainder is exact
+    t = np.cumprod(np.concatenate([[1.0], np.tile([1.0 / 6.0, 1.5], 199)]))
+    assert t[-1] / t[-2] == 1.5
+    exact = 0.25 ** 199 * (1.0 / 6.0 + 0.25) * 4.0 / 3.0   # t_399 = 4^-199 / 6, ...
+    assert series.estimate_remainder_block(t, 0) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+# the relative error of the p-series remainder after K terms, measured
+# against the Hurwitz zeta: at K = 4096 it is -1.16 % (p = 1.5), -3.5e-6
+# (p = 2), +1.18 % (p = 3) and +2.12 % (p = 4); at K = 10^5 it is -4.7e-4,
+# +4.8e-6, +4.8e-4 and +8.6e-4. The power fitted from two 64-term blocks is
+# off by O(64/K), which the integral test at p = 2 happens to cancel.
+@pytest.mark.parametrize("K,tol", [(4096, 2.5e-2), (10 ** 5, 1e-3)])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_remainder_of_a_p_series_against_zeta(p, K, tol):
+    t = np.arange(1.0, K + 1.0) ** -p
+    exact = float(mpmath.zeta(p, K + 1))
+    assert series.estimate_remainder_block(t, 1) == pytest.approx(exact, rel=tol, abs=0)
+    if p == 2.0:
+        assert series.estimate_remainder_block(t, 1) == pytest.approx(exact, rel=1e-5, abs=0)
+
+
+def test_remainder_of_non_decaying_terms_is_infinite():
+    assert series.estimate_remainder_block(np.ones(500), 1) == math.inf
+    assert series.estimate_remainder_block(np.ones(5), 1) == math.inf
+    assert series.estimate_remainder_block(np.zeros(500), 1) == 0.0
+    assert np.isinf(series.tail_sums(np.ones(500), 1)).all()
