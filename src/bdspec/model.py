@@ -164,16 +164,10 @@ class WeightSystem:
 
     def _suffix(self, key: str) -> np.ndarray:
         """Suffix sums of ``key`` plus the remainder past the window, which
-        the build estimated; where that estimate is infinite under a hinted
-        finite total, the remainder is what the total leaves."""
+        the build settled."""
         out = self._cache.get(key)
         if out is None:
-            rem = self._cache["rem_" + key]
-            if math.isfinite(rem):
-                out = series.tail_sums(getattr(self, key), self.base, rem)
-            else:
-                out = series.tail_sums(getattr(self, key), self.base, 0.0)
-                out += max(getattr(self, key + "_total").value - float(out[0]), 0.0)
+            out = series.tail_sums(getattr(self, key), self.base, self._cache["rem_" + key])
             out = self._cache[key] = _read_only(out)
         return out
 
@@ -327,13 +321,16 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
     with np.errstate(over="ignore", invalid="ignore"):
         mu_prefix = np.cumsum(mu)
     # each series' remainder past the window, estimated once: the total and
-    # the suffix tails both add it
+    # the suffix tails both add it; where the estimate is infinite under a
+    # hinted finite total, the remainder is what that total leaves
     cache, totals = {}, []
     with np.errstate(over="ignore"):
         for key, arr in (("mu", mu), ("nu_a", nu_a), ("nu_b", nu_b)):
-            rem = cache["rem_" + key] = (
-                0.0 if finite else series.estimate_remainder_block(arr, base))
+            rem = 0.0 if finite else series.estimate_remainder_block(arr, base)
             totals.append(_sum_with_tail(arr, model.hint(key + "_total"), rem))
+            if not math.isfinite(rem) and math.isfinite(totals[-1].value):
+                rem = max(totals[-1].value - float(arr.sum()), 0.0)
+            cache["rem_" + key] = rem
     mu_total, nu_a_total, nu_b_total = totals
     mu, log_mu, a, b, c, mu_prefix, nu_a, nu_b = map(
         _read_only, (mu, log_mu, a, b, c, mu_prefix, nu_a, nu_b))

@@ -81,8 +81,8 @@ def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
         if stop.any():
             k = int(np.argmax(stop))
             return float(S[k]) if P[k] < tol * S[k] else math.inf
-        # the remainder estimator reads the trailing 2 x 64 terms at most
-        p, s, terms = P[-1], S[-1], np.concatenate([terms[-128:], P])
+        # the remainder estimator reads the trailing two blocks at most
+        p, s, terms = P[-1], S[-1], np.concatenate([terms[-2 * series.REMAINDER_BLOCK:], P])
         j = hi
         block = min(2 * block, 1 << 16)
     if model.hi is not None and j >= model.hi:

@@ -31,6 +31,7 @@ from .errors import EmptyRange
 DIVERGENCE_CAP = 1e12
 STOP_WINDOW = 256       # no-improvement window for unbounded scans
 BLOCK_ENTRIES = 1 << 20  # entries per 2-D block of a two-index scan
+REMAINDER_BLOCK = 64     # terms per block of the remainder estimator
 
 
 class Certainty(enum.Enum):
@@ -58,24 +59,24 @@ class TailSum:
     terms_used: int = 0
 
 
-def estimate_remainder_block(terms: np.ndarray, start: int, block: int = 64) -> float:
+def estimate_remainder_block(terms: np.ndarray, start: int) -> float:
     """The remainder past the last term of a nonnegative series, estimated
     from its trailing terms: the one remainder estimator of the package.
 
     ``terms[k]`` is the term of index ``start + k``. The estimate compares the
-    sums of the last two blocks of ``block`` terms, which is robust to
+    sums of the last two blocks of REMAINDER_BLOCK terms, which is robust to
     periodic term patterns that confuse a per-term ratio (alternating-rate
     chains); inputs shorter than two blocks compare their last two terms
-    instead. A ratio q clearly below 1 gives the geometric remainder
-    t q / (1 - q); otherwise the integral test with the local power p fitted
-    from q gives t k / (p - 1), t the mean trailing term and k the last index.
-    Returns +inf when the terms do not decay.
+    instead (blocks of one term). A ratio q clearly below 1 gives the
+    geometric remainder t q / (1 - q); otherwise the integral test with the
+    local power p fitted from q gives t k / (p - 1), t the mean trailing term
+    and k the last index. Returns +inf when the terms do not decay, or decay
+    no faster than the harmonic series 1/j over the same two blocks.
     """
     n = len(terms)
     if n < 2:
         return math.inf if (n and terms[-1] > 0) else 0.0
-    if n < 2 * block + 2:
-        block = 1
+    block = REMAINDER_BLOCK if n >= 2 * REMAINDER_BLOCK + 2 else 1
     with np.errstate(over="ignore"):
         s1 = float(np.sum(terms[-block:]))
         s0 = float(np.sum(terms[-2 * block:-block]))
@@ -87,8 +88,16 @@ def estimate_remainder_block(terms: np.ndarray, start: int, block: int = 64) -> 
     if q < 0.9:
         return s1 * q / (1.0 - q)
     k = start + n - 1
-    p = math.log(q) / math.log((k - block) / float(k)) if k > block else math.inf
-    if p <= 1.0 + 1e-9:
+    if k < 2 * block:
+        return 0.0                # the blocks reach index 0: no power to fit
+    # p is fitted across the block ends, which over-reads a power law by
+    # O(block / k); the mean term lags the last one by half a block, and the
+    # two offset each other in t k / (p - 1). The same fit reads the harmonic
+    # series as 1 + O(block / k), so the divergence verdict compares with it.
+    gap = math.log((k - block) / float(k))
+    h = 1.0 / np.arange(k - 2 * block + 1, k + 1, dtype=float)
+    p = math.log(q) / gap
+    if p <= math.log(float(np.sum(h[block:])) / float(np.sum(h[:block]))) / gap + 1e-9:
         return math.inf
     return s1 / block * k / (p - 1.0)
 

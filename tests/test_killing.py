@@ -147,6 +147,18 @@ def test_reduction_equality_flag_and_oracle():
     assert rr.bound == pytest.approx(lam, abs=1e-8)
 
 
+def test_reduction_takes_the_dual_route_on_a_harmonic_series():
+    # b_i = (i + 1)^3 and a_i = i (i - 1)^2 give mu_i = i^2, so the dual
+    # reciprocal series sum mu_i / b_{i-1} = sum 1/i diverges (dual Hardy
+    # route), while the dual chain's weights 1/i^2 are summable
+    model = ChainModel(BoundaryCode.DD, 1, None,
+                       lambda i: (np.asarray(i, dtype=float) + 1.0) ** 3,
+                       lambda i: np.asarray(i, dtype=float) * (np.asarray(i, dtype=float) - 1.0) ** 2,
+                       killing=lambda i: np.where(np.asarray(i) == 1, 1.0, 0.0))
+    rr = killing.reduce_9_11(model, beta=1.0)
+    assert rr.valid and rr.branch == "dual_4_1"
+
+
 def test_reduction_shape_guard():
     with pytest.raises(ShapeViolation):
         killing.reduce_9_11(catalog("ex9_18"), beta=-1.0)

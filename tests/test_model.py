@@ -129,10 +129,8 @@ def _ratio_product_sums(model, starts, keys):
             for k in keys}
 
 
-ESTIMATED = [pytest.param(m, keys, id="%s-%s" % (m.name, "-".join(keys)), marks=(
-    pytest.mark.xfail(strict=True, reason="sum(mu) = sum 3/i diverges, but the block "
-                      "power fit sits O(64/k) above 1, so the total reads finite")
-    if m.name == "ex9_19" else ())) for m, keys in _estimated_series()]
+ESTIMATED = [pytest.param(m, keys, id="%s-%s" % (m.name, "-".join(keys)))
+             for m, keys in _estimated_series()]
 
 
 # The errors measured against the reference (window 4096, then 10^5; total,
@@ -156,6 +154,28 @@ def test_estimated_tails_match_a_long_window(model, keys):
             assert getattr(ws, k + "_total").value == pytest.approx(
                 ref[k][0], rel=tol_total, abs=0)
             assert tail == pytest.approx(ref[k][j + 1], rel=tol_tail, abs=0)
+
+
+@pytest.mark.parametrize("W", [4096, DEFAULT_NMAX])
+def test_harmonic_weights_are_divergent(W):
+    # ex9_19: mu_i = 3/i, so sum(mu) = inf at every window, and so is each tail
+    ws = build_weights(catalog("ex9_19"), W)
+    assert ws.mu_total.value == math.inf and ws.mu_total.flag == "divergent"
+    assert ws.mu_tail(ws.top) == math.inf
+
+
+def test_hinted_total_settles_an_infinite_remainder_estimate():
+    # r = 0.999 reads as a power law no faster than 1/j over 1000 terms, so
+    # the estimate is inf; the hinted total then gives the remainder
+    r = 0.999
+    model = catalog("const_dn", a=1.0, b=r)
+    model = ChainModel(model.boundary, model.lo, model.hi, model.birth, model.death,
+                       tail_hint={"mu_total": 1.0 / (1.0 - r)})
+    ws = build_weights(model, 1000)
+    assert not math.isfinite(series.estimate_remainder_block(ws.mu, ws.base))
+    assert ws.mu_total.flag == "closed_form"
+    n = np.array([1, 500, 1000, 1001])
+    assert ws.mu_tail(n) == pytest.approx(r ** (n - 1) / (1.0 - r), rel=1e-12, abs=0)
 
 
 def test_classify_uniqueness_examples():

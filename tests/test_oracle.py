@@ -368,3 +368,12 @@ def test_tail_ratio_at_the_cap():
     assert oracle._tail_ratio(bare, 4000) == pytest.approx(exact, rel=1e-7)
     # a non-decaying tail (symmetric_nn: mu_k = 1) reaches the cap and is infinite
     assert oracle._tail_ratio(catalog("symmetric_nn"), 4000) == math.inf
+
+
+def test_tail_ratio_of_a_harmonic_tail_is_infinite():
+    # ex9_19: mu_k = 3/k reaches the cap, and the estimator reads the
+    # remainder of a 1/k tail as divergent, so a Neumann truncation raises
+    model = catalog("ex9_19")
+    assert oracle._tail_ratio(model, 4000) == math.inf
+    with pytest.raises(WrongBoundary, match="summable mu tail"):
+        oracle.principal_eigen(model, 4000, "neumann")

@@ -206,3 +206,14 @@ def test_remainder_of_non_decaying_terms_is_infinite():
     assert series.estimate_remainder_block(np.ones(5), 1) == math.inf
     assert series.estimate_remainder_block(np.zeros(500), 1) == 0.0
     assert np.isinf(series.tail_sums(np.ones(500), 1)).all()
+
+
+@pytest.mark.parametrize("K", [10, 4096, 10 ** 5])
+@pytest.mark.parametrize("c", [1.0, 3.0])
+def test_remainder_of_a_harmonic_series_is_infinite(K, c):
+    # a power fitted across the block ends reads c/j as p = 1 + O(64/K);
+    # the verdict compares with the harmonic series over the same blocks
+    t = c / np.arange(1.0, K + 1.0)
+    assert series.estimate_remainder_block(t, 1) == math.inf
+    # a tail just faster than harmonic stays finite
+    assert math.isfinite(series.estimate_remainder_block(t ** 1.01, 1))
