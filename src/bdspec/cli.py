@@ -117,34 +117,21 @@ def cmd_estimate(args):
     t0 = time.time()
     n_max = _env_int("BDSPEC_NMAX", 10 ** 5)
     res = {"model": model.name, "params": model.params, "command": "estimate"}
-    exit2 = False
     if model.boundary is BoundaryCode.ND:
-        d, br = estimates.delta_nd(model, n_max)
-        res["delta_3_1"] = d
-        res["bracket"] = [br.lower, br.upper]
-        res["certified"] = br.delta_like.certified.value
-        exit2 = br.delta_like.certified is not Certainty.CERTIFIED
+        res["delta_3_1"], br = estimates.delta_nd(model, n_max)
     elif model.boundary is BoundaryCode.DN:
-        d, br = estimates.delta_dn(model, n_max)
-        res["delta_4_4"] = d
-        res["bracket"] = [br.lower, br.upper]
-        res["certified"] = br.delta_like.certified.value
-        exit2 = br.delta_like.certified is not Certainty.CERTIFIED
+        res["delta_4_4"], br = estimates.delta_dn(model, n_max)
     elif model.boundary is BoundaryCode.NN:
         k, dl, dr, br = estimates.kappa_nn(model, n_max)
-        res.update(kappa=k, delta_L=dl, delta_R=dr, bracket=[br.lower, br.upper],
-                   certified=br.delta_like.certified.value)
-        exit2 = br.delta_like.certified is not Certainty.CERTIFIED
+        res.update(kappa=k, delta_L=dl, delta_R=dr)
     elif model.boundary is BoundaryCode.DD:
         k, dl, dr, S, br = estimates.kappa_dd(model, n_max)
-        res.update(kappa=k, delta_L=dl, delta_R=dr, S=S, bracket=[br.lower, br.upper],
-                   certified=br.delta_like.certified.value)
-        exit2 = br.delta_like.certified is not Certainty.CERTIFIED
+        res.update(kappa=k, delta_L=dl, delta_R=dr, S=S)
     else:
-        k, br = estimates.kappa_bilateral(model)
-        res.update(kappa=k, bracket=[br.lower, br.upper],
-                   certified=br.delta_like.certified.value)
-        exit2 = True
+        k, br = estimates.kappa_bilateral(model)  # its reports are always window-stopped
+        res["kappa"] = k
+    res.update(bracket=[br.lower, br.upper], certified=br.delta_like.certified.value)
+    exit2 = br.delta_like.certified is not Certainty.CERTIFIED
     if model.boundary is not BoundaryCode.DD_BILATERAL:
         rep = estimates.basic_bracket(model)
         res["basic"] = {"kappa": rep.kappa, "method": rep.method,

@@ -41,10 +41,6 @@ class DomainViolation(BdspecError):
     """Test-sequence transform applied outside its domain."""
 
 
-class EmptyRange(BdspecError):
-    """Extremum requested over an empty index range."""
-
-
 class TruncationTooSmall(BdspecError):
     """Eigensolver truncation level below the minimum (2 states)."""
 

@@ -41,28 +41,35 @@ def _bracket_from_constant(value: float, method: str,
     return Bracket(0.25 / value, 1.0 / value, method, report)
 
 
-def _masked_sup(values: np.ndarray, genuinely_infinite: bool) -> float:
-    """Sup over the float-healthy part of a product scan; inf only when the
-    defining series genuinely force it."""
-    if genuinely_infinite:
-        return math.inf
-    sel = np.isfinite(values)
-    return float(np.max(values[sel])) if sel.any() else 0.0
+def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumReport:
+    """sup over the window of delta^(3.1)'s objective mu[base, n]^s nu_b[n, N]
+    (``kind`` "3_1") or of delta^(4.4)'s nu_a[1, n] mu[n, N]^s from state 1 on
+    ("4_4"); s = 2/p gives the L^(p/2) forms B of ``poincare``.
 
-
-def _delta31_terms(ws: WeightSystem, s: float = 1.0) -> np.ndarray:
-    """delta^(3.1)'s objective mu[base, n]^s nu_b[n, N] at every window index
-    n, inf and nan left to the callers' masked scans; s = 2/p gives the
-    L^(p/2) form of ``poincare`` (x ** 1.0 is exact)."""
+    A divergent defining tail series (sum nu_b for 3.1, sum mu for 4.4) or an
+    empty objective gives inf, certified. Otherwise the value is the max over
+    the finite entries of the whole window, certified when the window covers
+    a finite chain. On an infinite window it is inf (window-stopped) when it
+    passes series.DIVERGENCE_CAP or the values are still climbing: the last
+    one above 1.1 times the one at W/8 and above 0.3 times the max.
+    """
     with np.errstate(all="ignore"):
-        return ws.mu_prefix_arr ** s * ws.nu_tails("b")
-
-
-def _delta44_terms(ws: WeightSystem, s: float = 1.0) -> np.ndarray:
-    """The objective of delta^(4.4) from state 1 on, nu_a[1, n] mu[n, N]^s;
-    s as in ``_delta31_terms``."""
-    with np.errstate(all="ignore"):
-        return (np.cumsum(ws.nu_a) * ws.mu_tails() ** s)[1 - ws.base:]
+        if kind == "3_1":
+            lo, total = ws.base, ws.nu_b_total
+            obj = ws.mu_prefix_arr ** s * ws.nu_tails("b")
+        else:
+            lo, total = 1, ws.mu_total
+            obj = (np.cumsum(ws.nu_a) * ws.mu_tails() ** s)[1 - ws.base:]
+    if not math.isfinite(total.value) or not len(obj):
+        return series.ExtremumReport(None, math.inf, series.Certainty.CERTIFIED, (lo, ws.top))
+    obj = np.where(np.isfinite(obj), obj, 0.0)
+    k = int(np.argmax(obj))
+    value = float(obj[k])
+    climbing = obj[-1] > 1.1 * obj[len(obj) // 8] and obj[-1] > 0.3 * value
+    if not ws.finite and (value > series.DIVERGENCE_CAP or climbing):
+        value = math.inf
+    cert = series.Certainty.CERTIFIED if ws.finite else series.Certainty.WINDOW_STOPPED
+    return series.ExtremumReport(lo + k, value, cert, (lo, ws.top))
 
 
 def _kappa_terms(ws: WeightSystem, reflecting: bool):
@@ -89,37 +96,20 @@ def _kappa(ws: WeightSystem, reflecting: bool, s: float = 1.0):
     return (1.0 / rep.value if rep.value > 0 else math.inf), rep
 
 
-def _window_sup(ws: WeightSystem, obj, name: str):
-    """sup of ``obj`` over the window (non-finite entries count as 0) and its
-    bracket; ``obj`` None stands for a divergent total, whose sup is inf."""
-    if obj is None:
-        rep = series.ExtremumReport(ws.base, math.inf, series.Certainty.CERTIFIED,
-                                    (ws.base, ws.top))
-        return math.inf, _bracket_from_constant(math.inf, name, rep)
-    obj = np.where(np.isfinite(obj), obj, 0.0)
-    rep = series.extremize(lambda idx: obj[np.asarray(idx) - ws.base], "sup", ws.base,
-                           ws.top if ws.finite else None, hard_cap=len(obj) - 1)
-    return rep.value, _bracket_from_constant(rep.value, name, rep)
-
-
 def delta_nd(model: ChainModel, n_max: int = 10 ** 5):
     """delta = sup_n mu[0,n] nu[n,N]; bracket [1/(4 delta), 1/delta]."""
     if model.boundary is not BoundaryCode.ND:
         raise WrongBoundary("delta_nd needs an ND model")
-    ws = build_weights(model, n_max)
-    if not math.isfinite(ws.nu_b_total.value):
-        return _window_sup(ws, None, "delta_3_1")
-    return _window_sup(ws, _delta31_terms(ws), "delta_3_1")
+    rep = _delta_sup(build_weights(model, n_max), "3_1")
+    return rep.value, _bracket_from_constant(rep.value, "delta_3_1", rep)
 
 
 def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
     """delta = sup_n nu[1,n] mu[n,N] (nu from death rates); rate 0 if sum mu = inf."""
     if model.boundary is not BoundaryCode.DN:
         raise WrongBoundary("delta_dn needs a DN model")
-    ws = build_weights(model, n_max)
-    if not math.isfinite(ws.mu_total.value):
-        return _window_sup(ws, None, "delta_4_4")
-    return _window_sup(ws, _delta44_terms(ws), "delta_4_4")
+    rep = _delta_sup(build_weights(model, n_max), "4_4")
+    return rep.value, _bracket_from_constant(rep.value, "delta_4_4", rep)
 
 
 def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
@@ -131,8 +121,7 @@ def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
         raise NotErgodic("kappa_nn requires sum(mu) < inf")
     kappa, rep = _kappa(ws, reflecting=True)
     # delta_L = sup_{n>=1} nu_a[1,n] mu[n,N]; delta_R = sup_m mu[0,m] nu_b[m,N-1]
-    delta_L = _masked_sup(_delta44_terms(ws), not math.isfinite(ws.mu_total.value))
-    delta_R = _masked_sup(_delta31_terms(ws), not math.isfinite(ws.nu_b_total.value))
+    delta_L, delta_R = _delta_sup(ws, "4_4").value, _delta_sup(ws, "3_1").value
     bracket = _bracket_from_constant(kappa, "kappa_6_13", rep)
     return kappa, delta_L, delta_R, bracket
 
@@ -143,10 +132,7 @@ def kappa_dd(model: ChainModel, n_max: int = 10 ** 5):
         raise WrongBoundary("kappa_dd needs a DD model")
     ws = build_weights(model, n_max)
     kappa, rep = _kappa(ws, reflecting=False)
-    delta_L = _masked_sup(_delta44_terms(ws), not math.isfinite(ws.mu_total.value)
-                          and math.isfinite(ws.nu_a_total.value))
-    delta_R = _masked_sup(_delta31_terms(ws), not math.isfinite(ws.nu_b_total.value)
-                          and math.isfinite(ws.mu_total.value))
+    delta_L, delta_R = _delta_sup(ws, "4_4").value, _delta_sup(ws, "3_1").value
     bracket = _bracket_from_constant(kappa, "kappa_7_5", rep)
     return kappa, delta_L, delta_R, ws.exit_mass, bracket
 
@@ -212,20 +198,19 @@ def _kappa_bilateral_scan(model: ChainModel, variant: str, half_window: int):
     return kappa, arg, span
 
 
-def naive_upper(model: ChainModel, n_max: int = 10 ** 5):
-    """inf_i (a_i + b_i + c_i) >= lambda; window-stopped on unbounded ranges."""
+def naive_upper(model: ChainModel, n_max: int = 10 ** 5) -> series.ExtremumReport:
+    """inf_i (a_i + b_i + c_i) >= lambda over the states up to the model's top,
+    or over a window of ``n_max`` states (window-stopped) when it has none."""
     base = model.base if model.boundary is not BoundaryCode.DD_BILATERAL else \
         (model.lo if model.lo is not None else -n_max // 2)
     top = model.hi if model.hi is not None else base + n_max - 1
-
-    def objective(idx):
-        i0, i1 = int(np.min(idx)), int(np.max(idx))
-        a, b, c = model.rates(i0, i1)
-        return (a + b + c)[np.asarray(idx) - i0]
-
-    return series.extremize(objective, "inf", base,
-                            model.hi if model.hi is not None else None,
-                            hard_cap=top - base)
+    with np.errstate(all="ignore"):
+        a, b, c = model.rates(base, top)
+        total = a + b + c
+    k = int(np.nanargmin(total))
+    cert = series.Certainty.CERTIFIED if model.hi is not None else \
+        series.Certainty.WINDOW_STOPPED
+    return series.ExtremumReport(base + k, float(total[k]), cert, (base, top))
 
 
 @dataclass(frozen=True)
@@ -249,25 +234,14 @@ def basic_bracket(model: ChainModel, n_max: int = 10 ** 5) -> BasicBracketReport
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise WrongBoundary("basic_bracket covers the four half-line codes")
     ws = build_weights(model, n_max)
-    # delta^(4.4) and delta^(3.1) with saturation conventions
-    d44, d31 = _delta44_terms(ws), _delta31_terms(ws)
-    mu_fin = math.isfinite(ws.mu_total.value)
-    nub_fin = math.isfinite(ws.nu_b_total.value)
-    delta44 = _masked_sup(d44, not mu_fin) if len(d44) else math.inf
-    delta31 = _masked_sup(d31, not nub_fin)
+    d44, d31 = _delta_sup(ws, "4_4"), _delta_sup(ws, "3_1")
     method = "kappa_6_13" if model.boundary.origin_reflecting else "kappa_7_5"
-    if not mu_fin and not nub_fin:
-        # zero-recurrent: rate exactly zero, no scan can tighten [0, 0]
-        rep = series.ExtremumReport(None, math.inf, series.Certainty.CERTIFIED,
-                                    (ws.base, ws.top))
-        return BasicBracketReport(Bracket(0.0, 0.0, method, rep), math.inf,
-                                  method, delta31, delta44, False, "delta_3_1")
+    criterion, verdict = (("delta_4_4", d44) if math.isfinite(ws.mu_total.value)
+                          else ("delta_3_1", d31))
+    if not math.isfinite(verdict.value):
+        # rate zero: a window scan of kappa would give a vacuous finite value
+        return BasicBracketReport(Bracket(0.0, 0.0, method, verdict), math.inf, method,
+                                  d31.value, d44.value, False, criterion)
     kappa, rep = _kappa(ws, model.boundary.origin_reflecting)
-    if mu_fin:
-        criterion, positive = "delta_4_4", math.isfinite(delta44)
-    else:
-        criterion, positive = "delta_3_1", math.isfinite(delta31)
-    if positive is False:
-        kappa = math.inf  # window scans produce vacuous finite values here
-    return BasicBracketReport(_bracket_from_constant(kappa, method, rep), kappa,
-                              method, delta31, delta44, positive, criterion)
+    return BasicBracketReport(_bracket_from_constant(kappa, method, rep), kappa, method,
+                              d31.value, d44.value, True, criterion)

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracle, series
-from .approx import _II
+from .approx import LOG_SAFE, _II
 from .errors import (EtaOutOfRange, HypothesisUnverified, NotInF,
                      ShapeViolation, WrongBoundary)
 from .model import BoundaryCode, ChainModel, build_weights
@@ -62,7 +62,7 @@ def _arrays(model: ChainModel, window: int):
         raise WrongBoundary("killing bounds expect the state space {1, ..., N}")
     ws = build_weights(model, window)
     W = len(ws.mu)
-    bad = np.abs(ws.log_mu) > 280.0
+    bad = np.abs(ws.log_mu) > LOG_SAFE
     if bad.any():
         W = max(int(np.argmax(bad)), 3)
     return ws, W

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import series
 from .errors import WrongVariant
-from .estimates import (_bilateral_scan, _bilateral_sums, _delta31_terms, _delta44_terms,
-                        _kappa, _kappa_terms)
+from .estimates import _bilateral_scan, _bilateral_sums, _delta_sup, _kappa, _kappa_terms
 from .model import BoundaryCode, ChainModel, bilateral_log_weights, build_weights
 
 VARIANTS = ("bilateral_8_4", "half_line_8_6", "neumann_8_9")
@@ -51,21 +50,7 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
     if variant == "neumann_8_9":
         if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
             raise WrongVariant("neumann_8_9 needs a reflecting origin")
-        ws = build_weights(model, n_max)
-        obj = _delta31_terms(ws, 2.0 / p)
-        if not math.isfinite(ws.nu_b_total.value):
-            return SobolevConstant(p, variant, math.inf, None)
-        obj = np.where(np.isfinite(obj), obj, 0.0)
-        W = len(obj)
-        k = int(np.argmax(obj))
-        cert = series.Certainty.CERTIFIED if ws.finite else series.Certainty.WINDOW_STOPPED
-        rep = series.ExtremumReport(ws.base + k, float(obj[k]), cert, (ws.base, ws.top))
-        if not ws.finite:
-            # divergence certificate: the tail keeps climbing across a long
-            # baseline (slow power growth) or the values already exploded
-            trending = obj[W - 1] > 1.1 * obj[W // 8] and obj[W - 1] > 0.3 * obj[k]
-            if obj[k] > series.DIVERGENCE_CAP or trending:
-                return SobolevConstant(p, variant, math.inf, rep)
+        rep = _delta_sup(build_weights(model, n_max), "3_1", 2.0 / p)
         return SobolevConstant(p, variant, rep.value, rep)
     if variant == "half_line_8_6":
         if model.boundary is not BoundaryCode.DD or model.base != 1:
@@ -108,9 +93,7 @@ def b_constants_split(model: ChainModel, p: float,
         if model.boundary is not BoundaryCode.DD or model.base != 1:
             raise WrongVariant("split constants need the Dirichlet-origin shape")
         ws = build_weights(model, n_max)
-        bl, br = _delta44_terms(ws, t), _delta31_terms(ws, t)
-        B_L = float(np.max(np.where(np.isfinite(bl), bl, math.inf)))
-        B_R = float(np.max(np.where(np.isfinite(br), br, math.inf)))
+        B_L, B_R = _delta_sup(ws, "4_4", t).value, _delta_sup(ws, "3_1", t).value
         S = ws.exit_mass
         # 1/B = inf over n <= m of (1/nu_a[1, n]) (1/nu_b[m, N]) / mu[n, m]^{2/p}
         rep = series.half_line_pairs(*_kappa_terms(ws, reflecting=False), ws.base, True,

@@ -1,8 +1,10 @@
 """Tail sums and index-functional extremization.
 
-One-index sups and infs go through :func:`extremize`. The two-index
-constants, infima over n <= m of (L_n + R_m) M(n, m)^-s or of L_n R_m
-M(n, m)^-s (a supremum is taken through its reciprocal), go through
+The one-index suprema (delta^(3.1), delta^(4.4) and their L^(p/2) forms)
+are a max over one window array, taken with their objectives in
+``estimates._delta_sup``. The two-index constants, infima over n <= m of
+(L_n + R_m) M(n, m)^-s or of L_n R_m M(n, m)^-s (a supremum is taken
+through its reciprocal), go through
 :func:`half_line_pairs` (linear weights, prefix-difference middle sums) or
 :func:`log_triangle` (log weights, for two-sided chains whose weights leave
 float range both ways); the caller's boundary code picks the routine.
@@ -22,14 +24,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyRange
-
 DIVERGENCE_CAP = 1e12
-STOP_WINDOW = 256       # no-improvement window for unbounded scans
 BLOCK_ENTRIES = 1 << 20  # entries per 2-D block of a two-index scan
 REMAINDER_BLOCK = 64     # terms per block of the remainder estimator
 
@@ -37,7 +36,6 @@ REMAINDER_BLOCK = 64     # terms per block of the remainder estimator
 class Certainty(enum.Enum):
     CERTIFIED = "certified"
     WINDOW_STOPPED = "window_stopped"
-    RANGE_TRUNCATED = "range_truncated"
 
 
 @dataclass(frozen=True)
@@ -117,52 +115,6 @@ def tail_sums(terms: np.ndarray, start: int, rem: Optional[float] = None) -> np.
         np.cumsum(terms[::-1], out=out[-2::-1])
     out += estimate_remainder_block(terms, start) if rem is None else rem
     return out
-
-
-def extremize(objective: Callable[[np.ndarray], np.ndarray],
-              direction: str,
-              lo: int,
-              hi: Optional[int] = None,
-              window: int = STOP_WINDOW,
-              hard_cap: int = 10 ** 6) -> ExtremumReport:
-    """Sup or Inf of objective(i) over i in [lo, hi] (hi=None means unbounded).
-
-    Exhaustive on finite ranges. On unbounded ranges, scans in blocks and
-    stops after ``window`` consecutive indices without improvement
-    (WindowStopped). +-inf values are legal.
-    """
-    if direction not in ("sup", "inf"):
-        raise ValueError("direction must be 'sup' or 'inf'")
-    sign = 1.0 if direction == "sup" else -1.0
-    if hi is not None and hi < lo:
-        raise EmptyRange("empty range [%d, %d]" % (lo, hi))
-    bound = hi if hi is not None else lo + hard_cap - 1
-    best = -math.inf
-    arg = lo
-    since_improve = 0
-    cur = lo
-    block = 256
-    last = lo - 1
-    while cur <= bound:
-        top = min(cur + block - 1, bound)
-        idx = np.arange(cur, top + 1, dtype=np.int64)
-        with np.errstate(all="ignore"):
-            vals = sign * np.asarray(objective(idx), dtype=float)
-        vals = np.where(np.isnan(vals), -math.inf, vals)
-        k = int(np.argmax(vals))
-        if vals[k] > best:
-            best = float(vals[k])
-            arg = int(idx[k])
-            since_improve = int(top - idx[k])
-        else:
-            since_improve += len(idx)
-        last = top
-        if hi is None and since_improve >= window:
-            return ExtremumReport(arg, sign * best, Certainty.WINDOW_STOPPED, (lo, last))
-        cur = top + 1
-        block = min(2 * block, 1 << 16)
-    cert = Certainty.CERTIFIED if hi is not None else Certainty.RANGE_TRUNCATED
-    return ExtremumReport(arg, sign * best, cert, (lo, last))
 
 
 def _row_blocks(rows: int, cols: int) -> list:

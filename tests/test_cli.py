@@ -45,6 +45,15 @@ def test_estimate_file_model(tmp_path, capsys):
     assert parsed["lambda_exact"] == pytest.approx(2.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("name,certified", [("ex7_6_1", "certified"),
+                                             ("ex8_8", "window_stopped"),
+                                             ("ex8_9", "window_stopped")])
+def test_estimate_exit_code_follows_certainty(name, certified, capsys):
+    code, out = run_cli(["estimate", "--model", name, "--json"], capsys)
+    assert json.loads(out)["certified"] == certified
+    assert code == (0 if certified == "certified" else 2)
+
+
 def test_oracle_command(capsys):
     code, out = run_cli(["oracle", "--model", "ex9_21", "--m", "400", "--json"], capsys)
     assert code == 0

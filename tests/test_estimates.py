@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bdspec import estimates, poincare
-from bdspec.catalog import catalog
+from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import NotErgodic, WrongBoundary
-from bdspec.model import BoundaryCode, ChainModel
+from bdspec.model import BoundaryCode, ChainModel, build_weights
 
 SQRT2 = math.sqrt(2.0)
 
@@ -142,6 +142,69 @@ def test_basic_bracket_dispatch():
     assert rep.bracket.lower == 0.0 and rep.bracket.upper == 0.0
     rep = estimates.basic_bracket(catalog("ex7_6_1"))
     assert rep.method == "kappa_7_5" and rep.kappa == pytest.approx(3.0 / 7.0, rel=1e-12)
+
+
+KILLING_FREE_HALF_LINE = [name for name in catalog_names()
+                          if catalog(name).killing is None
+                          and catalog(name).boundary is not BoundaryCode.DD_BILATERAL]
+
+
+@pytest.mark.parametrize("name", KILLING_FREE_HALF_LINE)
+def test_one_index_routes_agree_at_p2(name):
+    """Every route to delta^(3.1) and to delta^(4.4) gives the same float; at
+    p = 2 the L^(p/2) constants B of section 8 are these deltas."""
+    model = catalog(name)
+    ws = build_weights(model)
+    basic = estimates.basic_bracket(model)
+    d31, d44 = [basic.delta_3_1], [basic.delta_4_4]
+    if model.boundary is BoundaryCode.ND:
+        d31.append(estimates.delta_nd(model)[0])
+    if model.boundary is BoundaryCode.DN:
+        d44.append(estimates.delta_dn(model)[0])
+    if model.boundary is BoundaryCode.NN and math.isfinite(ws.mu_total.value):
+        _, dl, dr, _ = estimates.kappa_nn(model)
+        d44.append(dl)
+        d31.append(dr)
+    if model.boundary is BoundaryCode.DD:
+        _, dl, dr, _, _ = estimates.kappa_dd(model)
+        d44.append(dl)
+        d31.append(dr)
+    if model.boundary.origin_reflecting and model.base == 0:
+        d31.append(poincare.sobolev_constant(model, 2.0, "neumann_8_9").B)
+    if model.boundary is BoundaryCode.DD and model.base == 1:
+        bl, br, _, _ = poincare.b_constants_split(model, 2.0)
+        d44.append(bl)
+        d31.append(br)
+    assert d31 == [d31[0]] * len(d31)
+    assert d44 == [d44[0]] * len(d44)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0, 5.0])
+def test_ex8_8_delta_3_1_diverges(gamma):
+    """delta^(3.1)'s objective grows like n^2 on this zero-rate chain: no
+    finite window value may stand for it."""
+    model = catalog("ex8_8", gamma=gamma)
+    d, br = estimates.delta_nd(model)
+    assert d == math.inf and br.degenerate
+    rep = estimates.basic_bracket(model)
+    assert rep.positive is False
+    assert (rep.bracket.lower, rep.bracket.upper) == (0.0, 0.0)
+
+
+def test_delta_nd_scans_the_whole_window():
+    model = catalog("const_nd", a=1.0, b=2.0)
+    _, br = estimates.delta_nd(model)
+    assert br.delta_like.scanned[1] == build_weights(model).top
+
+
+def test_table7_1_row1_split_b_r_closed_form():
+    """B_R = sup_m mu[1, m]^(2/p) nu_b[m, inf) with mu[1, m] = 2^m - 1 and
+    nu_b[m, inf) = 2^(1-m): 2, approached as m -> inf, at p = 2 and
+    3^(2/3) / 2, at m = 2, at p = 3."""
+    model = catalog("table7_1_row1")
+    assert poincare.b_constants_split(model, 2.0)[1] == pytest.approx(2.0, rel=1e-15)
+    assert poincare.b_constants_split(model, 3.0)[1] == pytest.approx(3.0 ** (2.0 / 3.0) / 2.0,
+                                                                      rel=1e-15)
 
 
 # 5-state bilateral chain with summable weights, checked by exhaustive scans

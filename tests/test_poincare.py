@@ -78,7 +78,6 @@ def test_half_line_split_sandwich():
         a1 = float(model.death(1))
         lower = (1.0 if not math.isfinite(S) else 0.0) + \
             (0.0 if not math.isfinite(S) else 1.0 / (a1 * S))
-        assert sc.B >= lower * min(bl, br) * 0 + sc.B * 0 + lower * bb * 0 + 0  # see below
         # Corollary-style sandwich: B >= (1_{S=inf} + 1/(a_1 S)) * (B_L ^ B_R)
         assert sc.B >= lower * min(bl, br) - 1e-12
     # ex7_5_1: the reciprocal death series diverges (S = inf), so B = B_L ^ B_R,

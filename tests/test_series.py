@@ -3,47 +3,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bdspec import estimates, series
 from bdspec.catalog import catalog, catalog_names
-from bdspec.errors import EmptyRange
 from bdspec.model import BoundaryCode, build_weights
-
-
-def test_extremize_finite_exhaustive():
-    obj = lambda i: -((np.asarray(i, float) - 37.0) ** 2)
-    rep = series.extremize(obj, "sup", 0, 100)
-    assert rep.arg == 37 and rep.certified is series.Certainty.CERTIFIED
-
-
-def test_extremize_window_stop_matches_exhaustive():
-    obj = lambda i: -((np.asarray(i, float) - 37.0) ** 2)
-    rep = series.extremize(obj, "sup", 0, None)
-    full = series.extremize(obj, "sup", 0, 5000)
-    assert rep.arg == full.arg and rep.value == full.value
-
-
-def test_extremize_inf_direction_and_ties():
-    obj = lambda i: np.where(np.asarray(i) % 7 == 3, -1.0, 0.0)
-    rep = series.extremize(obj, "inf", 0, 100)
-    assert rep.value == -1.0 and rep.arg == 3  # smallest-index tie-break
-
-
-def test_extremize_empty_range():
-    with pytest.raises(EmptyRange):
-        series.extremize(lambda i: np.zeros(np.shape(i)), "sup", 5, 4)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=200))
-def test_extremize_dominates_every_scanned_point(vals):
-    arr = np.asarray(vals)
-    obj = lambda i: arr[np.asarray(i)]
-    rep = series.extremize(obj, "sup", 0, len(arr) - 1)
-    assert rep.value >= arr.max() - 1e-12 * max(1.0, abs(arr.max()))
-    rep2 = series.extremize(obj, "inf", 0, len(arr) - 1)
-    assert rep2.value <= arr.min() + 1e-12 * max(1.0, abs(arr.min()))
 
 
 def brute_pairs(L, R, mid, strict, s=1.0, product=False):
