@@ -233,21 +233,34 @@ def _nn_arrays(model: ChainModel, window: int):
     return ws, W, mu, nu_shift, phi, tail, Z
 
 
+def _centered_first_step(phi, w, w_tail, total, start, rem):
+    """(eta_1, bar-eta_1) of the centered first iterate, in the NN frame.
+
+    ``phi`` (phi_0 = 0) is the seed, ``w`` the weights it is centered under,
+    ``w_tail[i]`` = w[i, N] for i = 0..len(w), ``total`` their sum Z, and
+    ``rem`` the remainder of psi past the window (None estimates it, from the
+    index ``start`` of w_0). eta_1 = sup_i (sqrt(phi_i) + sqrt(phi_{i-1}))
+    (psi_i - psi_1 w[i, N] / Z), psi_i = sum_{j >= i} w_j sqrt(phi_j), and
+    bar-eta_1 = sup_i (A_i - B_i^2 / Z) / phi_i, A_i = sum_{j <= i} w_j phi_j^2
+    + phi_i^2 w[i + 1, N] and B_i the same with phi_j; non-finite values are
+    dropped. The DD first step is this kernel on its dual's arrays.
+    """
+    sphi = np.sqrt(phi)
+    psi = series.tail_sums(w * sphi, start, rem)
+    with np.errstate(all="ignore"):
+        eta1 = float(np.nanmax((sphi[1:] + sphi[:-1])
+                               * (psi[1:-1] - psi[1] * w_tail[1:-1] / total)))
+        A = np.cumsum(w * phi * phi) + phi * phi * w_tail[1:]
+        B = np.cumsum(w * phi) + phi * w_tail[1:]
+        bar = (A - B * B / total) / phi
+    return eta1, float(np.max(bar[np.isfinite(bar)], initial=-math.inf))
+
+
 def eta1_closed(model: ChainModel, window: int = 300000):
     """eta_1 and bar-eta_1 by their closed forms (centered first iterates)."""
     ws, W, mu, nu_shift, phi, tail, Z = _nn_arrays(model, window)
-    sphi = np.sqrt(phi)
-    psi = series.tail_sums(mu * sphi, ws.base, 0.0 if ws.finite else None)[:W]
-    mt = series.tail_sums(mu, ws.base, tail)[1:W]    # mu[i, N] for i = 1..W-1
-    eta1 = float(np.nanmax((sphi[1:] + sphi[:-1]) * (psi[1:] - psi[1] * mt / Z)))
-    c1 = np.cumsum(mu * phi * phi)
-    c2 = np.cumsum(mu * phi)
-    with np.errstate(all="ignore"):
-        A = c1[:-1] + phi[1:] ** 2 * mt
-        B = c2[:-1] + phi[1:] * mt
-        ebar = (A - B * B / Z) / phi[1:]
-    etabar1 = float(np.nanmax(np.where(np.isfinite(ebar), ebar, -math.inf)))
-    return eta1, etabar1
+    return _centered_first_step(phi, mu, series.tail_sums(mu, ws.base, tail), Z, ws.base,
+                                0.0 if ws.finite else None)
 
 
 def eta_seq_nn(model: ChainModel, steps: int = 6, m: Optional[int] = None,
@@ -323,31 +336,14 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     with np.errstate(all="ignore"):
         dvals = phi[:W] * nu_suf[1:W + 1]
     delta = float(np.nanmax(dvals))
-    sphi = np.sqrt(phi)
-    psi_terms = np.concatenate([nu[1:], [0.0]]) * sphi  # nu_{j+1} sqrt(phi_j)
-    psi = series.tail_sums(psi_terms, ws.base, 0.0 if finite else None)[:W]
-    if finite:
-        psi = psi + (math.sqrt(phi[-1]) * Nterm if math.isfinite(Nterm) else math.inf)
-    S_full = nu_suf[0]
-    sphi_prev = np.concatenate([[0.0], sphi[:-1]])
-    with np.errstate(all="ignore"):
-        d1vals = (sphi + sphi_prev) * (psi - psi[0] * nu_suf[1:W + 1] / S_full)
-    delta1 = float(np.nanmax(d1vals))
-    # bar-delta_1 over stopping levels m < W (a one-state window has W = 2,
-    # and phi_1 raises): phi does not decrease, so min(phi_j, phi_m) is phi_j
-    # for j <= m and phi_m beyond, and each sum over j is a prefix sum plus
-    # phi_m (or its square) times the nu mass beyond m + 1, nu_suf[m + 2]
-    # (plus 1/(mu_N b_N) on a finite chain); at m = W - 1 it is the mass past
-    # the window, nu_suf[W], since nu_next pads nu_W with 0
-    pm = phi[np.arange(W)]
-    nu_next = np.concatenate([nu[1:], [0.0]])
-    beyond = np.concatenate([nu_suf[2:], nu_suf[-1:]])
-    with np.errstate(all="ignore"):
-        A = np.cumsum(nu_next * phi * phi) + pm * pm * beyond
-        B = np.cumsum(nu_next * phi) + pm * beyond
-        vals = (A - B * B / S_full) / pm
-    vals = vals[(pm > 0) & ~np.isnan(vals)]
-    return delta, delta1, float(vals.max()) if len(vals) else -math.inf
+    # (delta_1, bar-delta_1) are the NN dual's (eta_1, bar-eta_1): the kernel on
+    # phi = [0, mu[1, i]], w = [nu, 0] and the nu tails, whose mass past the
+    # window (with 1/(mu_N b_N)) closes the sums; a one-state window has W = 2,
+    # and phi_{W-1} raises
+    rem = math.sqrt(phi[W - 1]) * Nterm if finite else None
+    return (delta,) + _centered_first_step(
+        np.concatenate([[0.0], phi]), np.concatenate([nu, [0.0]]),
+        np.concatenate([nu_suf, nu_suf[-1:]]), nu_suf[0], ws.base - 1, rem)
 
 
 # ---------------------------------------------------------------------------

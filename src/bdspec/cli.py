@@ -112,8 +112,17 @@ def _flatten(obj, prefix=""):
     return rows
 
 
-def cmd_estimate(args):
+def _killing_free(args, command):
+    """The model of ``args``; a chain with killing rates exits 1 (KilledChain)."""
     model = _resolve_model(args)
+    if model.killing is not None:
+        raise KilledChain("%s covers killing-free chains; %s has killing rates, "
+                          "use `bdspec killing`" % (command, model.name))
+    return model
+
+
+def cmd_estimate(args):
+    model = _killing_free(args, "estimate")
     t0 = time.time()
     n_max = _env_int("BDSPEC_NMAX", 10 ** 5)
     res = {"model": model.name, "params": model.params, "command": "estimate"}
@@ -146,13 +155,10 @@ def cmd_estimate(args):
 
 
 def cmd_approx(args):
-    model = _resolve_model(args)
+    model = _killing_free(args, "approx")
     t0 = time.time()
     steps = args.steps or 5
     grid = [int(v) for v in args.grid.split(",") if v] or None
-    if model.killing is not None:
-        raise KilledChain("approx covers killing-free chains; %s has killing rates, "
-                          "use `bdspec killing`" % model.name)
     res = {"model": model.name, "params": model.params, "command": "approx"}
     if model.boundary is BoundaryCode.ND:
         d1, d1p = approx.first_step_closed(model)

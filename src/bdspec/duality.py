@@ -159,20 +159,11 @@ def v_transform(v: np.ndarray, direction: str, model: ChainModel = None) -> np.n
     raise WrongShape("direction must be eq_2_35 or eq_5_7")
 
 
-def _q_matrix(model: ChainModel, n: int, top: str) -> np.ndarray:
-    idx0 = model.base
-    a, b, c = model.rates(idx0, idx0 + n - 1)
-    Q = np.zeros((n, n))
-    for k in range(n):
-        if k > 0:
-            Q[k, k - 1] = a[k]
-        if k < n - 1:
-            Q[k, k + 1] = b[k]
-        out = a[k] + c[k] + (b[k] if (k < n - 1 or top == "absorb") else 0.0)
-        if k == 0 and model.boundary.origin_reflecting:
-            out = b[k] + c[k] if (k < n - 1 or top == "absorb") else c[k]
-        Q[k, k] = -out
-    return Q
+def _q_matrix(a: np.ndarray, b: np.ndarray, c=0.0) -> np.ndarray:
+    """The generator of death rates ``a``, birth rates ``b`` and killing ``c``
+    on consecutive states: a[0] and b[-1] leave the range (0 where that end
+    reflects)."""
+    return np.diag(a[1:], -1) + np.diag(b[:-1], 1) - np.diag(a + c + b)
 
 
 def similarity_check(model: ChainModel, n: int = 8) -> float:
@@ -188,58 +179,22 @@ def similarity_check(model: ChainModel, n: int = 8) -> float:
     if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
         raise WrongShape("similarity check starts from a reflecting-origin model")
     ws = build_weights(model, n + 1)
-    a, b = ws.a[:n], ws.b[:n]
+    a, b, c = model.rates(0, n - 1)
     mu = ws.mu[:n]
     if model.boundary is BoundaryCode.ND:
         # section-5 construction: truncation absorbs at n (b_{n-1} kept)
-        Q = _q_matrix(model, n, top="absorb")
         mb = mu * b
         if np.any(mb <= 0):
             raise SingularM("weighted rows must be positive")
-        M = np.zeros((n, n))
-        Minv = np.zeros((n, n))
-        for j in range(n):
-            M[j, j] = mb[j]
-            if j + 1 < n:
-                M[j, j + 1] = -mb[j]
-            Minv[j, j:] = 1.0 / mb[j:]
-        lhs = M @ Q @ Minv
+        M = np.diag(mb) - np.diag(mb[:-1], 1)
+        Minv = np.triu(np.tile(1.0 / mb, (n, 1)))
         # dual generator on {1..n}: death b_{i-1}, birth a_i, reflect at n
-        Qh = np.zeros((n, n))
-        for k in range(n):
-            death = b[k]          # a^_{k+1} = b_k
-            birth = a[k + 1] if k + 1 < n else 0.0
-            if k > 0:
-                Qh[k, k - 1] = death
-            else:
-                Qh[0, 0] = -(b[0] + a[1] if n > 1 else b[0])
-            if k < n - 1:
-                Qh[k, k + 1] = birth
-            if k > 0:
-                Qh[k, k] = -(death + birth)
-        Qh[0, 0] = -(b[0] + (a[1] if n > 1 else 0.0))
-        Qh[0, 1] = a[1] if n > 1 else 0.0
-        return float(np.max(np.abs(lhs - Qh)))
+        Qh = _q_matrix(b, np.append(a[1:n], 0.0))
+        return float(np.max(np.abs(M @ _q_matrix(a, b, c) @ Minv - Qh)))
     # NN: section-7 construction with the plain-mu M; reflect at n-1
-    Q = _q_matrix(model, n, top="reflect")
-    M = np.zeros((n, n))
-    Minv = np.zeros((n, n))
-    for j in range(n):
-        M[j, j:] = mu[j:]
-        Minv[j, j] = 1.0 / mu[j]
-        if j + 1 < n:
-            Minv[j, j + 1] = -1.0 / mu[j]
-    lhs = M @ Q @ Minv
-    res_first = float(np.max(np.abs(lhs[0, :])))
-    red = lhs[1:, 1:]
-    m = n - 1
-    Qh = np.zeros((m, m))
-    for k in range(m):
-        death = b[k]                       # a^_{k+1} = b_k
-        birth = a[k + 1]                   # b^_{k+1} = a_{k+1}
-        if k > 0:
-            Qh[k, k - 1] = death
-        if k < m - 1:
-            Qh[k, k + 1] = birth
-        Qh[k, k] = -(death + birth)
-    return max(res_first, float(np.max(np.abs(red - Qh))))
+    M = np.triu(np.tile(mu, (n, 1)))
+    Minv = np.diag(1.0 / mu) - np.diag(1.0 / mu[:-1], 1)
+    lhs = M @ _q_matrix(a, np.append(b[:-1], 0.0), c) @ Minv
+    # the dual generator on {1..n-1}: death b_{i-1}, birth a_i, exits at both ends
+    Qh = _q_matrix(b[:n - 1], a[1:n])
+    return max(float(np.max(np.abs(lhs[0, :]))), float(np.max(np.abs(lhs[1:, 1:] - Qh))))

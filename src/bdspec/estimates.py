@@ -148,21 +148,20 @@ def kappa_bilateral(model: ChainModel, variant: str = "DD_7_11",
         raise WrongBoundary("kappa_bilateral needs a bilateral model")
     if variant not in ("DD_7_11", "NN_7_12"):
         raise WrongBoundary("variant must be DD_7_11 or NN_7_12")
+    method = "kappa_" + variant[-4:]
     half = _kappa_bilateral_scan(model, variant, half_window // 2)
     full = _kappa_bilateral_scan(model, variant, half_window)
     if not math.isfinite(full[0]):
         rep = series.ExtremumReport(None, 0.0, series.Certainty.WINDOW_STOPPED,
                                     (-half_window, half_window))
-        return math.inf, Bracket(0.0, 0.0, "kappa_%s" % variant[-4:], rep)
+        return math.inf, Bracket(0.0, 0.0, method, rep)
     if full[0] > half[0] * 1.05:
         # the infimum keeps falling as the window grows: recurrent degeneracy
         rep = series.ExtremumReport(full[1], math.inf, series.Certainty.WINDOW_STOPPED,
                                     (-half_window, half_window))
-        method = "kappa_7_11" if variant == "DD_7_11" else "kappa_7_12"
         return math.inf, Bracket(0.0, 0.0, method, rep)
     kappa, arg, span = full
     rep = series.ExtremumReport(arg, 1.0 / kappa, series.Certainty.WINDOW_STOPPED, span)
-    method = "kappa_7_11" if variant == "DD_7_11" else "kappa_7_12"
     return kappa, _bracket_from_constant(kappa, method, rep)
 
 

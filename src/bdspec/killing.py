@@ -370,38 +370,24 @@ def reduce_9_11(model: ChainModel, beta: float, gamma: Optional[float] = None,
             vals = np.where(i == N, gamma, vals)
         return vals
 
-    check_chain = ChainModel(BoundaryCode.NN, 0, N, chk_birth, chk_death,
-                             name=model.name + "_reduced_check")
     if finite:
         schedule = (N, N + 1, N + 2)  # truncations clamp at N: exact values
     # branch: sum over i>=2 of mu_i / b_{i-1} (the dual reciprocal series)
     terms = ws.mu[1:W] / b[: W - 1]
-    diverges = not finite and not math.isfinite(series.estimate_remainder_block(terms, 1))
-    if diverges:
-        branch = "dual_4_1"
-
-        def hat_birth(i):
-            i = np.asarray(i, dtype=np.int64)
-            vals = np.asarray(model.death(np.minimum(i + 1, N) if N is not None else i + 1),
-                              dtype=float)
-            if N is not None:
-                vals = np.where(i == N, gamma, vals)
-            return vals
-
+    if not finite and not math.isfinite(series.estimate_remainder_block(terms, 1)):
+        # the dual chain: birth a_{i+1} (chk_death), death b_{i-1}, bottom death beta
         def hat_death(i, beta=beta):
             i = np.asarray(i, dtype=np.int64)
             return np.where(i == 1, beta, np.asarray(model.birth(i - 1), dtype=float))
 
-        hat = ChainModel(BoundaryCode.DN, 1, N, hat_birth, hat_death,
-                         name=model.name + "_reduced_dual")
-        tr = oracle.truncation_limit(hat, [s for s in schedule])
-        bound = tr.limit - shift
-        reduced = hat
+        branch = "dual_4_1"
+        reduced = ChainModel(BoundaryCode.DN, 1, N, chk_death, hat_death,
+                             name=model.name + "_reduced_dual")
     else:
         branch = "check_6_1"
-        tr = oracle.truncation_limit(check_chain, [s for s in schedule])
-        bound = tr.limit - shift
-        reduced = check_chain
+        reduced = ChainModel(BoundaryCode.NN, 0, N, chk_birth, chk_death,
+                             name=model.name + "_reduced_check")
+    bound = oracle.truncation_limit(reduced, list(schedule)).limit - shift
     return ReductionResult(reduced, valid, slack, equality, branch,
                            bound if valid else -math.inf, beta, gamma)
 

@@ -71,8 +71,7 @@ def b_constants_split(model: ChainModel, p: float,
                       n_max: int = 10 ** 5, half_window: int = 256):
     """One-sided constants B_L, B_R, the product constant B, and the S flag.
 
-    B equals B_L wedge B_R when the reciprocal death series diverges; in
-    general it is sandwiched between them and the (a_1 S)-deflated value.
+    B is B_L wedge B_R when S, the reciprocal death series, diverges.
     """
     if p < 2.0:
         raise WrongVariant("p must be >= 2")

@@ -250,7 +250,7 @@ def test_criterion_11_duality_invariants():
         model = ChainModel(BoundaryCode.ND, 0, n - 1,
                            lambda i, b=b, n=n: b[np.clip(np.asarray(i, np.int64), 0, n - 1)],
                            lambda i, a=a, n=n: a[np.clip(np.asarray(i, np.int64), 0, n - 1)])
-        Q = duality._q_matrix(model, n, top="absorb")
+        Q = duality._q_matrix(*model.rates(0, n - 1))
         pair = duality.dualize(model)
         ah = pair.dual.death(np.arange(1, n + 1)).astype(float)
         bh = pair.dual.birth(np.arange(1, n + 1)).astype(float)

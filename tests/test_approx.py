@@ -541,3 +541,19 @@ def test_delta_bar1_on_seeded_finite_chains(seed):
     assert got == pytest.approx(exact, rel=tol)
     assert loop == pytest.approx(exact, rel=tol)
     assert got == pytest.approx(loop, rel=2 * tol)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_eta1_closed_is_dd_first_step_on_the_forward_dual(seed):
+    # a finite NN chain's (eta_1, bar-eta_1) are (delta_1, bar-delta_1) of its
+    # forward DD dual; both cancel like A - B^2/S, so they are held to
+    # 1e-13 + 8 kappa eps of the dual's 40-digit bar-delta_1 and twice that of
+    # each other (kappa its condition number)
+    rng = np.random.default_rng(200 + seed)
+    model = _seeded_chain(rng, BoundaryCode.NN, int(rng.integers(3, 301)), finite=True)
+    dual = duality.dualize(model).dual
+    exact, kappa = _delta_bar1_mp(dual, 4096)
+    tol = 1e-13 + 8.0 * kappa * np.finfo(float).eps
+    got = approx.eta1_closed(model)
+    assert got == pytest.approx(approx.dd_first_step(dual)[1:], rel=2 * tol)
+    assert got[1] == pytest.approx(exact, rel=tol)

@@ -54,6 +54,16 @@ def test_estimate_exit_code_follows_certainty(name, certified, capsys):
     assert code == (0 if certified == "certified" else 2)
 
 
+def test_estimate_refuses_a_killed_chain(capsys):
+    # killing-free brackets bound no killed chain: on ex9_16 they read
+    # [1e-10, 4e-10], while corollary 9.9 certifies 1.22e-4
+    assert cli.main(["estimate", "--model", "ex9_16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "estimate covers killing-free chains" in captured.err
+    assert "bdspec killing" in captured.err
+
+
 def test_oracle_command(capsys):
     code, out = run_cli(["oracle", "--model", "ex9_21", "--m", "400", "--json"], capsys)
     assert code == 0
@@ -173,20 +183,19 @@ def _check_strict(out):
 
 @pytest.mark.parametrize("name", FINITE)
 def test_json_output_is_strict(name, capsys):
-    for cmd in ("estimate", "poincare"):
+    # estimate and approx refuse a killed chain (exit 1, pointing to killing)
+    killed = catalog(name).killing is not None
+    for cmd in ("estimate", "poincare", "approx"):
+        if cmd == "approx" and name in APPROX_RAISES:
+            continue
+        if killed and cmd != "poincare":
+            assert cli.main([cmd, "--model", name, "--json"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "bdspec killing" in captured.err
+            continue
         code, out = run_cli([cmd, "--model", name, "--json"], capsys)
-        assert code in (0, 2)
         _check_strict(out)
-    if name in APPROX_RAISES:
-        return
-    if catalog(name).killing is not None:
-        assert cli.main(["approx", "--model", name, "--json"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and "bdspec killing" in captured.err
-        return
-    code, out = run_cli(["approx", "--model", name, "--json"], capsys)
-    _check_strict(out)
-    assert code in (0, 2)
+        assert code in (0, 2)
 
 
 def test_json_nonfinite_flags(capsys):

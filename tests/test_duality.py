@@ -118,7 +118,7 @@ def test_spectrum_preservation(n, rng_seed=11):
     model = ChainModel(BoundaryCode.ND, 0, n - 1,
                        lambda i, b=b: b[np.clip(np.asarray(i, dtype=np.int64), 0, n - 1)],
                        lambda i, a=a: a[np.clip(np.asarray(i, dtype=np.int64), 0, n - 1)])
-    Q = duality._q_matrix(model, n, top="absorb")
+    Q = duality._q_matrix(*model.rates(0, n - 1))
     pair = duality.dualize(model)
     ah = np.concatenate([[math.nan], pair.dual.death(np.arange(1, n + 1))])
     bh = np.concatenate([[math.nan], pair.dual.birth(np.arange(1, n + 1))])

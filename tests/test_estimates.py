@@ -202,7 +202,13 @@ def test_table7_1_row1_split_b_r_closed_form():
     nu_b[m, inf) = 2^(1-m): 2, approached as m -> inf, at p = 2 and
     3^(2/3) / 2, at m = 2, at p = 3."""
     model = catalog("table7_1_row1")
-    assert poincare.b_constants_split(model, 2.0)[1] == pytest.approx(2.0, rel=1e-15)
+    B_L, B_R, B, _ = poincare.b_constants_split(model, 2.0)
+    assert B_R == pytest.approx(2.0, rel=1e-15)
+    # B = sup nu_a[1, n] nu_b[m, inf) mu[n, m] with nu_a[1, n] = 2 (1 - 2^-n) and
+    # nu_b[m, inf) mu[n, m] = 2 - 2^(n-m): 4, above B_L ^ B_R = 2 since S = 2 is
+    # finite; B_L = sup nu_a[1, n] mu[n, inf) is infinite (sum mu diverges)
+    assert B == pytest.approx(4.0, rel=1e-12)
+    assert B_L == math.inf
     assert poincare.b_constants_split(model, 3.0)[1] == pytest.approx(3.0 ** (2.0 / 3.0) / 2.0,
                                                                       rel=1e-15)
 
