@@ -6,7 +6,7 @@ from .model import (BoundaryCode, ChainModel, UniquenessVerdict, Verdict,
                     WeightSystem, build_weights, classify_uniqueness,
                     load_model, model_from_dict, dump_model)
 from .catalog import catalog, catalog_names, TABLE61_ROWS, TABLE71_ROWS, table71_v
-from .series import Certainty, ExtremumReport, TailSum
+from .series import Certainty, ExtremumReport, Labelled, TailSum
 from .estimates import (Bracket, BasicBracketReport, basic_bracket, delta_dn,
                         delta_nd, kappa_bilateral, kappa_dd, kappa_nn,
                         naive_upper)

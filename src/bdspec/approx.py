@@ -32,7 +32,7 @@ class ApproxTrace:
     values: tuple
     monotone_ok: bool
     direction: str                      # "decreasing" or "increasing"
-    certification: tuple
+    certified: series.Certainty
     grid: tuple = ()
     extras: dict = field(default_factory=dict)
 
@@ -93,8 +93,8 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
     """delta_1..delta_n from the sqrt(phi) seed on a truncated support.
 
     The iteration is the exact double-sum recursion of the truncated seed, so
-    the trace decreases to rounding; values for chains whose supremum sits at
-    infinity are window-limited and flagged accordingly.
+    the trace decreases to rounding; its label is the float-safe window's,
+    and a divergent seed (phi = inf) gives inf, certified.
     """
     if model.boundary is not BoundaryCode.ND:
         raise WrongBoundary("delta_seq_nd needs an ND model")
@@ -103,21 +103,17 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
     phi = ws.nu_tails("b")[:W]
     if not math.isfinite(phi[0]):
         return ApproxTrace((math.inf,) * steps, True, "decreasing",
-                           (series.Certainty.CERTIFIED,) * steps)
+                           series.Certainty.CERTIFIED)
     mu = ws.mu[:W]
     nu = ws.nu_b[:W]
     f = np.sqrt(phi)
-    vals, certs = [], []
+    vals = []
     for _ in range(steps):
         nxt = _II(mu, nu, f, "prefix", "suffix")[1]   # on the truncated support
-        ratios = nxt / f
-        k = int(np.argmax(ratios))
-        vals.append(float(ratios[k]))
-        certs.append(series.Certainty.CERTIFIED if (ws.finite and W - 1 >= len(ws.mu) - 1)
-                     else series.Certainty.WINDOW_STOPPED)
+        vals.append(float(np.max(nxt / f)))
         f = nxt / np.max(nxt)
     mono = all(y <= x * (1 + 1e-12) + 1e-9 for x, y in zip(vals, vals[1:]))
-    return ApproxTrace(tuple(vals), mono, "decreasing", tuple(certs))
+    return ApproxTrace(tuple(vals), mono, "decreasing", ws.certainty(W))
 
 
 def _lm_rows(mu, nu, b, ells, m, steps):
@@ -148,8 +144,8 @@ def delta_prime_seq_nd(model: ChainModel, steps: int = 6,
                        ell_grid=None, m_grid=None) -> ApproxTrace:
     """delta_n' and bar-delta_n over the (ell, m) grid (vanishing family).
 
-    Reciprocals of both are certified upper bounds of the rate: truncation is
-    intrinsic to their definition, not an approximation.
+    Truncation is intrinsic to their definition, but the grid stops inside
+    the float-safe window: the trace is labelled by that window.
     """
     if model.boundary is not BoundaryCode.ND:
         raise WrongBoundary("delta_prime_seq_nd needs an ND model")
@@ -170,8 +166,7 @@ def delta_prime_seq_nd(model: ChainModel, steps: int = 6,
             prim = np.maximum(prim, ratios)
             bars = np.maximum(bars, quotients)
     mono = all(y >= x * (1 - 1e-12) - 1e-9 for x, y in zip(prim, prim[1:]))
-    return ApproxTrace(tuple(float(v) for v in prim), mono, "increasing",
-                       (series.Certainty.WINDOW_STOPPED,) * steps,
+    return ApproxTrace(tuple(float(v) for v in prim), mono, "increasing", ws.certainty(W),
                        grid=(tuple(ell_grid), tuple(m_grid)),
                        extras={"bars": tuple(float(v) for v in bars)})
 
@@ -179,9 +174,10 @@ def delta_prime_seq_nd(model: ChainModel, steps: int = 6,
 def first_step_closed(model: ChainModel, window: int = 200000):
     """(delta_1, delta_1') by their single-supremum expressions.
 
-    ND uses the birth-side tails, DN the death-side partial sums; suffix sums
-    carry an integral-test remainder so suprema attained at infinity are
-    approached from the correct side.
+    ND uses the birth-side tails, DN the death-side partial sums. On an
+    infinite chain the suffix sums add the estimated remainder, which can
+    undershoot: the pair, a ``series.Labelled``, carries the float-safe
+    window's certainty, and a divergent phi or sum mu gives inf, certified.
     """
     if model.boundary not in (BoundaryCode.ND, BoundaryCode.DN):
         raise WrongBoundary("first_step_closed covers the ND and DN cases")
@@ -189,27 +185,28 @@ def first_step_closed(model: ChainModel, window: int = 200000):
     W = _safe_window(ws, window)
     mu = ws.mu[:W]
     rem = 0.0 if ws.finite else None        # estimate the weighted tails' remainders
+    divergent = series.Labelled((math.inf, math.inf), series.Certainty.CERTIFIED)
     if model.boundary is BoundaryCode.ND:
         phi = ws.nu_tails("b")[:W]
         if not math.isfinite(phi[0]):
-            return math.inf, math.inf
+            return divergent
         sphi = np.sqrt(phi)
         pre = np.cumsum(mu * sphi)
         suf32 = series.tail_sums(mu * phi * sphi, ws.base, rem)
         d1 = sphi * pre + np.concatenate([suf32[1:], [0.0]])[:W] / sphi
         suf2 = series.tail_sums(mu * phi * phi, ws.base, rem)
         d1p = phi * ws.mu_prefix_arr[:W] + np.concatenate([suf2[1:], [0.0]])[:W] / phi
-        return float(np.nanmax(d1)), float(np.nanmax(d1p))
-    if not math.isfinite(ws.mu_total.value):
-        return math.inf, math.inf
-    phi = np.cumsum(ws.nu_a[:W])
-    sphi = np.sqrt(phi)
-    mu_suf = series.tail_sums(mu * sphi, ws.base, rem)
-    pre32 = np.concatenate([[0.0], np.cumsum(mu * phi * sphi)[:-1]])
-    d1 = pre32 / sphi + sphi * mu_suf[:W]
-    pre2 = np.concatenate([[0.0], np.cumsum(mu * phi * phi)[:-1]])
-    d1p = pre2 / phi + phi * series.tail_sums(mu, ws.base, ws.mu_tail(ws.base + W))[:W]
-    return float(np.nanmax(d1)), float(np.nanmax(d1p))
+    elif not math.isfinite(ws.mu_total.value):
+        return divergent
+    else:
+        phi = np.cumsum(ws.nu_a[:W])
+        sphi = np.sqrt(phi)
+        mu_suf = series.tail_sums(mu * sphi, ws.base, rem)
+        pre32 = np.concatenate([[0.0], np.cumsum(mu * phi * sphi)[:-1]])
+        d1 = pre32 / sphi + sphi * mu_suf[:W]
+        pre2 = np.concatenate([[0.0], np.cumsum(mu * phi * phi)[:-1]])
+        d1p = pre2 / phi + phi * series.tail_sums(mu, ws.base, ws.mu_tail(ws.base + W))[:W]
+    return series.Labelled((float(np.nanmax(d1)), float(np.nanmax(d1p))), ws.certainty(W))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +221,8 @@ def _nn_arrays(model: ChainModel, window: int):
         raise WrongBoundary("eta sequences need sum(mu) < inf")
     W = _safe_window(ws, window)
     mu = ws.mu[:W]
-    nu_shift = np.empty(W)
-    nu_shift[0] = 0.0
-    nu_shift[1:] = ws.nu_b[: W - 1]          # 1/(mu_i a_i), i >= 1
-    phi = np.cumsum(np.concatenate([[0.0], ws.nu_b[: W - 1]]))  # nu[0, i-1]
+    nu_shift = np.concatenate([[0.0], ws.nu_b[: W - 1]])   # 1/(mu_i a_i), i >= 1
+    phi = np.cumsum(nu_shift)                               # nu[0, i-1]
     tail = ws.mu_tail(ws.base + W)
     Z = ws.mu_total.value
     return ws, W, mu, nu_shift, phi, tail, Z
@@ -257,17 +252,19 @@ def _centered_first_step(phi, w, w_tail, total, start, rem):
 
 
 def eta1_closed(model: ChainModel, window: int = 300000):
-    """eta_1 and bar-eta_1 by their closed forms (centered first iterates)."""
+    """eta_1 and bar-eta_1 by their closed forms (centered first iterates),
+    a ``series.Labelled`` pair with the float-safe window's certainty."""
     ws, W, mu, nu_shift, phi, tail, Z = _nn_arrays(model, window)
-    return _centered_first_step(phi, mu, series.tail_sums(mu, ws.base, tail), Z, ws.base,
-                                0.0 if ws.finite else None)
+    return series.Labelled(_centered_first_step(
+        phi, mu, series.tail_sums(mu, ws.base, tail), Z, ws.base,
+        0.0 if ws.finite else None), ws.certainty(W))
 
 
 def eta_seq_nn(model: ChainModel, steps: int = 6, m: Optional[int] = None,
                m_grid=None, window: int = 4096) -> ApproxTrace:
     """eta_n (decreasing) plus the m-grid eta_n' and bar-eta_n (increasing).
 
-    Centering uses the certified total weight. Iterates are carried on the
+    Centering uses the total weight sum mu. Iterates are carried on the
     lumped truncation, itself a reflecting chain, so the monotone proofs
     apply verbatim; no renormalization happens between steps (a handful of
     iterations cannot overflow) so consecutive tail sums share one scale.
@@ -302,9 +299,7 @@ def eta_seq_nn(model: ChainModel, steps: int = 6, m: Optional[int] = None,
         T_prev = T[0]
         F = np.take_along_axis(G, cols, axis=1)
     mono = all(y <= x * (1 + 1e-12) + 1e-9 for x, y in zip(etas, etas[1:]))
-    return ApproxTrace(tuple(etas), mono, "decreasing",
-                       (series.Certainty.WINDOW_STOPPED,) * steps,
-                       grid=tuple(m_grid),
+    return ApproxTrace(tuple(etas), mono, "decreasing", ws.certainty(W), grid=tuple(m_grid),
                        extras={"eta_prime": tuple(float(v) for v in prim),
                                "eta_bar": tuple(float(v) for v in bars)})
 
@@ -314,7 +309,8 @@ def eta_seq_nn(model: ChainModel, steps: int = 6, m: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def dd_first_step(model: ChainModel, window: int = 200000):
-    """(delta, delta_1, bar-delta_1) for the Dirichlet-Dirichlet half line.
+    """(delta, delta_1, bar-delta_1) for the Dirichlet-Dirichlet half line,
+    a ``series.Labelled`` triple with the float-safe window's certainty.
 
     Requires the summability of 1/(mu_i a_i); the finite-top corrections use
     the extra 1/(mu_N b_N) mass exactly as the boundary demands.
@@ -341,9 +337,9 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     # window (with 1/(mu_N b_N)) closes the sums; a one-state window has W = 2,
     # and phi_{W-1} raises
     rem = math.sqrt(phi[W - 1]) * Nterm if finite else None
-    return (delta,) + _centered_first_step(
+    return series.Labelled((delta,) + _centered_first_step(
         np.concatenate([[0.0], phi]), np.concatenate([nu, [0.0]]),
-        np.concatenate([nu_suf, nu_suf[-1:]]), nu_suf[0], ws.base - 1, rem)
+        np.concatenate([nu_suf, nu_suf[-1:]]), nu_suf[0], ws.base - 1, rem), ws.certainty(W))
 
 
 # ---------------------------------------------------------------------------

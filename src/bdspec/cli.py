@@ -2,14 +2,15 @@
 
 Numbers are passed through from the library verbatim: JSON output carries
 full float precision (repr round-trip), the human tables round for display
-only. Exit codes: 0 ok, 1 model/flag error, 2 result not fully certified.
+only. Exit codes: 0 ok, 1 model/flag error, 2 result not fully certified:
+every subcommand that prints a bound ends in :func:`_finish`, which exits 2
+iff one of them is window-stopped.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -26,15 +27,8 @@ from .series import Certainty
 TABLE_SCHEDULE = (250, 354, 500, 707, 1000, 1414, 2000, 2828, 4000)
 
 
-def _env_int(name, default):
-    v = os.environ.get(name)
-    return int(v) if v else default
-
-
 def _parse_params(text):
     out = {}
-    if not text:
-        return out
     for item in text.split(","):
         if not item:
             continue
@@ -112,6 +106,16 @@ def _flatten(obj, prefix=""):
     return rows
 
 
+def _finish(res, args, t0, *certainties):
+    """Emit ``res`` with the top-level "certified" of the bounds it prints,
+    window-stopped if any one is; the exit code is 0 if none is, else 2."""
+    worst = next((c for c in certainties if c is not Certainty.CERTIFIED), Certainty.CERTIFIED)
+    res["certified"] = worst.value
+    res["wall_time_s"] = time.time() - t0
+    _emit(res, args)
+    return 0 if worst is Certainty.CERTIFIED else 2
+
+
 def _killing_free(args, command):
     """The model of ``args``; a chain with killing rates exits 1 (KilledChain)."""
     model = _resolve_model(args)
@@ -124,7 +128,7 @@ def _killing_free(args, command):
 def cmd_estimate(args):
     model = _killing_free(args, "estimate")
     t0 = time.time()
-    n_max = _env_int("BDSPEC_NMAX", 10 ** 5)
+    n_max = int(os.environ.get("BDSPEC_NMAX") or 10 ** 5)
     res = {"model": model.name, "params": model.params, "command": "estimate"}
     if model.boundary is BoundaryCode.ND:
         res["delta_3_1"], br = estimates.delta_nd(model, n_max)
@@ -137,21 +141,20 @@ def cmd_estimate(args):
         k, dl, dr, S, br = estimates.kappa_dd(model, n_max)
         res.update(kappa=k, delta_L=dl, delta_R=dr, S=S)
     else:
-        k, br = estimates.kappa_bilateral(model)  # its reports are always window-stopped
+        k, br = estimates.kappa_bilateral(model)
         res["kappa"] = k
-    res.update(bracket=[br.lower, br.upper], certified=br.delta_like.certified.value)
-    exit2 = br.delta_like.certified is not Certainty.CERTIFIED
+    res["bracket"] = [br.lower, br.upper]
+    certs = [br.delta_like.certified]
     if model.boundary is not BoundaryCode.DD_BILATERAL:
         rep = estimates.basic_bracket(model)
         res["basic"] = {"kappa": rep.kappa, "method": rep.method,
                         "bracket": [rep.bracket.lower, rep.bracket.upper],
                         "positive": rep.positive, "criterion": rep.criterion}
+        certs.append(rep.bracket.delta_like.certified)
         if model.hi is not None and model.hi - model.base < 64:
-            # small finite chains: the rate itself is exactly computable
+            # small finite chains: the rate itself is exactly computable (certified)
             res["lambda_exact"] = oracle.principal_eigen(model, max(model.hi, 2)).lam
-    res["wall_time_s"] = time.time() - t0
-    _emit(res, args)
-    return 2 if exit2 else 0
+    return _finish(res, args, t0, *certs)
 
 
 def cmd_approx(args):
@@ -161,29 +164,31 @@ def cmd_approx(args):
     grid = [int(v) for v in args.grid.split(",") if v] or None
     res = {"model": model.name, "params": model.params, "command": "approx"}
     if model.boundary is BoundaryCode.ND:
-        d1, d1p = approx.first_step_closed(model)
+        d1, d1p = first = approx.first_step_closed(model)
         tr = approx.delta_seq_nd(model, steps)
         pr = approx.delta_prime_seq_nd(model, steps, m_grid=grid)
         res.update(delta_1=d1, delta_1_prime=d1p, delta_n=list(tr.values),
                    delta_n_prime=list(pr.values), delta_n_bar=list(pr.extras["bars"]),
                    monotone=tr.monotone_ok and pr.monotone_ok)
+        printed = (first, tr, pr)
     elif model.boundary is BoundaryCode.DN:
-        d1, d1p = approx.first_step_closed(model)
+        d1, d1p = first = approx.first_step_closed(model)
         res.update(delta_1=d1, delta_1_prime=d1p)
+        printed = (first,)
     elif model.boundary is BoundaryCode.NN:
-        e1, eb1 = approx.eta1_closed(model)
+        e1, eb1 = first = approx.eta1_closed(model)
         tr = approx.eta_seq_nn(model, steps, m_grid=grid)
         res.update(eta_1=e1, eta_bar_1=eb1, eta_n=list(tr.values),
                    eta_n_prime=list(tr.extras["eta_prime"]),
                    eta_n_bar=list(tr.extras["eta_bar"]), monotone=tr.monotone_ok)
+        printed = (first, tr)
     elif model.boundary is BoundaryCode.DD:
-        d, d1, db1 = approx.dd_first_step(model)
+        d, d1, db1 = first = approx.dd_first_step(model)
         res.update(delta=d, delta_1=d1, delta_bar_1=db1)
+        printed = (first,)
     else:
         raise BdspecError("approx covers the four half-line codes")
-    res["wall_time_s"] = time.time() - t0
-    _emit(res, args)
-    return 0
+    return _finish(res, args, t0, *(x.certified for x in printed))
 
 
 def cmd_oracle(args):
@@ -197,21 +202,20 @@ def cmd_oracle(args):
            "m": m, "lambda": sr.lam, "residual": sr.residual, "method": sr.method,
            "schedule": list(tr.schedule), "values": list(tr.values),
            "extrapolated": tr.limit, "extrapolation_mode": tr.mode,
-           "monotone_ok": tr.monotone_ok, "wall_time_s": time.time() - t0}
+           "monotone_ok": tr.monotone_ok}
     if model.boundary in (BoundaryCode.DN, BoundaryCode.DD):
         try:
-            sh = oracle.shooting_rate(model, m)
-            res["shooting"] = sh.lam
+            res["shooting"] = oracle.shooting_rate(model, m).lam
         except BdspecError:
             pass
-    _emit(res, args)
-    return 0
+    # lambda is the bound; the extrapolated limit and shooting are cross-checks
+    return _finish(res, args, t0, sr.certified)
 
 
 def cmd_killing(args):
     model = _resolve_model(args)
     t0 = time.time()
-    up, up_detail = killing.upper_9_9(model)
+    up, up_detail = upper = killing.upper_9_9(model)
     low99 = killing.corollary_9_9(model)
     sqrt_b = killing.sqrt_test_bound(model)
     res = {"model": model.name, "params": model.params, "command": "killing",
@@ -219,13 +223,13 @@ def cmd_killing(args):
            "lower_cor_9_9": low99.lower, "xi": low99.xi, "zeta": low99.zeta,
            "lower_sqrt_test": sqrt_b.lower,
            "flags": {**low99.flags, "sqrt": sqrt_b.flags},
-           "dispatch_9_12": killing.dispatch_9_12(model),
-           "wall_time_s": time.time() - t0}
+           "dispatch_9_12": killing.dispatch_9_12(model)}
+    certs = [upper.certified, low99.certified, sqrt_b.certified]
     if args.m:
-        res["oracle"] = oracle.principal_eigen(model, args.m).lam
-    _emit(res, args)
-    certified = Certainty.CERTIFIED.value
-    return 0 if low99.flags["certainty"] == sqrt_b.flags["certainty"] == certified else 2
+        sr = oracle.principal_eigen(model, args.m)
+        res["oracle"] = sr.lam
+        certs.append(sr.certified)
+    return _finish(res, args, t0, *certs)
 
 
 def cmd_dual(args):
@@ -249,21 +253,16 @@ def cmd_poincare(args):
     model = _resolve_model(args)
     t0 = time.time()
     p = args.p or 2.0
-    if model.boundary is BoundaryCode.DD_BILATERAL:
-        variant = "bilateral_8_4"
-    elif model.boundary is BoundaryCode.DD:
-        variant = "half_line_8_6"
-    else:
-        variant = "neumann_8_9"
+    variant = {BoundaryCode.DD_BILATERAL: "bilateral_8_4",
+               BoundaryCode.DD: "half_line_8_6"}.get(model.boundary, "neumann_8_9")
     sc = poincare.sobolev_constant(model, p, variant)
     res = {"model": model.name, "params": model.params, "command": "poincare",
            "p": p, "variant": variant, "B": sc.B, "A_bracket": list(sc.bracket)}
     if model.boundary in (BoundaryCode.DD, BoundaryCode.DD_BILATERAL):
         bl, br_, bb, S = poincare.b_constants_split(model, p)
         res.update(B_L=bl, B_R=br_, B_split=bb, S=S)
-    res["wall_time_s"] = time.time() - t0
-    _emit(res, args)
-    return 0
+    # the split constants share B's window, so B's label covers them
+    return _finish(res, args, t0, sc.extremum.certified)
 
 
 def _table61_row(name_exact):
@@ -313,23 +312,16 @@ def cmd_table(args):
               "wall_time_s": time.time() - t0}
     if args.json:
         _write_json(report)
-        return 0
-    out = io.StringIO()
-    w = csv.DictWriter(out, fieldnames=cols)
-    w.writeheader()
-    for r in rows:
-        w.writerow({k: r[k] for k in cols})
-    if args.csv:
-        sys.stdout.write(out.getvalue())
-        return 0
-    widths = {c: max(len(c), 12) for c in cols}
-    print("  ".join(c.ljust(widths[c]) for c in cols))
-    for r in rows:
-        cells = []
-        for c in cols:
-            v = r[c]
-            cells.append(("%.6g" % v if isinstance(v, float) else str(v)).ljust(widths[c]))
-        print("  ".join(cells))
+    elif args.csv:
+        w = csv.DictWriter(sys.stdout, fieldnames=cols, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
+    else:
+        widths = {c: max(len(c), 12) for c in cols}
+        print("  ".join(c.ljust(widths[c]) for c in cols))
+        for r in rows:
+            print("  ".join(("%.6g" % r[c] if isinstance(r[c], float) else str(r[c]))
+                            .ljust(widths[c]) for c in cols))
     return 0
 
 

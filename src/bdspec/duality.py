@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, SingularM, WrongShape
-from .model import DEFAULT_NMAX, BoundaryCode, ChainModel, build_weights
+from .model import DEFAULT_NMAX, BoundaryCode, ChainModel, _rates_and_weights, build_weights
 
 
 @dataclass(frozen=True)
@@ -178,9 +178,7 @@ def similarity_check(model: ChainModel, n: int = 8) -> float:
         raise WrongShape("similarity check is a dense, small-n verification")
     if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
         raise WrongShape("similarity check starts from a reflecting-origin model")
-    ws = build_weights(model, n + 1)
-    a, b, c = model.rates(0, n - 1)
-    mu = ws.mu[:n]
+    a, b, c, _, mu = _rates_and_weights(model, n - 1)
     if model.boundary is BoundaryCode.ND:
         # section-5 construction: truncation absorbs at n (b_{n-1} kept)
         mb = mu * b

@@ -22,7 +22,8 @@ from .model import (BoundaryCode, ChainModel, WeightSystem, bilateral_log_weight
 
 @dataclass(frozen=True)
 class Bracket:
-    """Certified enclosure [lower, upper] of a decay rate."""
+    """Enclosure [lower, upper] of a decay rate, as certain as the scan
+    report ``delta_like`` says."""
     lower: float
     upper: float
     method: str
@@ -48,8 +49,8 @@ def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumRe
 
     A divergent defining tail series (sum nu_b for 3.1, sum mu for 4.4) or an
     empty objective gives inf, certified. Otherwise the value is the max over
-    the finite entries of the whole window, certified when the window covers
-    a finite chain. On an infinite window it is inf (window-stopped) when it
+    the finite entries of the whole window, labelled by the window's
+    certainty. On an infinite window it is inf (window-stopped) when it
     passes series.DIVERGENCE_CAP or the values are still climbing: the last
     one above 1.1 times the one at W/8 and above 0.3 times the max.
     """
@@ -68,8 +69,7 @@ def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumRe
     climbing = obj[-1] > 1.1 * obj[len(obj) // 8] and obj[-1] > 0.3 * value
     if not ws.finite and (value > series.DIVERGENCE_CAP or climbing):
         value = math.inf
-    cert = series.Certainty.CERTIFIED if ws.finite else series.Certainty.WINDOW_STOPPED
-    return series.ExtremumReport(lo + k, value, cert, (lo, ws.top))
+    return series.ExtremumReport(lo + k, value, ws.certainty(), (lo, ws.top))
 
 
 def _kappa_terms(ws: WeightSystem, reflecting: bool):
@@ -92,7 +92,7 @@ def _kappa_terms(ws: WeightSystem, reflecting: bool):
 def _kappa(ws: WeightSystem, reflecting: bool, s: float = 1.0):
     """kappa^(6.13) or kappa^(7.5) and its scan report; with s = 2/p on the
     absorbing side, the Sobolev-type B of (8.6)."""
-    rep = series.half_line_pairs(*_kappa_terms(ws, reflecting), ws.base, ws.finite, s)
+    rep = series.half_line_pairs(*_kappa_terms(ws, reflecting), ws.base, ws.certainty(), s)
     return (1.0 / rep.value if rep.value > 0 else math.inf), rep
 
 
@@ -161,7 +161,7 @@ def kappa_bilateral(model: ChainModel, variant: str = "DD_7_11",
                                     (-half_window, half_window))
         return math.inf, Bracket(0.0, 0.0, method, rep)
     kappa, arg, span = full
-    rep = series.ExtremumReport(arg, 1.0 / kappa, series.Certainty.WINDOW_STOPPED, span)
+    rep = series.ExtremumReport(arg, 1.0 / kappa, model.certainty(*span), span)
     return kappa, _bracket_from_constant(kappa, method, rep)
 
 
@@ -207,9 +207,8 @@ def naive_upper(model: ChainModel, n_max: int = 10 ** 5) -> series.ExtremumRepor
         a, b, c = model.rates(base, top)
         total = a + b + c
     k = int(np.nanargmin(total))
-    cert = series.Certainty.CERTIFIED if model.hi is not None else \
-        series.Certainty.WINDOW_STOPPED
-    return series.ExtremumReport(base + k, float(total[k]), cert, (base, top))
+    return series.ExtremumReport(base + k, float(total[k]), model.certainty(base, top),
+                                 (base, top))
 
 
 @dataclass(frozen=True)

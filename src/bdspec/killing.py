@@ -41,6 +41,7 @@ class KillingBounds:
     zeta: float
     eta_used: float
     c_floor: float
+    certified: series.Certainty
     f_used: Optional[np.ndarray] = None
     flags: dict = field(default_factory=dict)
 
@@ -75,26 +76,18 @@ def _killing_floor(ws, W):
     return c, float(np.min(c))
 
 
-def _covers_chain(model: ChainModel, ws, W) -> bool:
-    return model.hi is not None and ws.base + W - 1 >= model.hi
-
-
-def _certainty(certified: bool) -> str:
-    return (series.Certainty.CERTIFIED if certified else series.Certainty.WINDOW_STOPPED).value
-
-
-def _family_floor(cmin: float, finite: bool) -> KillingBounds:
+def _family_floor(cmin: float, certified: series.Certainty) -> KillingBounds:
     """A family without an admissible member: the killing floor alone."""
-    return KillingBounds(cmin, math.inf, 0.0, 0.0, 0.0, cmin,
-                         flags={"family_insufficient": True, "certainty": _certainty(finite)})
+    return KillingBounds(cmin, math.inf, 0.0, 0.0, 0.0, cmin, certified,
+                         flags={"family_insufficient": True})
 
 
 def _robust_inf(values: np.ndarray, finite: bool):
     """Row minima of a (G, n) array over the window, each refined on an
     infinite window by an Aitken limit of its row's tail trend.
 
-    Returns the minima and, per row, whether it is certified: always on a
-    finite window, and on a row without a finite entry (its minimum is inf).
+    Returns the minima and, per row, whether it has no finite entry: its
+    minimum inf is then proven, whatever the window.
     """
     ok = np.isfinite(values)
     mins = np.min(np.where(ok, values, math.inf), axis=1, initial=math.inf)
@@ -108,18 +101,19 @@ def _robust_inf(values: np.ndarray, finite: bool):
                 acc = series.aitken(sub)
                 if len(acc) and math.isfinite(acc[-1]):
                     mins[g] = min(mins[g], float(acc[-1]))
-    return mins, finite | ~some
+    return mins, ~some
 
 
 def r_operator_bounds(model: ChainModel, v, lo: int = 1,
                       hi: Optional[int] = None, window: int = 8192):
-    """(inf R_i(v), sup R_i(v)) with R the kernel ``oracle.difference_form``,
-    R_i(v) = a_i(1 - 1/v_{i-1}) + b_i(1 - v_i) + c_i, over [lo, hi] inside
-    the float-safe weight window.
+    """(inf R_i(v), sup R_i(v), certified) with R the kernel
+    ``oracle.difference_form``, R_i(v) = a_i(1 - 1/v_{i-1}) + b_i(1 - v_i)
+    + c_i, over [lo, hi] inside the float-safe weight window.
 
     The bottom death rate folds into the killing term (the 1/v_0 = 0
-    convention). The infimum is a certified lower bound of the rate only
-    under the membership conditions; the verdict travels in the result.
+    convention). The infimum bounds the rate from below only when the test
+    function g of v is admissible; ``certified`` is the scanned range's
+    certainty, so a range that misses an end of the chain is window-stopped.
     """
     ws, W = _arrays(model, window)
     top = min(hi if hi is not None else ws.base + W - 1, ws.base + W - 1)
@@ -128,23 +122,15 @@ def r_operator_bounds(model: ChainModel, v, lo: int = 1,
     if np.any(vv <= 0):
         raise NotInF("test sequence must be positive")
     rs = oracle.difference_form(model, np.concatenate([[math.inf], vv]), ws.base, top)[idx >= lo]
-    finite = model.hi is not None and top >= model.hi
-    # membership: f from the ratio products must be square-integrable with
-    # Omega f / f bounded above -- checked on the scanned range only
-    f = oracle.v_products(vv)
-    terms = ws.mu[: len(idx)] * f * f
-    tail_ratio = terms[-1] / terms[-2] if len(terms) > 1 and terms[-2] > 0 else math.inf
-    in_l2 = finite or tail_ratio < 0.999
-    membership = {"finite_support": finite, "f_in_L2_heuristic": bool(in_l2),
-                  "omega_ratio_bounded": bool(np.all(np.isfinite(rs)))}
-    return float(np.min(rs)), float(np.max(rs)), membership
+    return float(np.min(rs)), float(np.max(rs)), model.certainty(lo, top)
 
 
 def upper_9_9(model: ChainModel, lm: Optional[tuple] = None,
               ell_cap: int = 512, window: int = 8192):
     """Weighted-test-function upper bound: the double infimum, or its value at
     a pinned (ell, m); also the looser single-infimum variant. Returns the
-    tighter value and the details.
+    tighter value and the details, a ``series.Labelled`` pair with the
+    float-safe window's certainty.
 
     The double infimum runs over the (ell, m) triangle with ell below
     ``ell_cap``, in blocks of ``ROW_BLOCK`` rows; ``at`` is its first
@@ -169,9 +155,9 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None,
     if lm is not None:
         k, j = lm[0] - ws.base, lm[1] - ws.base
         mid = nbc[j] - (nbc[k - 1] if k >= 1 else 0.0)
-        return cmin + (1.0 / mid + mc[j]) / muc[k], {"at": tuple(lm), "loose_9_10": loose}
-    best = math.inf
-    arg = None
+        return series.Labelled((cmin + (1.0 / mid + mc[j]) / muc[k],
+                                {"at": tuple(lm), "loose_9_10": loose}), ws.certainty(W))
+    best, arg = math.inf, None
     rows = min(ell_cap, W - 1)
     for k0 in range(0, rows, ROW_BLOCK):
         k = np.arange(k0, min(k0 + ROW_BLOCK, rows))
@@ -186,18 +172,21 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None,
         if t[r] < best:
             best = float(t[r])
             arg = (int(ws.base + k[r]), int(ws.base + j[int(np.argmin(vals[r]))]))
-    return min(cmin + best, loose), {"at": arg, "loose_9_10": loose,
-                                     "double_inf": cmin + best}
+    return series.Labelled((min(cmin + best, loose), {"at": arg, "loose_9_10": loose,
+                                                      "double_inf": cmin + best}), ws.certainty(W))
 
 
-def _xi_zeta_rows(ws, W: int, finite: bool, F: np.ndarray, eta=None) -> list:
+def _xi_zeta_rows(ws, W: int, F: np.ndarray, eta=None) -> list:
     """The bound inf c + zeta(eta, f) for each row f of the (G, W) array ``F``.
 
     Returns one ``KillingBounds`` per row, or the ``NotInF`` error of a row
     outside the admissible family. ``eta = None`` picks eta = xi_f per row.
     Rows are independent: each equals the same computation on that row
-    alone, bit for bit (every window sum is a cumsum along the row).
+    alone, bit for bit (every window sum is a cumsum along the row). A row is
+    labelled by the window, or CERTIFIED where no xi objective is finite.
     """
+    cert = ws.certainty(W)
+    finite = cert is series.Certainty.CERTIFIED
     mu, nu_b = ws.mu[:W], ws.nu_b[:W]
     c, cmin = _killing_floor(ws, W)
     ct = c - cmin
@@ -218,7 +207,7 @@ def _xi_zeta_rows(ws, W: int, finite: bool, F: np.ndarray, eta=None) -> list:
         return out
     with np.errstate(all="ignore"):
         obj = (Fa[:, :1] - Fa + IIc) / II1
-    xi, certified = _robust_inf(obj[:, 1:], finite)
+    xi, proven = _robust_inf(obj[:, 1:], finite)
     # np.where keeps Python's min/max semantics (first argument on ties)
     xi = np.where(0.0 > xi, 0.0, xi)  # the membership inequality keeps it positive
     if finite:
@@ -238,8 +227,8 @@ def _xi_zeta_rows(ws, W: int, finite: bool, F: np.ndarray, eta=None) -> list:
         out[g] = KillingBounds(
             lower=cmin + float(zeta[r]), upper=math.inf, xi=float(xi[r]),
             zeta=float(zeta[r]), eta_used=float(etas[r]), c_floor=cmin,
-            f_used=Fa[r].copy(),   # a view would pin the whole batch
-            flags={"certainty": _certainty(bool(certified[r]))})
+            certified=series.Certainty.CERTIFIED if proven[r] else cert,
+            f_used=Fa[r].copy())   # a view would pin the whole batch
     return out
 
 
@@ -256,7 +245,7 @@ def xi_zeta(model: ChainModel, f, eta: Optional[float] = None,
     ws, W = _arrays(model, window)
     idx = np.arange(ws.base, ws.base + W, dtype=np.int64)
     fv = np.asarray(f(idx), dtype=float) if callable(f) else np.asarray(f, dtype=float)[:W]
-    kb, = _xi_zeta_rows(ws, W, _covers_chain(model, ws, W), fv[None, :], eta)
+    kb, = _xi_zeta_rows(ws, W, fv[None, :], eta)
     if isinstance(kb, NotInF):
         raise kb
     return kb
@@ -270,7 +259,6 @@ def corollary_9_9(model: ChainModel, eps_grid=None, window: int = 8192) -> Killi
     produces a positive gain the family is flagged insufficient.
     """
     ws, W = _arrays(model, window)
-    finite = _covers_chain(model, ws, W)
     c, cmin = _killing_floor(ws, W)
     if eps_grid is None:
         eps_grid = np.linspace(0.05, 0.95, 19)
@@ -280,11 +268,11 @@ def corollary_9_9(model: ChainModel, eps_grid=None, window: int = 8192) -> Killi
     F = np.repeat(np.reshape(grid, (-1, 1)), W, axis=1)
     F[:, 0] = 1.0
     best = None
-    for eps, kb in zip(grid, _xi_zeta_rows(ws, W, finite, F)):
+    for eps, kb in zip(grid, _xi_zeta_rows(ws, W, F)):
         if isinstance(kb, KillingBounds) and (best is None or kb.zeta > best.zeta):
             best = replace(kb, flags=dict(kb.flags, eps=eps))
     if best is None:
-        return _family_floor(cmin, finite)
+        return _family_floor(cmin, ws.certainty(W))
     scale = max(abs(best.c_floor), 1.0)
     if best.zeta <= 1e-9 * scale:
         best = replace(best, flags=dict(best.flags, family_insufficient=True))
@@ -294,7 +282,6 @@ def corollary_9_9(model: ChainModel, eps_grid=None, window: int = 8192) -> Killi
 def sqrt_test_bound(model: ChainModel, m_grid=None, window: int = 8192) -> KillingBounds:
     """Lower bound from the square-root tail seeds, optimized over the stop level."""
     ws, W = _arrays(model, window)
-    finite = _covers_chain(model, ws, W)
     c, cmin = _killing_floor(ws, W)
     ct1 = c[0] - cmin
     if m_grid is None:
@@ -311,11 +298,11 @@ def sqrt_test_bound(model: ChainModel, m_grid=None, window: int = 8192) -> Killi
         seeds.append(np.where(fv > 0, fv, math.sqrt(max(nu_b[m - ws.base], 1e-300))))
         levels.append(m)
     best = None
-    for m, kb in zip(levels, _xi_zeta_rows(ws, W, finite, np.reshape(seeds, (-1, W)))):
+    for m, kb in zip(levels, _xi_zeta_rows(ws, W, np.reshape(seeds, (-1, W)))):
         if isinstance(kb, KillingBounds) and (best is None or kb.lower > best.lower):
             best = replace(kb, flags=dict(kb.flags, m=m))
     if best is None:
-        return _family_floor(cmin, finite)
+        return _family_floor(cmin, ws.certainty(W))
     return best
 
 
@@ -340,22 +327,22 @@ def reduce_9_11(model: ChainModel, beta: float, gamma: Optional[float] = None,
     N = model.hi if finite else None
     if float(ws.a[0]) != 0.0:
         raise ShapeViolation("the shape requires a_1 = 0 (killing lives in c)")
-    if finite and W >= N and float(ws.b[N - 1]) != 0.0:
+    covered = finite and W >= N
+    if covered and float(ws.b[N - 1]) != 0.0:
         raise ShapeViolation("the shape requires b_N = 0 on finite chains")
     a, b, c = ws.a[:W], ws.b[:W], ws.c[:W] + shift
-    idx = np.arange(1, W + 1)
-    rhs = np.empty(W)
+    rhs = np.full(W, math.nan)
     rhs[0] = (a[1] if W > 1 else 0.0) - b[0] + beta
     if W > 2:
         rhs[1:-1] = a[2:] - a[1:-1] - b[1:-1] + b[:-2]
-    if finite and W >= N:
+    if covered:
         if gamma is None:
             raise ShapeViolation("finite chains need gamma > 0")
         rhs[N - 1] = gamma - a[N - 1] + b[N - 2]
-    slack = c - rhs
-    checked = slack[:-1] if not finite else slack
-    valid = bool(np.all(checked >= -1e-12))
-    equality = bool(np.all(np.abs(checked) <= 1e-12))
+    # the last window state's difference reads a rate past the window: not checked
+    slack = (c - rhs)[:W if covered else W - 1]
+    valid = bool(np.all(slack >= -1e-12))
+    equality = bool(np.all(np.abs(slack) <= 1e-12))
     # reduced (check) chain: death a_{i+1}, birth b_i, bottom birth beta,
     # top death gamma on finite chains
     def chk_birth(i, beta=beta):

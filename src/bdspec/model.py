@@ -2,10 +2,10 @@
 
 A :class:`ChainModel` holds the boundary code, the index range and the rate
 rules. :func:`build_weights` turns it into windowed weight arrays (rescaled
-where they leave float range and come back) plus certified or
-estimated tail sums. :func:`classify_uniqueness` evaluates the three
-divergence conditions that decide whether the process / Dirichlet form is
-unique.
+where they leave float range and come back) plus closed-form, summed or
+estimated tail sums; :meth:`ChainModel.certainty` is the one certainty rule.
+:func:`classify_uniqueness` evaluates the three divergence conditions that
+decide whether the process / Dirichlet form is unique.
 """
 
 from __future__ import annotations
@@ -112,6 +112,12 @@ class ChainModel:
             return None
         return self.tail_hint.get(key)
 
+    def certainty(self, lo: int, top: int) -> series.Certainty:
+        """The one certainty rule: a bound computed on the states [lo, top]
+        is CERTIFIED iff they are the whole of a finite chain."""
+        whole = None not in (self.lo, self.hi) and lo <= self.lo and top >= self.hi
+        return series.Certainty.CERTIFIED if whole else series.Certainty.WINDOW_STOPPED
+
 
 @dataclass(frozen=True)
 class WeightSystem:
@@ -193,9 +199,14 @@ class WeightSystem:
             out = self._cache["tail_" + key] = _read_only(out)
         return out
 
+    def certainty(self, W: Optional[int] = None) -> series.Certainty:
+        """The model's certainty rule on the window, or on its first ``W``
+        states (a float-safe prefix)."""
+        return self.model.certainty(self.base, self.base + (len(self) if W is None else W) - 1)
+
     def mu_tail(self, n):
         """mu[n, N] at an index (a float) or an index array (an array of its
-        shape); certified by hint or suffix window + remainder estimate."""
+        shape): by hint, or suffix window + remainder (estimated if infinite)."""
         return self._tail("mu", n)
 
     def nu_tail(self, n, kind: Optional[str] = None):
@@ -218,9 +229,9 @@ def _sum_with_tail(arr: np.ndarray, hint_total, rem: float) -> series.TailSum:
         return series.TailSum(float(hint_total), "closed_form")
     head = float(arr.sum())
     if not math.isfinite(head) or not math.isfinite(rem):
-        return series.TailSum(math.inf, "divergent", len(arr))
+        return series.TailSum(math.inf, "divergent")
     flag = "converged" if rem <= DEFAULT_TOL * max(head, 1e-300) else "estimated"
-    return series.TailSum(head + rem, flag, len(arr))
+    return series.TailSum(head + rem, flag)
 
 
 # the last weight system built, as (model, n_max, WeightSystem): the calls
@@ -255,13 +266,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _build(model: ChainModel, n_max: int) -> WeightSystem:
+def _rates_and_weights(model: ChainModel, top: int):
+    """(a, b, c, log_mu, mu) on [base, top]: the checked rates and the
+    weights by the recurrence mu_{n+1} a_{n+1} = mu_n b_n, mu_base = 1."""
+    global _last
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise BadParameter("use bilateral_log_weights for bilateral models")
-    if n_max < 1:
-        raise BadParameter("n_max must be >= 1")
+    if _last is not None and _last[0] is not model:
+        _last = None     # another chain's stale window: free it before this chain's arrays
     base = model.base
-    top = base + n_max - 1 if model.hi is None else min(model.hi, base + n_max - 1)
     a, b, c = model.rates(base, top)
     n = len(a)
     finite = model.hi is not None and top == model.hi
@@ -307,6 +320,16 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
                              np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
                 with np.errstate(over="ignore"):
                     mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
+    return a, b, c, log_mu, mu
+
+
+def _build(model: ChainModel, n_max: int) -> WeightSystem:
+    if n_max < 1:
+        raise BadParameter("n_max must be >= 1")
+    base = model.base
+    top = base + n_max - 1 if model.hi is None else min(model.hi, base + n_max - 1)
+    a, b, c, log_mu, mu = _rates_and_weights(model, top)
+    finite = model.hi is not None and top == model.hi
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (an overflowed
         # weight); the rates are positive and finite inside the range, so

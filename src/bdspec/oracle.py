@@ -20,7 +20,7 @@ from scipy.linalg import eigh_tridiagonal
 from . import series
 from .errors import (BadParameter, DegenerateRecursion, NoConvergence,
                      TruncationTooSmall, WrongBoundary)
-from .model import BoundaryCode, ChainModel, build_weights
+from .model import BoundaryCode, ChainModel, _rates_and_weights
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,7 @@ class SpectralResult:
     residual: float
     method: str
     base: int = 0
+    certified: series.Certainty = series.Certainty.WINDOW_STOPPED  # CERTIFIED iff m covers it
 
 
 # Absolute bisection tolerance for LAPACK's dstebz: the value it documents as
@@ -57,7 +58,7 @@ def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
     hint = model.hint("mu_tail")
     if hint is not None:
         num = float(hint(top))
-        den = float(hint(top)) - float(hint(top + 1))
+        den = num - float(hint(top + 1))
         if den > 0 and math.isfinite(num):
             return num / den
         if not math.isfinite(num):
@@ -142,12 +143,9 @@ def principal_eigen(model: ChainModel, m: int,
         raise TruncationTooSmall("need m >= 2")
     if boundary_at_m is None:
         boundary_at_m = default_truncation_boundary(model)
-    if model.boundary is BoundaryCode.DD_BILATERAL:
-        lo = -m if model.lo is None else max(model.lo, -m)
-        top = m if model.hi is None else min(model.hi, m)
-    else:
-        lo = model.base
-        top = m if model.hi is None else min(model.hi, m)
+    lo = model.base if model.boundary is not BoundaryCode.DD_BILATERAL else \
+        (-m if model.lo is None else max(model.lo, -m))
+    top = m if model.hi is None else min(model.hi, m)
     diag, off = _tridiag(model, lo, top, boundary_at_m)
     if k is None:
         k = 1 if (model.boundary is BoundaryCode.NN
@@ -165,14 +163,14 @@ def principal_eigen(model: ChainModel, m: int,
         tv[:-1] -= off * vec[1:]
         tv[1:] -= off * vec[:-1]
     residual = float(np.max(np.abs(tv - lam * vec)))
-    return SpectralResult(lam, vec, top, residual, "LAPACK stebz/stein", base=lo)
+    return SpectralResult(lam, vec, top, residual, "LAPACK stebz/stein", lo,
+                          model.certainty(lo, top))
 
 
 @dataclass(frozen=True)
 class TruncationTrace:
     schedule: tuple
     values: tuple
-    last: float
     limit: float
     mode: str
     monotone_ok: bool
@@ -194,7 +192,7 @@ def truncation_limit(model: ChainModel, schedule,
     scale = max(abs(vals[-1]), 1.0)
     monotone = all(y <= x + 1e-9 * scale for x, y in zip(vals, vals[1:]))
     limit, mode = series.extrapolate_limit(ms, vals)
-    return TruncationTrace(tuple(ms), tuple(vals), vals[-1], limit, mode, monotone)
+    return TruncationTrace(tuple(ms), tuple(vals), limit, mode, monotone)
 
 
 def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResult:
@@ -248,7 +246,11 @@ def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResu
         u[i] = (a[i] * u[i - 1] / (1.0 + u[i - 1]) - z) / b[i]
     with np.errstate(over="ignore"):
         g = v_products(1.0 + np.maximum(u, 0.0))
-    return SpectralResult(z, g, top - 1, hi - lo, "Shooting", base=1)
+    # the recursion reflects at state top - 1: the whole chain only where the
+    # chain's top reflects (DN); a finite DD chain's exit b_N is left out
+    cert = model.certainty(1, top - 1) if model.boundary is BoundaryCode.DN \
+        else series.Certainty.WINDOW_STOPPED
+    return SpectralResult(z, g, top - 1, hi - lo, "Shooting", 1, cert)
 
 
 def difference_form(model: ChainModel, v, lo: int, hi: int) -> np.ndarray:
@@ -283,20 +285,19 @@ def eigen_identity_check(model: ChainModel, lam: float, g, lo: int, hi: int) -> 
 
     ``g`` is a callable on int arrays, positive on [lo, hi+1]. At a Dirichlet
     origin the bottom death rate acts as killing, as in the difference form.
-    Half-line chains only: the weights come from ``build_weights``.
+    Half-line chains only: the weights come from ``model._rates_and_weights``.
     """
     base = model.base
     if model.hi is not None and hi > model.hi:
         raise BadParameter("the identity range ends at the top state %d" % model.hi)
     idx = np.arange(base, hi + 2, dtype=np.int64)
     gv = np.asarray(g(idx), dtype=float)
-    ws = build_weights(model, hi + 1 - base)
-    mu, c = ws.mu, ws.c.copy()
-    c[0] += ws.a[0]
+    a, b, c, _, mu = _rates_and_weights(model, hi)
+    c[0] += a[0]
     with np.errstate(all="ignore"):
         # (summed form) mu_k b_k (g_k - g_{k+1}) = sum_{i<=k} (lam - c_i) mu_i g_i
         terms = (lam - c) * mu * gv[:-1]
-        lhs = mu * ws.b * (gv[:-1] - gv[1:])
+        lhs = mu * b * (gv[:-1] - gv[1:])
         rhs = np.cumsum(terms)
         # backward-stable scale: a partial sum is only determined up to rounding
         # in its largest summand, so normalize by the running term magnitude
@@ -379,18 +380,13 @@ def splitting_bracket(model: ChainModel, theta_grid, gamma_grid=None,
             except DegenerateRecursion:
                 pass
     lower, upper = -math.inf, math.inf
-    best = (None, None)
-    detail = {}
+    best, detail = (None, None), {}
     for theta in theta_grid:
         for gv in cands:
-            lamL, lamR = _local_pair(model, int(theta), gv, m)
-            lo_c = min(lamL, lamR)
-            hi_c = max(lamL, lamR)
-            detail[(int(theta), gv)] = (lamL, lamR)
-            if lo_c > lower:
-                lower = lo_c
-                best = (int(theta), gv)
-            upper = min(upper, hi_c)
+            lamL, lamR = detail[(int(theta), gv)] = _local_pair(model, int(theta), gv, m)
+            if min(lamL, lamR) > lower:
+                lower, best = min(lamL, lamR), (int(theta), gv)
+            upper = min(upper, max(lamL, lamR))
     for end, side in ((model.lo, "lo"), (model.hi, "hi")):
         if end is not None:
             # theta at a finite closed end: one side empty (=inf), the other is

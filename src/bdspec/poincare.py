@@ -62,7 +62,7 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
         raise WrongVariant("bilateral_8_4 needs a bilateral model")
     log_best, arg, span = _bilateral_scan(model, "DD_7_11", half_window, s=2.0 / p)
     rep = series.ExtremumReport(arg, math.exp(log_best) if math.isfinite(log_best) else math.inf,
-                                series.Certainty.WINDOW_STOPPED, span)
+                                model.certainty(*span), span)
     B = math.exp(-log_best) if math.isfinite(log_best) else math.inf
     return SobolevConstant(p, variant, B, rep)
 
@@ -95,8 +95,8 @@ def b_constants_split(model: ChainModel, p: float,
         B_L, B_R = _delta_sup(ws, "4_4", t).value, _delta_sup(ws, "3_1", t).value
         S = ws.exit_mass
         # 1/B = inf over n <= m of (1/nu_a[1, n]) (1/nu_b[m, N]) / mu[n, m]^{2/p}
-        rep = series.half_line_pairs(*_kappa_terms(ws, reflecting=False), ws.base, True,
-                                     s=t, product=True)
+        rep = series.half_line_pairs(*_kappa_terms(ws, reflecting=False), ws.base,
+                                     ws.certainty(), s=t, product=True)
         B = 1.0 / rep.value if rep.arg is not None and rep.value > 0 else math.inf
     if not math.isfinite(S):
         B = min(B_L, B_R)

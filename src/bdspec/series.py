@@ -50,11 +50,23 @@ class ExtremumReport:
             self.arg, self.value, self.certified.value)
 
 
+class Labelled(tuple):
+    """A tuple of bounds that unpacks and iterates as a plain tuple, with
+    the one ``certified`` :class:`Certainty` they share."""
+
+    def __new__(cls, values, certified: Certainty):
+        out = super().__new__(cls, values)
+        out.certified = certified
+        return out
+
+    def __getnewargs__(self):
+        return tuple(self), self.certified
+
+
 @dataclass(frozen=True)
 class TailSum:
     value: float           # may be math.inf on a divergence verdict
     flag: str              # closed_form | converged | estimated | divergent
-    terms_used: int = 0
 
 
 def estimate_remainder_block(terms: np.ndarray, start: int) -> float:
@@ -125,7 +137,7 @@ def _row_blocks(rows: int, cols: int) -> list:
 
 
 def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict: bool,
-                    base: int, exhaustive: bool, s: float = 1.0,
+                    base: int, certified: Certainty, s: float = 1.0,
                     product: bool = False) -> ExtremumReport:
     """inf over n <= m (n < m when strict) of (L_n + R_m) / M(n, m)^s.
 
@@ -140,9 +152,10 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
     and R_m are finite (and R_m > 0 for the product), since no later column
     holds a finite entry; ``scanned`` is (base, base + W_eff - 1). The sum
     goes to :func:`_fractional_min` and the product to :func:`_monge_min`,
-    both exact and sub-quadratic. Unless ``exhaustive`` (a finite chain),
-    the best pair then gets an Aitken limit along m, since several of the
-    defining infima are attained only as m -> infinity.
+    both exact and sub-quadratic. The report carries ``certified``, the
+    window's label; on a window-stopped scan the best pair of the sum then
+    gets an Aitken limit along m, since several of the defining infima are
+    attained only as m -> infinity.
     """
     W = len(mid)
     with np.errstate(over="ignore"):
@@ -152,21 +165,17 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
     def values(n, m):
         with np.errstate(all="ignore"):
             den = Q[m] - P[n]
-            v = left[n] * right[m] if product else left[n] + right[m]
-            ok = np.isfinite(den) & (den > 0.0)
-            v /= den ** s
-        ok &= (v > 0.0) if product else ~np.isnan(v)
-        v[~ok] = math.inf
+            v = (left[n] + right[m]) / den ** s
+        v[~(np.isfinite(den) & (den > 0.0)) | np.isnan(v)] = math.inf
         return v
 
     cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(right) & ((right > 0.0) | (not product)))
     w_eff = int(cols[-1]) + 1 if len(cols) else 0
     lr = (left[:w_eff], right[:w_eff], P[:w_eff], Q[:w_eff])
     best, arg = _monge_min(*lr, s) if product else _fractional_min(*lr, s)
-    cert = Certainty.CERTIFIED if exhaustive else Certainty.WINDOW_STOPPED
     rep = ExtremumReport(None if arg is None else (base + arg[0], base + arg[1]), best,
-                         cert, (base, base + w_eff - 1))
-    if exhaustive or arg is None or W - 1 - arg[1] < 8:
+                         certified, (base, base + w_eff - 1))
+    if certified is Certainty.CERTIFIED or product or arg is None or W - 1 - arg[1] < 8:
         return rep
     offs = np.unique(np.geomspace(1.0, W - 1 - arg[1], 24).astype(np.int64))
     vals = values(arg[0], arg[1] + np.concatenate([[0], offs]))
@@ -174,7 +183,7 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
     if len(vals) >= 4 and np.all(np.diff(vals) < 0):
         acc = aitken(vals)
         if len(acc) and math.isfinite(acc[-1]) and 0.0 < acc[-1] < best:
-            return ExtremumReport(rep.arg, float(acc[-1]), cert, rep.scanned)
+            return ExtremumReport(rep.arg, float(acc[-1]), certified, rep.scanned)
     return rep
 
 

@@ -54,6 +54,20 @@ def test_estimate_exit_code_follows_certainty(name, certified, capsys):
     assert code == (0 if certified == "certified" else 2)
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["estimate", "--model", "ex7_6_1"], 0), (["estimate", "--model", "quadratic_nd"], 2),
+    (["approx", "--model", "ex7_6_1"], 0), (["approx", "--model", "quadratic_nd"], 2),
+    (["oracle", "--model", "ex7_6_1"], 0), (["oracle", "--model", "ex9_21", "--m", "400"], 2),
+    (["killing", "--model", "ex9_15"], 0), (["killing", "--model", "ex9_16"], 2),
+    (["poincare", "--model", "ex7_6_1"], 0), (["poincare", "--model", "quadratic_nd"], 2),
+])
+def test_exit_code_is_2_iff_a_printed_bound_is_window_stopped(argv, code, capsys):
+    # a finite chain its windows cover exits 0; an infinite one exits 2
+    got, out = run_cli(argv + ["--json"], capsys)
+    assert got == code
+    assert json.loads(out)["certified"] == ("certified" if code == 0 else "window_stopped")
+
+
 def test_estimate_refuses_a_killed_chain(capsys):
     # killing-free brackets bound no killed chain: on ex9_16 they read
     # [1e-10, 4e-10], while corollary 9.9 certifies 1.22e-4
@@ -65,9 +79,11 @@ def test_estimate_refuses_a_killed_chain(capsys):
 
 
 def test_oracle_command(capsys):
+    # ex9_21 is an infinite chain: the truncation at m = 400 is window-stopped
     code, out = run_cli(["oracle", "--model", "ex9_21", "--m", "400", "--json"], capsys)
-    assert code == 0
+    assert code == 2
     doc = json.loads(out)
+    assert doc["certified"] == "window_stopped"
     assert doc["lambda"] == pytest.approx(119.0 / 8.0, abs=1e-4)
     assert doc["monotone_ok"]
 
@@ -96,8 +112,8 @@ def test_killing_exit_code_follows_certainty(name, expected, capsys):
     code, out = run_cli(["killing", "--model", name, "--json"], capsys)
     doc = json.loads(out)
     assert code == expected
-    certainties = (doc["flags"]["certainty"], doc["flags"]["sqrt"]["certainty"])
-    assert (certainties == ("certified", "certified")) == (expected == 0)
+    assert doc["certified"] == ("certified" if expected == 0 else "window_stopped")
+    assert "certainty" not in doc["flags"] and "certainty" not in doc["flags"]["sqrt"]
 
 
 def test_poincare_command(capsys):
@@ -194,8 +210,8 @@ def test_json_output_is_strict(name, capsys):
             assert captured.out == "" and "bdspec killing" in captured.err
             continue
         code, out = run_cli([cmd, "--model", name, "--json"], capsys)
-        _check_strict(out)
-        assert code in (0, 2)
+        doc = _check_strict(out)
+        assert code == (0 if doc["certified"] == "certified" else 2)
 
 
 def test_json_nonfinite_flags(capsys):

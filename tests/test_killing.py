@@ -8,6 +8,7 @@ from bdspec import killing, oracle
 from bdspec.catalog import catalog
 from bdspec.errors import EtaOutOfRange, NotInF, ShapeViolation
 from bdspec.model import BoundaryCode, ChainModel
+from bdspec.series import Certainty
 
 SQRT2 = math.sqrt(2.0)
 
@@ -159,6 +160,42 @@ def test_reduction_takes_the_dual_route_on_a_harmonic_series():
     assert rr.valid and rr.branch == "dual_4_1"
 
 
+def _slack_from_rates(model, beta, W):
+    """c - rhs of the reduction's comparison on the states 1..W-1 of a window
+    of W states, one by one from model.rates."""
+    a, b, c = model.rates(1, W)
+    rhs = [a[1] - b[0] + beta] + [a[k + 1] - a[k] - b[k] + b[k - 1] for k in range(1, W - 1)]
+    return c[:W - 1] - np.array(rhs)
+
+
+@pytest.mark.parametrize("name,beta", [("ex9_21", 0.25), ("ex9_19", 0.25)])
+def test_reduction_slack_on_an_infinite_chain_is_the_checked_states(name, beta):
+    # the last window state's difference reads a rate past the window: its
+    # slack is not returned, and two calls agree to the bit
+    model = catalog(name)
+    _, W = killing._arrays(model, 4096)
+    rr = killing.reduce_9_11(model, beta=beta)
+    assert rr.slack.tobytes() == _slack_from_rates(model, beta, W).tobytes()
+    assert rr.valid == bool(np.all(rr.slack >= -1e-12))
+    assert killing.reduce_9_11(model, beta=beta).slack.tobytes() == rr.slack.tobytes()
+
+
+def test_reduction_slack_on_a_finite_chain_past_its_float_safe_window():
+    # b = 2, a = 1 (a_1 = 0), killing 5 on 500 states: the weights 2^i leave
+    # the float-safe range at state 404, before the top
+    N = 500
+    model = ChainModel(BoundaryCode.DD, 1, N,
+                       lambda i: np.where(np.asarray(i) == N, 0.0, 2.0),
+                       lambda i: np.where(np.asarray(i) == 1, 0.0, 1.0),
+                       killing=lambda i: np.full(np.shape(i), 5.0))
+    _, W = killing._arrays(model, 4096)
+    assert W == 404
+    rr = killing.reduce_9_11(model, beta=1.0, gamma=1.0)
+    assert len(rr.slack) == W - 1
+    assert rr.slack.tobytes() == _slack_from_rates(model, 1.0, W).tobytes()
+    assert rr.valid and np.all(rr.slack == 5.0)
+
+
 def test_reduction_shape_guard():
     with pytest.raises(ShapeViolation):
         killing.reduce_9_11(catalog("ex9_18"), beta=-1.0)
@@ -274,7 +311,8 @@ def test_sqrt_test_bound_rejects_infinite_seed():
     model = catalog("ex9_14")
     kb = killing.sqrt_test_bound(model)
     assert kb.lower == 1.0 == kb.c_floor
-    assert kb.flags == {"family_insufficient": True, "certainty": "certified"}
+    assert kb.flags == {"family_insufficient": True}
+    assert kb.certified is Certainty.CERTIFIED
     assert kb.lower <= oracle.principal_eigen(model, 2).lam
     with pytest.raises(NotInF):
         killing.xi_zeta(model, np.array([math.inf, math.inf]))
@@ -307,7 +345,7 @@ def _killed_models():
 
 
 def _same(kb, ref, **extra):
-    for name in ("lower", "upper", "xi", "zeta", "eta_used", "c_floor"):
+    for name in ("lower", "upper", "xi", "zeta", "eta_used", "c_floor", "certified"):
         assert repr(getattr(kb, name)) == repr(getattr(ref, name)), name
     assert kb.f_used.tobytes() == ref.f_used.tobytes()
     assert kb.f_used.base is None
@@ -395,7 +433,7 @@ def test_kernel_mixed_batch_matches_single_rows():
     batch = np.array([np.ones(W), np.where(i == 1, 1.0, 0.5), -np.ones(W),
                       np.where(i == 3, math.inf, 1.0), i ** 2, np.where(i == 1, 1.0, 0.8),
                       np.where(i == 2, math.nan, 1.0)])
-    out = killing._xi_zeta_rows(ws, W, True, batch)
+    out = killing._xi_zeta_rows(ws, W, batch)
     admissible = 0
     for row, got in zip(batch, out):
         try:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdspec import oracle
-from bdspec.catalog import catalog, catalog_names, table71_v
+from bdspec.catalog import TABLE71_ROWS, catalog, catalog_names, table71_v
 from bdspec.errors import BadParameter, TruncationTooSmall, WrongBoundary
-from bdspec.model import BoundaryCode, ChainModel
+from bdspec.model import BoundaryCode, ChainModel, _rates_and_weights, build_weights
 
 
 def _table_model(a, b, c):
@@ -222,6 +223,29 @@ def test_eigen_identity_table71(row, lam, start):
     g = oracle.v_products(table71_v(row))
     res = oracle.eigen_identity_check(model, lam, g, start, 1000)
     assert res["difference_form"] < 1e-10
+
+
+@pytest.mark.parametrize("row", [r[0] for r in TABLE71_ROWS])
+def test_eigen_identity_check_reads_the_weights_without_a_weight_system(row):
+    # the check reads mu, b and c from the weight recurrence alone: the same
+    # arrays as a weight system on its range, and the weight memo is kept
+    model = catalog(row)
+    ws = build_weights(model, 5000)
+    oracle.eigen_identity_check(model, 0.25, oracle.v_products(table71_v(row)), 2, 1000)
+    assert build_weights(model, 5000) is ws
+    a, b, c, _, mu = _rates_and_weights(model, 1000)
+    ref = build_weights(model, 1000)
+    for got, want in ((a, ref.a), (b, ref.b), (c, ref.c), (mu, ref.mu)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_reading_another_chains_weights_frees_the_memo():
+    # the one-slot memo serves one chain: reading another chain's weights
+    # frees it before that chain's arrays are allocated
+    ws = weakref.ref(build_weights(catalog("table6_1_row2"), 5000))
+    g = oracle.v_products(table71_v("table7_1_row3"))
+    oracle.eigen_identity_check(catalog("table7_1_row3"), 2.0, g, 1, 1000)
+    assert ws() is None
 
 
 def test_eigen_identity_ex9_18():

@@ -46,7 +46,8 @@ def _check_pairs(L, R, mid, strict, s=1.0, product=False, base=0):
     bound; the sum, whose pairs are chosen exactly on the stored prefix sums,
     to a few ulps even where that bound is loose."""
     best, arg, tol, unique = brute_pairs(L, R, mid, strict, s, product)
-    rep = series.half_line_pairs(L, R, mid, strict, base, True, s, product)
+    rep = series.half_line_pairs(L, R, mid, strict, base, series.Certainty.CERTIFIED, s,
+                                 product)
     assert rep.certified is series.Certainty.CERTIFIED
     if arg is None:
         assert rep.arg is None and rep.value == math.inf
