@@ -178,7 +178,7 @@ def similarity_check(model: ChainModel, n: int = 8) -> float:
         raise WrongShape("similarity check is a dense, small-n verification")
     if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
         raise WrongShape("similarity check starts from a reflecting-origin model")
-    a, b, c, _, mu = _rates_and_weights(model, n - 1)
+    a, b, c, _, mu = _rates_and_weights(model, n - 1)[:5]
     if model.boundary is BoundaryCode.ND:
         # section-5 construction: truncation absorbs at n (b_{n-1} kept)
         mb = mu * b

@@ -283,6 +283,8 @@ def sqrt_test_bound(model: ChainModel, m_grid=None, window: int = 8192) -> Killi
     """Lower bound from the square-root tail seeds, optimized over the stop level."""
     ws, W = _arrays(model, window)
     c, cmin = _killing_floor(ws, W)
+    if W < 2:
+        return _family_floor(cmin, ws.certainty(W))   # no stop level to optimize over
     ct1 = c[0] - cmin
     if m_grid is None:
         m_grid = sorted({int(round(g)) for g in np.geomspace(2, min(512, W - 1), 16)})

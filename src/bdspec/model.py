@@ -3,9 +3,10 @@
 A :class:`ChainModel` holds the boundary code, the index range and the rate
 rules. :func:`build_weights` turns it into windowed weight arrays (rescaled
 where they leave float range and come back) plus closed-form, summed or
-estimated tail sums; :meth:`ChainModel.certainty` is the one certainty rule.
-:func:`classify_uniqueness` evaluates the three divergence conditions that
-decide whether the process / Dirichlet form is unique.
+estimated tail sums; a chain's windows are prefix views of its largest, so
+memory is bounded by one chain's largest window. :meth:`ChainModel.certainty`
+is the one certainty rule; :func:`classify_uniqueness` evaluates the three
+divergence conditions that decide whether the process / Dirichlet form is unique.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -64,8 +66,8 @@ class ChainModel:
     int or an int array and returns mu[n, N] (or nu[n, N]) as a float or as
     an ndarray of the same shape, in O(len(n)) memory, and a window of tails
     evaluated in one call equals the same tails evaluated one at a time.
-    Rates and hints must be pure functions of their argument: calls on the
-    same model object reuse its last weight system (see :func:`build_weights`).
+    Rate and hint callables must be element-wise, the value at i depending on
+    i alone: a model's windows are prefix views of its largest (:func:`build_weights`).
     """
     boundary: BoundaryCode
     lo: Optional[int]
@@ -192,11 +194,16 @@ class WeightSystem:
         return suf[np.clip(np.asarray(n) - self.base, 0, len(suf) - 1)]
 
     def _window_tail(self, key: str) -> np.ndarray:
-        """``key``[n, N] for every window index n, in one call; cached."""
+        """``key``[n, N] for every window index n, in one call; cached. A hinted
+        tail is cut from the longest one evaluated for the held model."""
         out = self._cache.get("tail_" + key)
         if out is None:
-            out = np.asarray(self._tail(key, np.arange(self.base, self.top + 1)), dtype=float)
-            out = self._cache["tail_" + key] = _read_only(out)
+            hinted = self.model.hint(key + "_tail") is not None
+            held = _held.tails if hinted and _held.model is self.model else {}
+            if len(held.get(key, ())) < len(self):
+                held[key] = _read_only(np.asarray(
+                    self._tail(key, np.arange(self.base, self.top + 1)), dtype=float))
+            out = self._cache["tail_" + key] = held[key][:len(self)]
         return out
 
     def certainty(self, W: Optional[int] = None) -> series.Certainty:
@@ -234,9 +241,9 @@ def _sum_with_tail(arr: np.ndarray, hint_total, rem: float) -> series.TailSum:
     return series.TailSum(head + rem, flag)
 
 
-# the last weight system built, as (model, n_max, WeightSystem): the calls
-# made for one chain share it; one slot, so two windows are never held
-_last = None
+# the current chain's largest evaluated window, whose prefixes serve the
+# chain's windows: model, arrays, stale lengths, hinted tails, last ws
+_held = _NONE = SimpleNamespace(model=None, tails={}, last=(None, None))
 
 
 def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX) -> WeightSystem:
@@ -249,16 +256,12 @@ def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX) -> WeightSystem:
     is flagged converged, else estimated.
 
     A call with the same model object and ``n_max`` as the previous call
-    returns the previous weight system, tail caches included.
+    returns the previous weight system, tail caches included; the model's
+    other windows share its arrays (:func:`_rates_and_weights`).
     """
-    global _last
-    last = _last
-    if last is not None and last[0] is model and last[1] == n_max:
-        return last[2]
-    _last = None                  # let the previous window go before building
-    ws = _build(model, n_max)
-    _last = (model, n_max, ws)
-    return ws
+    if not (_held.model is model and _held.last[0] == n_max):
+        _held.last = (n_max, _build(model, n_max))    # _build leaves the model held
+    return _held.last[1]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -267,16 +270,20 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _rates_and_weights(model: ChainModel, top: int):
-    """(a, b, c, log_mu, mu) on [base, top]: the checked rates and the
-    weights by the recurrence mu_{n+1} a_{n+1} = mu_n b_n, mu_base = 1."""
-    global _last
+    """(a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b) on [base, top], read-only:
+    the checked rates, the weights by mu_{n+1} a_{n+1} = mu_n b_n, mu_base = 1,
+    their prefix sums and the nu. All are element-wise or sequential, so the
+    held chain's windows up to its top are its prefix views, bit for bit,
+    unless stale (short of its subnormal fix-up); other windows become held."""
+    global _held
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise BadParameter("use bilateral_log_weights for bilateral models")
-    if _last is not None and _last[0] is not model:
-        _last = None     # another chain's stale window: free it before this chain's arrays
+    n, h = top - model.base + 1, _held
+    if h.model is model and 0 < n <= len(h.arrays[0]) and not h.stale[0] < n <= h.stale[1]:
+        return tuple(x[:n] for x in h.arrays)
+    _held = _NONE          # let the held window go before evaluating this one
     base = model.base
     a, b, c = model.rates(base, top)
-    n = len(a)
     finite = model.hi is not None and top == model.hi
     if np.any((b[:-1] if finite else b) <= 0.0):
         raise NonPositiveRate("birth rate <= 0 inside the range")
@@ -291,6 +298,7 @@ def _rates_and_weights(model: ChainModel, top: int):
     if not (np.isfinite(b[:-1]).all() and np.isfinite(a[1:]).all()):
         raise Overflow("rates not finite at some index")
     hint_log = model.hint("log_mu")
+    stale = (0, 0)
     if hint_log is not None:
         log_mu = np.asarray(hint_log(np.arange(base, top + 1, dtype=np.int64)), dtype=float)
         with np.errstate(over="ignore"):
@@ -313,14 +321,30 @@ def _rates_and_weights(model: ChainModel, top: int):
             # s_n = log2 mu_n rounded, each ratio from the mantissas of b and a
             k = int(np.argmin(normal))
             lm = log_mu[k:]
-            if np.any((lm > LOG_TINY) & (lm < LOG_HUGE)) or math.isnan(mu[-1]):
+            back = np.flatnonzero((lm > LOG_TINY) & (lm < LOG_HUGE) | np.isnan(mu[k:]))
+            if len(back):
+                stale = (k, k + int(back[0]))
                 sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
                 (fb, eb), (fa, ea) = np.frexp(b[k - 1:-1]), np.frexp(a[k:])
                 m = np.ldexp(np.concatenate([mu[k - 1:k], fb / fa]),
                              np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
                 with np.errstate(over="ignore"):
                     mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
-    return a, b, c, log_mu, mu
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (an overflowed
+        # weight); the rates are positive and finite inside the range, so
+        # inf * 0 = nan can only arise at the top state, where nu is 0
+        nu_b = 1.0 / (mu * b)
+        nu_a = 1.0 / (mu * a)
+        mu_prefix = np.cumsum(mu)
+    if math.isnan(nu_b[-1]):
+        nu_b[-1] = 0.0
+    if not (model.boundary in (BoundaryCode.DN, BoundaryCode.DD) and a[0] > 0.0):
+        nu_a[0] = 0.0             # the bottom death rate is ignored or vanished
+    arrays = tuple(map(_read_only, (a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b)))
+    _held = SimpleNamespace(model=model, arrays=arrays, stale=stale,
+                            tails=h.tails if h.model is model else {}, last=(None, None))
+    return arrays
 
 
 def _build(model: ChainModel, n_max: int) -> WeightSystem:
@@ -328,21 +352,9 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
         raise BadParameter("n_max must be >= 1")
     base = model.base
     top = base + n_max - 1 if model.hi is None else min(model.hi, base + n_max - 1)
-    a, b, c, log_mu, mu = _rates_and_weights(model, top)
+    a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b = _rates_and_weights(model, top)
     finite = model.hi is not None and top == model.hi
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (an overflowed
-        # weight); the rates are positive and finite inside the range, so
-        # inf * 0 = nan can only arise at the top state, where nu is 0
-        nu_b = 1.0 / (mu * b)
-        nu_a = 1.0 / (mu * a)
-    if math.isnan(nu_b[-1]):
-        nu_b[-1] = 0.0
-    if not (model.boundary in (BoundaryCode.DN, BoundaryCode.DD) and a[0] > 0.0):
-        nu_a[0] = 0.0             # the bottom death rate is ignored or vanished
     convention = "b" if model.boundary in (BoundaryCode.ND, BoundaryCode.NN) else "a"
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu_prefix = np.cumsum(mu)
     # each series' remainder past the window, estimated once: the total and
     # the suffix tails both add it; where the estimate is infinite under a
     # hinted finite total, the remainder is what that total leaves
@@ -355,8 +367,6 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
                 rem = max(totals[-1].value - float(arr.sum()), 0.0)
             cache["rem_" + key] = rem
     mu_total, nu_a_total, nu_b_total = totals
-    mu, log_mu, a, b, c, mu_prefix, nu_a, nu_b = map(
-        _read_only, (mu, log_mu, a, b, c, mu_prefix, nu_a, nu_b))
     return WeightSystem(model=model, base=base, mu=mu, log_mu=log_mu, a=a, b=b, c=c,
                         convention=convention, mu_prefix_arr=mu_prefix,
                         nu_a=nu_a, nu_b=nu_b, mu_total=mu_total,

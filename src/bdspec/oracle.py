@@ -209,6 +209,8 @@ def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResu
     b = np.asarray(model.birth(idx), dtype=float)
     if a[0] <= 0.0:
         raise WrongBoundary("shooting requires a positive death rate at state 1")
+    if len(a) < 2 or b[0] <= 0.0:
+        raise TruncationTooSmall("the recursion needs two states and b_1 > 0")
 
     def positive(z: float) -> bool:
         u = (a[0] - z) / b[0]
@@ -285,15 +287,15 @@ def eigen_identity_check(model: ChainModel, lam: float, g, lo: int, hi: int) -> 
 
     ``g`` is a callable on int arrays, positive on [lo, hi+1]. At a Dirichlet
     origin the bottom death rate acts as killing, as in the difference form.
-    Half-line chains only: the weights come from ``model._rates_and_weights``.
+    Half-line chains only: the weights are the held window's (``model._rates_and_weights``).
     """
     base = model.base
     if model.hi is not None and hi > model.hi:
         raise BadParameter("the identity range ends at the top state %d" % model.hi)
     idx = np.arange(base, hi + 2, dtype=np.int64)
     gv = np.asarray(g(idx), dtype=float)
-    a, b, c, _, mu = _rates_and_weights(model, hi)
-    c[0] += a[0]
+    a, b, c, _, mu = _rates_and_weights(model, hi)[:5]
+    c = np.concatenate([c[:1] + a[:1], c[1:]])
     with np.errstate(all="ignore"):
         # (summed form) mu_k b_k (g_k - g_{k+1}) = sum_{i<=k} (lam - c_i) mu_i g_i
         terms = (lam - c) * mu * gv[:-1]

@@ -9,8 +9,9 @@ through its reciprocal), go through
 :func:`log_triangle` (log weights, for two-sided chains whose weights leave
 float range both ways); the caller's boundary code picks the routine.
 :func:`half_line_pairs` searches the finite part of its window exactly, by
-Dinkelbach's iteration for the sum (kappa of (6.13) and (7.5), B of (8.6))
-and a monotone-argmin search for the product (the half-line split B).
+Dinkelbach's iteration for the sum (kappa of (6.13) and (7.5), B of (8.6);
+ranked by complex lexicographic order) and a monotone-argmin search for the
+product (the half-line split B).
 Every tail goes one route: :func:`estimate_remainder_block` is the one
 remainder estimator and :func:`tail_sums` the one suffix-plus-remainder sum.
 ``model.WeightSystem`` owns the weight series' totals and tails and estimates
@@ -194,31 +195,35 @@ def _fractional_min(L, R, P, Q, s):
     finite L: given the least ratio c so far, the pairs minimising
     (L_n + R_m) / c - (Q_m - P_n)^s are found, and c falls to their least
     exact ratio until it stops falling. At s = 1 the form is separable and
-    column m takes the prefix argmin of P_n + L_n / c, ranked as an exact
-    two-sum: rounded, the sum drops L_n / c wherever that is below an ulp of
-    P_n and misses the pairs with small middle sums. Otherwise each row
-    takes its argmin from :func:`_monge_argmins`.
+    column m takes the prefix argmin of P_n + L_n / c as an exact two-sum
+    (hi, lo), as rounding drops L_n / c below an ulp of P_n and misses small
+    middle sums: a running ``np.fmin`` of hi + i lo (numpy orders complex
+    numbers lexicographically) in O(W), earliest index first, NaN keys (hi =
+    inf) skipped. Otherwise each row takes its argmin from :func:`_monge_argmins`.
     """
     rows = np.flatnonzero(np.isfinite(L))
     if not len(rows):
         return math.inf, None
     idx = np.arange(len(Q))
-    n, m, c, arg = np.full(len(Q), rows[0]), idx, math.inf, None
+    n, m, c, arg = np.full(len(Q), rows[0]), slice(None), math.inf, None  # m: all columns
     with np.errstate(all="ignore"):
         while c > 0.0:
             den = Q[m] - P[n]
-            r = np.where(den > 0.0, (L[n] + R[m]) / den ** s, math.inf)
+            r = np.where(den > 0.0, (L[n] + R[m]) / (den if s == 1.0 else den ** s), math.inf)
             j = int(np.argmin(r))
             if not r[j] < c:
                 break
-            c, arg = float(r[j]), (int(n[j]), int(m[j]))
+            c, arg = float(r[j]), (int(n[j]), int(idx[m][j]))
             if s == 1.0:
                 t = L / c
                 hi = P + t
-                order = np.lexsort(((P - (hi - (hi - P))) + (t - (hi - P)), hi))
-                rank = np.empty_like(order)
-                rank[order] = idx
-                n = order[np.minimum.accumulate(rank)]
+                d = hi - P
+                key = np.empty(len(P), complex)
+                key.real, key.imag = hi, (P - (hi - d)) + (t - d)
+                low = np.fmin.accumulate(key)
+                new = key == low
+                new[1:] &= low[1:] != low[:-1]
+                n = np.maximum.accumulate(idx * new)
             else:
                 n, m = _monge_argmins(L / c, R / c, P, Q, lambda t: -t ** s)
     return c, arg

@@ -92,11 +92,10 @@ def _bounds(model):
             lambda: poincare.sobolev_constant(model, 2.0, "half_line_8_6").extremum, _report)
         add("upper_9_9", lambda: killing.upper_9_9(model), lambda r: (r[:1], r.certified))
         add("corollary_9_9", lambda: killing.corollary_9_9(model), _killing)
-        # a one-state window (ex7_5_1) breaks both: dd_first_step raises
-        # IndexError and sqrt_test_bound's stop-level grid is empty
+        # a one-state window (ex7_5_1) breaks dd_first_step: it raises IndexError
         if model.hi != 1:
             add("dd_first_step", lambda: approx.dd_first_step(model, window=4096), _labelled)
-            add("sqrt_test_bound", lambda: killing.sqrt_test_bound(model), _killing)
+        add("sqrt_test_bound", lambda: killing.sqrt_test_bound(model), _killing)
         add("r_operator_bounds",
             lambda: killing.r_operator_bounds(model, lambda i: np.full(np.shape(i), 0.9)),
             lambda r: (r[:2], r[2]))

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -220,6 +221,34 @@ def test_json_nonfinite_flags(capsys):
     doc = strict_json(out)
     assert doc["B_R"] is None and doc["S"] is None and doc["B_split"] == 0.5
     assert doc["nonfinite"] == {"B_R": "inf", "S": "inf"}
+
+
+def test_killing_one_state_chain_returns_the_killing_floor(capsys):
+    # ex7_5_1 (one state, killing c = 2) has no stop level for the square-root
+    # seeds: sqrt_test_bound returns the family floor, and lambda = c = 2
+    code, out = run_cli(["killing", "--model", "ex7_5_1", "--json"], capsys)
+    assert code == 0
+    doc = strict_json(out)
+    del doc["wall_time_s"]
+    assert doc == {
+        "model": "ex7_5_1", "params": {"c": 2.0}, "command": "killing",
+        "upper_9_9": 2.0, "upper_detail": {"at": None, "loose_9_10": 2.0, "double_inf": None},
+        "lower_cor_9_9": 2.0, "xi": 0.0, "zeta": 0.0, "lower_sqrt_test": 2.0,
+        "flags": {"eps": 0.05, "family_insufficient": True,
+                  "sqrt": {"family_insufficient": True}},
+        "dispatch_9_12": "positive", "certified": "certified",
+        "nonfinite": {"upper_detail.double_inf": "inf"}}
+
+
+def test_oracle_one_state_chain_warns_nothing(capsys):
+    # b_1 = 0 leaves the shooting recursion nothing to divide by: shooting_rate
+    # raises TruncationTooSmall and the command omits "shooting"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["oracle", "--model", "ex7_5_1", "--json"], capsys)
+    assert code == 0
+    doc = strict_json(out)
+    assert doc["lambda"] == 2.0 and "shooting" not in doc
 
 
 @pytest.mark.parametrize("which", ["table6_1", "table7_1"])

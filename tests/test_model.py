@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bdspec import duality, series
+from bdspec import model as model_mod
 from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import BadParameter, NonPositiveRate, UnknownModel
 from bdspec.model import (DEFAULT_NMAX, BoundaryCode, ChainModel, Verdict,
@@ -297,14 +298,17 @@ def test_saturated_weights_match_whole_window_exp():
     assert saturated >= 10 and redone >= 3
 
 
+def _subnormal_dip():
+    """b/a = e^-2 for 365 states, then e^2: log_mu falls to -730, below the
+    normal range, without the weights reaching 0, and rises back to 0."""
+    return ChainModel(BoundaryCode.ND, 0, None,
+                      lambda i: np.where(np.asarray(i) < 365, math.exp(-2.0), math.exp(2.0)),
+                      lambda i: np.ones(np.shape(i)), name="subnormal_dip")
+
+
 def test_weights_keep_their_digits_through_a_subnormal_dip():
-    # b/a = e^-2 for 365 states, then e^2: log_mu falls to -730, below the
-    # normal range, without the weights reaching 0, and rises back to 0.
-    # Reference: the product of the float ratios at 40 digits
-    model = ChainModel(BoundaryCode.ND, 0, None,
-                       lambda i: np.where(np.asarray(i) < 365, math.exp(-2.0), math.exp(2.0)),
-                       lambda i: np.ones(np.shape(i)))
-    ws = build_weights(model, 1001)
+    # reference: the product of the float ratios at 40 digits
+    ws = build_weights(_subnormal_dip(), 1001)
     assert 0.0 < ws.mu[365] < np.finfo(float).tiny
     with mpmath.workdps(40):
         down, up = mpmath.mpf(math.exp(-2.0)), mpmath.mpf(math.exp(2.0))
@@ -313,12 +317,10 @@ def test_weights_keep_their_digits_through_a_subnormal_dip():
             assert abs(float(ws.mu[i] / ref) - 1.0) <= 1e-14, i
 
 
-@pytest.mark.parametrize("x, y", [(1e-20, 1e300), (1e-200, 1e200)])
-def test_weights_recover_from_one_extreme_step_ratio(x, y):
-    # b/a = e for 400 states, then one step ratio x/y (subnormal, or 0 in
-    # floats), the next one y/x (inf in floats), then e^-1: log_mu climbs to
-    # 400, dips by log(y/x), climbs back and falls. Reference: the product of
-    # the float ratios at 40 digits
+def _extreme_step(x, y):
+    """b/a = e for 400 states, then one step ratio x/y (subnormal, or 0 in
+    floats), the next one y/x (inf in floats), then e^-1: log_mu climbs to
+    400, dips by log(y/x), climbs back and falls."""
     def birth(i):
         i = np.asarray(i)
         return np.where(i < 400, math.e, np.where(i == 400, x, np.where(i == 401, y, 1 / math.e)))
@@ -327,7 +329,13 @@ def test_weights_recover_from_one_extreme_step_ratio(x, y):
         i = np.asarray(i)
         return np.where(i == 401, y, np.where(i == 402, x, 1.0))
 
-    ws = build_weights(ChainModel(BoundaryCode.ND, 0, None, birth, death), 1001)
+    return ChainModel(BoundaryCode.ND, 0, None, birth, death, name="extreme_step_%g" % x)
+
+
+@pytest.mark.parametrize("x, y", [(1e-20, 1e300), (1e-200, 1e200)])
+def test_weights_recover_from_one_extreme_step_ratio(x, y):
+    # reference: the product of the float ratios at 40 digits
+    ws = build_weights(_extreme_step(x, y), 1001)
     ref = _ratio_product(ws.b, ws.a, 1, 1.0, 1001)
     for i in (401, 402, 600, 800, 1000):
         assert abs(float(ws.mu[i] / ref[i - 1]) - 1.0) <= 1e-14, i
@@ -407,8 +415,74 @@ def test_last_weight_system_is_reused_and_read_only():
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    # one slot: a build for another model lets the previous system go
+    # one chain held: a build for another model lets the previous system go
     ref = weakref.ref(build_weights(model, 64))
     build_weights(twin, 64)
     gc.collect()
     assert ref() is None
+
+
+def _snapshot(ws):
+    """Every array, total, remainder and window tail of a weight system, as bytes."""
+    arrays = [ws.mu, ws.log_mu, ws.a, ws.b, ws.c, ws.mu_prefix_arr, ws.nu_a, ws.nu_b,
+              ws.mu_tails(), ws.nu_tails("a"), ws.nu_tails("b")]
+    totals = [t.value for t in (ws.mu_total, ws.nu_a_total, ws.nu_b_total)]
+    rems = [ws._cache["rem_" + k] for k in WEIGHT_KEYS]
+    return ([arr.tobytes() for arr in arrays] + [np.array(totals + rems).tobytes()]
+            + [t.flag for t in (ws.mu_total, ws.nu_a_total, ws.nu_b_total)])
+
+
+def _fresh(model, n_max):
+    """The snapshot of a build made after clearing the held window, which is
+    then put back."""
+    held, model_mod._held = model_mod._held, model_mod._NONE
+    try:
+        return _snapshot(build_weights(model, n_max))
+    finally:
+        model_mod._held = held
+
+
+def _seeded_finite(code, size, seed):
+    rng = np.random.default_rng(seed)
+    lo = 0 if code.origin_reflecting else 1
+    a, b = rng.uniform(0.2, 3.0, (2, size))
+    return ChainModel(code, lo, lo + size - 1, lambda i: b[np.asarray(i) - lo],
+                      lambda i: a[np.asarray(i) - lo], name="finite_%s_%d" % (code.value, size))
+
+
+SHARED_CHAINS = ([catalog(name) for name in catalog_names()
+                  if catalog(name).boundary is not BoundaryCode.DD_BILATERAL
+                  and catalog(name).killing is None]
+                 + [_seeded_finite(code, size, 100 * k + size)
+                    for k, code in enumerate((BoundaryCode.NN, BoundaryCode.ND,
+                                              BoundaryCode.DN, BoundaryCode.DD))
+                    for size in (3, 64, 3000, 150000)]
+                 + [_subnormal_dip(), _extreme_step(1e-20, 1e300), _extreme_step(1e-200, 1e200),
+                    _two_slope(BoundaryCode.ND, 0, None, -2.0, 2.0)])
+
+
+@pytest.mark.parametrize("model", [pytest.param(m, id=m.name) for m in SHARED_CHAINS])
+def test_shared_windows_equal_fresh_builds(model):
+    # every window of a chain is served from its largest evaluated window
+    # (prefix views, held hinted tails); bit for bit, it equals a build made
+    # with nothing held
+    for order in ((10 ** 5, 2 * 10 ** 5, 4096, 2048, 10 ** 5), (3 * 10 ** 5, 10 ** 5)):
+        model_mod._held = model_mod._NONE
+        for n_max in order:
+            assert _snapshot(build_weights(model, n_max)) == _fresh(model, n_max), n_max
+
+
+@pytest.mark.parametrize("model", [_subnormal_dip(),
+                                   _two_slope(BoundaryCode.ND, 0, None, -2.0, 2.0)])
+def test_a_window_short_of_the_subnormal_fix_up_is_evaluated_afresh(model):
+    # a window that ends between the weights' exit from the normal range and
+    # their return skips the fix-up the larger window made: a prefix view of
+    # that window would differ, so it is evaluated afresh
+    big = build_weights(model, 1001)
+    k, back = model_mod._held.stale
+    assert k < back < 1001
+    for n_max in (k + 1, back, k, back + 1, 1001):
+        got = build_weights(model, n_max)
+        assert _snapshot(got) == _fresh(model, n_max), n_max
+        if n_max == back:
+            assert got.mu.tobytes() != big.mu[:n_max].tobytes()

@@ -188,6 +188,8 @@ def test_shooting_wrong_boundary():
         oracle.shooting_rate(catalog("const_nd"), 100)
     with pytest.raises(TruncationTooSmall):
         oracle.shooting_rate(catalog("ex5_3"), 1)
+    with pytest.raises(TruncationTooSmall):
+        oracle.shooting_rate(catalog("ex7_5_1"), 100)     # one state, b_1 = 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -233,14 +235,14 @@ def test_eigen_identity_check_reads_the_weights_without_a_weight_system(row):
     ws = build_weights(model, 5000)
     oracle.eigen_identity_check(model, 0.25, oracle.v_products(table71_v(row)), 2, 1000)
     assert build_weights(model, 5000) is ws
-    a, b, c, _, mu = _rates_and_weights(model, 1000)
+    a, b, c, _, mu = _rates_and_weights(model, 1000)[:5]
     ref = build_weights(model, 1000)
     for got, want in ((a, ref.a), (b, ref.b), (c, ref.c), (mu, ref.mu)):
         assert got.tobytes() == want.tobytes()
 
 
 def test_reading_another_chains_weights_frees_the_memo():
-    # the one-slot memo serves one chain: reading another chain's weights
+    # the held window serves one chain: reading another chain's weights
     # frees it before that chain's arrays are allocated
     ws = weakref.ref(build_weights(catalog("table6_1_row2"), 5000))
     g = oracle.v_products(table71_v("table7_1_row3"))

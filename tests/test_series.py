@@ -103,6 +103,64 @@ def test_half_line_pairs_matches_brute_force_on_random_terms(W, strict):
             _check_pairs(L, R, mid, strict, s=s, product=True)
 
 
+def _lexsort_fractional_min(L, R, P, Q, s):
+    """Reference for series._fractional_min: the same Dinkelbach iteration,
+    with the s = 1 step's prefix argmin of the exact two-sum (hi, lo) of
+    P_n + L_n / c ranked by np.lexsort, O(W log W), earliest index on ties."""
+    rows = np.flatnonzero(np.isfinite(L))
+    if not len(rows):
+        return math.inf, None
+    idx = np.arange(len(Q))
+    n, m, c, arg = np.full(len(Q), rows[0]), idx, math.inf, None
+    with np.errstate(all="ignore"):
+        while c > 0.0:
+            den = Q[m] - P[n]
+            r = np.where(den > 0.0, (L[n] + R[m]) / den ** s, math.inf)
+            j = int(np.argmin(r))
+            if not r[j] < c:
+                break
+            c, arg = float(r[j]), (int(n[j]), int(m[j]))
+            if s == 1.0:
+                t = L / c
+                hi = P + t
+                order = np.lexsort(((P - (hi - (hi - P))) + (t - (hi - P)), hi))
+                rank = np.empty_like(order)
+                rank[order] = idx
+                n = order[np.minimum.accumulate(rank)]
+            else:
+                n, m = series._monge_argmins(L / c, R / c, P, Q, lambda t: -t ** s)
+    return c, arg
+
+
+@pytest.mark.parametrize("W", [3, 4, 17, 64, 1000, 4096, 10 ** 5])
+@pytest.mark.parametrize("strict", [True, False])
+def test_fractional_min_ranks_like_a_lexsort(W, strict):
+    # seeded windows with L = inf rows, R = 0 columns, zero and overflowing
+    # middle weights; every third draw has its values on a coarse grid, whose
+    # pairs tie exactly, and every third a first middle weight of 2^40 and
+    # the others 0 to 2 ulps of it, where L_n / c falls below an ulp of P_n
+    # and only the two-sum's low part ranks the rows; the columns are cut as
+    # half_line_pairs cuts them
+    rng = np.random.default_rng(7 * W + strict)
+    for draw in range(max(3, 4000 // W)):
+        L, R, mid = _random_terms(rng, W)
+        if draw % 3 == 1:
+            L, R, mid = (np.where(np.isfinite(x), np.round(np.minimum(x, 8.0) * 4) / 4, x)
+                         for x in (L, R, mid))
+        elif draw % 3 == 2:
+            L *= 10.0 ** rng.uniform(-8.0, 0.0)
+            mid = rng.integers(0, 3, W) * 2.0 ** -12
+            L[0], mid[0] = math.inf, 2.0 ** 40
+        with np.errstate(over="ignore"):
+            midc = np.concatenate([[0.0], np.cumsum(mid)])
+        P, Q = midc[:W], midc[1 - strict:W + 1 - strict]
+        cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(R))
+        w = int(cols[-1]) + 1 if len(cols) else 0
+        for s in (1.0, 2.0 / 3.0):
+            args = (L[:w], R[:w], P[:w], Q[:w], s)
+            assert series._fractional_min(*args) == _lexsort_fractional_min(*args)
+
+
 def test_half_line_pairs_reports_the_finite_extent():
     """scanned covers the columns that can hold a finite entry: table6_1_row6's
     mu tails underflow to 0 from state 172 on (R_m = 1/0 = inf there),
