@@ -281,9 +281,10 @@ def _rates_and_weights(model: ChainModel, top: int):
     n, h = top - model.base + 1, _held
     if h.model is model and 0 < n <= len(h.arrays[0]) and not h.stale[0] < n <= h.stale[1]:
         return tuple(x[:n] for x in h.arrays)
-    _held = _NONE          # let the held window go before evaluating this one
+    tails = h.tails if h.model is model else {}
     base = model.base
     a, b, c = model.rates(base, top)
+    _held = h = _NONE      # freed before the weights: two whole windows never coexist
     finite = model.hi is not None and top == model.hi
     if np.any((b[:-1] if finite else b) <= 0.0):
         raise NonPositiveRate("birth rate <= 0 inside the range")
@@ -343,7 +344,7 @@ def _rates_and_weights(model: ChainModel, top: int):
         nu_a[0] = 0.0             # the bottom death rate is ignored or vanished
     arrays = tuple(map(_read_only, (a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b)))
     _held = SimpleNamespace(model=model, arrays=arrays, stale=stale,
-                            tails=h.tails if h.model is model else {}, last=(None, None))
+                            tails=tails, last=(None, None))
     return arrays
 
 

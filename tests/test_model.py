@@ -422,6 +422,25 @@ def test_last_weight_system_is_reused_and_read_only():
     assert ref() is None
 
 
+def test_the_held_window_goes_before_another_chain_s_weights_are_evaluated():
+    # two chains' whole windows never coexist: the held arrays are freed once
+    # the next chain's rates are in, before its weights are evaluated
+    birth, death = (lambda i: np.full(np.shape(i), 2.0)), (lambda i: np.full(np.shape(i), 3.0))
+    ws = build_weights(ChainModel(BoundaryCode.ND, 0, None, birth, death), 4096)
+    refs = [weakref.ref(ws), weakref.ref(ws.mu), weakref.ref(ws.nu_b)]
+    del ws
+    freed = []
+
+    def log_mu(i):
+        gc.collect()
+        freed.append(all(r() is None for r in refs))
+        return np.asarray(i) * math.log(2.0 / 3.0)
+
+    build_weights(ChainModel(BoundaryCode.ND, 0, None, birth, death,
+                             tail_hint={"log_mu": log_mu}), 4096)
+    assert freed and all(freed)
+
+
 def _snapshot(ws):
     """Every array, total, remainder and window tail of a weight system, as bytes."""
     arrays = [ws.mu, ws.log_mu, ws.a, ws.b, ws.c, ws.mu_prefix_arr, ws.nu_a, ws.nu_b,
