@@ -100,7 +100,7 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
         raise WrongBoundary("delta_seq_nd needs an ND model")
     ws = build_weights(model, max(window, 2))
     W = _safe_window(ws, window)
-    phi = ws.nu_tails("b")[:W]
+    phi = ws.nu_tails("b", W)
     if not math.isfinite(phi[0]):
         return ApproxTrace((math.inf,) * steps, True, "decreasing",
                            series.Certainty.CERTIFIED)
@@ -187,7 +187,7 @@ def first_step_closed(model: ChainModel, window: int = 200000):
     rem = 0.0 if ws.finite else None        # estimate the weighted tails' remainders
     divergent = series.Labelled((math.inf, math.inf), series.Certainty.CERTIFIED)
     if model.boundary is BoundaryCode.ND:
-        phi = ws.nu_tails("b")[:W]
+        phi = ws.nu_tails("b", W)
         if not math.isfinite(phi[0]):
             return divergent
         sphi = np.sqrt(phi)

@@ -193,18 +193,22 @@ class WeightSystem:
             return float(suf[min(max(n - self.base, 0), len(suf) - 1)])
         return suf[np.clip(np.asarray(n) - self.base, 0, len(suf) - 1)]
 
-    def _window_tail(self, key: str) -> np.ndarray:
-        """``key``[n, N] for every window index n, in one call; cached. A hinted
-        tail is cut from the longest one evaluated for the held model."""
-        out = self._cache.get("tail_" + key)
-        if out is None:
+    def _window_tail(self, key: str, n: Optional[int] = None) -> np.ndarray:
+        """``key``[i, N] for the first ``n`` window indices i (all by default);
+        cached. A hinted tail is cut from the longest one held for the model,
+        which grows by the missing indices alone: hints are element-wise, so
+        a tail grown in pieces equals one evaluation bit for bit."""
+        n = len(self) if n is None else min(n, len(self))
+        out = self._cache.get("tail_" + key, _EMPTY)
+        if len(out) < n:
             hinted = self.model.hint(key + "_tail") is not None
             held = _held.tails if hinted and _held.model is self.model else {}
-            if len(held.get(key, ())) < len(self):
-                held[key] = _read_only(np.asarray(
-                    self._tail(key, np.arange(self.base, self.top + 1)), dtype=float))
-            out = self._cache["tail_" + key] = held[key][:len(self)]
-        return out
+            have = max(out, held.get(key, out), key=len)
+            if len(have) < n:
+                more = self._tail(key, np.arange(self.base + len(have), self.base + n))
+                have = held[key] = _read_only(np.concatenate([have, np.asarray(more, float)]))
+            out = self._cache["tail_" + key] = have[:n]
+        return out if len(out) == n else out[:n]
 
     def certainty(self, W: Optional[int] = None) -> series.Certainty:
         """The model's certainty rule on the window, or on its first ``W``
@@ -220,13 +224,13 @@ class WeightSystem:
         """nu[n, N] under the requested convention, like :meth:`mu_tail`."""
         return self._tail("nu_" + (kind or self.convention), n)
 
-    def mu_tails(self) -> np.ndarray:
-        """mu[n, N] for n = base..top, evaluated once per weight system."""
-        return self._window_tail("mu")
+    def mu_tails(self, n: Optional[int] = None) -> np.ndarray:
+        """mu[i, N] for the first ``n`` window states i (all by default), cached."""
+        return self._window_tail("mu", n)
 
-    def nu_tails(self, kind: Optional[str] = None) -> np.ndarray:
-        """nu[n, N] for n = base..top, evaluated once per weight system."""
-        return self._window_tail("nu_" + (kind or self.convention))
+    def nu_tails(self, kind: Optional[str] = None, n: Optional[int] = None) -> np.ndarray:
+        """nu[i, N] for the first ``n`` window states i, like :meth:`mu_tails`."""
+        return self._window_tail("nu_" + (kind or self.convention), n)
 
 
 def _sum_with_tail(arr: np.ndarray, hint_total, rem: float) -> series.TailSum:
@@ -244,6 +248,7 @@ def _sum_with_tail(arr: np.ndarray, hint_total, rem: float) -> series.TailSum:
 # the current chain's largest evaluated window, whose prefixes serve the
 # chain's windows: model, arrays, stale lengths, hinted tails, last ws
 _held = _NONE = SimpleNamespace(model=None, tails={}, last=(None, None))
+_EMPTY = np.empty(0)
 
 
 def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX) -> WeightSystem:

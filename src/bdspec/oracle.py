@@ -196,8 +196,12 @@ def truncation_limit(model: ChainModel, schedule,
 
 
 def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResult:
-    """Largest z for which u_1 = (a_1 - z)/b_1, u_i = [a_i u/(1+u) - z]/b_i stays
-    positive on [1, m); equals the plainly-reflected truncation eigenvalue.
+    """Largest z for which g, b_i g_{i+1} = (a_i + b_i + c_i - z) g_i - a_i g_{i-1}
+    with g_0 = 0, stays positive on [1, m), in ratios u_i = g_{i+1}/g_i - 1
+    (u_1 = (a_1 + c_1 - z)/b_1, u_i = [a_i u/(1+u) + c_i - z]/b_i). On a finite DD
+    chain the recursion covers, g stays positive through the Dirichlet point N + 1
+    (the exit b_N read): the chain's eigenvalue. Elsewhere the last u is positive
+    (the flux into a reflecting top): the plainly-reflected truncation eigenvalue.
     """
     if model.boundary not in (BoundaryCode.DN, BoundaryCode.DD):
         raise WrongBoundary("shooting needs the Dirichlet-at-origin shape")
@@ -207,25 +211,25 @@ def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResu
     idx = np.arange(1, top, dtype=np.int64)
     a = np.asarray(model.death(idx), dtype=float)
     b = np.asarray(model.birth(idx), dtype=float)
+    c = np.zeros_like(a) if model.killing is None else np.asarray(model.killing(idx), dtype=float)
     if a[0] <= 0.0:
         raise WrongBoundary("shooting requires a positive death rate at state 1")
     if len(a) < 2 or b[0] <= 0.0:
         raise TruncationTooSmall("the recursion needs two states and b_1 > 0")
+    cert = model.certainty(1, top - 1)
+    exit_top = model.boundary is BoundaryCode.DD and cert is series.Certainty.CERTIFIED
+    last = -1.0 if exit_top else 1e-300     # underflow of the last u counts as failure
 
     def positive(z: float) -> bool:
-        u = (a[0] - z) / b[0]
-        if not u > 0.0:
-            return False
+        u = (a[0] + c[0] - z) / b[0]
         for i in range(1, len(a)):
-            if u == -1.0:
-                raise DegenerateRecursion("u = -1 in the shooting recursion")
-            u = (a[i] * u / (1.0 + u) - z) / b[i]
-            if not u > 1e-300:  # underflow counts as positivity failure
+            if not u > -1.0:
                 return False
-        return True
+            u = (a[i] * u / (1.0 + u) + c[i] - z) / b[i]
+        return u > last
 
     lo = 0.0
-    hi = float(np.min(a + b)) + 1.0
+    hi = float(np.min(a + b + c)) + 1.0
     while not positive(lo):
         # z = 0 is always admissible for a valid model; guard anyway
         hi = lo
@@ -243,15 +247,11 @@ def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResu
     z = lo
     # eigenvector from the ratio recursion at the admissible shift
     u = np.empty(len(a))
-    u[0] = (a[0] - z) / b[0]
+    u[0] = (a[0] + c[0] - z) / b[0]
     for i in range(1, len(a)):
-        u[i] = (a[i] * u[i - 1] / (1.0 + u[i - 1]) - z) / b[i]
+        u[i] = (a[i] * u[i - 1] / (1.0 + u[i - 1]) + c[i] - z) / b[i]
     with np.errstate(over="ignore"):
-        g = v_products(1.0 + np.maximum(u, 0.0))
-    # the recursion reflects at state top - 1: the whole chain only where the
-    # chain's top reflects (DN); a finite DD chain's exit b_N is left out
-    cert = model.certainty(1, top - 1) if model.boundary is BoundaryCode.DN \
-        else series.Certainty.WINDOW_STOPPED
+        g = v_products(1.0 + u)
     return SpectralResult(z, g, top - 1, hi - lo, "Shooting", 1, cert)
 
 

@@ -11,7 +11,8 @@ float range both ways); the caller's boundary code picks the routine.
 :func:`half_line_pairs` searches the finite part of its window exactly, by
 Dinkelbach's iteration for the sum (kappa of (6.13) and (7.5), B of (8.6);
 ranked by complex lexicographic order) and a monotone-argmin search for the
-product (the half-line split B).
+product (the half-line split B), both stopped at the column where the middle
+prefix saturates when every later column is dominated by it.
 Every tail goes one route: :func:`estimate_remainder_block` is the one
 remainder estimator and :func:`tail_sums` the one suffix-plus-remainder sum.
 ``model.WeightSystem`` owns the weight series' totals and tails and estimates
@@ -151,7 +152,12 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
 
     Only the first W_eff columns are searched, up to the last one whose Q_m
     and R_m are finite (and R_m > 0 for the product), since no later column
-    holds a finite entry; ``scanned`` is (base, base + W_eff - 1). The sum
+    holds a finite entry; ``scanned`` is (base, base + W_eff - 1). Once the
+    middle prefix has saturated, Q_m = Q[W_eff - 1] from the first such
+    column k on, every column m > k with R_m >= R_k (and R_k > 0 for the
+    product) is dominated: it has column k's middle sums and a numerator no
+    smaller, and no row past k has M > 0. When all are, the kernels get the
+    first k + 1 columns; ``scanned`` still names the whole finite part. The sum
     goes to :func:`_fractional_min` and the product to :func:`_monge_min`,
     both exact and sub-quadratic. The report carries ``certified``, the
     window's label; on a window-stopped scan the best pair of the sum then
@@ -172,7 +178,10 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
 
     cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(right) & ((right > 0.0) | (not product)))
     w_eff = int(cols[-1]) + 1 if len(cols) else 0
-    lr = (left[:w_eff], right[:w_eff], P[:w_eff], Q[:w_eff])
+    k = int(np.searchsorted(Q[:w_eff], Q[w_eff - 1])) if w_eff else 0   # Q saturated from k
+    cut = k + 1 if k + 1 < w_eff and right[k + 1:w_eff].min() >= right[k] \
+        and (right[k] > 0.0 or not product) else w_eff
+    lr = (left[:cut], right[:cut], P[:cut], Q[:cut])
     best, arg = _monge_min(*lr, s) if product else _fractional_min(*lr, s)
     rep = ExtremumReport(None if arg is None else (base + arg[0], base + arg[1]), best,
                          certified, (base, base + w_eff - 1))

@@ -84,7 +84,7 @@ def _bounds(model):
         add("kappa_nn", lambda: estimates.kappa_nn(model)[-1].delta_like, _report)
         add("eta1_closed", lambda: approx.eta1_closed(model), _labelled)
         add("eta_seq_nn", lambda: approx.eta_seq_nn(model, 3), _trace)
-    if code is BoundaryCode.DN:       # on DD it drops the exit at the top: never certified
+    if code in (BoundaryCode.DN, BoundaryCode.DD):
         add("shooting_rate", lambda: oracle.shooting_rate(model, m + 1), _spectral)
     if code is BoundaryCode.DD:
         add("kappa_dd", lambda: estimates.kappa_dd(model)[-1].delta_like, _report)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -489,6 +490,42 @@ def test_shared_windows_equal_fresh_builds(model):
         model_mod._held = model_mod._NONE
         for n_max in order:
             assert _snapshot(build_weights(model, n_max)) == _fresh(model, n_max), n_max
+
+
+HINTED_CHAINS = [catalog(name) for name in catalog_names()
+                 if catalog(name).boundary is not BoundaryCode.DD_BILATERAL
+                 and any(catalog(name).hint(key + "_tail") for key in WEIGHT_KEYS)]
+
+
+def _window_tails(ws, key, n=None):
+    return ws.mu_tails(n) if key == "mu" else ws.nu_tails(key[-1], n)
+
+
+@pytest.mark.parametrize("model", [pytest.param(m, id=m.name) for m in HINTED_CHAINS])
+def test_hinted_tails_grow_by_the_missing_indices(model):
+    # a larger window of the held chain evaluates only the tail indices the
+    # held tail lacks, and a prefix read only its prefix: each index once per
+    # held chain, and bit for bit the tail of one evaluation on the window
+    keys = [key for key in WEIGHT_KEYS if model.hint(key + "_tail") is not None]
+    asked = []
+
+    def counted(fn):
+        return lambda n: (asked.append(np.size(n)), fn(n))[1]
+
+    hints = {key + "_tail": counted(model.hint(key + "_tail")) for key in keys}
+    chain = dataclasses.replace(model, tail_hint={**model.tail_hint, **hints})
+    for order in ((10 ** 5, 2 * 10 ** 5, 3 * 10 ** 5), (4096, 3 * 10 ** 5), (3 * 10 ** 5, 10 ** 5)):
+        model_mod._held = model_mod._NONE
+        asked.clear()
+        for n_max in order:
+            ws = build_weights(chain, n_max)
+            for key in keys:
+                one = np.asarray(model.hint(key + "_tail")(np.arange(ws.base, ws.top + 1)),
+                                 dtype=float)
+                assert _window_tails(ws, key, 497).tobytes() == one[:497].tobytes()
+                assert _window_tails(ws, key).tobytes() == one.tobytes(), (key, n_max)
+        assert sum(asked) == len(keys) * len(build_weights(chain, max(order)))
+    model_mod._held = model_mod._NONE
 
 
 @pytest.mark.parametrize("model", [_subnormal_dip(),

@@ -11,6 +11,7 @@ from bdspec import oracle
 from bdspec.catalog import TABLE71_ROWS, catalog, catalog_names, table71_v
 from bdspec.errors import BadParameter, TruncationTooSmall, WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel, _rates_and_weights, build_weights
+from bdspec.series import Certainty
 
 
 def _table_model(a, b, c):
@@ -190,6 +191,37 @@ def test_shooting_wrong_boundary():
         oracle.shooting_rate(catalog("ex5_3"), 1)
     with pytest.raises(TruncationTooSmall):
         oracle.shooting_rate(catalog("ex7_5_1"), 100)     # one state, b_1 = 0
+
+
+def _seeded_finite(code, seed, killed=False):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 39))
+    a, b, c = rng.uniform(0.2, 3.0, (3, n))
+    return ChainModel(code, 1, n, lambda i: b[np.asarray(i) - 1], lambda i: a[np.asarray(i) - 1],
+                      killing=(lambda i: c[np.asarray(i) - 1]) if killed else None)
+
+
+@pytest.mark.parametrize("model", [catalog("ex7_5_2")]
+                         + [_seeded_finite(BoundaryCode.DD, s) for s in range(5)]
+                         + [_seeded_finite(code, s, killed=True) for s in range(5, 8)
+                            for code in (BoundaryCode.DN, BoundaryCode.DD)])
+def test_shooting_on_a_whole_finite_chain_matches_the_eigensolver(model):
+    # g stays positive through the Dirichlet point N + 1, so the exit b_N is
+    # read: ex7_5_2 gives its eigenvalue 2 (0.26795 with the top reflected);
+    # the recursion reads the killing rates on DN and DD chains alike
+    sh = oracle.shooting_rate(model, model.hi + 1)
+    lam = oracle.principal_eigen(model, model.hi).lam
+    assert sh.lam == pytest.approx(lam, rel=1e-8, abs=0.0)
+    assert sh.certified is Certainty.CERTIFIED and sh.m == model.hi
+    assert np.all(sh.eigvec > 0)
+    if model.name == "ex7_5_2":
+        assert sh.lam == pytest.approx(2.0, rel=1e-8, abs=0.0)
+    # a recursion short of the top is the reflected truncation, window-stopped
+    if model.hi > 2:
+        short = oracle.shooting_rate(model, model.hi)
+        assert short.certified is Certainty.WINDOW_STOPPED
+        reflected = oracle.principal_eigen(model, model.hi - 1, boundary_at_m="neumann_plain")
+        assert short.lam == pytest.approx(reflected.lam, rel=1e-8, abs=0.0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -161,6 +161,73 @@ def test_fractional_min_ranks_like_a_lexsort(W, strict):
             assert series._fractional_min(*args) == _lexsort_fractional_min(*args)
 
 
+def _uncut_pairs(L, R, mid, strict, base, s, product):
+    """Reference for half_line_pairs' stop: its certified path with every
+    one of the first W_eff columns handed to the kernel."""
+    W = len(mid)
+    with np.errstate(over="ignore"):
+        midc = np.concatenate([[0.0], np.cumsum(mid)])
+    P, Q = midc[:W], midc[1 - strict:W + 1 - strict]
+    cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(R) & ((R > 0.0) | (not product)))
+    w = int(cols[-1]) + 1 if len(cols) else 0
+    kernel = series._monge_min if product else series._fractional_min
+    value, arg = kernel(L[:w], R[:w], P[:w], Q[:w], s)
+    return value, None if arg is None else (base + arg[0], base + arg[1]), (base, base + w - 1)
+
+
+def _saturating_terms(rng, W, shape):
+    """Middle weights of geometric ratio 0.3 to 0.9, whose prefix sums stop
+    rising, and right terms past the saturation column k that rise ("rising"),
+    equal R_k ("ties"), hold zeros ("zeros": 0 at k and a small term after
+    it, or 0 somewhere after k) or fall
+    below R_k ("falling")."""
+    q = rng.uniform(0.3, 0.9)
+    mid = q ** np.arange(W) * rng.uniform(0.5, 2.0, W)
+    L = 10.0 ** rng.uniform(-3.0, 3.0) / np.cumsum(rng.uniform(0.5, 2.0, W))
+    L[rng.random(W) < 0.1] = math.inf
+    R = np.cumsum(rng.uniform(0.0, 1.0, W)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    csum = np.cumsum(mid)
+    k = int(np.searchsorted(csum, csum[-1]))     # Q_k (k + 1 on a strict scan)
+    if shape == "ties":
+        R[k:] = R[k]
+    elif shape == "zeros" and k + 3 <= W and rng.random() < 0.5:
+        R[k:k + 3] = 0.0, 0.0, 1e-9 * R[k]     # a zero R_k then a small R_m
+    elif shape == "zeros":
+        R[rng.integers(k, W)] = 0.0
+    elif shape == "falling" and k + 2 < W:
+        R[rng.integers(k + 2, W)] = R[k] * rng.uniform(0.0, 1.0)
+    return L, R, mid
+
+
+@pytest.mark.parametrize("W", [3, 4, 17, 64, 1000, 10 ** 5])
+@pytest.mark.parametrize("shape", ["rising", "ties", "zeros", "falling"])
+def test_the_dominated_column_stop_changes_no_scan(W, shape, monkeypatch):
+    # half_line_pairs hands its kernels the columns up to the one where the
+    # middle prefix saturates when every later column is dominated; value,
+    # pair and scanned extent equal the uncut scan's bit for bit, and the
+    # stop is taken only where R does not fall past that column
+    seen = []
+    for name in ("_fractional_min", "_monge_min"):
+        kernel = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda L, *a, kernel=kernel: (
+            seen.append(len(L)), kernel(L, *a))[1])
+    rng = np.random.default_rng(W + 10 ** 6 * len(shape))
+    cut = 0
+    for _ in range(max(2, 600 // W)):
+        L, R, mid = _saturating_terms(rng, W, shape)
+        for strict in (True, False):
+            for s in (1.0, 2.0 / 3.0):
+                for product in (False, True):
+                    rep = series.half_line_pairs(L, R, mid, strict, 3,
+                                                 series.Certainty.CERTIFIED, s, product)
+                    value, arg, scanned = _uncut_pairs(L, R, mid, strict, 3, s, product)
+                    assert (rep.value, rep.arg, rep.scanned) == (value, arg, scanned)
+                    assert np.float64(rep.value).tobytes() == np.float64(value).tobytes()
+                    cut += seen[-2] < seen[-1]       # the stop's length, then the uncut one
+    if W >= 1000 and shape != "zeros":       # saturated well inside the window
+        assert (cut == 0) == (shape == "falling")
+
+
 def test_half_line_pairs_reports_the_finite_extent():
     """scanned covers the columns that can hold a finite entry: table6_1_row6's
     mu tails underflow to 0 from state 172 on (R_m = 1/0 = inf there),

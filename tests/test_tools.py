@@ -1,0 +1,40 @@
+import importlib.util
+import math
+import os
+
+import numpy as np
+
+from bdspec.series import Certainty, ExtremumReport, Labelled
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "same_outputs.py")
+_spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+canonical = same_outputs.canonical
+
+
+def test_canonical_forms_compare_bit_for_bit_with_nan_equal_to_nan():
+    assert canonical(0.1 + 0.2) != canonical(0.3)
+    assert canonical(0.0) != canonical(-0.0)
+    assert canonical(math.nan) == canonical(-math.nan) == canonical(np.float64("nan"))
+    x = np.array([1.0, math.nan, 3.0])
+    y = x.copy()
+    y[1] = -math.nan
+    assert canonical(x) == canonical(y)
+    y[2] = np.nextafter(3.0, 4.0)
+    assert canonical(x) != canonical(y)
+    assert canonical(x) != canonical(x.reshape(1, 3))
+    rep = ExtremumReport((1, 2), 0.5, Certainty.CERTIFIED, (0, 9))
+    assert canonical(rep) == canonical(ExtremumReport((1, 2), 0.5, Certainty.CERTIFIED, (0, 9)))
+    assert canonical(rep) != canonical(ExtremumReport((1, 2), 0.5, Certainty.WINDOW_STOPPED,
+                                                     (0, 9)))
+    pair = Labelled((1.0, 2.0), Certainty.CERTIFIED)
+    assert canonical(pair) != canonical(Labelled((1.0, 2.0), Certainty.WINDOW_STOPPED))
+
+
+def test_canonical_forms_mask_addresses_and_wall_times():
+    assert canonical(lambda i: i) == canonical(lambda i: i + 1)      # both <lambda> at 0x..
+    one = '{\n  "kappa": 0.5,\n  "wall_time_s": 0.0123\n}'
+    two = '{\n  "kappa": 0.5,\n  "wall_time_s": 1.5e-05\n}'
+    assert canonical((0, one)) == canonical((0, two))
+    assert canonical((0, one)) != canonical((0, one.replace("0.5", "0.50001")))
