@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -140,9 +139,9 @@ def _lm_rows(mu, nu, b, ells, m, steps):
     return ratios, quotients
 
 
-def delta_prime_seq_nd(model: ChainModel, steps: int = 6,
-                       ell_grid=None, m_grid=None) -> ApproxTrace:
-    """delta_n' and bar-delta_n over the (ell, m) grid (vanishing family).
+def delta_prime_seq_nd(model: ChainModel, steps: int = 6, m_grid=None) -> ApproxTrace:
+    """delta_n' and bar-delta_n over the (ell, m) grid (vanishing family),
+    ell in 0..16, 20, 24, 32, 48, 64 below W - 1.
 
     Truncation is intrinsic to their definition, but the grid stops inside
     the float-safe window: the trace is labelled by that window.
@@ -151,8 +150,7 @@ def delta_prime_seq_nd(model: ChainModel, steps: int = 6,
         raise WrongBoundary("delta_prime_seq_nd needs an ND model")
     ws = build_weights(model, 2048)
     W = _safe_window(ws, 2048)
-    if ell_grid is None:
-        ell_grid = [e for e in (list(range(0, 17)) + [20, 24, 32, 48, 64]) if e < W - 1]
+    ell_grid = [e for e in (list(range(0, 17)) + [20, 24, 32, 48, 64]) if e < W - 1]
     if m_grid is None:
         m_grid = sorted({min(W - 1, int(round(g)))
                          for g in np.geomspace(1, min(512, W - 1), 24)})
@@ -260,8 +258,8 @@ def eta1_closed(model: ChainModel, window: int = 300000):
         0.0 if ws.finite else None), ws.certainty(W))
 
 
-def eta_seq_nn(model: ChainModel, steps: int = 6, m: Optional[int] = None,
-               m_grid=None, window: int = 4096) -> ApproxTrace:
+def eta_seq_nn(model: ChainModel, steps: int = 6, m_grid=None,
+               window: int = 4096) -> ApproxTrace:
     """eta_n (decreasing) plus the m-grid eta_n' and bar-eta_n (increasing).
 
     Centering uses the total weight sum mu. Iterates are carried on the
@@ -270,11 +268,8 @@ def eta_seq_nn(model: ChainModel, steps: int = 6, m: Optional[int] = None,
     iterations cannot overflow) so consecutive tail sums share one scale.
     """
     ws, W, mu, nu_shift, phi, tail, Z = _nn_arrays(model, window)
-    if m is None:
-        m = W - 1
-    m = min(m, W - 1)
     if m_grid is None:
-        m_grid = sorted({min(W - 1, int(round(g))) for g in np.geomspace(2, m, 16)})
+        m_grid = sorted({min(W - 1, int(round(g))) for g in np.geomspace(2, W - 1, 16)})
     # row 0: the sqrt(phi) seed of eta_n; row 1 + k: phi stopped at the k-th
     # level mm of the grid (f_i = f_{min(i, mm)}), for eta_n' and bar-eta_n
     stop = np.concatenate([[W - 1], _levels(m_grid, W)])

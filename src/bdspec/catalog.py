@@ -47,15 +47,10 @@ def _tail(fn):
     return hint
 
 
-def _table(vals, base=1, then_last=True):
+def _table(vals):
+    """A rate rule reading ``vals`` from state 1 on, its last value past them."""
     vals = np.asarray(vals, dtype=float)
-
-    def rule(i):
-        idx = np.asarray(i, dtype=np.int64) - base
-        idx = np.clip(idx, 0, len(vals) - 1) if then_last else idx
-        return vals[idx]
-
-    return rule
+    return lambda i: vals[np.clip(np.asarray(i, dtype=np.int64) - 1, 0, len(vals) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,31 +439,19 @@ TABLE61_ROWS = [
 ]
 
 
-def _v71(name):
-    if name == "table7_1_row1":
-        return lambda i, a=1.0, b=2.0: np.full(np.shape(i), math.sqrt(a / b))
-    if name == "table7_1_row2":
-        return lambda i: (1.0 * np.asarray(i, float) + 1.0) / (2.0 * np.asarray(i, float))
-    if name == "table7_1_row3":
-        return lambda i: ((np.asarray(i, float) + 1.0) * (np.asarray(i, float) + 1.0)
-                          / (np.asarray(i, float) * (2.0 * (np.asarray(i, float) + 1.0) + 1.0)))
-    if name == "table7_1_row4":
-        return lambda i: ((np.asarray(i, float) + 1.0) / (2.0 * np.asarray(i, float) + 4.0 + SQRT2)
-                          * (1.0 + 2.0 * (np.asarray(i, float) + SQRT2)
-                             / (np.asarray(i, float) * (np.asarray(i, float) + 2.0 * SQRT2 - 1.0))))
-    if name == "table7_1_row5":
-        s = math.sqrt(1.0 + 4.0)  # a=1, b=1: sqrt(a^2+4ab)
-        return lambda i: (s + 1.0) / (2.0 * np.asarray(i, float))
-    if name == "table7_1_row6":
-        a, b, k = 2.0, 1.0, 3
-        return lambda i: math.sqrt(a * k / b) / np.minimum(np.asarray(i, float), float(k))
-    if name == "table7_1_row7":
-        return lambda i: 1.0 / np.asarray(i, float)
-    if name == "table7_1_row8":
-        return lambda i: (2.0 * np.asarray(i, float) + 1.0) / (2.0 * (np.asarray(i, float) + 1.0))
-    if name == "table7_1_row9":
-        return lambda i: (SQRT33 + (-1.0) ** np.asarray(i, float)) / 8.0
-    raise UnknownModel(name)
+# the stated test sequences v of Table 7.1, at the rows' default parameters
+_V71 = {
+    "table7_1_row1": _f(lambda i: np.full(np.shape(i), math.sqrt(0.5))),     # sqrt(a/b)
+    "table7_1_row2": _f(lambda i: (i + 1.0) / (2.0 * i)),
+    "table7_1_row3": _f(lambda i: (i + 1.0) * (i + 1.0) / (i * (2.0 * (i + 1.0) + 1.0))),
+    "table7_1_row4": _f(lambda i: (i + 1.0) / (2.0 * i + 4.0 + SQRT2)
+                        * (1.0 + 2.0 * (i + SQRT2) / (i * (i + 2.0 * SQRT2 - 1.0)))),
+    "table7_1_row5": _f(lambda i: (math.sqrt(5.0) + 1.0) / (2.0 * i)),    # sqrt(a^2 + 4ab)
+    "table7_1_row6": _f(lambda i: math.sqrt(6.0) / np.minimum(i, 3.0)),   # sqrt(ak/b), k = 3
+    "table7_1_row7": _f(lambda i: 1.0 / i),
+    "table7_1_row8": _f(lambda i: (2.0 * i + 1.0) / (2.0 * (i + 1.0))),
+    "table7_1_row9": _f(lambda i: (SQRT33 + (-1.0) ** i) / 8.0),
+}
 
 
 TABLE71_ROWS = [
@@ -488,4 +471,7 @@ TABLE71_ROWS = [
 
 def table71_v(name):
     """The reference test sequence v attached to a benchmark row."""
-    return _v71(name)
+    try:
+        return _V71[name]
+    except KeyError:
+        raise UnknownModel(name) from None

@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -128,17 +127,16 @@ def _killing_free(args, command):
 def cmd_estimate(args):
     model = _killing_free(args, "estimate")
     t0 = time.time()
-    n_max = int(os.environ.get("BDSPEC_NMAX") or 10 ** 5)
     res = {"model": model.name, "params": model.params, "command": "estimate"}
     if model.boundary is BoundaryCode.ND:
-        res["delta_3_1"], br = estimates.delta_nd(model, n_max)
+        res["delta_3_1"], br = estimates.delta_nd(model)
     elif model.boundary is BoundaryCode.DN:
-        res["delta_4_4"], br = estimates.delta_dn(model, n_max)
+        res["delta_4_4"], br = estimates.delta_dn(model)
     elif model.boundary is BoundaryCode.NN:
-        k, dl, dr, br = estimates.kappa_nn(model, n_max)
+        k, dl, dr, br = estimates.kappa_nn(model)
         res.update(kappa=k, delta_L=dl, delta_R=dr)
     elif model.boundary is BoundaryCode.DD:
-        k, dl, dr, S, br = estimates.kappa_dd(model, n_max)
+        k, dl, dr, S, br = estimates.kappa_dd(model)
         res.update(kappa=k, delta_L=dl, delta_R=dr, S=S)
     else:
         k, br = estimates.kappa_bilateral(model)

@@ -14,6 +14,8 @@ import numpy as np
 from .errors import DomainViolation, SingularM, WrongShape
 from .model import DEFAULT_NMAX, BoundaryCode, ChainModel, _rates_and_weights, build_weights
 
+CHECK_WINDOW = 256   # states on which dualize checks the weight identities
+
 
 @dataclass(frozen=True)
 class DualPair:
@@ -24,13 +26,13 @@ class DualPair:
     weight_residual: float     # max relative error of the weight identities
 
 
-def dualize(model: ChainModel, direction: str = "forward_5_1",
-            check_window: int = 256) -> DualPair:
+def dualize(model: ChainModel, direction: str = "forward_5_1") -> DualPair:
     """Forward: (a, b) on {0..N} with b_0 > 0 -> (b_{i-1}, a_i) on {1..N'}.
     Inverse: (a, b) on {1..N} with a_1 > 0 -> (b_i, a_{i+1}) on {0..N}.
 
     The dual of a Dirichlet end is a Neumann end and vice versa; the length
     bookkeeping follows the finite-top convention of the chosen direction.
+    The weight identities are checked on the first CHECK_WINDOW states.
     """
     if direction == "forward_5_1":
         if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
@@ -74,7 +76,7 @@ def dualize(model: ChainModel, direction: str = "forward_5_1",
         n_prime = N
     else:
         raise WrongShape("direction must be forward_5_1 or inverse_7_3")
-    residual = _weight_identity_residual(model, dual, direction, check_window)
+    residual = _weight_identity_residual(model, dual, direction, CHECK_WINDOW)
     return DualPair(model, dual, direction, n_prime, residual)
 
 

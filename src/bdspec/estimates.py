@@ -113,28 +113,24 @@ def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
 
 
 def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
-    """kappa of the two-sided Neumann chain, (6.13), plus delta_L, delta_R."""
+    """kappa of the two-sided Neumann chain, (6.13), plus delta_L = delta^(4.4)
+    and delta_R = delta^(3.1): :func:`basic_bracket`'s fields."""
     if model.boundary is not BoundaryCode.NN:
         raise WrongBoundary("kappa_nn needs an NN model")
-    ws = build_weights(model, n_max)
-    if not math.isfinite(ws.mu_total.value):
+    if not math.isfinite(build_weights(model, n_max).mu_total.value):
         raise NotErgodic("kappa_nn requires sum(mu) < inf")
-    kappa, rep = _kappa(ws, reflecting=True)
-    # delta_L = sup_{n>=1} nu_a[1,n] mu[n,N]; delta_R = sup_m mu[0,m] nu_b[m,N-1]
-    delta_L, delta_R = _delta_sup(ws, "4_4").value, _delta_sup(ws, "3_1").value
-    bracket = _bracket_from_constant(kappa, "kappa_6_13", rep)
-    return kappa, delta_L, delta_R, bracket
+    rep = basic_bracket(model, n_max)
+    return rep.kappa, rep.delta_4_4, rep.delta_3_1, rep.bracket
 
 
 def kappa_dd(model: ChainModel, n_max: int = 10 ** 5):
-    """kappa of the bilateral-Dirichlet half-line chain, (7.5)."""
+    """kappa of the bilateral-Dirichlet half-line chain, (7.5), plus delta_L,
+    delta_R (as :func:`kappa_nn`) and the exit mass S."""
     if model.boundary is not BoundaryCode.DD:
         raise WrongBoundary("kappa_dd needs a DD model")
-    ws = build_weights(model, n_max)
-    kappa, rep = _kappa(ws, reflecting=False)
-    delta_L, delta_R = _delta_sup(ws, "4_4").value, _delta_sup(ws, "3_1").value
-    bracket = _bracket_from_constant(kappa, "kappa_7_5", rep)
-    return kappa, delta_L, delta_R, ws.exit_mass, bracket
+    rep = basic_bracket(model, n_max)
+    return (rep.kappa, rep.delta_4_4, rep.delta_3_1, build_weights(model, n_max).exit_mass,
+            rep.bracket)
 
 
 def kappa_bilateral(model: ChainModel, variant: str = "DD_7_11",

@@ -31,6 +31,8 @@ from .model import BoundaryCode, ChainModel, build_weights
 # rows of the (ell, m) triangle of upper_9_9 per block: at most 32 x 8192
 # doubles (2 MB) per temporary on the default window
 ROW_BLOCK = 32
+ELL_CAP = 512    # upper_9_9's double infimum takes ell below this
+TRAIL = 256      # trailing states read for the boundary flux and Cesaro averages
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,14 @@ def r_operator_bounds(model: ChainModel, v, lo: int = 1,
     return float(np.min(rs)), float(np.max(rs)), model.certainty(lo, top)
 
 
-def upper_9_9(model: ChainModel, lm: Optional[tuple] = None,
-              ell_cap: int = 512, window: int = 8192):
+def upper_9_9(model: ChainModel, lm: Optional[tuple] = None, window: int = 8192):
     """Weighted-test-function upper bound: the double infimum, or its value at
     a pinned (ell, m); also the looser single-infimum variant. Returns the
     tighter value and the details, a ``series.Labelled`` pair with the
     float-safe window's certainty.
 
     The double infimum runs over the (ell, m) triangle with ell below
-    ``ell_cap``, in blocks of ``ROW_BLOCK`` rows; ``at`` is its first
+    ``ELL_CAP``, in blocks of ``ROW_BLOCK`` rows; ``at`` is its first
     strict minimum in (ell, m) row-major order, and a row holding a NaN is
     skipped.
     """
@@ -158,7 +159,7 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None,
         return series.Labelled((cmin + (1.0 / mid + mc[j]) / muc[k],
                                 {"at": tuple(lm), "loose_9_10": loose}), ws.certainty(W))
     best, arg = math.inf, None
-    rows = min(ell_cap, W - 1)
+    rows = min(ELL_CAP, W - 1)
     for k0 in range(0, rows, ROW_BLOCK):
         k = np.arange(k0, min(k0 + ROW_BLOCK, rows))
         j = np.arange(k0, W)
@@ -279,20 +280,19 @@ def corollary_9_9(model: ChainModel, eps_grid=None, window: int = 8192) -> Killi
     return best
 
 
-def sqrt_test_bound(model: ChainModel, m_grid=None, window: int = 8192) -> KillingBounds:
-    """Lower bound from the square-root tail seeds, optimized over the stop level."""
+def sqrt_test_bound(model: ChainModel, window: int = 8192) -> KillingBounds:
+    """Lower bound from the square-root tail seeds, optimized over 16 stop
+    levels m, geometric from 2 to min(512, W - 1)."""
     ws, W = _arrays(model, window)
     c, cmin = _killing_floor(ws, W)
     if W < 2:
         return _family_floor(cmin, ws.certainty(W))   # no stop level to optimize over
     ct1 = c[0] - cmin
-    if m_grid is None:
-        m_grid = sorted({int(round(g)) for g in np.geomspace(2, min(512, W - 1), 16)})
     nu_b = ws.nu_b[:W]
     k = np.arange(W)
     levels, seeds = [], []
-    for m in m_grid:
-        if m < 1 or (m < 2 and ct1 <= 0):
+    for m in sorted({int(round(g)) for g in np.geomspace(2, min(512, W - 1), 16)}):
+        if m < 2 and ct1 <= 0:
             continue
         km = np.minimum(k, m - ws.base)
         suf = np.concatenate([np.cumsum(nu_b[: m - ws.base + 1][::-1])[::-1], [0.0]])
@@ -381,24 +381,28 @@ def reduce_9_11(model: ChainModel, beta: float, gamma: Optional[float] = None,
                            bound if valid else -math.inf, beta, gamma)
 
 
-def limsup_upper(model: ChainModel, window: int = 200000, trail: int = 256):
-    """Cesaro upper bound inf c + liminf of the killing averages.
+def _cesaro(ws, W: int, killing: np.ndarray):
+    """The boundary flux mu_i b_i / mu[1, i] and the Cesaro averages
+    mu[1, i]^-1 sum_{k <= i} mu_k killing_k on the first W window states."""
+    mu, muc = ws.mu[:W], ws.mu_prefix_arr[:W]
+    return mu * ws.b[:W] / muc, np.cumsum(mu * killing) / muc
+
+
+def limsup_upper(model: ChainModel, window: int = 200000):
+    """Cesaro upper bound inf c + liminf of the killing averages, read as the
+    least of the last TRAIL averages.
 
     Valid under diverging total weight with vanishing boundary flux; when the
     hypotheses fail numerically the value is still returned, with a warning
     and a flag.
     """
     ws, W = _arrays(model, window)
-    mu = ws.mu[:W]
     c, cmin = _killing_floor(ws, W)
-    ct = c - cmin
-    muc = np.cumsum(mu)
-    flux = mu * ws.b[:W] / muc
-    hyp_flux = bool(flux[-trail:].max() < 1e-3) or bool(
-        flux[-1] < 0.1 * flux[max(0, W - 10 * trail)])
+    flux, averages = _cesaro(ws, W, c - cmin)
+    hyp_flux = bool(flux[-TRAIL:].max() < 1e-3) or bool(
+        flux[-1] < 0.1 * flux[max(0, W - 10 * TRAIL)])
     hyp_mass = not math.isfinite(ws.mu_total.value)
-    averages = np.cumsum(mu * ct) / muc
-    est = float(np.min(averages[-trail:]))
+    est = float(np.min(averages[-TRAIL:]))
     verified = hyp_flux and hyp_mass
     if not verified:
         warnings.warn("limsup_upper hypotheses unverified; value is advisory",
@@ -418,14 +422,11 @@ def dispatch_9_12(model: ChainModel, window: int = 65536) -> str:
     m_mid = float(np.min(c[W // 2: 3 * W // 4]))
     if m_far > 1e-9 and m_far >= 0.9 * m_mid:
         return "positive"
-    mu = ws.mu[:W]
-    muc = np.cumsum(mu)
-    averages = np.cumsum(mu * c) / muc
-    flux = mu * ws.b[:W] / muc
+    flux, averages = _cesaro(ws, W, c)
     avg_trend = averages[-1] / max(averages[W // 2], 1e-300)
     if (not math.isfinite(ws.mu_total.value)
             and (averages[-1] < 1e-9 or avg_trend < 0.75)
-            and flux[-256:].max() < 1e-3):
+            and flux[-TRAIL:].max() < 1e-3):
         return "zero"
     # killing localized at the bottom: defer to the killing-free criteria
     if float(np.max(c[1:])) == 0.0:

@@ -25,6 +25,7 @@ from .errors import BadParameter, NonPositiveRate, Overflow
 
 DEFAULT_NMAX = 10 ** 5
 DEFAULT_TOL = 1e-10
+GROWTH_WINDOW = 64                          # trailing terms a uniqueness verdict reads
 TINY = np.finfo(float).tiny                 # the smallest normal float
 LOG_TINY = math.log(TINY)                   # -708.4: the underflow threshold
 LOG_HUGE = math.log(np.finfo(float).max)    # 709.8: the overflow threshold
@@ -430,7 +431,7 @@ class UniquenessVerdict:
     evidence: dict
 
 
-def _classify_series(terms: np.ndarray, growth_window: int, hint: Optional[str]) -> tuple:
+def _classify_series(terms: np.ndarray, hint: Optional[str]) -> tuple:
     """HOLDS = series diverges, FAILS = converges (ratio/Kummer test)."""
     if hint == "holds":
         return Verdict.HOLDS, {"hint": True}
@@ -438,18 +439,18 @@ def _classify_series(terms: np.ndarray, growth_window: int, hint: Optional[str])
         return Verdict.FAILS, {"hint": True}
     t = np.asarray(terms, dtype=float)
     t = t[np.isfinite(t)]
-    if len(t) < growth_window + 2:
+    if len(t) < GROWTH_WINDOW + 2:
         return Verdict.INCONCLUSIVE, {"reason": "too few terms"}
     total = float(t.sum())
-    tail = t[-growth_window:]
+    tail = t[-GROWTH_WINDOW:]
     partial = np.cumsum(t)
     if total > series.DIVERGENCE_CAP and tail[-1] >= tail[0] * (1 - 1e-12):
         return Verdict.HOLDS, {"partial_sum": total}
-    n = np.arange(len(t) - growth_window, len(t) - 1, dtype=float)
+    n = np.arange(len(t) - GROWTH_WINDOW, len(t) - 1, dtype=float)
     with np.errstate(all="ignore"):
         kummer = n * (tail[:-1] / tail[1:] - 1.0)
     kummer = kummer[np.isfinite(kummer)]
-    if len(kummer) >= growth_window // 2:
+    if len(kummer) >= GROWTH_WINDOW // 2:
         k = float(np.median(kummer))
         if k > 1.05:
             return Verdict.FAILS, {"kummer": k, "partial_sum": total}
@@ -465,16 +466,16 @@ def _classify_series(terms: np.ndarray, growth_window: int, hint: Optional[str])
     return Verdict.INCONCLUSIVE, {"partial_sum": total}
 
 
-def classify_uniqueness(model: ChainModel, n_max: int = DEFAULT_NMAX,
-                        growth_window: int = 64) -> UniquenessVerdict:
-    """Evaluate the three uniqueness series up to n_max.
+def classify_uniqueness(model: ChainModel, n_max: int = DEFAULT_NMAX) -> UniquenessVerdict:
+    """Evaluate the three uniqueness series up to n_max, each verdict read
+    from its last GROWTH_WINDOW terms.
 
     The verdicts are heuristic for truly asymptotic statements: divergence is
     declared on a capped partial sum with non-decaying increments, convergence
     on a stable Kummer/ratio certificate, everything else is inconclusive.
     """
-    if n_max < growth_window or growth_window < 2:
-        raise BadParameter("need n_max >= growth_window >= 2")
+    if n_max < GROWTH_WINDOW:
+        raise BadParameter("need n_max >= %d" % GROWTH_WINDOW)
     ws = build_weights(model, n_max=min(n_max, 4096))
     mu, nu_b, c = ws.mu, ws.nu_b, ws.c
     pref = ws.mu_prefix_arr
@@ -483,9 +484,9 @@ def classify_uniqueness(model: ChainModel, n_max: int = DEFAULT_NMAX,
         t12 = (nu_b * pref)[ok]
         t13 = (nu_b + mu)[ok]
         t934 = (nu_b * np.cumsum(mu * (1.0 + c)))[ok]
-    v12, e12 = _classify_series(t12, growth_window, model.hint("uniq_1_2"))
-    v13, e13 = _classify_series(t13, growth_window, model.hint("uniq_1_3"))
-    v934, e934 = _classify_series(t934, growth_window, model.hint("uniq_9_34"))
+    v12, e12 = _classify_series(t12, model.hint("uniq_1_2"))
+    v13, e13 = _classify_series(t13, model.hint("uniq_1_3"))
+    v934, e934 = _classify_series(t934, model.hint("uniq_9_34"))
     if v12 is Verdict.HOLDS and v13 is Verdict.FAILS:
         v13 = Verdict.HOLDS  # (1.2) implies (1.3); trust the stronger certificate
         e13 = {"implied_by_1_2": True}

@@ -39,6 +39,8 @@ class SpectralResult:
 # matrices, whose smallest eigenvalue is tiny next to the norm (Demmel & Kahan
 # 1990; Barlow & Demmel 1990).
 TOL = 2.0 * np.finfo(float).tiny
+SHOOTING_TOL = 1e-12    # relative width at which the shooting bisection stops
+GAMMA_GRID = (2.0,) + tuple(np.geomspace(1.01, 100.0, 21).tolist())
 
 
 def _eig_k(diag: np.ndarray, off: np.ndarray, k: int = 0, vector: bool = False):
@@ -195,13 +197,14 @@ def truncation_limit(model: ChainModel, schedule,
     return TruncationTrace(tuple(ms), tuple(vals), limit, mode, monotone)
 
 
-def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResult:
+def shooting_rate(model: ChainModel, m: int) -> SpectralResult:
     """Largest z for which g, b_i g_{i+1} = (a_i + b_i + c_i - z) g_i - a_i g_{i-1}
     with g_0 = 0, stays positive on [1, m), in ratios u_i = g_{i+1}/g_i - 1
     (u_1 = (a_1 + c_1 - z)/b_1, u_i = [a_i u/(1+u) + c_i - z]/b_i). On a finite DD
     chain the recursion covers, g stays positive through the Dirichlet point N + 1
     (the exit b_N read): the chain's eigenvalue. Elsewhere the last u is positive
     (the flux into a reflecting top): the plainly-reflected truncation eigenvalue.
+    z is bisected to a relative width of SHOOTING_TOL, in at most 200 halvings.
     """
     if model.boundary not in (BoundaryCode.DN, BoundaryCode.DD):
         raise WrongBoundary("shooting needs the Dirichlet-at-origin shape")
@@ -237,7 +240,7 @@ def shooting_rate(model: ChainModel, m: int, tol: float = 1e-12) -> SpectralResu
         if lo < -1e6:
             raise NoConvergence("no admissible shift found")
     for _ in range(200):
-        if hi - lo <= tol * max(1.0, abs(hi)):
+        if hi - lo <= SHOOTING_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         if positive(mid):
@@ -354,33 +357,33 @@ def gamma_from_eigvec(model: ChainModel, theta: int, g_theta_m1: float,
     return 1.0 + num / den
 
 
-def splitting_bracket(model: ChainModel, theta_grid, gamma_grid=None,
-                      m: int = 400, use_eigvec_gamma: bool = True) -> SplitBracket:
+def splitting_bracket(model: ChainModel, theta_grid, m: int = 400) -> SplitBracket:
     """Two-sided enclosure of the bilateral Dirichlet eigenvalue by splitting.
 
     lower = max over the grid of min(left, right); upper = min over the grid
     of max(left, right). Local eigenvalues are computed on truncations of
     length m, so on unbounded spaces both ends are approximations from above;
-    finite instances are exact up to the eigensolver tolerance.
+    finite instances are exact up to the eigensolver tolerance. A finite end
+    is a theta with one side empty, the other the chain itself (its exits
+    kept). The coupling constants are GAMMA_GRID plus gamma (7.18) at the
+    peak theta of the truncated eigenvector, when it is a strict interior
+    peak; that theta joins the grid.
     """
     if model.boundary is not BoundaryCode.DD_BILATERAL:
         raise WrongBoundary("splitting needs a bilateral model")
-    if gamma_grid is None:
-        gamma_grid = np.concatenate([[2.0], np.geomspace(1.01, 100.0, 21)])
-    cands = [float(gv) for gv in gamma_grid]
-    if use_eigvec_gamma:
-        full = principal_eigen(model, m)
-        vec = full.eigvec
-        pk = int(np.argmax(vec))
-        if 0 < pk < len(vec) - 1:
-            theta = full.base + pk
-            try:
-                gtheta = gamma_from_eigvec(model, theta, vec[pk - 1], vec[pk], vec[pk + 1])
-                if math.isfinite(gtheta) and gtheta > 1.0:
-                    cands.append(gtheta)
-                    theta_grid = sorted(set(list(theta_grid) + [theta]))
-            except DegenerateRecursion:
-                pass
+    cands = list(GAMMA_GRID)
+    full = principal_eigen(model, m)
+    vec = full.eigvec
+    pk = int(np.argmax(vec))
+    if 0 < pk < len(vec) - 1:
+        theta = full.base + pk
+        try:
+            gtheta = gamma_from_eigvec(model, theta, vec[pk - 1], vec[pk], vec[pk + 1])
+            if math.isfinite(gtheta) and gtheta > 1.0:
+                cands.append(gtheta)
+                theta_grid = sorted(set(list(theta_grid) + [theta]))
+        except DegenerateRecursion:
+            pass
     lower, upper = -math.inf, math.inf
     best, detail = (None, None), {}
     for theta in theta_grid:
@@ -389,14 +392,14 @@ def splitting_bracket(model: ChainModel, theta_grid, gamma_grid=None,
             if min(lamL, lamR) > lower:
                 lower, best = min(lamL, lamR), (int(theta), gv)
             upper = min(upper, max(lamL, lamR))
-    for end, side in ((model.lo, "lo"), (model.hi, "hi")):
+    for end in (model.lo, model.hi):
         if end is not None:
-            # theta at a finite closed end: one side empty (=inf), the other is
-            # the original process reflected at the end
-            theta = end
-            lamL, lamR = _local_pair(model, theta, 2.0, m)
-            lam = lamR if side == "lo" else lamL
+            # theta at a finite end: one side is empty, the other the chain itself
+            first = end - m if model.lo is None else max(model.lo, end - m)
+            last = end + m if model.hi is None else min(model.hi, end + m)
+            diag, off = _tridiag(model, first, last, "dirichlet")
+            lam = _eig_k(diag, -off)
             upper = min(upper, lam)
             if lam > lower:
-                lower, best = lam, (theta, math.inf)
+                lower, best = lam, (end, math.inf)
     return SplitBracket(lower, upper, best[0], best[1], detail)

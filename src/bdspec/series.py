@@ -33,6 +33,7 @@ import numpy as np
 DIVERGENCE_CAP = 1e12
 BLOCK_ENTRIES = 1 << 20  # entries per 2-D block of a two-index scan
 REMAINDER_BLOCK = 64     # terms per block of the remainder estimator
+LIMIT_TOL = 1e-13        # a last step below this, relative to max(|limit|, 1), has converged
 
 
 class Certainty(enum.Enum):
@@ -159,23 +160,13 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
     smaller, and no row past k has M > 0. When all are, the kernels get the
     first k + 1 columns; ``scanned`` still names the whole finite part. The sum
     goes to :func:`_fractional_min` and the product to :func:`_monge_min`,
-    both exact and sub-quadratic. The report carries ``certified``, the
-    window's label; on a window-stopped scan the best pair of the sum then
-    gets an Aitken limit along m, since several of the defining infima are
-    attained only as m -> infinity.
+    both exact and sub-quadratic. The returned pair is the window's exact
+    minimum, and the report carries ``certified``, the window's label.
     """
     W = len(mid)
     with np.errstate(over="ignore"):
         midc = np.concatenate([[0.0], np.cumsum(mid)])
     P, Q = midc[:W], midc[1 - strict:W + 1 - strict]
-
-    def values(n, m):
-        with np.errstate(all="ignore"):
-            den = Q[m] - P[n]
-            v = (left[n] + right[m]) / den ** s
-        v[~(np.isfinite(den) & (den > 0.0)) | np.isnan(v)] = math.inf
-        return v
-
     cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(right) & ((right > 0.0) | (not product)))
     w_eff = int(cols[-1]) + 1 if len(cols) else 0
     k = int(np.searchsorted(Q[:w_eff], Q[w_eff - 1])) if w_eff else 0   # Q saturated from k
@@ -183,18 +174,8 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
         and (right[k] > 0.0 or not product) else w_eff
     lr = (left[:cut], right[:cut], P[:cut], Q[:cut])
     best, arg = _monge_min(*lr, s) if product else _fractional_min(*lr, s)
-    rep = ExtremumReport(None if arg is None else (base + arg[0], base + arg[1]), best,
-                         certified, (base, base + w_eff - 1))
-    if certified is Certainty.CERTIFIED or product or arg is None or W - 1 - arg[1] < 8:
-        return rep
-    offs = np.unique(np.geomspace(1.0, W - 1 - arg[1], 24).astype(np.int64))
-    vals = values(arg[0], arg[1] + np.concatenate([[0], offs]))
-    vals = vals[np.isfinite(vals)]
-    if len(vals) >= 4 and np.all(np.diff(vals) < 0):
-        acc = aitken(vals)
-        if len(acc) and math.isfinite(acc[-1]) and 0.0 < acc[-1] < best:
-            return ExtremumReport(rep.arg, float(acc[-1]), certified, rep.scanned)
-    return rep
+    return ExtremumReport(None if arg is None else (base + arg[0], base + arg[1]), best,
+                          certified, (base, base + w_eff - 1))
 
 
 def _fractional_min(L, R, P, Q, s):
@@ -319,8 +300,6 @@ def log_triangle(row: np.ndarray, col: np.ndarray, log_w: np.ndarray, s: float =
 def aitken(seq) -> np.ndarray:
     """Aitken delta-squared transform; len(seq) - 2 accelerated values."""
     x = np.asarray(seq, dtype=float)
-    if len(x) < 3:
-        return x[2:]
     d1 = np.diff(x)
     dd = np.diff(d1)
     with np.errstate(all="ignore"):
@@ -371,7 +350,7 @@ def _log_model_limit(ms, lams) -> float:
     return float(out.x)
 
 
-def extrapolate_limit(ms, lams, atol: float = 1e-13):
+def extrapolate_limit(ms, lams):
     """Extrapolated limit of a monotone truncation sequence.
 
     Returns ``(limit, mode)`` with mode in {converged, aitken, log_model}.
@@ -385,7 +364,7 @@ def extrapolate_limit(ms, lams, atol: float = 1e-13):
         return float(x[-1]), "converged"
     d = np.diff(x)
     scale = max(abs(x[-1]), 1.0)
-    if abs(d[-1]) <= atol * scale:
+    if abs(d[-1]) <= LIMIT_TOL * scale:
         return float(x[-1]), "converged"
     with np.errstate(all="ignore"):
         r = d[1:] / d[:-1]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import subprocess
@@ -6,8 +8,10 @@ import warnings
 
 import pytest
 
-from bdspec import cli, estimates
+from bdspec import approx, cli, estimates, oracle
 from bdspec.catalog import catalog, catalog_names
+
+SQRT2 = math.sqrt(2.0)
 
 
 def run_cli(args, capsys):
@@ -265,3 +269,75 @@ def test_console_entrypoint_runs():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["kappa"] == pytest.approx(3.0 / 7.0, rel=1e-12)
+
+
+def test_plain_text_output_prints_one_field_per_line(capsys):
+    # no format flag: the flattened report, floats to 12 significant digits
+    code, out = run_cli(["estimate", "--model", "ex7_6_1"], capsys)
+    assert code == 0
+    rows = dict(line.split(None, 1) for line in out.splitlines())
+    k, dl, dr, S, br = estimates.kappa_dd(catalog("ex7_6_1"))
+    assert rows["kappa"] == "%.12g" % k and rows["S"] == "%.12g" % S
+    assert rows["bracket[0]"] == "%.12g" % br.lower and rows["bracket[1]"] == "%.12g" % br.upper
+    assert rows["basic.method"] == "kappa_7_5" and rows["basic.positive"] == "True"
+    assert rows["certified"] == "certified"
+
+
+def test_table_ex5_3_csv_and_plain_text(capsys):
+    _, out = run_cli(["table", "ex5_3_sequences", "--json"], capsys)
+    rows = json.loads(out)["rows"]
+    cols = ["n", "delta_prime_hat", "bar_delta_hat"]
+    code, out = run_cli(["table", "ex5_3_sequences", "--csv"], capsys)
+    assert code == 0
+    got = list(csv.DictReader(io.StringIO(out)))
+    assert list(got[0]) == cols and len(got) == len(rows) == 5
+    for text, row in zip(got, rows):        # the CSV carries the exact floats
+        assert int(text["n"]) == row["n"]
+        assert [float(text[c]) for c in cols[1:]] == [row[c] for c in cols[1:]]
+    code, out = run_cli(["table", "ex5_3_sequences"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == cols and len(lines) == 6
+    for line, row in zip(lines[1:], rows):
+        assert line.split() == [str(row["n"])] + ["%.6g" % row[c] for c in cols[1:]]
+
+
+def test_estimate_on_a_dn_chain(capsys):
+    # const_dn with a = 2 > b = 1 has rate (sqrt 2 - 1)^2 and delta^(4.4) = 2
+    code, out = run_cli(["estimate", "--model", "const_dn", "--param", "a=2,b=1",
+                         "--json"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    d, br = estimates.delta_dn(catalog("const_dn", a=2.0, b=1.0))
+    assert doc["delta_4_4"] == d == 2.0
+    assert doc["bracket"] == [br.lower, br.upper]
+    assert br.lower <= (SQRT2 - 1.0) ** 2 <= br.upper
+    assert doc["basic"]["method"] == "kappa_7_5" and doc["basic"]["positive"] is True
+
+
+@pytest.mark.parametrize("name", ["ex5_5", "table6_1_row1"])
+def test_approx_on_dn_and_nn_chains(name, capsys):
+    code, out = run_cli(["approx", "--model", name, "--json"], capsys)
+    assert code == 2                      # infinite chains: window-stopped
+    doc = json.loads(out)
+    model = catalog(name)
+    if name == "ex5_5":
+        assert [doc["delta_1"], doc["delta_1_prime"]] == list(approx.first_step_closed(model))
+        return
+    assert [doc["eta_1"], doc["eta_bar_1"]] == list(approx.eta1_closed(model))
+    tr = approx.eta_seq_nn(model, 5)
+    assert doc["eta_n"] == list(tr.values)
+    assert doc["eta_n_prime"] == list(tr.extras["eta_prime"])
+    assert doc["eta_n_bar"] == list(tr.extras["eta_bar"])
+    assert doc["monotone"] is tr.monotone_ok
+
+
+@pytest.mark.parametrize("name,m,code", [("ex9_15", 3, 0), ("ex9_16", 50, 2)])
+def test_killing_m_adds_the_oracle_value(name, m, code, capsys):
+    got, out = run_cli(["killing", "--model", name, "--m", str(m), "--json"], capsys)
+    assert got == code
+    doc = json.loads(out)
+    lam = oracle.principal_eigen(catalog(name), m).lam
+    assert doc["oracle"] == lam
+    if code == 0:                         # the whole chain: its bounds hold the rate
+        assert doc["lower_cor_9_9"] <= lam <= doc["upper_9_9"]

@@ -62,6 +62,36 @@ def test_kappa_nn_not_ergodic():
         estimates.kappa_nn(catalog("symmetric_nn"))
 
 
+KAPPA_CHAINS = [name for name in catalog_names()
+                if catalog(name).boundary in (BoundaryCode.NN, BoundaryCode.DD)
+                and catalog(name).killing is None and name != "symmetric_nn"]
+
+
+def _hex(*values):
+    return [float.hex(float(v)) for v in values]
+
+
+@pytest.mark.parametrize("name", KAPPA_CHAINS)
+def test_kappa_nn_and_kappa_dd_are_fields_of_basic_bracket(name):
+    # bit for bit: kappa, delta_L = delta^(4.4), delta_R = delta^(3.1) and the
+    # bracket of basic_bracket, which are the kappa scan and the two suprema
+    # on the chain's weights
+    model = catalog(name)
+    rep = estimates.basic_bracket(model)
+    if model.boundary is BoundaryCode.NN:
+        kappa, dl, dr, br = estimates.kappa_nn(model)
+    else:
+        kappa, dl, dr, S, br = estimates.kappa_dd(model)
+        assert _hex(S) == _hex(build_weights(model, 10 ** 5).exit_mass)
+    assert _hex(kappa, dl, dr) == _hex(rep.kappa, rep.delta_4_4, rep.delta_3_1)
+    assert br == rep.bracket
+    ws = build_weights(model, 10 ** 5)
+    ref, scan = estimates._kappa(ws, model.boundary.origin_reflecting)
+    assert _hex(kappa, dl, dr) == _hex(ref, estimates._delta_sup(ws, "4_4").value,
+                                       estimates._delta_sup(ws, "3_1").value)
+    assert br == estimates._bracket_from_constant(ref, rep.method, scan)
+
+
 def test_kappa_nn_sandwich_lower():
     for name in ("table6_1_row1", "table6_1_row5", "ex6_7"):
         model = catalog(name)

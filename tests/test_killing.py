@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdspec import killing, oracle
+from bdspec import estimates, killing, oracle
 from bdspec.catalog import catalog
 from bdspec.errors import EtaOutOfRange, NotInF, ShapeViolation
 from bdspec.model import BoundaryCode, ChainModel
@@ -215,6 +215,27 @@ def test_limsup_upper_and_dispatch():
     assert killing.dispatch_9_12(catalog("ex9_19", beta=0.25)) == "positive"
     assert killing.dispatch_9_12(catalog("ex9_18")) == "inconclusive"
     assert killing.dispatch_9_12(catalog("ex7_6_1")) == "positive"  # finite
+
+
+def _summable_zero_rate():
+    # a_i = 1, b_i = (i / (i + 1))^2: mu_i = 1/i^2 is summable, yet
+    # delta^(4.4) = sup nu_a[1, n] mu[n, inf) ~ n^2 / 3 diverges: rate zero
+    return ChainModel(BoundaryCode.DD, 1, None,
+                      lambda i: (np.asarray(i, float) / (np.asarray(i, float) + 1.0)) ** 2,
+                      lambda i: np.ones(np.shape(i)), name="summable_zero_rate")
+
+
+@pytest.mark.parametrize("model,verdict", [(catalog("table7_1_row1"), "positive"),
+                                           (_summable_zero_rate(), "zero")])
+def test_dispatch_defers_bottom_only_killing_to_basic_bracket(model, verdict, monkeypatch):
+    # no killing past state 1 (only a_1 acts as killing) and no verdict from
+    # the killing averages: the killing-free criteria decide
+    calls = []
+    basic = estimates.basic_bracket
+    monkeypatch.setattr(estimates, "basic_bracket", lambda m: calls.append(m) or basic(m))
+    assert killing.dispatch_9_12(model) == verdict
+    assert calls == [model]
+    assert basic(model).positive is (verdict == "positive")
 
 
 @settings(max_examples=20, deadline=None)

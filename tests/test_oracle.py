@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import weakref
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bdspec import oracle
 from bdspec.catalog import TABLE71_ROWS, catalog, catalog_names, table71_v
 from bdspec.errors import BadParameter, TruncationTooSmall, WrongBoundary
-from bdspec.model import BoundaryCode, ChainModel, _rates_and_weights, build_weights
+from bdspec.model import BoundaryCode, ChainModel, _rates_and_weights, build_weights, load_model
 from bdspec.series import Certainty
 
 
@@ -224,6 +225,26 @@ def test_shooting_on_a_whole_finite_chain_matches_the_eigensolver(model):
         assert short.lam == pytest.approx(reflected.lam, rel=1e-8, abs=0.0)
 
 
+def _slow_exit_chain(n, exit_rate):
+    # unit rates inside, both exits (a_1 and b_N) at exit_rate: lambda ~ 2 exit_rate / n
+    a, b = np.ones(n), np.ones(n)
+    a[0] = b[-1] = exit_rate
+    return ChainModel(BoundaryCode.DD, 1, n, lambda i: b[np.asarray(i) - 1],
+                      lambda i: a[np.asarray(i) - 1], name="slow_exit")
+
+
+@pytest.mark.parametrize("model", [_slow_exit_chain(10, 1e-3), _slow_exit_chain(30, 1e-4)]
+                         + [_seeded_finite(BoundaryCode.DD, 5000 + s, killed=s % 3 == 0)
+                            for s in range(12)])
+def test_shooting_keeps_relative_digits_of_a_small_rate(model):
+    # the bisection stops at a width relative to z, so a rate of 2e-4 or 7e-6
+    # keeps as many digits as one of order 1
+    lam = oracle.principal_eigen(model, model.hi).lam
+    if model.name == "slow_exit":
+        assert lam < 1e-3
+    assert oracle.shooting_rate(model, model.hi + 1).lam == pytest.approx(lam, rel=1e-11, abs=0.0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_shooting_sturm_agreement_random_dn(seed):
@@ -342,6 +363,22 @@ def test_splitting_collapses_with_eigvec_gamma():
     assert abs(mid - full) / full < 0.02
     assert sb.upper - sb.lower < 1e-6 * max(1.0, full) or \
         abs(sb.upper - full) / full < 1e-6
+
+
+@pytest.mark.parametrize("lo,hi", [(-4, 3), (0, 5), (-2, -2)])
+def test_splitting_contains_the_eigenvalue_of_a_finite_chain(lo, hi, tmp_path):
+    # a finite end is a theta with one side empty and the other the chain
+    # itself, exits kept, so the bracket holds the whole chain's eigenvalue
+    path = tmp_path / "bilateral.json"
+    path.write_text(json.dumps({
+        "boundary": "DD_bilateral", "lo": lo, "hi": hi,
+        "birth": {"catalog": "const", "params": {"value": 3.0}},
+        "death": {"catalog": "poly", "params": {"coeffs": [1.0, 0.0, 0.5]}}}))
+    model = load_model(str(path))
+    whole = oracle.principal_eigen(model, 10)
+    assert whole.certified is Certainty.CERTIFIED
+    sb = oracle.splitting_bracket(model, [t for t in (-1, 0, 1) if lo <= t <= hi], m=10)
+    assert sb.lower <= whole.lam <= sb.upper
 
 
 def test_splitting_requires_bilateral():

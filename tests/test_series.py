@@ -44,18 +44,19 @@ def brute_pairs(L, R, mid, strict, s=1.0, product=False):
 def _check_pairs(L, R, mid, strict, s=1.0, product=False, base=0):
     """The product, ranked in logs, agrees with the reference to its rounding
     bound; the sum, whose pairs are chosen exactly on the stored prefix sums,
-    to a few ulps even where that bound is loose."""
+    to a few ulps even where that bound is loose. Under either label: a
+    window-stopped scan returns the window's minimum too."""
     best, arg, tol, unique = brute_pairs(L, R, mid, strict, s, product)
-    rep = series.half_line_pairs(L, R, mid, strict, base, series.Certainty.CERTIFIED, s,
-                                 product)
-    assert rep.certified is series.Certainty.CERTIFIED
-    if arg is None:
-        assert rep.arg is None and rep.value == math.inf
-        return
     rel = tol if product else 4 * np.finfo(float).eps
-    assert rep.value == pytest.approx(best, rel=rel, abs=0.0)
-    if unique:
-        assert rep.arg == (base + arg[0], base + arg[1])
+    for label in series.Certainty:
+        rep = series.half_line_pairs(L, R, mid, strict, base, label, s, product)
+        assert rep.certified is label
+        if arg is None:
+            assert rep.arg is None and rep.value == math.inf
+            continue
+        assert rep.value == pytest.approx(best, rel=rel, abs=0.0)
+        if unique:
+            assert rep.arg == (base + arg[0], base + arg[1])
 
 
 HALF_LINE = [name for name in catalog_names()

@@ -1,16 +1,23 @@
 import importlib.util
 import math
 import os
+import textwrap
 
 import numpy as np
 
 from bdspec.series import Certainty, ExtremumReport, Labelled
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "same_outputs.py")
-_spec = importlib.util.spec_from_file_location("same_outputs", _PATH)
-same_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(same_outputs)
-canonical = same_outputs.canonical
+
+def _tool(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+canonical = _tool("same_outputs").canonical
+traffic = _tool("traffic")
 
 
 def test_canonical_forms_compare_bit_for_bit_with_nan_equal_to_nan():
@@ -38,3 +45,38 @@ def test_canonical_forms_mask_addresses_and_wall_times():
     two = '{\n  "kappa": 0.5,\n  "wall_time_s": 1.5e-05\n}'
     assert canonical((0, one)) == canonical((0, two))
     assert canonical((0, one)) != canonical((0, one.replace("0.5", "0.50001")))
+
+
+TOY = textwrap.dedent('''\
+    """A toy module."""
+
+
+    def clip(x):
+        """One taken branch, one untaken."""
+        if x > 0.0:
+            x = 0.0
+        else:
+            x = (
+                -1.0)
+        if x is None:
+            raise ValueError("x")
+        return x
+    ''')
+
+
+def test_traffic_lists_the_untaken_branch_alone(tmp_path):
+    path = tmp_path / "toy_traffic.py"
+    path.write_text(TOY)
+
+    def load():
+        spec = importlib.util.spec_from_file_location("toy_traffic", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    # the function's docstring carries no bytecode and the raise (line 12)
+    # is left out; the else branch spans lines 9-10
+    assert sorted(traffic.statements(str(path))) == [1, 4, 6, 7, 9, 11, 13]
+    assert traffic.unexecuted([str(path)], lambda: load().clip(2.0)) == [(str(path), 9)]
+    assert traffic.unexecuted([str(path)], lambda: load().clip(-2.0)) == [(str(path), 7)]
+    assert traffic.unexecuted([str(path)], load) == [(str(path), k) for k in (6, 7, 9, 11, 13)]
