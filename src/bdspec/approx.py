@@ -23,8 +23,6 @@ from . import series
 from .errors import BadParameter, Condition72Fails, WrongBoundary
 from .model import BoundaryCode, ChainModel, WeightSystem, build_weights
 
-LOG_SAFE = 280.0  # keep mu and mu*f products comfortably inside float range
-
 
 @dataclass(frozen=True)
 class ApproxTrace:
@@ -37,10 +35,8 @@ class ApproxTrace:
 
 
 def _safe_window(ws: WeightSystem, cap: int) -> int:
-    """Number of leading window entries whose weights stay float-safe."""
-    bad = np.abs(ws.log_mu) > LOG_SAFE
-    n = int(np.argmax(bad)) if bad.any() else len(ws.log_mu)
-    return max(2, min(cap, n, len(ws.log_mu)))
+    """The float-safe window ``ws.safe_len``, at most ``cap`` and at least 2."""
+    return max(2, min(cap, ws.safe_len))
 
 
 def _levels(m_grid, W: int):
@@ -56,10 +52,6 @@ def _levels(m_grid, W: int):
 # the single- and double-sum operators I and II
 # ---------------------------------------------------------------------------
 
-def _suffix_sum(x):
-    return np.cumsum(x[..., ::-1], axis=-1)[..., ::-1]
-
-
 def _II(mu, nu, F, inner: str, outer: str, tail: float = 0.0):
     """The operators I and II on each row f of ``F``, a (G, W) array or one row.
 
@@ -74,9 +66,9 @@ def _II(mu, nu, F, inner: str, outer: str, tail: float = 0.0):
     if inner == "prefix":
         S = np.cumsum(mu * F, axis=-1)
     else:
-        S = _suffix_sum(mu * F) + tail * F[..., -1:]
+        S = series.tail_sums(mu * F, 0, tail * F[..., -1:])[..., :-1]
     if outer == "suffix":
-        return S, _suffix_sum(nu * S)
+        return S, series.tail_sums(nu * S, 0, 0.0)[..., :-1]
     if outer == "prefix":
         return S, np.cumsum(nu * S, axis=-1)
     II = np.zeros(np.shape(S))
@@ -125,7 +117,7 @@ def _lm_rows(mu, nu, b, ells, m, steps):
     """
     n = m + 1
     mu, mub = mu[:n], mu[:n] * b[:n]
-    kern = np.cumsum(nu[:n][::-1])[::-1]      # nu[j, m]
+    kern = series.tail_sums(nu[:n], 0, 0.0)[:-1]    # nu[j, m]
     f = np.where(np.arange(n) <= ells[:, None], kern[ells][:, None], kern)
     ratios, quotients = np.empty(steps), np.empty(steps)
     for s in range(steps):
@@ -191,13 +183,13 @@ def first_step_closed(model: ChainModel, window: int = 200000):
         sphi = np.sqrt(phi)
         pre = np.cumsum(mu * sphi)
         suf32 = series.tail_sums(mu * phi * sphi, ws.base, rem)
-        d1 = sphi * pre + np.concatenate([suf32[1:], [0.0]])[:W] / sphi
+        d1 = sphi * pre + suf32[1:] / sphi
         suf2 = series.tail_sums(mu * phi * phi, ws.base, rem)
-        d1p = phi * ws.mu_prefix_arr[:W] + np.concatenate([suf2[1:], [0.0]])[:W] / phi
+        d1p = phi * ws.mu_prefix_arr[:W] + suf2[1:] / phi
     elif not math.isfinite(ws.mu_total.value):
         return divergent
     else:
-        phi = np.cumsum(ws.nu_a[:W])
+        phi = ws.nu_prefix("a", W)
         sphi = np.sqrt(phi)
         mu_suf = series.tail_sums(mu * sphi, ws.base, rem)
         pre32 = np.concatenate([[0.0], np.cumsum(mu * phi * sphi)[:-1]])
@@ -219,11 +211,10 @@ def _nn_arrays(model: ChainModel, window: int):
         raise WrongBoundary("eta sequences need sum(mu) < inf")
     W = _safe_window(ws, window)
     mu = ws.mu[:W]
-    nu_shift = np.concatenate([[0.0], ws.nu_b[: W - 1]])   # 1/(mu_i a_i), i >= 1
-    phi = np.cumsum(nu_shift)                               # nu[0, i-1]
+    phi = np.concatenate([[0.0], ws.nu_prefix("b", W - 1)])   # nu[0, i-1]
     tail = ws.mu_tail(ws.base + W)
     Z = ws.mu_total.value
-    return ws, W, mu, nu_shift, phi, tail, Z
+    return ws, W, mu, phi, tail, Z
 
 
 def _centered_first_step(phi, w, w_tail, total, start, rem):
@@ -252,7 +243,7 @@ def _centered_first_step(phi, w, w_tail, total, start, rem):
 def eta1_closed(model: ChainModel, window: int = 300000):
     """eta_1 and bar-eta_1 by their closed forms (centered first iterates),
     a ``series.Labelled`` pair with the float-safe window's certainty."""
-    ws, W, mu, nu_shift, phi, tail, Z = _nn_arrays(model, window)
+    ws, W, mu, phi, tail, Z = _nn_arrays(model, window)
     return series.Labelled(_centered_first_step(
         phi, mu, series.tail_sums(mu, ws.base, tail), Z, ws.base,
         0.0 if ws.finite else None), ws.certainty(W))
@@ -267,7 +258,8 @@ def eta_seq_nn(model: ChainModel, steps: int = 6, m_grid=None,
     apply verbatim; no renormalization happens between steps (a handful of
     iterations cannot overflow) so consecutive tail sums share one scale.
     """
-    ws, W, mu, nu_shift, phi, tail, Z = _nn_arrays(model, window)
+    ws, W, mu, phi, tail, Z = _nn_arrays(model, window)
+    nu_shift = np.concatenate([[0.0], ws.nu_b[: W - 1]])   # 1/(mu_i a_i), i >= 1
     if m_grid is None:
         m_grid = sorted({min(W - 1, int(round(g))) for g in np.geomspace(2, W - 1, 16)})
     # row 0: the sqrt(phi) seed of eta_n; row 1 + k: phi stopped at the k-th
@@ -320,7 +312,7 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     if not finite and not math.isfinite(ws.nu_a_total.value):
         raise Condition72Fails("sum 1/(mu_i a_i) must converge (7.2)")
     Nterm = ws.top_exit
-    phi = np.cumsum(mu)                      # mu[1, i]
+    phi = ws.mu_prefix_arr[:W]               # mu[1, i]
     nu_suf = series.tail_sums(nu, ws.base, ws.nu_tail(ws.base + W, "a")) + Nterm
     # delta = sup_{n<=N} mu[1,n] (nu[n+1,N] + 1_{N<inf}/(mu_N b_N)); on a finite
     # chain nu_suf[W] is 0 + 1/(mu_N b_N), so the finite and infinite forms agree
@@ -358,7 +350,7 @@ def ex5_3_sequences(model: ChainModel, steps: int):
     n = max(len(levels), 1)
     mu, nu, a = mu[:n], nu[:n], a[:n]
     cols = np.minimum(np.arange(n), levels[:, None] - 1)
-    phi = np.cumsum(nu)
+    phi = ws.nu_prefix("a", n)
     F = phi[cols] / phi[levels - 1][:, None]  # every reported quantity is scale-invariant
     tail = ws.mu_tail(ws.base + n)
     best_dp, best_bar = [], []

@@ -3,8 +3,8 @@
 Numbers are passed through from the library verbatim: JSON output carries
 full float precision (repr round-trip), the human tables round for display
 only. Exit codes: 0 ok, 1 model/flag error, 2 result not fully certified:
-every subcommand that prints a bound ends in :func:`_finish`, which exits 2
-iff one of them is window-stopped.
+every chain subcommand runs through :func:`_run`, which exits 2 iff a bound
+it prints is window-stopped.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import time
 
 from . import approx, duality, estimates, killing, oracle, poincare
 from .catalog import TABLE61_ROWS, TABLE71_ROWS, catalog, table71_v
-from .errors import BdspecError, KilledChain
-from .model import BoundaryCode, load_model
+from .errors import BdspecError, KilledChain, NotErgodic
+from .model import BoundaryCode, build_weights, load_model
 from .series import Certainty
 
 # the truncation levels of `bdspec table`'s oracle limits: m = 250 * 2^(k/2)
@@ -105,62 +105,61 @@ def _flatten(obj, prefix=""):
     return rows
 
 
-def _finish(res, args, t0, *certainties):
-    """Emit ``res`` with the top-level "certified" of the bounds it prints,
-    window-stopped if any one is; the exit code is 0 if none is, else 2."""
+def _run(args):
+    """Run the chain subcommand ``args.fn(model, args, report)`` and emit the
+    report: model, params and command, what the command writes, the
+    "certified" of the bounds it prints (absent if none) and the wall time.
+    Exits 2 iff one of them is window-stopped; a chain with killing rates
+    exits 1 from ``estimate`` and ``approx``."""
+    model = _resolve_model(args)
+    if model.killing is not None and args.command in ("estimate", "approx"):
+        raise KilledChain("%s covers killing-free chains; %s has killing rates, "
+                          "use `bdspec killing`" % (args.command, model.name))
+    t0 = time.time()
+    res = {"model": model.name, "params": model.params, "command": args.command}
+    certainties = args.fn(model, args, res)
     worst = next((c for c in certainties if c is not Certainty.CERTIFIED), Certainty.CERTIFIED)
-    res["certified"] = worst.value
+    if certainties:
+        res["certified"] = worst.value
     res["wall_time_s"] = time.time() - t0
     _emit(res, args)
     return 0 if worst is Certainty.CERTIFIED else 2
 
 
-def _killing_free(args, command):
-    """The model of ``args``; a chain with killing rates exits 1 (KilledChain)."""
-    model = _resolve_model(args)
-    if model.killing is not None:
-        raise KilledChain("%s covers killing-free chains; %s has killing rates, "
-                          "use `bdspec killing`" % (command, model.name))
-    return model
-
-
-def cmd_estimate(args):
-    model = _killing_free(args, "estimate")
-    t0 = time.time()
-    res = {"model": model.name, "params": model.params, "command": "estimate"}
-    if model.boundary is BoundaryCode.ND:
+def cmd_estimate(model, args, res):
+    """The constant and bracket of the chain's boundary code; on a half line
+    also the basic bracket, whose one scan gives NN and DD chains their
+    kappa, delta_L, delta_R and bracket."""
+    code = model.boundary
+    if code is BoundaryCode.DD_BILATERAL:
+        res["kappa"], br = estimates.kappa_bilateral(model)
+        res["bracket"] = [br.lower, br.upper]
+        return [br.delta_like.certified]
+    if code is BoundaryCode.ND:
         res["delta_3_1"], br = estimates.delta_nd(model)
-    elif model.boundary is BoundaryCode.DN:
+    elif code is BoundaryCode.DN:
         res["delta_4_4"], br = estimates.delta_dn(model)
-    elif model.boundary is BoundaryCode.NN:
-        k, dl, dr, br = estimates.kappa_nn(model)
-        res.update(kappa=k, delta_L=dl, delta_R=dr)
-    elif model.boundary is BoundaryCode.DD:
-        k, dl, dr, S, br = estimates.kappa_dd(model)
-        res.update(kappa=k, delta_L=dl, delta_R=dr, S=S)
-    else:
-        k, br = estimates.kappa_bilateral(model)
-        res["kappa"] = k
+    elif code is BoundaryCode.NN and not math.isfinite(build_weights(model).mu_total.value):
+        raise NotErgodic("kappa_nn requires sum(mu) < inf")
+    rep = estimates.basic_bracket(model)
+    if code in (BoundaryCode.NN, BoundaryCode.DD):
+        br = rep.bracket
+        res.update(kappa=rep.kappa, delta_L=rep.delta_4_4, delta_R=rep.delta_3_1)
+        if code is BoundaryCode.DD:
+            res["S"] = build_weights(model).exit_mass
     res["bracket"] = [br.lower, br.upper]
-    certs = [br.delta_like.certified]
-    if model.boundary is not BoundaryCode.DD_BILATERAL:
-        rep = estimates.basic_bracket(model)
-        res["basic"] = {"kappa": rep.kappa, "method": rep.method,
-                        "bracket": [rep.bracket.lower, rep.bracket.upper],
-                        "positive": rep.positive, "criterion": rep.criterion}
-        certs.append(rep.bracket.delta_like.certified)
-        if model.hi is not None and model.hi - model.base < 64:
-            # small finite chains: the rate itself is exactly computable (certified)
-            res["lambda_exact"] = oracle.principal_eigen(model, max(model.hi, 2)).lam
-    return _finish(res, args, t0, *certs)
+    res["basic"] = {"kappa": rep.kappa, "method": rep.method,
+                    "bracket": [rep.bracket.lower, rep.bracket.upper],
+                    "positive": rep.positive, "criterion": rep.criterion}
+    if model.hi is not None and model.hi - model.base < 64:
+        # small finite chains: the rate itself is exactly computable (certified)
+        res["lambda_exact"] = oracle.principal_eigen(model, max(model.hi, 2)).lam
+    return [br.delta_like.certified, rep.bracket.delta_like.certified]
 
 
-def cmd_approx(args):
-    model = _killing_free(args, "approx")
-    t0 = time.time()
+def cmd_approx(model, args, res):
     steps = args.steps or 5
     grid = [int(v) for v in args.grid.split(",") if v] or None
-    res = {"model": model.name, "params": model.params, "command": "approx"}
     if model.boundary is BoundaryCode.ND:
         d1, d1p = first = approx.first_step_closed(model)
         tr = approx.delta_seq_nd(model, steps)
@@ -186,81 +185,68 @@ def cmd_approx(args):
         printed = (first,)
     else:
         raise BdspecError("approx covers the four half-line codes")
-    return _finish(res, args, t0, *(x.certified for x in printed))
+    return [x.certified for x in printed]
 
 
-def cmd_oracle(args):
-    model = _resolve_model(args)
-    t0 = time.time()
+def cmd_oracle(model, args, res):
     m = args.m or 2000
     sr = oracle.principal_eigen(model, m)
     sched = sorted({max(4, int(round(m / 2 ** k))) for k in range(6)} | {m})
     tr = oracle.truncation_limit(model, sched)
-    res = {"model": model.name, "params": model.params, "command": "oracle",
-           "m": m, "lambda": sr.lam, "residual": sr.residual, "method": sr.method,
-           "schedule": list(tr.schedule), "values": list(tr.values),
-           "extrapolated": tr.limit, "extrapolation_mode": tr.mode,
-           "monotone_ok": tr.monotone_ok}
+    res.update({"m": m, "lambda": sr.lam, "residual": sr.residual, "method": sr.method,
+                "schedule": list(tr.schedule), "values": list(tr.values),
+                "extrapolated": tr.limit, "extrapolation_mode": tr.mode,
+                "monotone_ok": tr.monotone_ok})
     if model.boundary in (BoundaryCode.DN, BoundaryCode.DD):
         try:
             res["shooting"] = oracle.shooting_rate(model, m).lam
         except BdspecError:
             pass
     # lambda is the bound; the extrapolated limit and shooting are cross-checks
-    return _finish(res, args, t0, sr.certified)
+    return [sr.certified]
 
 
-def cmd_killing(args):
-    model = _resolve_model(args)
-    t0 = time.time()
+def cmd_killing(model, args, res):
     up, up_detail = upper = killing.upper_9_9(model)
     low99 = killing.corollary_9_9(model)
     sqrt_b = killing.sqrt_test_bound(model)
-    res = {"model": model.name, "params": model.params, "command": "killing",
-           "upper_9_9": up, "upper_detail": up_detail,
-           "lower_cor_9_9": low99.lower, "xi": low99.xi, "zeta": low99.zeta,
-           "lower_sqrt_test": sqrt_b.lower,
-           "flags": {**low99.flags, "sqrt": sqrt_b.flags},
-           "dispatch_9_12": killing.dispatch_9_12(model)}
+    res.update({"upper_9_9": up, "upper_detail": up_detail,
+                "lower_cor_9_9": low99.lower, "xi": low99.xi, "zeta": low99.zeta,
+                "lower_sqrt_test": sqrt_b.lower,
+                "flags": {**low99.flags, "sqrt": sqrt_b.flags},
+                "dispatch_9_12": killing.dispatch_9_12(model)})
     certs = [upper.certified, low99.certified, sqrt_b.certified]
     if args.m:
         sr = oracle.principal_eigen(model, args.m)
         res["oracle"] = sr.lam
         certs.append(sr.certified)
-    return _finish(res, args, t0, *certs)
+    return certs
 
 
-def cmd_dual(args):
-    model = _resolve_model(args)
-    t0 = time.time()
+def cmd_dual(model, args, res):
+    """The dual chain's shape and residuals; it states no bound."""
     direction = "forward_5_1" if model.boundary in (BoundaryCode.ND, BoundaryCode.NN) \
         else "inverse_7_3"
     pair = duality.dualize(model, direction)
-    res = {"model": model.name, "params": model.params, "command": "dual",
-           "direction": direction, "dual_boundary": pair.dual.boundary.value,
-           "n_prime": pair.n_prime, "weight_identity_residual": pair.weight_residual}
+    res.update({"direction": direction, "dual_boundary": pair.dual.boundary.value,
+                "n_prime": pair.n_prime, "weight_identity_residual": pair.weight_residual})
     if args.check_similarity:
         n = args.n or 8
         res["similarity_residual_n%d" % n] = duality.similarity_check(model, n)
-    res["wall_time_s"] = time.time() - t0
-    _emit(res, args)
-    return 0
+    return []
 
 
-def cmd_poincare(args):
-    model = _resolve_model(args)
-    t0 = time.time()
+def cmd_poincare(model, args, res):
     p = args.p or 2.0
     variant = {BoundaryCode.DD_BILATERAL: "bilateral_8_4",
                BoundaryCode.DD: "half_line_8_6"}.get(model.boundary, "neumann_8_9")
     sc = poincare.sobolev_constant(model, p, variant)
-    res = {"model": model.name, "params": model.params, "command": "poincare",
-           "p": p, "variant": variant, "B": sc.B, "A_bracket": list(sc.bracket)}
+    res.update({"p": p, "variant": variant, "B": sc.B, "A_bracket": list(sc.bracket)})
     if model.boundary in (BoundaryCode.DD, BoundaryCode.DD_BILATERAL):
         bl, br_, bb, S = poincare.b_constants_split(model, p)
         res.update(B_L=bl, B_R=br_, B_split=bb, S=S)
     # the split constants share B's window, so B's label covers them
-    return _finish(res, args, t0, sc.extremum.certified)
+    return [sc.extremum.certified]
 
 
 def _table61_row(name_exact):
@@ -366,10 +352,9 @@ def main(argv=None):
     p_poi.set_defaults(fn=cmd_poincare)
     p_tab = sub.add_parser("table", parents=[output])
     p_tab.add_argument("which", choices=["table6_1", "table7_1", "ex5_3_sequences"])
-    p_tab.set_defaults(fn=cmd_table)
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return cmd_table(args) if args.command == "table" else _run(args)
     except (BdspecError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -60,7 +60,7 @@ def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumRe
             obj = ws.mu_prefix_arr ** s * ws.nu_tails("b")
         else:
             lo, total = 1, ws.mu_total
-            obj = (np.cumsum(ws.nu_a) * ws.mu_tails() ** s)[1 - ws.base:]
+            obj = (ws.nu_prefix("a") * ws.mu_tails() ** s)[1 - ws.base:]
     if not math.isfinite(total.value) or not len(obj):
         return series.ExtremumReport(None, math.inf, series.Certainty.CERTIFIED, (lo, ws.top))
     obj = np.where(np.isfinite(obj), obj, 0.0)
@@ -79,9 +79,7 @@ def _kappa_terms(ws: WeightSystem, reflecting: bool):
     if reflecting:
         left, right, mid = ws.mu_prefix_arr, ws.mu_tails(), ws.nu_b
     else:
-        with np.errstate(over="ignore"):
-            left = np.cumsum(ws.nu_a)
-        right, mid = ws.nu_tails("b"), ws.mu
+        left, right, mid = ws.nu_prefix("a"), ws.nu_tails("b"), ws.mu
     with np.errstate(all="ignore"):
         inv_left = np.where(left > 0, 1.0 / left, math.inf)
         inv_right = np.where(right > 0, 1.0 / right, math.inf)

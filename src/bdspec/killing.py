@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import oracle, series
-from .approx import LOG_SAFE, _II
+from .approx import _II
 from .errors import (EtaOutOfRange, HypothesisUnverified, NotInF,
                      ShapeViolation, WrongBoundary)
 from .model import BoundaryCode, ChainModel, build_weights
@@ -64,11 +64,8 @@ def _arrays(model: ChainModel, window: int):
     if model.boundary is not BoundaryCode.DD or model.base != 1:
         raise WrongBoundary("killing bounds expect the state space {1, ..., N}")
     ws = build_weights(model, window)
-    W = len(ws.mu)
-    bad = np.abs(ws.log_mu) > LOG_SAFE
-    if bad.any():
-        W = max(int(np.argmax(bad)), 3)
-    return ws, W
+    W = ws.safe_len
+    return ws, (W if W == len(ws) else max(W, 3))
 
 
 def _killing_floor(ws, W):
@@ -145,7 +142,7 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None, window: int = 8192)
     # the window minimum is a valid floor for the bound
     c, cmin = _killing_floor(ws, W)
     ct = c - cmin
-    nbc = np.cumsum(ws.nu_b[:W])
+    nbc = ws.nu_prefix("b", W)
     mc = np.cumsum(mu * ct)
     muc = ws.mu_prefix_arr[:W]
     with np.errstate(all="ignore"):
@@ -295,7 +292,7 @@ def sqrt_test_bound(model: ChainModel, window: int = 8192) -> KillingBounds:
         if m < 2 and ct1 <= 0:
             continue
         km = np.minimum(k, m - ws.base)
-        suf = np.concatenate([np.cumsum(nu_b[: m - ws.base + 1][::-1])[::-1], [0.0]])
+        suf = series.tail_sums(nu_b[: m - ws.base + 1], 0, 0.0)
         fv = np.sqrt(np.maximum(suf[km], suf[m - ws.base]))
         seeds.append(np.where(fv > 0, fv, math.sqrt(max(nu_b[m - ws.base], 1e-300))))
         levels.append(m)

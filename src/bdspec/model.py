@@ -29,6 +29,7 @@ GROWTH_WINDOW = 64                          # trailing terms a uniqueness verdic
 TINY = np.finfo(float).tiny                 # the smallest normal float
 LOG_TINY = math.log(TINY)                   # -708.4: the underflow threshold
 LOG_HUGE = math.log(np.finfo(float).max)    # 709.8: the overflow threshold
+LOG_SAFE = 280.0    # |log mu| up to which mu and mu*f products stay well inside float range
 
 
 class BoundaryCode(enum.Enum):
@@ -127,10 +128,10 @@ class WeightSystem:
     """mu/nu weights of a half-line model on a finite window.
 
     ``mu[k]`` is the weight of state ``base + k``; ``log_mu`` is always exact
-    while ``mu`` saturates to 0/inf outside float range. ``convention`` names
-    the nu used by the boundary family: 1/(mu_i b_i) for ND/NN, 1/(mu_i a_i)
-    for DN/DD. Both variants are available. Its arrays, the cached tails
-    included, are read-only: a weight system is shared by the calls on a model.
+    while ``mu`` saturates to 0/inf outside float range. A call names the nu
+    it reads by ``kind``: "b" for 1/(mu_i b_i), "a" for 1/(mu_i a_i). Its
+    arrays, cached tails included, are read-only: a weight system is shared
+    by the calls on a model.
     """
     model: ChainModel
     base: int
@@ -139,7 +140,6 @@ class WeightSystem:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    convention: str                 # "b" or "a"
     mu_prefix_arr: np.ndarray       # cumulative sums of mu from base
     nu_a: np.ndarray
     nu_b: np.ndarray
@@ -158,6 +158,12 @@ class WeightSystem:
     @property
     def finite(self) -> bool:
         return self.model.hi is not None and self.top >= self.model.hi
+
+    @property
+    def safe_len(self) -> int:
+        """The number of leading states with float-safe weights, |log mu| <= LOG_SAFE."""
+        bad = np.abs(self.log_mu) > LOG_SAFE
+        return int(np.argmax(bad)) if bad.any() else len(self)
 
     @property
     def top_exit(self) -> float:
@@ -221,17 +227,23 @@ class WeightSystem:
         shape): by hint, or suffix window + remainder (estimated if infinite)."""
         return self._tail("mu", n)
 
-    def nu_tail(self, n, kind: Optional[str] = None):
-        """nu[n, N] under the requested convention, like :meth:`mu_tail`."""
-        return self._tail("nu_" + (kind or self.convention), n)
+    def nu_tail(self, n, kind: str):
+        """nu[n, N] of ``kind`` ("a" or "b"), like :meth:`mu_tail`."""
+        return self._tail("nu_" + kind, n)
+
+    def nu_prefix(self, kind: str, n: Optional[int] = None) -> np.ndarray:
+        """nu[base, i] of ``kind`` for the first ``n`` window states i (all by
+        default): a sequential sum, so a shorter ``n`` gives the same values."""
+        with np.errstate(over="ignore"):
+            return np.cumsum(getattr(self, "nu_" + kind)[:n])
 
     def mu_tails(self, n: Optional[int] = None) -> np.ndarray:
         """mu[i, N] for the first ``n`` window states i (all by default), cached."""
         return self._window_tail("mu", n)
 
-    def nu_tails(self, kind: Optional[str] = None, n: Optional[int] = None) -> np.ndarray:
-        """nu[i, N] for the first ``n`` window states i, like :meth:`mu_tails`."""
-        return self._window_tail("nu_" + (kind or self.convention), n)
+    def nu_tails(self, kind: str, n: Optional[int] = None) -> np.ndarray:
+        """nu[i, N] of ``kind`` for the first ``n`` window states i, like :meth:`mu_tails`."""
+        return self._window_tail("nu_" + kind, n)
 
 
 def _sum_with_tail(arr: np.ndarray, hint_total, rem: float) -> series.TailSum:
@@ -361,7 +373,6 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
     top = base + n_max - 1 if model.hi is None else min(model.hi, base + n_max - 1)
     a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b = _rates_and_weights(model, top)
     finite = model.hi is not None and top == model.hi
-    convention = "b" if model.boundary in (BoundaryCode.ND, BoundaryCode.NN) else "a"
     # each series' remainder past the window, estimated once: the total and
     # the suffix tails both add it; where the estimate is infinite under a
     # hinted finite total, the remainder is what that total leaves
@@ -375,8 +386,7 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
             cache["rem_" + key] = rem
     mu_total, nu_a_total, nu_b_total = totals
     return WeightSystem(model=model, base=base, mu=mu, log_mu=log_mu, a=a, b=b, c=c,
-                        convention=convention, mu_prefix_arr=mu_prefix,
-                        nu_a=nu_a, nu_b=nu_b, mu_total=mu_total,
+                        mu_prefix_arr=mu_prefix, nu_a=nu_a, nu_b=nu_b, mu_total=mu_total,
                         nu_a_total=nu_a_total, nu_b_total=nu_b_total,
                         _cache=cache)
 

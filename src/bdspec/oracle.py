@@ -331,6 +331,9 @@ def _local_pair(model: ChainModel, theta: int, gamma: float, m: int):
     """Eigenvalues of the split processes left/right of theta (7.13)."""
     lo = theta - m if model.lo is None else max(model.lo, theta - m)
     hi = theta + m if model.hi is None else min(model.hi, theta + m)
+    if not lo <= theta <= hi:       # past a finite end (None: the side is unbounded)
+        raise BadParameter("theta = %d lies outside the chain's range [%s, %s]"
+                           % (theta, model.lo, model.hi))
     # left side on [lo, theta] mirrored (birth and death swap roles): reflect at
     # theta, a_theta -> gamma a_theta; right side on [theta, hi]: reflect at
     # theta, b_theta -> gamma/(gamma-1) b_theta

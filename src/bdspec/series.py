@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -115,19 +114,21 @@ def estimate_remainder_block(terms: np.ndarray, start: int) -> float:
     return s1 / block * k / (p - 1.0)
 
 
-def tail_sums(terms: np.ndarray, start: int, rem: Optional[float] = None) -> np.ndarray:
+def tail_sums(terms: np.ndarray, start: int, rem=None) -> np.ndarray:
     """out[i] = sum of terms[k] over k >= i plus the remainder past the last
-    term, for i = 0..len(terms) (so out[-1] is the remainder alone).
+    term, for i = 0..len(terms) (so out[-1] is the remainder alone), along
+    the last axis: a batch of series is summed row by row, each row as alone.
 
     ``rem`` is that remainder: 0 for a series that ends with its last term,
-    None to estimate it by :func:`estimate_remainder_block`. Suffix
-    accumulation keeps full relative accuracy at every scale; subtracting
-    prefixes from a total would bottom out at the total's rounding floor and
-    inflate deep tails by hundreds of orders.
+    a column of remainders for a batch, None to estimate it (one series) by
+    :func:`estimate_remainder_block`. Suffix accumulation keeps full relative
+    accuracy at every scale; subtracting prefixes from a total would bottom
+    out at the total's rounding floor and inflate deep tails by hundreds of
+    orders.
     """
-    out = np.zeros(len(terms) + 1)
+    out = np.zeros(np.shape(terms)[:-1] + (np.shape(terms)[-1] + 1,))
     with np.errstate(over="ignore"):
-        np.cumsum(terms[::-1], out=out[-2::-1])
+        np.cumsum(terms[..., ::-1], axis=-1, out=out[..., -2::-1])
     out += estimate_remainder_block(terms, start) if rem is None else rem
     return out
 

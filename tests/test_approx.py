@@ -359,7 +359,8 @@ def test_delta_prime_grid_matches_per_pair_loop(name):
 
 def _eta_loop(model, steps):
     """eta_seq_nn's (values, eta_prime, eta_bar) by one loop per stopping level."""
-    ws, W, mu, nu_shift, phi, tail, Z = approx._nn_arrays(model, 4096)
+    ws, W, mu, phi, tail, Z = approx._nn_arrays(model, 4096)
+    nu_shift = np.concatenate([[0.0], ws.nu_b[: W - 1]])
     i_all = np.arange(1, W)
 
     def center_T(f, mm):

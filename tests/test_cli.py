@@ -83,6 +83,14 @@ def test_estimate_refuses_a_killed_chain(capsys):
     assert "bdspec killing" in captured.err
 
 
+def test_estimate_refuses_a_non_ergodic_nn_chain(capsys):
+    # symmetric_nn has sum(mu) = inf, so kappa^(6.13) does not apply
+    assert cli.main(["estimate", "--model", "symmetric_nn"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kappa_nn requires sum(mu) < inf" in captured.err
+
+
 def test_oracle_command(capsys):
     # ex9_21 is an infinite chain: the truncation at m = 400 is window-stopped
     code, out = run_cli(["oracle", "--model", "ex9_21", "--m", "400", "--json"], capsys)

@@ -7,6 +7,7 @@ from bdspec import estimates, poincare
 from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import NotErgodic, WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel, build_weights
+from bdspec.series import Certainty
 
 SQRT2 = math.sqrt(2.0)
 
@@ -143,6 +144,19 @@ def test_kappa_bilateral_recurrent_degenerate():
                    lambda i: np.ones(np.shape(i)), lambda i: np.ones(np.shape(i)))
     k, br = estimates.kappa_bilateral(m, half_window=128)
     assert k == math.inf and br.lower == 0.0 and br.upper == 0.0
+
+
+def test_kappa_bilateral_of_a_chain_held_at_its_middle():
+    # rates e^10 toward 0 on both sides: mu decays like e^(-10|i|) and the nu
+    # sums explode at both ends, whose exits the chain never reaches, so the
+    # constant's reciprocal underflows and the rate is 0
+    pull = math.exp(10.0)
+    m = ChainModel(BoundaryCode.DD_BILATERAL, None, None,
+                   lambda i: np.where(np.asarray(i) < 0, pull, 1.0),
+                   lambda i: np.where(np.asarray(i) > 0, pull, 1.0))
+    k, br = estimates.kappa_bilateral(m)
+    assert k == math.inf and (br.lower, br.upper) == (0.0, 0.0)
+    assert br.delta_like.certified is Certainty.WINDOW_STOPPED
 
 
 def test_naive_upper():

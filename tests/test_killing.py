@@ -101,6 +101,15 @@ def test_corollary_9_9_family_insufficient_on_ex9_18():
     assert kb.flags.get("family_insufficient", False)
 
 
+def test_corollary_9_9_with_no_admissible_level_is_the_killing_floor():
+    # no eps in (0, 1), and eps = 1 is not admitted on ex9_14, whose shifted
+    # killing at state 1 is 0: the bound is the killing floor alone
+    kb = killing.corollary_9_9(catalog("ex9_14"), eps_grid=[0.0, 1.5])
+    assert kb.lower == kb.c_floor == 1.0 and kb.upper == math.inf
+    assert kb.flags == {"family_insufficient": True}
+    assert kb.certified is Certainty.CERTIFIED
+
+
 def test_sqrt_test_bound():
     kb = killing.sqrt_test_bound(catalog("ex9_17", beta=2.0))
     assert kb.lower >= 0.5 - 1e-9

@@ -193,6 +193,30 @@ def test_classify_uniqueness_examples():
     assert v.condition_1_3 is not Verdict.FAILS
 
 
+def test_classify_series_hints_short_input_and_ratio_fallback():
+    assert model_mod._classify_series(np.ones(500), "fails") == (Verdict.FAILS, {"hint": True})
+    assert model_mod._classify_series(np.ones(65), None)[0] is Verdict.INCONCLUSIVE
+    # where the Kummer median sits in [0.95, 1.05], the term ratios decide:
+    # 66 terms of ratio 33/34 have Kummer median 1 and converge
+    verdict, evidence = model_mod._classify_series((33.0 / 34.0) ** np.arange(66), None)
+    assert verdict is Verdict.FAILS and evidence["ratio"] == pytest.approx(33.0 / 34.0)
+    # zeros, then growing terms: too few Kummer terms, and the ratios never fall
+    growing = np.concatenate([np.zeros(42), np.arange(1.0, 25.0)])
+    assert model_mod._classify_series(growing, None)[0] is Verdict.HOLDS
+    # 1/k over 2000 terms: Kummer median about 1, ratios on both sides of 0.999
+    assert model_mod._classify_series(1.0 / np.arange(1.0, 2001.0), None)[0] \
+        is Verdict.INCONCLUSIVE
+
+
+def test_condition_1_2_overrides_a_failing_1_3():
+    walk = ChainModel(BoundaryCode.ND, 0, None, lambda i: np.ones(np.shape(i)),
+                      lambda i: np.ones(np.shape(i)),
+                      tail_hint={"uniq_1_2": "holds", "uniq_1_3": "fails"})
+    v = classify_uniqueness(walk)
+    assert v.condition_1_2 is v.condition_1_3 is Verdict.HOLDS
+    assert v.evidence["1.3"] == {"implied_by_1_2": True}
+
+
 def test_kummer_classifier_on_quartic_mu():
     ws = build_weights(catalog("quartic_nd"), 2000)
     n = np.arange(1000, 1998, dtype=float)
@@ -404,7 +428,7 @@ def test_last_weight_system_is_reused_and_read_only():
 
     model = ChainModel(BoundaryCode.ND, 0, None, birth, lambda i: np.full(np.shape(i), 3.0))
     ws = build_weights(model, 500)
-    ws.nu_tails()
+    ws.nu_tails("b")
     assert build_weights(model, 500) is ws
     assert len(calls) == 1
     assert build_weights(model, 501) is not ws

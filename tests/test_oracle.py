@@ -106,6 +106,23 @@ def test_principal_eigen_needs_summable_tail(name):
         oracle.principal_eigen(catalog(name), 250)
 
 
+def test_principal_eigen_vector_points_up_at_k_1(monkeypatch):
+    # past the ground state the solver's sign is arbitrary: the vector
+    # returned has its largest entry positive, whichever sign it came with
+    model = catalog("table6_1_row1")
+    ref = oracle.principal_eigen(model, 200)
+    eig_k = oracle._eig_k
+
+    def negated(*args, **kwargs):
+        lam, vec = eig_k(*args, **kwargs)
+        return lam, -vec
+
+    monkeypatch.setattr(oracle, "_eig_k", negated)
+    flipped = oracle.principal_eigen(model, 200)
+    assert flipped.lam == ref.lam and np.array_equal(flipped.eigvec, ref.eigvec)
+    assert flipped.eigvec[np.argmax(np.abs(flipped.eigvec))] > 0
+
+
 def test_closed_form_two_state_killing():
     b1, a2, c1, c2 = 1.0, 2.0, 1.0, 3.0
     got = oracle.principal_eigen(catalog("ex9_14", b1=b1, a2=a2, c1=c1, c2=c2), 2)
@@ -386,6 +403,14 @@ def test_splitting_requires_bilateral():
         oracle.splitting_bracket(catalog("const_nd"), [0])
 
 
+@pytest.mark.parametrize("theta", [-1, 7])
+def test_splitting_theta_outside_a_finite_chain(theta):
+    model = ChainModel(BoundaryCode.DD_BILATERAL, 0, 5, lambda i: np.full(np.shape(i), 3.0),
+                       lambda i: 1.0 + 0.5 * np.asarray(i, dtype=float) ** 2)
+    with pytest.raises(BadParameter, match=r"theta = %d .*\[0, 5\]" % theta):
+        oracle.splitting_bracket(model, [0, theta], m=10)
+
+
 @pytest.mark.parametrize("m", [6000, 8000, 16000])
 def test_principal_eigen_residual_relative_to_norm(m):
     # quartic rates make ||T|| ~ m^4, so the absolute residual outgrows any
@@ -472,3 +497,13 @@ def test_tail_ratio_of_a_harmonic_tail_is_infinite():
     assert oracle._tail_ratio(model, 4000) == math.inf
     with pytest.raises(WrongBoundary, match="summable mu tail"):
         oracle.principal_eigen(model, 4000, "neumann")
+
+
+def test_tail_ratio_at_a_finite_top_and_under_an_infinite_hint():
+    def one(i):
+        return np.ones(np.shape(i))
+    # mu = 1 on [0, 50]: the tail from 20 is the 31 states to the top
+    assert oracle._tail_ratio(ChainModel(BoundaryCode.NN, 0, 50, one, one), 20) == 31.0
+    infinite = ChainModel(BoundaryCode.NN, 0, None, one, one,
+                          tail_hint={"mu_tail": lambda n: np.full(np.shape(n), math.inf)})
+    assert oracle._tail_ratio(infinite, 20) == math.inf

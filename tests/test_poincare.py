@@ -100,3 +100,9 @@ def test_variant_guards():
         poincare.sobolev_constant(catalog("const_nd"), 2.0, "half_line_8_6")
     with pytest.raises(WrongVariant):
         poincare.sobolev_constant(catalog("ex7_6_1"), 2.0, "bilateral_8_4")
+
+
+def test_bracket_of_an_infinite_constant():
+    # symmetric_nn has sum(mu) = inf: the Hardy-type constant is infinite
+    sc = poincare.sobolev_constant(catalog("symmetric_nn"), 2.0, "neumann_8_9")
+    assert sc.B == math.inf and sc.bracket == (math.inf, math.inf)

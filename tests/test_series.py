@@ -307,3 +307,27 @@ def test_remainder_of_a_harmonic_series_is_infinite(K, c):
     assert series.estimate_remainder_block(t, 1) == math.inf
     # a tail just faster than harmonic stays finite
     assert math.isfinite(series.estimate_remainder_block(t ** 1.01, 1))
+
+
+def test_remainder_of_short_inputs():
+    # fewer than two terms: nothing to fit; a positive last term may not decay
+    assert series.estimate_remainder_block(np.array([]), 0) == 0.0
+    assert series.estimate_remainder_block(np.array([0.0]), 0) == 0.0
+    assert series.estimate_remainder_block(np.array([2.0]), 5) == math.inf
+    # a slow ratio whose one-term blocks reach index 0 leaves no power to fit
+    assert series.estimate_remainder_block(np.array([1.0, 0.95]), 0) == 0.0
+
+
+def test_log_model_limit_early_returns():
+    ms = np.array([250.0, 500.0, 1000.0, 2000.0, 4000.0])
+    # not strictly decreasing: the last value
+    assert series._log_model_limit(ms[:3], [1.0, 1.0, 1.0]) == 1.0
+    # no root of the three-point model below the last value: the last value
+    assert series._log_model_limit(ms[:3], [3.0, 2.9, 1.0]) == 1.0
+    # on an exact model sequence, four points give the three-point root and
+    # a sequence a few 1e-13 above its limit skips the refinement; both
+    # return that root
+    for n, gap, tol in ((4, 1e-6, 1e-12), (5, 2e-13, 2e-15)):
+        lams = 1.0 + gap * (math.log(ms[n - 1]) + 1.0) ** 2 / (np.log(ms[:n]) + 1.0) ** 2
+        limit = series._log_model_limit(ms[:n], lams)
+        assert limit == pytest.approx(1.0, abs=tol) and limit < lams[-1]

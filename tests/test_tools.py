@@ -4,6 +4,7 @@ import os
 import textwrap
 
 import numpy as np
+import pytest
 
 from bdspec.series import Certainty, ExtremumReport, Labelled
 
@@ -16,7 +17,8 @@ def _tool(name):
     return module
 
 
-canonical = _tool("same_outputs").canonical
+same_outputs = _tool("same_outputs")
+canonical = same_outputs.canonical
 traffic = _tool("traffic")
 
 
@@ -80,3 +82,32 @@ def test_traffic_lists_the_untaken_branch_alone(tmp_path):
     assert traffic.unexecuted([str(path)], lambda: load().clip(2.0)) == [(str(path), 9)]
     assert traffic.unexecuted([str(path)], lambda: load().clip(-2.0)) == [(str(path), 7)]
     assert traffic.unexecuted([str(path)], load) == [(str(path), k) for k in (6, 7, 9, 11, 13)]
+
+
+def test_same_outputs_takes_every_workload_and_repeated_seeds(monkeypatch, capsys):
+    args = same_outputs.parse_args(["P", "C", "--workload", "all", "--seed", "7", "--seed", "71"])
+    assert args.pairs == [(w, s) for w in same_outputs.WORKLOADS for s in (7, 71)]
+    one = same_outputs.parse_args(["P", "C", "--workload", "finite_sweep", "--seed", "3"])
+    assert one.pairs == [("finite_sweep", 3)]
+    for argv in (["P", "C", "--workload", "all"],                 # no seed
+                 ["P", "C", "--workload", "bogus", "--seed", "1"],
+                 ["P", "--workload", "all", "--seed", "1"],       # no CHANGE
+                 ["--dump", "P", "--workload", "all", "--seed", "1"]):
+        with pytest.raises(SystemExit):
+            same_outputs.parse_args(argv)
+    capsys.readouterr()
+
+    # one summary line per pair; exit 1 if a call differs in any pair
+    def run(checkout, workload, seed):
+        moved = checkout.endswith("C") and (workload, seed) == ("catalog_brackets", 71)
+        return {"job/call": ["ok", 2.0 if moved else 1.0]}
+
+    monkeypatch.setattr(same_outputs, "run_checkout", run)
+    assert same_outputs.main(["P", "C", "--workload", "all", "--seed", "7", "--seed", "71"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    summaries = [line for line in lines if " seed " in line]
+    assert summaries == ["%s seed %d: 1 calls, %d differ"
+                         % (w, s, (w, s) == ("catalog_brackets", 71))
+                         for w in same_outputs.WORKLOADS for s in (7, 71)]
+    assert "differs: job/call" in lines
+    assert same_outputs.main(["P", "C", "--workload", "paper_tables", "--seed", "71"]) == 0

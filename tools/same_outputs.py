@@ -1,16 +1,18 @@
 """Compare every library output of one benchmark pass between two checkouts.
 
-    python3 tools/same_outputs.py PARENT CHANGE --workload W --seed S
+    python3 tools/same_outputs.py PARENT CHANGE --workload W --seed S [--seed S ...]
 
-PARENT and CHANGE are the roots of two bdspec checkouts. Each runs one pass
+PARENT and CHANGE are the roots of two bdspec checkouts. W is a workload or
+``all`` (every workload), and ``--seed`` may be repeated: each (workload,
+seed) pair is compared in turn. For each pair, each checkout runs one pass
 of its own ``perfbench`` jobs (``perfbench/jobs.py`` and its library from
 ``src``, imported without writing bytecode into the checkout) in a
 subprocess of its own. Every call's outcome, a value or the type and message
 of the exception it raised, is reduced to a canonical form: floats and float
 arrays bit for bit, with every NaN equal to every other, object addresses and
 the command line's ``wall_time_s`` masked. Every call whose canonical outputs
-differ is listed. Exit codes: 0 all equal, 1 some output differs, 2 a
-checkout could not be run.
+differ is listed, then one summary line for the pair. Exit codes: 0 all
+equal, 1 some output differs in some pair, 2 a checkout could not be run.
 """
 
 from __future__ import annotations
@@ -102,35 +104,49 @@ def run_checkout(checkout: str, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None):
+    """The parsed arguments; ``pairs`` lists the (workload, seed) pairs to
+    compare, workload by workload, seeds in the order given."""
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", nargs="?")
     ap.add_argument("change", nargs="?")
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
+    ap.add_argument("--seed", type=int, required=True, action="append")
     ap.add_argument("--dump", metavar="CHECKOUT", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if not (args.dump or (args.parent and args.change)):
+        ap.error("PARENT and CHANGE are required")
+    workloads = WORKLOADS if args.workload == "all" else (args.workload,)
+    args.pairs = [(w, s) for w in workloads for s in args.seed]
+    if args.dump and len(args.pairs) != 1:
+        ap.error("--dump takes one workload and one seed")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     if args.dump:
         with contextlib.redirect_stdout(io.StringIO()):     # the JSON is the only output
-            got = dump(os.path.abspath(args.dump), args.workload, args.seed)
+            got = dump(os.path.abspath(args.dump), *args.pairs[0])
         json.dump(got, sys.stdout)
         return 0
-    if not (args.parent and args.change):
-        ap.error("PARENT and CHANGE are required")
-    try:
-        old, new = (run_checkout(os.path.abspath(c), args.workload, args.seed)
-                    for c in (args.parent, args.change))
-    except RuntimeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    differ = [k for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
-    for key in differ:
-        print("differs: %s" % key)
-        for side, got in (("parent", old.get(key)), ("change", new.get(key))):
-            print("  %-6s %s" % (side, json.dumps(got)[:300]))
-    print("%s seed %d: %d calls, %d differ" % (args.workload, args.seed,
-                                               len(old.keys() | new.keys()), len(differ)))
-    return 1 if differ else 0
+    status = 0
+    for workload, seed in args.pairs:
+        try:
+            old, new = (run_checkout(os.path.abspath(c), workload, seed)
+                        for c in (args.parent, args.change))
+        except RuntimeError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+        differ = [k for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
+        for key in differ:
+            print("differs: %s" % key)
+            for side, got in (("parent", old.get(key)), ("change", new.get(key))):
+                print("  %-6s %s" % (side, json.dumps(got)[:300]))
+        print("%s seed %d: %d calls, %d differ" % (workload, seed,
+                                                   len(old.keys() | new.keys()), len(differ)))
+        status = max(status, 1 if differ else 0)
+    return status
 
 
 if __name__ == "__main__":
