@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series
-from .errors import BadParameter, Condition72Fails, WrongBoundary
+from .errors import BadParameter, Condition72Fails, KilledChain, WrongBoundary
 from .model import BoundaryCode, ChainModel, WeightSystem, build_weights
 
 
@@ -299,11 +299,13 @@ def dd_first_step(model: ChainModel, window: int = 200000):
     """(delta, delta_1, bar-delta_1) for the Dirichlet-Dirichlet half line,
     a ``series.Labelled`` triple with the float-safe window's certainty.
 
-    Requires the summability of 1/(mu_i a_i); the finite-top corrections use
-    the extra 1/(mu_N b_N) mass exactly as the boundary demands.
+    Requires no killing and the summability of 1/(mu_i a_i); the finite-top
+    corrections use the extra 1/(mu_N b_N) mass exactly as the boundary demands.
     """
     if model.boundary is not BoundaryCode.DD:
         raise WrongBoundary("dd_first_step needs a DD model")
+    if model.killing is not None:
+        raise KilledChain("dd_first_step covers killing-free chains; %s is killed" % model.name)
     ws = build_weights(model, window)
     W = _safe_window(ws, window)
     finite = ws.finite

@@ -50,9 +50,10 @@ def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumRe
     A divergent defining tail series (sum nu_b for 3.1, sum mu for 4.4) or an
     empty objective gives inf, certified. Otherwise the value is the max over
     the finite entries of the whole window, labelled by the window's
-    certainty. On an infinite window it is inf (window-stopped) when it
-    passes series.DIVERGENCE_CAP or the values are still climbing: the last
-    one above 1.1 times the one at W/8 and above 0.3 times the max.
+    certainty. On an infinite window it is inf (window-stopped) when the
+    objective's increments diverge as a series, by the divergence verdict of
+    series.estimate_remainder_block: it reads their last 2 REMAINDER_BLOCK + 2
+    entries, so only that slice is differenced.
     """
     with np.errstate(all="ignore"):
         if kind == "3_1":
@@ -66,25 +67,26 @@ def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumRe
     obj = np.where(np.isfinite(obj), obj, 0.0)
     k = int(np.argmax(obj))
     value = float(obj[k])
-    climbing = obj[-1] > 1.1 * obj[len(obj) // 8] and obj[-1] > 0.3 * value
-    if not ws.finite and (value > series.DIVERGENCE_CAP or climbing):
+    inc = np.diff(obj[-2 * series.REMAINDER_BLOCK - 3:])
+    if not ws.finite and math.isinf(series.estimate_remainder_block(inc, len(obj) - 1 - len(inc))):
         value = math.inf
     return series.ExtremumReport(lo + k, value, ws.certainty(), (lo, ws.top))
 
 
 def _kappa_terms(ws: WeightSystem, reflecting: bool):
-    """(L, R, mid, strict) of kappa^(6.13) for a reflecting origin, of
+    """(L, R, M, strict) of kappa^(6.13) for a reflecting origin, of
     kappa^(7.5) for an absorbing one: L and R are the reciprocal boundary
-    sums with 1/inf = 0, mid the middle weights (see series.half_line_pairs)."""
+    sums with 1/inf = 0, M the weight system's middle prefix sums (see
+    series.half_line_pairs)."""
     if reflecting:
-        left, right, mid = ws.mu_prefix_arr, ws.mu_tails(), ws.nu_b
+        left, right, mid_prefix = ws.mu_prefix_arr, ws.mu_tails(), ws.nu_prefix("b")
     else:
-        left, right, mid = ws.nu_prefix("a"), ws.nu_tails("b"), ws.mu
+        left, right, mid_prefix = ws.nu_prefix("a"), ws.nu_tails("b"), ws.mu_prefix_arr
     with np.errstate(all="ignore"):
         inv_left = np.where(left > 0, 1.0 / left, math.inf)
         inv_right = np.where(right > 0, 1.0 / right, math.inf)
     return (np.where(np.isfinite(left), inv_left, 0.0),
-            np.where(np.isfinite(right), inv_right, 0.0), mid, reflecting)
+            np.where(np.isfinite(right), inv_right, 0.0), mid_prefix, reflecting)
 
 
 def _kappa(ws: WeightSystem, reflecting: bool, s: float = 1.0):

@@ -16,9 +16,10 @@ prefix saturates when every later column is dominated by it.
 Every tail goes one route: :func:`estimate_remainder_block` is the one
 remainder estimator and :func:`tail_sums` the one suffix-plus-remainder sum.
 ``model.WeightSystem`` owns the weight series' totals and tails and estimates
-each remainder once; the weighted first-step sums of ``approx``, the
-divergence verdict of ``killing.reduce_9_11`` and the capped tail ratio of
-``oracle`` read the same two functions.
+each remainder once; the first-step sums of ``approx`` and the tail ratio
+of ``oracle`` read the same two functions. An infinite remainder is the one
+divergence verdict, of ``killing.reduce_9_11``, ``model.classify_uniqueness``
+and the one-index suprema of ``estimates._delta_sup``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DIVERGENCE_CAP = 1e12
 BLOCK_ENTRIES = 1 << 20  # entries per 2-D block of a two-index scan
 REMAINDER_BLOCK = 64     # terms per block of the remainder estimator
 LIMIT_TOL = 1e-13        # a last step below this, relative to max(|limit|, 1), has converged
@@ -79,11 +79,11 @@ def estimate_remainder_block(terms: np.ndarray, start: int) -> float:
     sums of the last two blocks of REMAINDER_BLOCK terms, which is robust to
     periodic term patterns that confuse a per-term ratio (alternating-rate
     chains); inputs shorter than two blocks compare their last two terms
-    instead (blocks of one term). A ratio q clearly below 1 gives the
-    geometric remainder t q / (1 - q); otherwise the integral test with the
-    local power p fitted from q gives t k / (p - 1), t the mean trailing term
-    and k the last index. Returns +inf when the terms do not decay, or decay
-    no faster than the harmonic series 1/j over the same two blocks.
+    instead (blocks of one term). Returns +inf when the terms do not decay,
+    or decay no faster than the harmonic series 1/j over the same two blocks.
+    Otherwise a ratio q clearly below 1 gives the geometric remainder
+    t q / (1 - q), and any other the integral test with the local power p
+    fitted from q, t k / (p - 1), t the mean trailing term and k the last index.
     """
     n = len(terms)
     if n < 2:
@@ -97,20 +97,21 @@ def estimate_remainder_block(terms: np.ndarray, start: int) -> float:
     if s0 <= 0.0 or s1 >= s0:
         return math.inf
     q = s1 / s0
+    k = start + n - 1
+    if k >= 2 * block and q > 0.0:
+        # p is fitted across the block ends, which over-reads a power law by
+        # O(block / k), offset in t k / (p - 1) by the mean term's lag. The
+        # fit reads 1/j as 1 + O(block / k), so the verdict compares with
+        # that, before the geometric branch: 1/j at 200 terms has q ~ 0.6.
+        gap = math.log((k - block) / float(k))
+        h = 1.0 / np.arange(k - 2 * block + 1, k + 1, dtype=float)
+        p = math.log(q) / gap
+        if p <= math.log(float(np.sum(h[block:])) / float(np.sum(h[:block]))) / gap + 1e-9:
+            return math.inf
     if q < 0.9:
         return s1 * q / (1.0 - q)
-    k = start + n - 1
     if k < 2 * block:
         return 0.0                # the blocks reach index 0: no power to fit
-    # p is fitted across the block ends, which over-reads a power law by
-    # O(block / k); the mean term lags the last one by half a block, and the
-    # two offset each other in t k / (p - 1). The same fit reads the harmonic
-    # series as 1 + O(block / k), so the divergence verdict compares with it.
-    gap = math.log((k - block) / float(k))
-    h = 1.0 / np.arange(k - 2 * block + 1, k + 1, dtype=float)
-    p = math.log(q) / gap
-    if p <= math.log(float(np.sum(h[block:])) / float(np.sum(h[:block]))) / gap + 1e-9:
-        return math.inf
     return s1 / block * k / (p - 1.0)
 
 
@@ -140,14 +141,14 @@ def _row_blocks(rows: int, cols: int) -> list:
     return [(r0, min(r0 + step, rows)) for r0 in range(0, rows, step)]
 
 
-def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict: bool,
+def half_line_pairs(left: np.ndarray, right: np.ndarray, mid_prefix: np.ndarray, strict: bool,
                     base: int, certified: Certainty, s: float = 1.0,
                     product: bool = False) -> ExtremumReport:
     """inf over n <= m (n < m when strict) of (L_n + R_m) / M(n, m)^s.
 
     ``left[n]`` and ``right[m]`` are reciprocal boundary terms (1/inf = 0
-    already applied) and M(n, m) = Q_m - P_n is the sum of ``mid`` over
-    [n, m], or over [n, m-1] when strict, as a difference of prefix sums. An
+    already applied) and M(n, m) = Q_m - P_n, the middle weights' sum over
+    [n, m] ([n, m-1] when strict) from their prefix sums ``mid_prefix``. An
     overflowed or empty middle sum never counts as a small value. ``product``
     puts L_n R_m in the numerator instead; a vanishing product (an infinite
     boundary sum) does not count.
@@ -164,9 +165,8 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid: np.ndarray, strict
     both exact and sub-quadratic. The returned pair is the window's exact
     minimum, and the report carries ``certified``, the window's label.
     """
-    W = len(mid)
-    with np.errstate(over="ignore"):
-        midc = np.concatenate([[0.0], np.cumsum(mid)])
+    W = len(mid_prefix)
+    midc = np.concatenate([[0.0], mid_prefix])
     P, Q = midc[:W], midc[1 - strict:W + 1 - strict]
     cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(right) & ((right > 0.0) | (not product)))
     w_eff = int(cols[-1]) + 1 if len(cols) else 0

@@ -7,7 +7,7 @@ import pytest
 
 from bdspec import approx, duality, estimates, oracle, series
 from bdspec.catalog import TABLE71_ROWS, catalog, catalog_names
-from bdspec.errors import WrongBoundary
+from bdspec.errors import KilledChain, WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel, build_weights
 
 SQRT2 = math.sqrt(2.0)
@@ -288,6 +288,14 @@ def test_dd_first_step_matches_nn_dual(name):
 def test_dd_first_step_wrong_boundary():
     with pytest.raises(WrongBoundary):
         approx.dd_first_step(catalog("const_nd"))
+
+
+@pytest.mark.parametrize("name", ["ex9_%d" % k for k in range(14, 22)])
+def test_dd_first_step_refuses_a_killed_chain(name):
+    # the first step is the killing-free one; on the killed finite chains
+    # ex9_14 and ex9_15 the kernel would read all-NaN slices
+    with pytest.raises(KilledChain):
+        approx.dd_first_step(catalog(name))
 
 
 # ---------------------------------------------------------------------------

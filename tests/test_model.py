@@ -193,19 +193,55 @@ def test_classify_uniqueness_examples():
     assert v.condition_1_3 is not Verdict.FAILS
 
 
-def test_classify_series_hints_short_input_and_ratio_fallback():
-    assert model_mod._classify_series(np.ones(500), "fails") == (Verdict.FAILS, {"hint": True})
-    assert model_mod._classify_series(np.ones(65), None)[0] is Verdict.INCONCLUSIVE
-    # where the Kummer median sits in [0.95, 1.05], the term ratios decide:
-    # 66 terms of ratio 33/34 have Kummer median 1 and converge
-    verdict, evidence = model_mod._classify_series((33.0 / 34.0) ** np.arange(66), None)
-    assert verdict is Verdict.FAILS and evidence["ratio"] == pytest.approx(33.0 / 34.0)
-    # zeros, then growing terms: too few Kummer terms, and the ratios never fall
-    growing = np.concatenate([np.zeros(42), np.arange(1.0, 25.0)])
-    assert model_mod._classify_series(growing, None)[0] is Verdict.HOLDS
-    # 1/k over 2000 terms: Kummer median about 1, ratios on both sides of 0.999
-    assert model_mod._classify_series(1.0 / np.arange(1.0, 2001.0), None)[0] \
-        is Verdict.INCONCLUSIVE
+def _power_series(p, n):
+    """The verdict on the p-series' terms j^-p, j = 1..n."""
+    return model_mod._classify_series(np.arange(1.0, n + 1.0) ** -p, None, 1)
+
+
+def _inverse_linear_nd_1_3(n_max):
+    """(1.3)'s verdict and evidence on the ND chain b_i = (i+1)^2, a_i = i(i+1):
+    mu_i = nu_b_i = 1/(i+1), so its (1.3) series is twice the harmonic one."""
+    chain = ChainModel(BoundaryCode.ND, 0, None, lambda i: (i + 1.0) ** 2,
+                       lambda i: i * (i + 1.0))
+    v = classify_uniqueness(chain, n_max)
+    return v.condition_1_3, v.evidence["1.3"]
+
+
+LENGTHS = (66, 100, 200, 500, 2000, 4096)
+VERDICT_CASES = (
+    [("hint", lambda: model_mod._classify_series(np.ones(500), "fails", 0), Verdict.FAILS),
+     ("too_few", lambda: model_mod._classify_series(np.ones(65), None, 0), Verdict.INCONCLUSIVE),
+     ("growing", lambda: model_mod._classify_series(
+         np.concatenate([np.zeros(42), np.arange(1.0, 25.0)]), None, 0), Verdict.HOLDS),
+     ("geometric_0.97", lambda: model_mod._classify_series(
+         0.97 ** np.arange(500.0), None, 0), Verdict.FAILS)]
+    + [("harmonic_%d" % n, lambda n=n: _power_series(1.0, n), Verdict.HOLDS) for n in LENGTHS]
+    + [("p0.95_%d" % n, lambda n=n: _power_series(0.95, n), Verdict.HOLDS) for n in LENGTHS]
+    + [("p1.05_%d" % n, lambda n=n: _power_series(1.05, n), Verdict.FAILS)
+       for n in LENGTHS[2:]]
+    + [("inverse_linear_nd_%d" % n, lambda n=n: _inverse_linear_nd_1_3(n), Verdict.HOLDS)
+       for n in (100, 300, 1000, 4096)])
+
+
+@pytest.mark.parametrize("verdict_of,expected", [c[1:] for c in VERDICT_CASES],
+                         ids=[c[0] for c in VERDICT_CASES])
+def test_divergence_verdict(verdict_of, expected):
+    # the verdict is estimate_remainder_block's: an infinite remainder
+    # diverges (HOLDS); the harmonic series and p-series on either side of
+    # p = 1 are read right at every length, and the chain with weights
+    # 1/(i+1) has (1.3) hold on its own terms, not by the implication from (1.2)
+    verdict, evidence = verdict_of()
+    assert verdict is expected
+    assert "implied_by_1_2" not in evidence
+
+
+@pytest.mark.parametrize("name", [name for name in catalog_names()
+                                  if catalog(name).boundary is not BoundaryCode.DD_BILATERAL])
+def test_classify_uniqueness_is_warning_free(name):
+    # the suite turns warnings into errors: a window's terms whose sum
+    # overflows must not warn
+    v = classify_uniqueness(catalog(name))
+    assert {v.condition_1_2, v.condition_1_3, v.condition_9_34} <= set(Verdict)
 
 
 def test_condition_1_2_overrides_a_failing_1_3():

@@ -9,14 +9,19 @@ from bdspec.catalog import catalog, catalog_names
 from bdspec.model import BoundaryCode, build_weights
 
 
-def brute_pairs(L, R, mid, strict, s=1.0, product=False):
+def _prefix(mid):
+    """The middle prefix sums half_line_pairs takes, overflow allowed."""
+    with np.errstate(over="ignore"):
+        return np.cumsum(mid)
+
+
+def brute_pairs(L, R, mid_prefix, strict, s=1.0, product=False):
     """Reference for series.half_line_pairs: every pair n <= m - strict
     evaluated, in blocks of rows. Returns the first minimum in row-major
     order, its pair, the tolerance max(1e-13, 16 eps Q_m / M(n, m)) at that
     pair, and whether no other pair lies within that tolerance of it."""
-    W = len(mid)
-    with np.errstate(over="ignore"):
-        midc = np.concatenate([[0.0], np.cumsum(mid)])
+    W = len(mid_prefix)
+    midc = np.concatenate([[0.0], mid_prefix])
     best, arg, second = math.inf, None, math.inf
     for r0 in range(0, W, 256):
         n, m = np.arange(r0, min(r0 + 256, W))[:, None], np.arange(r0, W)[None, :]
@@ -41,15 +46,15 @@ def brute_pairs(L, R, mid, strict, s=1.0, product=False):
     return best, arg, tol, second > best * (1.0 + 2.0 * tol)
 
 
-def _check_pairs(L, R, mid, strict, s=1.0, product=False, base=0):
+def _check_pairs(L, R, mid_prefix, strict, s=1.0, product=False, base=0):
     """The product, ranked in logs, agrees with the reference to its rounding
     bound; the sum, whose pairs are chosen exactly on the stored prefix sums,
     to a few ulps even where that bound is loose. Under either label: a
     window-stopped scan returns the window's minimum too."""
-    best, arg, tol, unique = brute_pairs(L, R, mid, strict, s, product)
+    best, arg, tol, unique = brute_pairs(L, R, mid_prefix, strict, s, product)
     rel = tol if product else 4 * np.finfo(float).eps
     for label in series.Certainty:
-        rep = series.half_line_pairs(L, R, mid, strict, base, label, s, product)
+        rep = series.half_line_pairs(L, R, mid_prefix, strict, base, label, s, product)
         assert rep.certified is label
         if arg is None:
             assert rep.arg is None and rep.value == math.inf
@@ -100,8 +105,8 @@ def test_half_line_pairs_matches_brute_force_on_random_terms(W, strict):
     for _ in range(40):
         L, R, mid = _random_terms(rng, W)
         for s in (1.0, 2.0 / 3.0):
-            _check_pairs(L, R, mid, strict, s=s)
-            _check_pairs(L, R, mid, strict, s=s, product=True)
+            _check_pairs(L, R, _prefix(mid), strict, s=s)
+            _check_pairs(L, R, _prefix(mid), strict, s=s, product=True)
 
 
 def _lexsort_fractional_min(L, R, P, Q, s):
@@ -162,12 +167,11 @@ def test_fractional_min_ranks_like_a_lexsort(W, strict):
             assert series._fractional_min(*args) == _lexsort_fractional_min(*args)
 
 
-def _uncut_pairs(L, R, mid, strict, base, s, product):
+def _uncut_pairs(L, R, mid_prefix, strict, base, s, product):
     """Reference for half_line_pairs' stop: its certified path with every
     one of the first W_eff columns handed to the kernel."""
-    W = len(mid)
-    with np.errstate(over="ignore"):
-        midc = np.concatenate([[0.0], np.cumsum(mid)])
+    W = len(mid_prefix)
+    midc = np.concatenate([[0.0], mid_prefix])
     P, Q = midc[:W], midc[1 - strict:W + 1 - strict]
     cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(R) & ((R > 0.0) | (not product)))
     w = int(cols[-1]) + 1 if len(cols) else 0
@@ -177,7 +181,7 @@ def _uncut_pairs(L, R, mid, strict, base, s, product):
 
 
 def _saturating_terms(rng, W, shape):
-    """Middle weights of geometric ratio 0.3 to 0.9, whose prefix sums stop
+    """Prefix sums of middle weights of geometric ratio 0.3 to 0.9, which stop
     rising, and right terms past the saturation column k that rise ("rising"),
     equal R_k ("ties"), hold zeros ("zeros": 0 at k and a small term after
     it, or 0 somewhere after k) or fall
@@ -197,7 +201,7 @@ def _saturating_terms(rng, W, shape):
         R[rng.integers(k, W)] = 0.0
     elif shape == "falling" and k + 2 < W:
         R[rng.integers(k + 2, W)] = R[k] * rng.uniform(0.0, 1.0)
-    return L, R, mid
+    return L, R, csum
 
 
 @pytest.mark.parametrize("W", [3, 4, 17, 64, 1000, 10 ** 5])
@@ -215,13 +219,13 @@ def test_the_dominated_column_stop_changes_no_scan(W, shape, monkeypatch):
     rng = np.random.default_rng(W + 10 ** 6 * len(shape))
     cut = 0
     for _ in range(max(2, 600 // W)):
-        L, R, mid = _saturating_terms(rng, W, shape)
+        L, R, mid_prefix = _saturating_terms(rng, W, shape)
         for strict in (True, False):
             for s in (1.0, 2.0 / 3.0):
                 for product in (False, True):
-                    rep = series.half_line_pairs(L, R, mid, strict, 3,
+                    rep = series.half_line_pairs(L, R, mid_prefix, strict, 3,
                                                  series.Certainty.CERTIFIED, s, product)
-                    value, arg, scanned = _uncut_pairs(L, R, mid, strict, 3, s, product)
+                    value, arg, scanned = _uncut_pairs(L, R, mid_prefix, strict, 3, s, product)
                     assert (rep.value, rep.arg, rep.scanned) == (value, arg, scanned)
                     assert np.float64(rep.value).tobytes() == np.float64(value).tobytes()
                     cut += seen[-2] < seen[-1]       # the stop's length, then the uncut one
