@@ -23,6 +23,8 @@ from . import series
 from .errors import BadParameter, Condition72Fails, KilledChain, WrongBoundary
 from .model import BoundaryCode, ChainModel, WeightSystem, build_weights
 
+SEQ_WINDOW = 4096    # states of the delta_n and eta_n iterations
+
 
 @dataclass(frozen=True)
 class ApproxTrace:
@@ -80,7 +82,7 @@ def _II(mu, nu, F, inner: str, outer: str, tail: float = 0.0):
 # ND: delta_n, delta_n', first-step closed forms
 # ---------------------------------------------------------------------------
 
-def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> ApproxTrace:
+def delta_seq_nd(model: ChainModel, steps: int = 6) -> ApproxTrace:
     """delta_1..delta_n from the sqrt(phi) seed on a truncated support.
 
     The iteration is the exact double-sum recursion of the truncated seed, so
@@ -89,8 +91,8 @@ def delta_seq_nd(model: ChainModel, steps: int = 6, window: int = 4096) -> Appro
     """
     if model.boundary is not BoundaryCode.ND:
         raise WrongBoundary("delta_seq_nd needs an ND model")
-    ws = build_weights(model, max(window, 2))
-    W = _safe_window(ws, window)
+    ws = build_weights(model, SEQ_WINDOW)
+    W = _safe_window(ws, SEQ_WINDOW)
     phi = ws.nu_tails("b", W)
     if not math.isfinite(phi[0]):
         return ApproxTrace((math.inf,) * steps, True, "decreasing",
@@ -240,17 +242,16 @@ def _centered_first_step(phi, w, w_tail, total, start, rem):
     return eta1, float(np.max(bar[np.isfinite(bar)], initial=-math.inf))
 
 
-def eta1_closed(model: ChainModel, window: int = 300000):
-    """eta_1 and bar-eta_1 by their closed forms (centered first iterates),
-    a ``series.Labelled`` pair with the float-safe window's certainty."""
-    ws, W, mu, phi, tail, Z = _nn_arrays(model, window)
+def eta1_closed(model: ChainModel):
+    """eta_1 and bar-eta_1 by their closed forms (centered first iterates), on
+    300000 states: a ``series.Labelled`` pair with the float-safe window's certainty."""
+    ws, W, mu, phi, tail, Z = _nn_arrays(model, 300000)
     return series.Labelled(_centered_first_step(
         phi, mu, series.tail_sums(mu, ws.base, tail), Z, ws.base,
         0.0 if ws.finite else None), ws.certainty(W))
 
 
-def eta_seq_nn(model: ChainModel, steps: int = 6, m_grid=None,
-               window: int = 4096) -> ApproxTrace:
+def eta_seq_nn(model: ChainModel, steps: int = 6, m_grid=None) -> ApproxTrace:
     """eta_n (decreasing) plus the m-grid eta_n' and bar-eta_n (increasing).
 
     Centering uses the total weight sum mu. Iterates are carried on the
@@ -258,7 +259,7 @@ def eta_seq_nn(model: ChainModel, steps: int = 6, m_grid=None,
     apply verbatim; no renormalization happens between steps (a handful of
     iterations cannot overflow) so consecutive tail sums share one scale.
     """
-    ws, W, mu, phi, tail, Z = _nn_arrays(model, window)
+    ws, W, mu, phi, tail, Z = _nn_arrays(model, SEQ_WINDOW)
     nu_shift = np.concatenate([[0.0], ws.nu_b[: W - 1]])   # 1/(mu_i a_i), i >= 1
     if m_grid is None:
         m_grid = sorted({min(W - 1, int(round(g))) for g in np.geomspace(2, W - 1, 16)})

@@ -10,6 +10,7 @@ it prints is window-stopped.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -158,12 +159,11 @@ def cmd_estimate(model, args, res):
 
 
 def cmd_approx(model, args, res):
-    steps = args.steps or 5
     grid = [int(v) for v in args.grid.split(",") if v] or None
     if model.boundary is BoundaryCode.ND:
         d1, d1p = first = approx.first_step_closed(model)
-        tr = approx.delta_seq_nd(model, steps)
-        pr = approx.delta_prime_seq_nd(model, steps, m_grid=grid)
+        tr = approx.delta_seq_nd(model, args.steps)
+        pr = approx.delta_prime_seq_nd(model, args.steps, m_grid=grid)
         res.update(delta_1=d1, delta_1_prime=d1p, delta_n=list(tr.values),
                    delta_n_prime=list(pr.values), delta_n_bar=list(pr.extras["bars"]),
                    monotone=tr.monotone_ok and pr.monotone_ok)
@@ -174,7 +174,7 @@ def cmd_approx(model, args, res):
         printed = (first,)
     elif model.boundary is BoundaryCode.NN:
         e1, eb1 = first = approx.eta1_closed(model)
-        tr = approx.eta_seq_nn(model, steps, m_grid=grid)
+        tr = approx.eta_seq_nn(model, args.steps, m_grid=grid)
         res.update(eta_1=e1, eta_bar_1=eb1, eta_n=list(tr.values),
                    eta_n_prime=list(tr.extras["eta_prime"]),
                    eta_n_bar=list(tr.extras["eta_bar"]), monotone=tr.monotone_ok)
@@ -189,19 +189,16 @@ def cmd_approx(model, args, res):
 
 
 def cmd_oracle(model, args, res):
-    m = args.m or 2000
-    sr = oracle.principal_eigen(model, m)
-    sched = sorted({max(4, int(round(m / 2 ** k))) for k in range(6)} | {m})
+    sr = oracle.principal_eigen(model, args.m)
+    sched = sorted({max(4, int(round(args.m / 2 ** k))) for k in range(6)} | {args.m})
     tr = oracle.truncation_limit(model, sched)
-    res.update({"m": m, "lambda": sr.lam, "residual": sr.residual, "method": sr.method,
+    res.update({"m": args.m, "lambda": sr.lam, "residual": sr.residual, "method": sr.method,
                 "schedule": list(tr.schedule), "values": list(tr.values),
                 "extrapolated": tr.limit, "extrapolation_mode": tr.mode,
                 "monotone_ok": tr.monotone_ok})
     if model.boundary in (BoundaryCode.DN, BoundaryCode.DD):
-        try:
-            res["shooting"] = oracle.shooting_rate(model, m).lam
-        except BdspecError:
-            pass
+        with contextlib.suppress(BdspecError):
+            res["shooting"] = oracle.shooting_rate(model, args.m).lam
     # lambda is the bound; the extrapolated limit and shooting are cross-checks
     return [sr.certified]
 
@@ -216,7 +213,7 @@ def cmd_killing(model, args, res):
                 "flags": {**low99.flags, "sqrt": sqrt_b.flags},
                 "dispatch_9_12": killing.dispatch_9_12(model)})
     certs = [upper.certified, low99.certified, sqrt_b.certified]
-    if args.m:
+    if args.m is not None:
         sr = oracle.principal_eigen(model, args.m)
         res["oracle"] = sr.lam
         certs.append(sr.certified)
@@ -231,19 +228,17 @@ def cmd_dual(model, args, res):
     res.update({"direction": direction, "dual_boundary": pair.dual.boundary.value,
                 "n_prime": pair.n_prime, "weight_identity_residual": pair.weight_residual})
     if args.check_similarity:
-        n = args.n or 8
-        res["similarity_residual_n%d" % n] = duality.similarity_check(model, n)
+        res["similarity_residual_n%d" % args.n] = duality.similarity_check(model, args.n)
     return []
 
 
 def cmd_poincare(model, args, res):
-    p = args.p or 2.0
     variant = {BoundaryCode.DD_BILATERAL: "bilateral_8_4",
                BoundaryCode.DD: "half_line_8_6"}.get(model.boundary, "neumann_8_9")
-    sc = poincare.sobolev_constant(model, p, variant)
-    res.update({"p": p, "variant": variant, "B": sc.B, "A_bracket": list(sc.bracket)})
+    sc = poincare.sobolev_constant(model, args.p, variant)
+    res.update({"p": args.p, "variant": variant, "B": sc.B, "A_bracket": list(sc.bracket)})
     if model.boundary in (BoundaryCode.DD, BoundaryCode.DD_BILATERAL):
-        bl, br_, bb, S = poincare.b_constants_split(model, p)
+        bl, br_, bb, S = poincare.b_constants_split(model, args.p)
         res.update(B_L=bl, B_R=br_, B_split=bb, S=S)
     # the split constants share B's window, so B's label covers them
     return [sc.extremum.certified]
@@ -309,6 +304,12 @@ def cmd_table(args):
     return 0
 
 
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Flag errors exit 1, like model errors; 2 means "not fully certified".
     No abbreviations: a flag a subcommand does not take is an error, never a
@@ -336,19 +337,20 @@ def main(argv=None):
     chain.add_argument("--param", default="", help="comma-separated k=v pairs")
     sub.add_parser("estimate", parents=[chain]).set_defaults(fn=cmd_estimate)
     p_app = sub.add_parser("approx", parents=[chain])
-    p_app.add_argument("--steps", type=int, help="iteration steps")
+    p_app.add_argument("--steps", type=_positive_int, default=5,
+                       help="iteration steps (default %(default)s)")
     p_app.add_argument("--grid", default="", help="comma-separated stopping levels")
     p_app.set_defaults(fn=cmd_approx)
-    for name, fn in (("oracle", cmd_oracle), ("killing", cmd_killing)):
+    for name, fn, m in (("oracle", cmd_oracle, 2000), ("killing", cmd_killing, None)):
         p_m = sub.add_parser(name, parents=[chain])
-        p_m.add_argument("--m", type=int, help="truncation level")
+        p_m.add_argument("--m", type=int, default=m, help="truncation level (default %(default)s)")
         p_m.set_defaults(fn=fn)
     p_dual = sub.add_parser("dual", parents=[chain])
     p_dual.add_argument("--check-similarity", action="store_true")
-    p_dual.add_argument("--n", type=int)
+    p_dual.add_argument("--n", type=int, default=8, help="states checked (default %(default)s)")
     p_dual.set_defaults(fn=cmd_dual)
     p_poi = sub.add_parser("poincare", parents=[chain])
-    p_poi.add_argument("--p", type=float)
+    p_poi.add_argument("--p", type=float, default=2.0, help="p >= 2 (default %(default)s)")
     p_poi.set_defaults(fn=cmd_poincare)
     p_tab = sub.add_parser("table", parents=[output])
     p_tab.add_argument("which", choices=["table6_1", "table7_1", "ex5_3_sequences"])

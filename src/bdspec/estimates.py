@@ -16,8 +16,8 @@ import numpy as np
 
 from . import series
 from .errors import NotErgodic, WrongBoundary
-from .model import (BoundaryCode, ChainModel, WeightSystem, bilateral_log_weights,
-                    build_weights)
+from .model import (DEFAULT_NMAX, BoundaryCode, ChainModel, WeightSystem,
+                    bilateral_log_weights, build_weights)
 
 
 @dataclass(frozen=True)
@@ -96,41 +96,40 @@ def _kappa(ws: WeightSystem, reflecting: bool, s: float = 1.0):
     return (1.0 / rep.value if rep.value > 0 else math.inf), rep
 
 
-def delta_nd(model: ChainModel, n_max: int = 10 ** 5):
+def delta_nd(model: ChainModel):
     """delta = sup_n mu[0,n] nu[n,N]; bracket [1/(4 delta), 1/delta]."""
     if model.boundary is not BoundaryCode.ND:
         raise WrongBoundary("delta_nd needs an ND model")
-    rep = _delta_sup(build_weights(model, n_max), "3_1")
+    rep = _delta_sup(build_weights(model), "3_1")
     return rep.value, _bracket_from_constant(rep.value, "delta_3_1", rep)
 
 
-def delta_dn(model: ChainModel, n_max: int = 10 ** 5):
+def delta_dn(model: ChainModel):
     """delta = sup_n nu[1,n] mu[n,N] (nu from death rates); rate 0 if sum mu = inf."""
     if model.boundary is not BoundaryCode.DN:
         raise WrongBoundary("delta_dn needs a DN model")
-    rep = _delta_sup(build_weights(model, n_max), "4_4")
+    rep = _delta_sup(build_weights(model), "4_4")
     return rep.value, _bracket_from_constant(rep.value, "delta_4_4", rep)
 
 
-def kappa_nn(model: ChainModel, n_max: int = 10 ** 5):
+def kappa_nn(model: ChainModel):
     """kappa of the two-sided Neumann chain, (6.13), plus delta_L = delta^(4.4)
     and delta_R = delta^(3.1): :func:`basic_bracket`'s fields."""
     if model.boundary is not BoundaryCode.NN:
         raise WrongBoundary("kappa_nn needs an NN model")
-    if not math.isfinite(build_weights(model, n_max).mu_total.value):
+    if not math.isfinite(build_weights(model).mu_total.value):
         raise NotErgodic("kappa_nn requires sum(mu) < inf")
-    rep = basic_bracket(model, n_max)
+    rep = basic_bracket(model)
     return rep.kappa, rep.delta_4_4, rep.delta_3_1, rep.bracket
 
 
-def kappa_dd(model: ChainModel, n_max: int = 10 ** 5):
+def kappa_dd(model: ChainModel):
     """kappa of the bilateral-Dirichlet half-line chain, (7.5), plus delta_L,
     delta_R (as :func:`kappa_nn`) and the exit mass S."""
     if model.boundary is not BoundaryCode.DD:
         raise WrongBoundary("kappa_dd needs a DD model")
-    rep = basic_bracket(model, n_max)
-    return (rep.kappa, rep.delta_4_4, rep.delta_3_1, build_weights(model, n_max).exit_mass,
-            rep.bracket)
+    rep = basic_bracket(model)
+    return rep.kappa, rep.delta_4_4, rep.delta_3_1, build_weights(model).exit_mass, rep.bracket
 
 
 def kappa_bilateral(model: ChainModel, variant: str = "DD_7_11",
@@ -193,12 +192,12 @@ def _kappa_bilateral_scan(model: ChainModel, variant: str, half_window: int):
     return kappa, arg, span
 
 
-def naive_upper(model: ChainModel, n_max: int = 10 ** 5) -> series.ExtremumReport:
+def naive_upper(model: ChainModel) -> series.ExtremumReport:
     """inf_i (a_i + b_i + c_i) >= lambda over the states up to the model's top,
-    or over a window of ``n_max`` states (window-stopped) when it has none."""
+    or over a window of DEFAULT_NMAX states (window-stopped) when it has none."""
     base = model.base if model.boundary is not BoundaryCode.DD_BILATERAL else \
-        (model.lo if model.lo is not None else -n_max // 2)
-    top = model.hi if model.hi is not None else base + n_max - 1
+        (model.lo if model.lo is not None else -DEFAULT_NMAX // 2)
+    top = model.hi if model.hi is not None else base + DEFAULT_NMAX - 1
     with np.errstate(all="ignore"):
         a, b, c = model.rates(base, top)
         total = a + b + c
@@ -218,7 +217,7 @@ class BasicBracketReport:
     criterion: str            # which delta decided positivity
 
 
-def basic_bracket(model: ChainModel, n_max: int = 10 ** 5) -> BasicBracketReport:
+def basic_bracket(model: ChainModel, n_max: int = DEFAULT_NMAX) -> BasicBracketReport:
     """Universal two-sided bracket: kappa^(6.13) when the origin reflects,
     kappa^(7.5) when it absorbs, with 1/inf = 0 washing out infinite tails.
 

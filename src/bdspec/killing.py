@@ -28,9 +28,10 @@ from .errors import (EtaOutOfRange, HypothesisUnverified, NotInF,
                      ShapeViolation, WrongBoundary)
 from .model import BoundaryCode, ChainModel, build_weights
 
-# rows of the (ell, m) triangle of upper_9_9 per block: at most 32 x 8192
-# doubles (2 MB) per temporary on the default window
+# rows of the (ell, m) triangle of upper_9_9 per block: at most 32 x WINDOW
+# doubles (2 MB) per temporary
 ROW_BLOCK = 32
+WINDOW = 8192    # states of the bounds of Theorem 9.9 and of r_operator_bounds
 ELL_CAP = 512    # upper_9_9's double infimum takes ell below this
 TRAIL = 256      # trailing states read for the boundary flux and Cesaro averages
 
@@ -60,7 +61,7 @@ class ReductionResult:
     gamma: Optional[float]
 
 
-def _arrays(model: ChainModel, window: int):
+def _arrays(model: ChainModel, window: int = WINDOW):
     if model.boundary is not BoundaryCode.DD or model.base != 1:
         raise WrongBoundary("killing bounds expect the state space {1, ..., N}")
     ws = build_weights(model, window)
@@ -104,7 +105,7 @@ def _robust_inf(values: np.ndarray, finite: bool):
 
 
 def r_operator_bounds(model: ChainModel, v, lo: int = 1,
-                      hi: Optional[int] = None, window: int = 8192):
+                      hi: Optional[int] = None):
     """(inf R_i(v), sup R_i(v), certified) with R the kernel
     ``oracle.difference_form``, R_i(v) = a_i(1 - 1/v_{i-1}) + b_i(1 - v_i)
     + c_i, over [lo, hi] inside the float-safe weight window.
@@ -114,7 +115,7 @@ def r_operator_bounds(model: ChainModel, v, lo: int = 1,
     function g of v is admissible; ``certified`` is the scanned range's
     certainty, so a range that misses an end of the chain is window-stopped.
     """
-    ws, W = _arrays(model, window)
+    ws, W = _arrays(model)
     top = min(hi if hi is not None else ws.base + W - 1, ws.base + W - 1)
     idx = np.arange(ws.base, top + 1, dtype=np.int64)
     vv = np.asarray(v(idx), dtype=float) if callable(v) else np.asarray(v, dtype=float)[: len(idx)]
@@ -124,7 +125,7 @@ def r_operator_bounds(model: ChainModel, v, lo: int = 1,
     return float(np.min(rs)), float(np.max(rs)), model.certainty(lo, top)
 
 
-def upper_9_9(model: ChainModel, lm: Optional[tuple] = None, window: int = 8192):
+def upper_9_9(model: ChainModel, lm: Optional[tuple] = None):
     """Weighted-test-function upper bound: the double infimum, or its value at
     a pinned (ell, m); also the looser single-infimum variant. Returns the
     tighter value and the details, a ``series.Labelled`` pair with the
@@ -135,7 +136,7 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None, window: int = 8192)
     strict minimum in (ell, m) row-major order, and a row holding a NaN is
     skipped.
     """
-    ws, W = _arrays(model, window)
+    ws, W = _arrays(model)
     mu = ws.mu[:W]
     # the (ell, m) test function lives on [1, m] inside the window, and a
     # constant shift of the killing moves the rate by the same constant, so
@@ -230,8 +231,7 @@ def _xi_zeta_rows(ws, W: int, F: np.ndarray, eta=None) -> list:
     return out
 
 
-def xi_zeta(model: ChainModel, f, eta: Optional[float] = None,
-            window: int = 8192) -> KillingBounds:
+def xi_zeta(model: ChainModel, f, eta: Optional[float] = None) -> KillingBounds:
     """The interpolated lower bound: inf c + zeta(eta, f) for admissible f.
 
     ``f`` is a callable on the state indices (or an array over the window),
@@ -240,7 +240,7 @@ def xi_zeta(model: ChainModel, f, eta: Optional[float] = None,
     automatic choice eta = xi_f, which maximizes zeta but is itself not a
     valid bound.
     """
-    ws, W = _arrays(model, window)
+    ws, W = _arrays(model)
     idx = np.arange(ws.base, ws.base + W, dtype=np.int64)
     fv = np.asarray(f(idx), dtype=float) if callable(f) else np.asarray(f, dtype=float)[:W]
     kb, = _xi_zeta_rows(ws, W, fv[None, :], eta)
@@ -249,14 +249,14 @@ def xi_zeta(model: ChainModel, f, eta: Optional[float] = None,
     return kb
 
 
-def corollary_9_9(model: ChainModel, eps_grid=None, window: int = 8192) -> KillingBounds:
+def corollary_9_9(model: ChainModel, eps_grid=None) -> KillingBounds:
     """Two-level test family f = (1, eps, eps, ...): the explicit bound.
 
     eps = 1 is admitted additionally when the shifted killing at state 1 is
     positive (the constant function is then admissible). When no grid point
     produces a positive gain the family is flagged insufficient.
     """
-    ws, W = _arrays(model, window)
+    ws, W = _arrays(model)
     c, cmin = _killing_floor(ws, W)
     if eps_grid is None:
         eps_grid = np.linspace(0.05, 0.95, 19)
@@ -277,10 +277,10 @@ def corollary_9_9(model: ChainModel, eps_grid=None, window: int = 8192) -> Killi
     return best
 
 
-def sqrt_test_bound(model: ChainModel, window: int = 8192) -> KillingBounds:
+def sqrt_test_bound(model: ChainModel) -> KillingBounds:
     """Lower bound from the square-root tail seeds, optimized over 16 stop
     levels m, geometric from 2 to min(512, W - 1)."""
-    ws, W = _arrays(model, window)
+    ws, W = _arrays(model)
     c, cmin = _killing_floor(ws, W)
     if W < 2:
         return _family_floor(cmin, ws.certainty(W))   # no stop level to optimize over
@@ -305,8 +305,7 @@ def sqrt_test_bound(model: ChainModel, window: int = 8192) -> KillingBounds:
     return best
 
 
-def reduce_9_11(model: ChainModel, beta: float, gamma: Optional[float] = None,
-                shift: float = 0.0, window: int = 4096,
+def reduce_9_11(model: ChainModel, beta: float, gamma: Optional[float] = None, shift: float = 0.0,
                 schedule=(500, 1000, 2000, 4000, 8000, 16000)) -> ReductionResult:
     """Comparison with the killing-free dual: valid when the killing dominates
     the rate differences index by index; the reported bound is the reduced
@@ -321,7 +320,7 @@ def reduce_9_11(model: ChainModel, beta: float, gamma: Optional[float] = None,
         raise ShapeViolation("reduction expects the killed half-line shape")
     if beta <= 0:
         raise ShapeViolation("beta must be positive")
-    ws, W = _arrays(model, window)
+    ws, W = _arrays(model, 4096)
     finite = model.hi is not None
     N = model.hi if finite else None
     if float(ws.a[0]) != 0.0:
@@ -385,7 +384,7 @@ def _cesaro(ws, W: int, killing: np.ndarray):
     return mu * ws.b[:W] / muc, np.cumsum(mu * killing) / muc
 
 
-def limsup_upper(model: ChainModel, window: int = 200000):
+def limsup_upper(model: ChainModel):
     """Cesaro upper bound inf c + liminf of the killing averages, read as the
     least of the last TRAIL averages.
 
@@ -393,7 +392,7 @@ def limsup_upper(model: ChainModel, window: int = 200000):
     hypotheses fail numerically the value is still returned, with a warning
     and a flag.
     """
-    ws, W = _arrays(model, window)
+    ws, W = _arrays(model, 200000)
     c, cmin = _killing_floor(ws, W)
     flux, averages = _cesaro(ws, W, c - cmin)
     hyp_flux = bool(flux[-TRAIL:].max() < 1e-3) or bool(
@@ -408,11 +407,11 @@ def limsup_upper(model: ChainModel, window: int = 200000):
                         "mass_divergent": hyp_mass, "flux_vanishing": hyp_flux}
 
 
-def dispatch_9_12(model: ChainModel, window: int = 65536) -> str:
+def dispatch_9_12(model: ChainModel) -> str:
     """Sufficient-condition dispatcher: positive / zero / inconclusive."""
     if model.hi is not None:
         return "positive"
-    ws, W = _arrays(model, window)
+    ws, W = _arrays(model, 65536)
     c, _ = _killing_floor(ws, W)
     # liminf c > 0: the trailing minimum must stay level, not drift to zero
     m_far = float(np.min(c[3 * W // 4:]))

@@ -516,20 +516,24 @@ def _table_rule(values, then: str, base: int):
     return rule
 
 
-def _rate_from_spec(spec, base: int):
+def _rate_from_spec(spec, base: int, key: str):
     if spec is None:
         return None
-    if "table" in spec:
-        then = spec.get("then", "error")
-        if then not in ("last", "error"):
-            raise BadParameter("table 'then' must be 'last' or 'error'")
-        return _table_rule(spec["table"], then, base)
-    if "catalog" in spec:
-        fam = _RATE_FAMILIES.get(spec["catalog"])
-        if fam is None:
-            raise BadParameter("unknown rate family %r" % spec["catalog"])
-        return fam(spec.get("params", {}))
-    raise BadParameter("rate spec needs 'catalog' or 'table'")
+    try:
+        if "table" in spec:
+            then = spec.get("then", "error")
+            if then not in ("last", "error"):
+                raise BadParameter("table 'then' must be 'last' or 'error'")
+            return _table_rule(spec["table"], then, base)
+        if "catalog" in spec:
+            fam = _RATE_FAMILIES.get(spec["catalog"])
+            if fam is None:
+                raise BadParameter("unknown rate family %r" % spec["catalog"])
+            return fam(spec.get("params", {}))
+    except (KeyError, TypeError, AttributeError) as exc:
+        what = "no parameter %s" % exc if isinstance(exc, KeyError) else exc
+        raise BadParameter("%s: malformed rate spec %r: %s" % (key, spec, what)) from None
+    raise BadParameter("%s: a rate spec needs 'catalog' or 'table'" % key)
 
 
 def _end(v):
@@ -537,16 +541,20 @@ def _end(v):
 
 
 def model_from_dict(doc: dict) -> ChainModel:
+    if not isinstance(doc, dict):
+        raise BadParameter("a model document is a JSON object, not %r" % (doc,))
+    missing = [key for key in ("boundary", "birth", "death") if doc.get(key) is None]
+    if missing:
+        raise BadParameter("the model document lacks %s" % ", ".join(map(repr, missing)))
     boundary = BoundaryCode(doc["boundary"])
     lo = _end(doc.get("lo", 1 if boundary in (BoundaryCode.DN, BoundaryCode.DD) else 0))
     hi = _end(doc.get("hi", "inf"))
     base = lo if lo is not None else 0
-    birth = _rate_from_spec(doc["birth"], base)
-    death = _rate_from_spec(doc["death"], base)
-    killing = _rate_from_spec(doc.get("killing"), base)
+    birth = _rate_from_spec(doc["birth"], base, "birth")
+    death = _rate_from_spec(doc["death"], base, "death")
+    killing = _rate_from_spec(doc.get("killing"), base, "killing")
     return ChainModel(boundary=boundary, lo=lo, hi=hi, birth=birth, death=death,
-                      killing=killing, tail_hint=None, name=doc.get("name", "file-model"),
-                      source=doc)
+                      killing=killing, name=doc.get("name", "file-model"), source=doc)
 
 
 def load_model(path: str) -> ChainModel:

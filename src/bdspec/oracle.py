@@ -126,34 +126,36 @@ def default_truncation_boundary(model: ChainModel) -> str:
         else "dirichlet"
 
 
-def principal_eigen(model: ChainModel, m: int,
-                    boundary_at_m: Optional[str] = None,
-                    k: Optional[int] = None) -> SpectralResult:
-    """Decay-rate eigenvalue of the chain truncated at index m.
-
-    For NN models the smallest eigenvalue of the conservative truncation is 0,
-    so the reported value defaults to the second-smallest (the spectral gap);
-    every other code reports the smallest. Eigenvalue by LAPACK bisection
-    (stebz), eigenvector by LAPACK inverse iteration (stein). The class
-    invariant is the one their backward stability gives: with T the
-    symmetrized truncation of order n, residual = max |T v - lam v| <= n *
-    eps * ||T||_inf. A bound relative to lam does not hold on graded
-    matrices: on quartic_nd, ||T|| grows like m^4 and the residual reaches
-    9.3e-7 at m = 16000 (lam = 0.5).
-    """
+def _truncation(model: ChainModel, m: int, boundary_at_m: Optional[str]):
+    """(lo, top, diag, off, k) of the chain cut at index m: its span, symmetrized generator
+    (off < 0) and decay-rate eigenvalue index, 1 for NN with a Neumann cut, else 0."""
     if m < 2:
         raise TruncationTooSmall("need m >= 2")
-    if boundary_at_m is None:
-        boundary_at_m = default_truncation_boundary(model)
+    mode = default_truncation_boundary(model) if boundary_at_m is None else boundary_at_m
     lo = model.base if model.boundary is not BoundaryCode.DD_BILATERAL else \
         (-m if model.lo is None else max(model.lo, -m))
     top = m if model.hi is None else min(model.hi, m)
-    diag, off = _tridiag(model, lo, top, boundary_at_m)
-    if k is None:
-        k = 1 if (model.boundary is BoundaryCode.NN
-                  and boundary_at_m.lower() != "dirichlet") else 0
-    # the symmetrized generator has negative off-diagonals
-    lam, vec = _eig_k(diag, -off, k=k, vector=True)
+    diag, off = _tridiag(model, lo, top, mode)
+    k = 1 if model.boundary is BoundaryCode.NN and mode.lower() != "dirichlet" else 0
+    return lo, top, diag, -off, k
+
+
+def principal_eigen(model: ChainModel, m: int,
+                    boundary_at_m: Optional[str] = None) -> SpectralResult:
+    """Decay-rate eigenvalue of the chain truncated at index m (``_truncation``).
+
+    For NN models the smallest eigenvalue of the conservative truncation is 0,
+    so the reported value is the second-smallest (the spectral gap); every
+    other code reports the smallest. Eigenvalue by LAPACK bisection (stebz),
+    eigenvector by LAPACK inverse iteration (stein). The class invariant is
+    the one their backward stability gives: with T the symmetrized
+    truncation of order n, residual = max |T v - lam v| <= n * eps *
+    ||T||_inf. A bound relative to lam does not hold on graded matrices: on
+    quartic_nd, ||T|| grows like m^4 and the residual reaches 9.3e-7 at m =
+    16000 (lam = 0.5).
+    """
+    lo, top, diag, off, k = _truncation(model, m, boundary_at_m)
+    lam, vec = _eig_k(diag, off, k=k, vector=True)
     if k == 0:
         # the Perron vector is positive; stein leaves sign noise in its tail,
         # in entries far below rounding
@@ -162,8 +164,8 @@ def principal_eigen(model: ChainModel, m: int,
         vec = -vec
     tv = diag * vec
     if len(vec) > 1:
-        tv[:-1] -= off * vec[1:]
-        tv[1:] -= off * vec[:-1]
+        tv[:-1] += off * vec[1:]
+        tv[1:] += off * vec[:-1]
     residual = float(np.max(np.abs(tv - lam * vec)))
     return SpectralResult(lam, vec, top, residual, "LAPACK stebz/stein", lo,
                           model.certainty(lo, top))
@@ -178,8 +180,7 @@ class TruncationTrace:
     monotone_ok: bool
 
 
-def truncation_limit(model: ChainModel, schedule,
-                     boundary_at_m: Optional[str] = None) -> TruncationTrace:
+def truncation_limit(model: ChainModel, schedule) -> TruncationTrace:
     """lambda^(m) along an increasing schedule, plus an extrapolated limit.
 
     The truncated eigenvalues decrease to the true rate (Dirichlet and lumped
@@ -190,7 +191,7 @@ def truncation_limit(model: ChainModel, schedule,
     ms = [int(v) for v in schedule]
     if len(ms) < 3 or any(y <= x for x, y in zip(ms, ms[1:])):
         raise TruncationTooSmall("schedule must be strictly increasing, >= 3 entries")
-    vals = [principal_eigen(model, m, boundary_at_m).lam for m in ms]
+    vals = [_eig_k(*_truncation(model, m, None)[2:]) for m in ms]
     scale = max(abs(vals[-1]), 1.0)
     monotone = all(y <= x + 1e-9 * scale for x, y in zip(vals, vals[1:]))
     limit, mode = series.extrapolate_limit(ms, vals)

@@ -16,7 +16,7 @@ import numpy as np
 from . import series
 from .errors import WrongVariant
 from .estimates import _bilateral_scan, _bilateral_sums, _delta_sup, _kappa, _kappa_terms
-from .model import BoundaryCode, ChainModel, bilateral_log_weights, build_weights
+from .model import DEFAULT_NMAX, BoundaryCode, ChainModel, bilateral_log_weights, build_weights
 
 VARIANTS = ("bilateral_8_4", "half_line_8_6", "neumann_8_9")
 
@@ -36,7 +36,7 @@ class SobolevConstant:
 
 
 def sobolev_constant(model: ChainModel, p: float, variant: str,
-                     n_max: int = 10 ** 5, half_window: int = 256) -> SobolevConstant:
+                     half_window: int = 256) -> SobolevConstant:
     """The block-infimum / tail-supremum constant of the chosen variant.
 
     neumann_8_9 is the reflecting-origin supremum (at p = 2 it reduces to the
@@ -50,12 +50,12 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
     if variant == "neumann_8_9":
         if model.boundary not in (BoundaryCode.ND, BoundaryCode.NN) or model.base != 0:
             raise WrongVariant("neumann_8_9 needs a reflecting origin")
-        rep = _delta_sup(build_weights(model, n_max), "3_1", 2.0 / p)
+        rep = _delta_sup(build_weights(model), "3_1", 2.0 / p)
         return SobolevConstant(p, variant, rep.value, rep)
     if variant == "half_line_8_6":
         if model.boundary is not BoundaryCode.DD or model.base != 1:
             raise WrongVariant("half_line_8_6 needs the Dirichlet-origin shape")
-        B, rep = _kappa(build_weights(model, n_max), reflecting=False, s=2.0 / p)
+        B, rep = _kappa(build_weights(model), reflecting=False, s=2.0 / p)
         return SobolevConstant(p, variant, B, rep)
     # bilateral_8_4 in the log domain
     if model.boundary is not BoundaryCode.DD_BILATERAL:
@@ -68,7 +68,7 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
 
 
 def b_constants_split(model: ChainModel, p: float,
-                      n_max: int = 10 ** 5, half_window: int = 256):
+                      n_max: int = DEFAULT_NMAX, half_window: int = 256):
     """One-sided constants B_L, B_R, the product constant B, and the S flag.
 
     B is B_L wedge B_R when S, the reciprocal death series, diverges.
@@ -103,11 +103,9 @@ def b_constants_split(model: ChainModel, p: float,
     return B_L, B_R, B, S
 
 
-def recurrent_blowup_check(model: ChainModel, p: float, n_max: int = 10 ** 5) -> str:
+def recurrent_blowup_check(model: ChainModel, p: float) -> str:
     """'blowup' when both defining series diverge (B = inf for every p >= 2)."""
-    ws = build_weights(model, min(n_max, 8192))
+    ws = build_weights(model, 8192)
     mu_div = not math.isfinite(ws.mu_total.value)
     nu_div = not math.isfinite(ws.nu_b_total.value)
-    if mu_div and nu_div:
-        return "blowup"
-    return "not_applicable"
+    return "blowup" if mu_div and nu_div else "not_applicable"

@@ -179,6 +179,53 @@ def test_flag_error_exits_1(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+CONST_RATE = {"catalog": "const", "params": {"value": 1.0}}
+
+
+@pytest.mark.parametrize("doc,named", [
+    ({"boundary": "ND", "death": CONST_RATE}, "'birth'"),
+    ({"boundary": "ND", "birth": {"catalog": "const"}, "death": CONST_RATE}, "'value'"),
+    ([1, 2], "JSON object"),
+    ({"boundary": "ND", "birth": 3, "death": CONST_RATE}, "birth"),
+], ids=["no_birth", "const_without_value", "top_level_list", "birth_not_a_spec"])
+def test_malformed_model_file_exits_1_with_a_message(doc, named, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["estimate", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["poincare", "--model", "const_nd", "--p", "0"], "error: p must be >= 2"),
+    (["oracle", "--model", "const_nd", "--m", "0"], "error: need m >= 2"),
+    (["killing", "--model", "ex9_18", "--m", "0"], "error: need m >= 2"),
+    (["dual", "--model", "const_nd", "--check-similarity", "--n", "0"],
+     "error: similarity check is a dense, small-n verification"),
+], ids=["poincare_p", "oracle_m", "killing_m", "dual_n"])
+def test_zero_flags_reach_the_library_checks(argv, message, capsys):
+    # a flag set to 0 is 0, not the flag's default
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+
+
+def test_steps_zero_is_a_flag_error_and_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["approx", "--model", "const_nd", "--steps", "0"])
+    assert exc.value.code == 1
+    assert "argument --steps" in capsys.readouterr().err
+    for argv, shown in ((["approx", "--help"], "(default 5)"),
+                        (["oracle", "--help"], "(default 2000)"),
+                        (["dual", "--help"], "(default 8)"),
+                        (["poincare", "--help"], "(default 2.0)")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0 and shown in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("model,grid", [("table6_1_row1", "5000"), ("table6_1_row1", "0"),
                                         ("const_nd", "5000")])
 def test_approx_grid_outside_window_exits_1(model, grid, capsys):

@@ -178,6 +178,15 @@ def test_truncation_monotone_and_limit():
     assert max(fin.values) - min(fin.values) < 1e-12  # constant on finite chains
 
 
+@pytest.mark.parametrize("name", ["quadratic_nd", "ex5_3", "table6_1_row1", "table7_1_row2"])
+def test_truncation_limit_values_are_principal_eigen_bit_for_bit(name):
+    # ND, DN, NN (the second eigenvalue, k = 1) and DD: the schedule's
+    # eigenvalues come without eigenvectors, and are the same floats
+    model = catalog(name)
+    tr = oracle.truncation_limit(model, (250, 500, 1000))
+    assert tr.values == tuple(oracle.principal_eigen(model, m).lam for m in (250, 500, 1000))
+
+
 def test_shift_law_on_killing():
     base = oracle.principal_eigen(catalog("ex9_18"), 300).lam
     shifted = ChainModel(BoundaryCode.DD, 1, None,

@@ -111,3 +111,36 @@ def test_same_outputs_takes_every_workload_and_repeated_seeds(monkeypatch, capsy
                          for w in same_outputs.WORKLOADS for s in (7, 71)]
     assert "differs: job/call" in lines
     assert same_outputs.main(["P", "C", "--workload", "paper_tables", "--seed", "71"]) == 0
+
+
+def test_every_public_option_has_a_setter():
+    # an option no caller, test or benchmark job sets is a constant in disguise
+    options = traffic.public_options()
+    assert ("estimates", "basic_bracket", "n_max") in options
+    unset = [opt for opt, files in traffic.option_setters(options).items() if not files]
+    assert unset == []
+
+
+def test_option_setters_count_keywords_positions_and_unpacking(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "mod.py").write_text(textwrap.dedent('''\
+        def f(x, y=1, *, z=2):
+            return x + y + z
+
+
+        def _private(w=3):
+            return w
+        '''))
+    (pkg / "cli.py").write_text("def main(argv=None):\n    return argv\n")
+    options = traffic.public_options(str(pkg))
+    assert options == {("mod", "f", "y"): 1, ("mod", "f", "z"): None}
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text("import mod\nmod.f(1, 2)\n")
+    (tests / "test_b.py").write_text("from functools import partial\npartial(f, z=4)\n")
+    (tests / "test_c.py").write_text("f(1)\nf(*args)\n")
+    assert traffic.option_setters(options, str(tmp_path)) == {
+        ("mod", "f", "y"): [os.path.join("tests", "test_a.py"),
+                            os.path.join("tests", "test_c.py")],
+        ("mod", "f", "z"): [os.path.join("tests", "test_b.py")]}

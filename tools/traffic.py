@@ -1,7 +1,9 @@
-"""List the statements of ``src/bdspec`` that a run never executes.
+"""List the statements of ``src/bdspec`` that a run never executes, or the
+public options that no caller sets.
 
     python3 tools/traffic.py --tests [PYTEST_ARG ...]
     python3 tools/traffic.py --workload W --seed S
+    python3 tools/traffic.py --options
 
 ``--tests`` runs pytest in-process (the arguments after it go to pytest;
 none means the whole suite); ``--workload`` runs one pass of that
@@ -12,6 +14,14 @@ recorded with ``sys.settrace`` from before the package is imported, so
 module-level statements count too; subprocesses and other threads are not
 traced. A compound statement counts as run when a line of its header ran
 (the lines above its body), any other statement when one of its lines ran.
+
+``--options`` reads the source instead of running it. An option is a
+defaulted parameter of a public module-level function of the package outside
+``cli``. Each is printed with the files under ``src``, ``tests``,
+``perfbench`` and ``tools`` that set it: a call of a function of that name
+(plain, as an attribute, or through ``partial``) that passes it by keyword,
+by position, or through ``*``/``**`` unpacking. The unset options follow,
+then the counts.
 """
 
 from __future__ import annotations
@@ -20,12 +30,14 @@ import argparse
 import ast
 import contextlib
 import io
+import math
 import os
 import sys
 import warnings
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 PACKAGE = os.path.join(ROOT, "src", "bdspec")
+CALLER_DIRS = ("src", "tests", "perfbench", "tools")
 
 
 def _code_lines(code) -> set:
@@ -99,6 +111,80 @@ def unexecuted(paths, run) -> list:
     return out
 
 
+def public_options(package: str = PACKAGE) -> dict:
+    """{(module, function, parameter): position} of the defaulted parameters
+    of the public module-level functions in ``package`` outside ``cli``; the
+    position is None for a keyword-only parameter."""
+    out = {}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "cli.py":
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            for i in range(len(positional) - len(a.defaults), len(positional)):
+                out[(name[:-3], fn.name, positional[i].arg)] = i
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    out[(name[:-3], fn.name, arg.arg)] = None
+    return out
+
+
+def _callee(node):
+    """(name of the called function, its arguments) of a call node, a
+    ``partial(f, ...)`` read as a call of f."""
+    func, args = node.func, node.args
+    name = getattr(func, "id", getattr(func, "attr", None))
+    if name == "partial" and args:
+        func, args = args[0], args[1:]
+        name = getattr(func, "id", getattr(func, "attr", None))
+    return name, args
+
+
+def option_setters(options: dict, root: str = ROOT) -> dict:
+    """{option: sorted files (relative to ``root``) that set it} over the
+    Python files of ``CALLER_DIRS``, for the ``options`` of :func:`public_options`."""
+    by_name = {}
+    for opt, pos in options.items():
+        by_name.setdefault(opt[1], []).append((opt, pos))
+    found = {opt: set() for opt in options}
+    for top in CALLER_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if not d.startswith((".", "__")))
+            for fname in sorted(f for f in filenames if f.endswith(".py")):
+                path = os.path.join(dirpath, fname)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                rel = os.path.relpath(path, root)
+                for node in ast.walk(tree):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name, args = _callee(node)
+                    # a *-unpacked argument may fill any later position, and a
+                    # **-unpacked one (keyword None) any keyword
+                    reach = math.inf if any(isinstance(x, ast.Starred) for x in args) \
+                        else len(args)
+                    keys = {kw.arg for kw in node.keywords}
+                    for opt, pos in by_name.get(name, ()):
+                        if opt[2] in keys or None in keys or (pos is not None and pos < reach):
+                            found[opt].add(rel)
+    return {opt: sorted(files) for opt, files in found.items()}
+
+
+def _report_options():
+    setters = option_setters(public_options())
+    unset = [opt for opt, files in setters.items() if not files]
+    for (module, fn, param), files in setters.items():
+        print("%s.%s(%s): %s" % (module, fn, param, ", ".join(files) or "-"))
+    for module, fn, param in unset:
+        print("unset: %s.%s(%s)" % (module, fn, param))
+    print("%d public options, %d unset" % (len(setters), len(unset)))
+
+
 def _run_tests(args):
     import pytest
     src = os.path.join(ROOT, "src")
@@ -129,10 +215,15 @@ def main(argv=None) -> int:
                       help="run pytest; the remaining arguments go to it")
     mode.add_argument("--workload", choices=("paper_tables", "catalog_brackets",
                                              "finite_sweep"))
+    mode.add_argument("--options", action="store_true",
+                      help="list the public options and the files that set them")
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     args, rest = ap.parse_known_args(argv)
     if rest and not args.tests:
         ap.error("unrecognized arguments: %s" % " ".join(rest))
+    if args.options:
+        _report_options()
+        return 0
     paths = sorted(os.path.join(PACKAGE, f) for f in os.listdir(PACKAGE) if f.endswith(".py"))
     if args.tests:
         missed = unexecuted(paths, lambda: _run_tests(rest))
