@@ -63,12 +63,7 @@ def _const_nd(a=1.0, b=2.0):
         raise BadParameter("const_nd needs positive rates")
     hint = None
     if b > a:
-        hint = {
-            "nu_b_tail": _tail(lambda n: (a / b) ** n / (b - a)),
-            "nu_b_total": 1.0 / (b - a),
-            "mu_total": math.inf,
-            "uniq_1_2": "holds",
-        }
+        hint = {"nu_b_tail": _tail(lambda n: (a / b) ** n / (b - a)), "uniq_1_2": "holds"}
     return ChainModel(BoundaryCode.ND, 0, None, _const(b), _const(a),
                       tail_hint=hint, name="const_nd", params={"a": a, "b": b})
 
@@ -77,7 +72,7 @@ def _linear_nd(gamma=1.0):
     g = float(gamma)
     if g <= 0:
         raise BadParameter("linear_nd needs gamma > 0")
-    hint = {"mu_total": math.inf, "uniq_1_2": "holds"}
+    hint = {"uniq_1_2": "holds"}
     if g == 1.0:
         # nu_i = 2^{-i-1}/(i+1); the tail series converges geometrically, so
         # summing 60 terms directly keeps full relative precision at every n.
@@ -91,19 +86,13 @@ def _linear_nd(gamma=1.0):
             out[live] = np.sum(0.5 ** (k + 1) / (k + 1), axis=-1)
             return out
         hint["nu_b_tail"] = _tail(nu_tail)
-        hint["nu_b_total"] = math.log(2.0)
     return ChainModel(BoundaryCode.ND, 0, None,
                       _f(lambda i: 2.0 * (i + g)), _f(lambda i: i),
                       tail_hint=hint, name="linear_nd", params={"gamma": g})
 
 
 def _quadratic_nd():
-    hint = {
-        "nu_b_tail": _tail(lambda n: polygamma(1, n + 1.0)),
-        "nu_b_total": math.pi ** 2 / 6.0,
-        "mu_total": math.inf,
-        "uniq_1_2": "holds",
-    }
+    hint = {"nu_b_tail": _tail(lambda n: polygamma(1, n + 1.0)), "uniq_1_2": "holds"}
     return ChainModel(BoundaryCode.ND, 0, None,
                       _f(lambda i: (i + 1.0) ** 2), _f(lambda i: i * i),
                       tail_hint=hint, name="quadratic_nd")
@@ -121,8 +110,7 @@ def _const_dn(a=1.0, b=2.0):
     hint = None
     if a > b:
         r = b / a
-        hint = {"mu_tail": _tail(lambda n: r ** (n - 1) / (1.0 - r)),
-                "mu_total": 1.0 / (1.0 - r)}
+        hint = {"mu_tail": _tail(lambda n: r ** (n - 1) / (1.0 - r))}
     return ChainModel(BoundaryCode.DN, 1, None, _const(b), _const(a),
                       tail_hint=hint, name="const_dn", params={"a": a, "b": b})
 
@@ -135,8 +123,7 @@ def _ex5_3(a=4.0, b=1.0):
 
 
 def _ex5_5():
-    hint = {"mu_tail": _tail(lambda n: polygamma(1, n)),
-            "mu_total": math.pi ** 2 / 6.0}
+    hint = {"mu_tail": _tail(lambda n: polygamma(1, n))}
     return ChainModel(BoundaryCode.DN, 1, None, _f(lambda i: i * i), _f(lambda i: i * i),
                       tail_hint=hint, name="ex5_5")
 
@@ -153,14 +140,14 @@ def _nn(birth, death, name, hint=None, params=None):
 
 def _t61_row1():
     return _nn(_f(lambda i: i + 1.0), _f(lambda i: 2.0 * i), "table6_1_row1",
-               hint={"mu_tail": _tail(lambda n: 2.0 ** (1 - n)), "mu_total": 2.0})
+               hint={"mu_tail": _tail(lambda n: 2.0 ** (1 - n))})
 
 
 def _t61_row5():
     def mu_tail(n):
         return np.where(n <= 0, 3.0, 2.0 ** (2 - n))
     return _nn(_const(1.0), _f(lambda i: np.minimum(i, 2.0)), "table6_1_row5",
-               hint={"mu_tail": _tail(mu_tail), "mu_total": 3.0})
+               hint={"mu_tail": _tail(mu_tail)})
 
 
 def _t61_row7():
@@ -168,7 +155,7 @@ def _t61_row7():
         return np.where(n <= 0, 1.0 + math.pi ** 2 / 6.0, polygamma(1, np.maximum(n, 1.0)))
     return _nn(_f(lambda i: np.where(i == 0, 1.0, i * i)), _f(lambda i: i * i),
                "table6_1_row7",
-               hint={"mu_tail": _tail(mu_tail), "mu_total": 1.0 + math.pi ** 2 / 6.0})
+               hint={"mu_tail": _tail(mu_tail)})
 
 
 def _t61_row8():
@@ -183,8 +170,7 @@ def _ex6_7(a=4.0, b=1.0):
         raise BadParameter("ex6_7 needs a > b > 0")
     r = b / a
     return _nn(_const(b), _const(a), "ex6_7",
-               hint={"mu_tail": _tail(lambda n: r ** n / (1.0 - r)),
-                     "mu_total": 1.0 / (1.0 - r)},
+               hint={"mu_tail": _tail(lambda n: r ** n / (1.0 - r))},
                params={"a": a, "b": b})
 
 
@@ -225,11 +211,7 @@ def _ex8_8(gamma=3.0):
     g = float(gamma)
     if g <= 1.0:
         raise BadParameter("ex8_8 needs gamma > 1")
-    hint = {
-        "nu_b_tail": _tail(lambda n: zeta(g, n + 1.0)),
-        "nu_b_total": float(zeta(g, 1.0)),
-        "mu_total": math.inf,
-    }
+    hint = {"nu_b_tail": _tail(lambda n: zeta(g, n + 1.0))}
     return ChainModel(BoundaryCode.ND, 0, None, _const(1.0),
                       _f(lambda i: (i / (i + 1.0)) ** g),
                       tail_hint=hint, name="ex8_8", params={"gamma": g})
@@ -293,7 +275,7 @@ def _ex9_18(c2=None):
 
     return _dd(_f(lambda i: np.where(i == 1, 2.5, 1.0)),
                _f(lambda i: np.where(i == 1, 0.0, 2.0)), "ex9_18",
-               killing=_f(kill), hint={"mu_tail": _tail(mu_tail), "mu_total": 3.5},
+               killing=_f(kill), hint={"mu_tail": _tail(mu_tail)},
                params={} if c2 is None else {"c2": cc2})
 
 
@@ -341,8 +323,7 @@ def _ex9_21(printed_killing=False):
 
 
 def _symmetric_nn():
-    return _nn(_const(1.0), _const(1.0), "symmetric_nn",
-               hint={"mu_total": math.inf, "uniq_1_2": "holds"})
+    return _nn(_const(1.0), _const(1.0), "symmetric_nn", hint={"uniq_1_2": "holds"})
 
 
 _REGISTRY = {

@@ -89,25 +89,13 @@ def _forward_hint(model: ChainModel, b0: float):
     duality identity consume one set of numbers. Like the primal's, the
     dual hints take an index or an index array.
     """
-    hint = {}
     nu_tail = model.hint("nu_b_tail")
     mu_tail = model.hint("mu_tail")
-    wp = None
     if nu_tail is None or mu_tail is None:
         wp = build_weights(model, DEFAULT_NMAX)
-    if nu_tail is not None:
-        hint["mu_tail"] = lambda n: b0 * nu_tail(n - 1)
-        hint["mu_total"] = b0 * float(nu_tail(0))
-    else:
-        hint["mu_tail"] = lambda n: b0 * wp.nu_tail(n - 1, "b")
-        hint["mu_total"] = b0 * wp.nu_b_total.value
-    if mu_tail is not None:
-        hint["nu_b_tail"] = lambda n: mu_tail(n) / b0
-        hint["nu_b_total"] = float(mu_tail(model.base)) / b0
-    else:
-        hint["nu_b_tail"] = lambda n: wp.mu_tail(n) / b0
-        hint["nu_b_total"] = wp.mu_total.value / b0
-    return hint
+        nu_tail = nu_tail or (lambda n: wp.nu_tail(n, "b"))
+        mu_tail = mu_tail or wp.mu_tail
+    return {"mu_tail": lambda n: b0 * nu_tail(n - 1), "nu_b_tail": lambda n: mu_tail(n) / b0}
 
 
 def _weight_identity_residual(primal: ChainModel, dual: ChainModel,

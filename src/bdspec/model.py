@@ -30,6 +30,7 @@ TINY = np.finfo(float).tiny                 # the smallest normal float
 LOG_TINY = math.log(TINY)                   # -708.4: the underflow threshold
 LOG_HUGE = math.log(np.finfo(float).max)    # 709.8: the overflow threshold
 LOG_SAFE = 280.0    # |log mu| up to which mu and mu*f products stay well inside float range
+HINT_KEYS = {"mu_tail", "nu_a_tail", "nu_b_tail", "uniq_1_2", "uniq_1_3", "uniq_9_34"}
 
 
 class BoundaryCode(enum.Enum):
@@ -61,10 +62,11 @@ class ChainModel:
     ``hi`` is a Dirichlet point at hi+1 for ND/DD and a reflecting top
     (birth(hi) = 0) for DN/NN.
 
-    ``tail_hint`` maps keys to closed forms: the totals ``mu_total``,
-    ``nu_a_total`` and ``nu_b_total`` (floats), the tails ``mu_tail``,
-    ``nu_a_tail`` and ``nu_b_tail``, ``log_mu``, and the uniqueness verdicts
-    ``uniq_*``. A tail hint takes array in, array out: ``hint(n)`` accepts an
+    ``tail_hint`` maps keys to closed forms: the tails ``mu_tail``,
+    ``nu_a_tail`` and ``nu_b_tail``, the uniqueness verdicts ``uniq_1_2``,
+    ``uniq_1_3`` and ``uniq_9_34``, and on a bilateral chain ``log_mu``; any
+    other key raises BadParameter. A hinted series' total is its tail at the
+    first state. A tail hint takes array in, array out: ``hint(n)`` accepts an
     int or an int array and returns mu[n, N] (or nu[n, N]) as a float or as
     an ndarray of the same shape, in O(len(n)) memory, and a window of tails
     evaluated in one call equals the same tails evaluated one at a time.
@@ -83,7 +85,11 @@ class ChainModel:
     source: Optional[dict] = None  # JSON document this model was loaded from
 
     def __post_init__(self):
-        if self.boundary is BoundaryCode.DD_BILATERAL:
+        bilateral = self.boundary is BoundaryCode.DD_BILATERAL
+        unknown = set(self.tail_hint or ()) - HINT_KEYS - ({"log_mu"} if bilateral else set())
+        if unknown:
+            raise BadParameter("unknown tail hint keys %s" % sorted(unknown))
+        if bilateral:
             if self.lo is not None and self.hi is not None and self.hi < self.lo:
                 raise BadParameter("empty bilateral range")
         else:
@@ -179,7 +185,7 @@ class WeightSystem:
 
     def _suffix(self, key: str) -> np.ndarray:
         """Suffix sums of ``key`` plus the remainder past the window, which
-        the build settled."""
+        the build settled (inf for a divergent series)."""
         out = self._cache.get(key)
         if out is None:
             out = series.tail_sums(getattr(self, key), self.base, self._cache["rem_" + key])
@@ -193,7 +199,7 @@ class WeightSystem:
         scalar = np.ndim(n) == 0
         if fn is not None:
             return float(fn(n)) if scalar else fn(n)
-        if not math.isfinite(getattr(self, key + "_total").value):
+        if math.isinf(self._cache["rem_" + key]):
             return math.inf if scalar else np.full(np.shape(n), math.inf)
         suf = self._suffix(key)
         if scalar:
@@ -246,11 +252,9 @@ class WeightSystem:
         return self._window_tail("nu_" + kind, n)
 
 
-def _sum_with_tail(arr: np.ndarray, hint_total, rem: float) -> series.TailSum:
+def _sum_with_tail(arr: np.ndarray, rem: float) -> series.TailSum:
     """Total of a nonnegative sequence: window part + the remainder past it
     (0 on a finite chain). The caller ignores overflow in the window sum."""
-    if hint_total is not None:
-        return series.TailSum(float(hint_total), "closed_form")
     head = float(arr.sum())
     if not math.isfinite(head) or not math.isfinite(rem):
         return series.TailSum(math.inf, "divergent")
@@ -270,8 +274,10 @@ def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX) -> WeightSystem:
     The window ends at the model's top state, at ``n_max`` states, or where
     the linear weights leave float range (log accumulation continues and the
     saturated entries are inf/0; sums involving them are guarded upstream).
-    A total whose remainder estimate is below DEFAULT_TOL of its window part
-    is flagged converged, else estimated.
+    A hinted series' total is its tail hint at the first state, flagged
+    closed_form. Any other total is the window sum plus the remainder
+    estimate: divergent if either is infinite, converged if the remainder is
+    below DEFAULT_TOL of the window part, else estimated.
 
     A call with the same model object and ``n_max`` as the previous call
     returns the previous weight system, tail caches included; the model's
@@ -316,39 +322,33 @@ def _rates_and_weights(model: ChainModel, top: int):
         raise NonPositiveRate("killing rate < 0")
     if not (np.isfinite(b[:-1]).all() and np.isfinite(a[1:]).all()):
         raise Overflow("rates not finite at some index")
-    hint_log = model.hint("log_mu")
     stale = (0, 0)
-    if hint_log is not None:
-        log_mu = np.asarray(hint_log(np.arange(base, top + 1, dtype=np.int64)), dtype=float)
-        with np.errstate(over="ignore"):
-            mu = np.exp(log_mu)
-    else:
-        log_mu = np.zeros(n)
-        np.cumsum(np.log(b[:-1]) - np.log(a[1:]), out=log_mu[1:])
-        # multiplicative recurrence mu_{n+1} = mu_n b_n / a_{n+1}: exact where
-        # the ratios are, unlike exp of the accumulated logs
-        mu = np.ones(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(b[:-1], a[1:], out=mu[1:])
-            normal = (mu >= TINY) & (mu < math.inf)          # the ratios
-            np.cumprod(mu, out=mu)
-        normal &= (mu >= TINY) & (mu < math.inf)
-        if not normal.all():
-            # a subnormal, 0 or inf ratio or weight passes its lost digits on to
-            # every later weight; where the weights come back into float range,
-            # redo the recurrence from the last normal weight on mu_n 2^-s_n,
-            # s_n = log2 mu_n rounded, each ratio from the mantissas of b and a
-            k = int(np.argmin(normal))
-            lm = log_mu[k:]
-            back = np.flatnonzero((lm > LOG_TINY) & (lm < LOG_HUGE) | np.isnan(mu[k:]))
-            if len(back):
-                stale = (k, k + int(back[0]))
-                sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
-                (fb, eb), (fa, ea) = np.frexp(b[k - 1:-1]), np.frexp(a[k:])
-                m = np.ldexp(np.concatenate([mu[k - 1:k], fb / fa]),
-                             np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
-                with np.errstate(over="ignore"):
-                    mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
+    log_mu = np.zeros(n)
+    np.cumsum(np.log(b[:-1]) - np.log(a[1:]), out=log_mu[1:])
+    # multiplicative recurrence mu_{n+1} = mu_n b_n / a_{n+1}: exact where
+    # the ratios are, unlike exp of the accumulated logs
+    mu = np.ones(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(b[:-1], a[1:], out=mu[1:])
+        normal = (mu >= TINY) & (mu < math.inf)          # the ratios
+        np.cumprod(mu, out=mu)
+    normal &= (mu >= TINY) & (mu < math.inf)
+    if not normal.all():
+        # a subnormal, 0 or inf ratio or weight passes its lost digits on to
+        # every later weight; where the weights come back into float range,
+        # redo the recurrence from the last normal weight on mu_n 2^-s_n,
+        # s_n = log2 mu_n rounded, each ratio from the mantissas of b and a
+        k = int(np.argmin(normal))
+        lm = log_mu[k:]
+        back = np.flatnonzero((lm > LOG_TINY) & (lm < LOG_HUGE) | np.isnan(mu[k:]))
+        if len(back):
+            stale = (k, k + int(back[0]))
+            sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
+            (fb, eb), (fa, ea) = np.frexp(b[k - 1:-1]), np.frexp(a[k:])
+            m = np.ldexp(np.concatenate([mu[k - 1:k], fb / fa]),
+                         np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
+            with np.errstate(over="ignore"):
+                mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (an overflowed
         # weight); the rates are positive and finite inside the range, so
@@ -374,16 +374,19 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
     a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b = _rates_and_weights(model, top)
     finite = model.hi is not None and top == model.hi
     # each series' remainder past the window, estimated once: the total and
-    # the suffix tails both add it; where the estimate is infinite under a
-    # hinted finite total, the remainder is what that total leaves
-    cache, totals = {}, []
+    # the suffix tails both add it, and a divergent series' tails are all inf.
+    # A hinted series' total is its tail at the first state, the first entry
+    # of the held tail (each index evaluated once)
+    cache, totals, held = {}, [], _held.tails
     with np.errstate(over="ignore"):
         for key, arr in (("mu", mu), ("nu_a", nu_a), ("nu_b", nu_b)):
             rem = 0.0 if finite else series.estimate_remainder_block(arr, base)
-            totals.append(_sum_with_tail(arr, model.hint(key + "_total"), rem))
-            if not math.isfinite(rem) and math.isfinite(totals[-1].value):
-                rem = max(totals[-1].value - float(arr.sum()), 0.0)
-            cache["rem_" + key] = rem
+            fn = model.hint(key + "_tail")
+            if fn is not None and key not in held:
+                held[key] = _read_only(np.array([float(fn(base))]))
+            totals.append(_sum_with_tail(arr, rem) if fn is None
+                          else series.TailSum(float(held[key][0]), "closed_form"))
+            cache["rem_" + key] = math.inf if math.isinf(totals[-1].value) else rem
     mu_total, nu_a_total, nu_b_total = totals
     return WeightSystem(model=model, base=base, mu=mu, log_mu=log_mu, a=a, b=b, c=c,
                         mu_prefix_arr=mu_prefix, nu_a=nu_a, nu_b=nu_b, mu_total=mu_total,
@@ -524,6 +527,8 @@ def _rate_from_spec(spec, base: int, key: str):
             then = spec.get("then", "error")
             if then not in ("last", "error"):
                 raise BadParameter("table 'then' must be 'last' or 'error'")
+            if not spec["table"]:
+                raise BadParameter("%s: a table needs at least one value" % key)
             return _table_rule(spec["table"], then, base)
         if "catalog" in spec:
             fam = _RATE_FAMILIES.get(spec["catalog"])
@@ -536,8 +541,12 @@ def _rate_from_spec(spec, base: int, key: str):
     raise BadParameter("%s: a rate spec needs 'catalog' or 'table'" % key)
 
 
-def _end(v):
-    return None if v in ("inf", "+inf", "-inf") else int(v)
+def _end(v, key: str):
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if v in ("inf", "+inf", "-inf"):
+        return None
+    raise BadParameter("%s must be an integer or 'inf', not %r" % (key, v))
 
 
 def model_from_dict(doc: dict) -> ChainModel:
@@ -547,8 +556,8 @@ def model_from_dict(doc: dict) -> ChainModel:
     if missing:
         raise BadParameter("the model document lacks %s" % ", ".join(map(repr, missing)))
     boundary = BoundaryCode(doc["boundary"])
-    lo = _end(doc.get("lo", 1 if boundary in (BoundaryCode.DN, BoundaryCode.DD) else 0))
-    hi = _end(doc.get("hi", "inf"))
+    lo = _end(doc.get("lo", 1 if boundary in (BoundaryCode.DN, BoundaryCode.DD) else 0), "lo")
+    hi = _end(doc.get("hi", "inf"), "hi")
     base = lo if lo is not None else 0
     birth = _rate_from_spec(doc["birth"], base, "birth")
     death = _rate_from_spec(doc["death"], base, "death")

@@ -187,7 +187,13 @@ CONST_RATE = {"catalog": "const", "params": {"value": 1.0}}
     ({"boundary": "ND", "birth": {"catalog": "const"}, "death": CONST_RATE}, "'value'"),
     ([1, 2], "JSON object"),
     ({"boundary": "ND", "birth": 3, "death": CONST_RATE}, "birth"),
-], ids=["no_birth", "const_without_value", "top_level_list", "birth_not_a_spec"])
+    ({"boundary": "DD", "lo": [1], "birth": CONST_RATE, "death": CONST_RATE}, "lo"),
+    ({"boundary": "DD", "lo": 1.5, "birth": CONST_RATE, "death": CONST_RATE}, "lo"),
+    ({"boundary": "DD", "hi": "top", "birth": CONST_RATE, "death": CONST_RATE}, "hi"),
+    ({"boundary": "DD", "birth": {"table": [], "then": "last"}, "death": CONST_RATE},
+     "birth: a table needs at least one value"),
+], ids=["no_birth", "const_without_value", "top_level_list", "birth_not_a_spec",
+        "lo_a_list", "lo_not_an_integer", "hi_a_word", "empty_table"])
 def test_malformed_model_file_exits_1_with_a_message(doc, named, tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
@@ -224,6 +230,14 @@ def test_steps_zero_is_a_flag_error_and_help_shows_the_defaults(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 0 and shown in capsys.readouterr().out
+
+
+def test_steps_sets_the_length_of_the_approx_sequences(capsys):
+    assert cli.main(["approx", "--model", "const_nd", "--steps", "3", "--json"]) == 2
+    out = json.loads(capsys.readouterr().out)
+    for key in ("delta_n", "delta_n_prime", "delta_n_bar"):
+        assert len(out[key]) == 3, key
+    assert out["delta_n"] == list(approx.delta_seq_nd(catalog("const_nd"), 3).values)
 
 
 @pytest.mark.parametrize("model,grid", [("table6_1_row1", "5000"), ("table6_1_row1", "0"),

@@ -91,7 +91,7 @@ def _estimated_series():
             models.append(duality.dualize(model, "forward_5_1").dual)
         for m in models:
             ws = build_weights(m)
-            keys = tuple(k for k in WEIGHT_KEYS if m.hint(k + "_total") is None
+            keys = tuple(k for k in WEIGHT_KEYS if m.hint(k + "_tail") is None
                          and math.isfinite(getattr(ws, k + "_total").value))
             if keys:
                 out.append((m, keys))
@@ -166,18 +166,62 @@ def test_harmonic_weights_are_divergent(W):
     assert ws.mu_tail(ws.top) == math.inf
 
 
-def test_hinted_total_settles_an_infinite_remainder_estimate():
+def test_a_tail_hint_settles_an_infinite_remainder_estimate():
     # r = 0.999 reads as a power law no faster than 1/j over 1000 terms, so
-    # the estimate is inf; the hinted total then gives the remainder
+    # the estimate is inf; the tail hint gives the total and every tail. A
+    # total is not a hint key: it would be a second closed form of the series
     r = 0.999
     model = catalog("const_dn", a=1.0, b=r)
-    model = ChainModel(model.boundary, model.lo, model.hi, model.birth, model.death,
-                       tail_hint={"mu_total": 1.0 / (1.0 - r)})
+    with pytest.raises(BadParameter, match="mu_total"):
+        dataclasses.replace(model, tail_hint={"mu_total": 1.0 / (1.0 - r)})
     ws = build_weights(model, 1000)
     assert not math.isfinite(series.estimate_remainder_block(ws.mu, ws.base))
     assert ws.mu_total.flag == "closed_form"
+    assert ws.mu_total.value == pytest.approx(1.0 / (1.0 - r), rel=1e-12, abs=0)
     n = np.array([1, 500, 1000, 1001])
     assert ws.mu_tail(n) == pytest.approx(r ** (n - 1) / (1.0 - r), rel=1e-12, abs=0)
+    assert ws.mu_tails() == pytest.approx(r ** np.arange(1000) / (1.0 - r), rel=1e-12, abs=0)
+
+
+def test_hint_keys_outside_the_protocol_are_refused():
+    # log_mu is a bilateral hint: half-line weights have one path, the recurrence
+    half = catalog("const_nd")
+    log_mu = catalog("ex8_9").hint("log_mu")
+    for hint in ({"mu_total": 1.0}, {"nu_b_total": 1.0}, {"log_mu": log_mu}, {"mu_tial": log_mu}):
+        with pytest.raises(BadParameter, match="unknown tail hint keys"):
+            dataclasses.replace(half, tail_hint=hint)
+    assert dataclasses.replace(catalog("bilateral_quadratic"), tail_hint={"log_mu": log_mu})
+
+
+def _hinted_totals():
+    """(model, key) for every hinted weight series of a half-line catalog
+    chain or forward dual."""
+    out = []
+    for name in catalog_names():
+        model = catalog(name)
+        if model.boundary is BoundaryCode.DD_BILATERAL:
+            continue
+        models = [model]
+        if model.boundary.origin_reflecting:
+            models.append(duality.dualize(model, "forward_5_1").dual)
+        out += [(m, k) for m in models for k in WEIGHT_KEYS if m.hint(k + "_tail") is not None]
+    return out
+
+
+@pytest.mark.parametrize("model,key", [pytest.param(m, k, id="%s-%s" % (m.name, k))
+                                       for m, k in _hinted_totals()])
+def test_a_hinted_total_is_the_window_sum_plus_the_tail_past_it(model, key):
+    # one closed form per series: the total is the tail hint at the first
+    # state, so it splits into the window and the hint past the window. The
+    # window lies inside the primal's default one, whose suffix sums a dual
+    # hint reads where the primal has no closed form
+    ws = build_weights(model, 4096)
+    total = getattr(ws, key + "_total")
+    assert total.flag == "closed_form"
+    if math.isfinite(total.value):
+        past = 0.0 if ws.finite else float(model.hint(key + "_tail")(ws.top + 1))
+        assert total.value == pytest.approx(float(np.sum(getattr(ws, key))) + past,
+                                            rel=1e-12, abs=0)
 
 
 def test_classify_uniqueness_examples():
@@ -492,13 +536,19 @@ def test_the_held_window_goes_before_another_chain_s_weights_are_evaluated():
     del ws
     freed = []
 
-    def log_mu(i):
-        gc.collect()
-        freed.append(all(r() is None for r in refs))
-        return np.asarray(i) * math.log(2.0 / 3.0)
+    class Probed(np.ndarray):
+        # the rate checks and the weights read the birth rates by slices
+        def __getitem__(self, key):
+            gc.collect()
+            freed.append(all(r() is None for r in refs))
+            return super().__getitem__(key)
 
-    build_weights(ChainModel(BoundaryCode.ND, 0, None, birth, death,
-                             tail_hint={"log_mu": log_mu}), 4096)
+    class Hooked(ChainModel):
+        def rates(self, i0, i1):
+            a, b, c = super().rates(i0, i1)
+            return a, b.view(Probed), c
+
+    build_weights(Hooked(BoundaryCode.ND, 0, None, birth, death), 4096)
     assert freed and all(freed)
 
 
