@@ -84,15 +84,15 @@ def _forward_hint(model: ChainModel, b0: float):
     """Transfer tails through the exact weight identities
     mu^[n, N'] = b_0 nu[n-1, N] and nu^_b-tail(n) = mu[n, N] / b_0.
 
-    Closed-form primal hints carry over as closed forms; otherwise the
-    primal's own (estimated) tails are handed down so both sides of every
-    duality identity consume one set of numbers. Like the primal's, the
-    dual hints take an index or an index array.
+    Closed-form primal hints carry over; otherwise the primal's own tails, on
+    DEFAULT_NMAX + 1 states that end where the dual's default window does, are
+    handed down so both sides of every duality identity consume one set of
+    numbers. Like the primal's, the dual hints take an index or an index array.
     """
     nu_tail = model.hint("nu_b_tail")
     mu_tail = model.hint("mu_tail")
     if nu_tail is None or mu_tail is None:
-        wp = build_weights(model, DEFAULT_NMAX)
+        wp = build_weights(model, DEFAULT_NMAX + 1)
         nu_tail = nu_tail or (lambda n: wp.nu_tail(n, "b"))
         mu_tail = mu_tail or wp.mu_tail
     return {"mu_tail": lambda n: b0 * nu_tail(n - 1), "nu_b_tail": lambda n: mu_tail(n) / b0}

@@ -24,15 +24,11 @@ import numpy as np
 
 from . import oracle, series
 from .approx import _II
-from .errors import (EtaOutOfRange, HypothesisUnverified, NotInF,
+from .errors import (BadParameter, EtaOutOfRange, HypothesisUnverified, NotInF,
                      ShapeViolation, WrongBoundary)
 from .model import BoundaryCode, ChainModel, build_weights
 
-# rows of the (ell, m) triangle of upper_9_9 per block: at most 32 x WINDOW
-# doubles (2 MB) per temporary
-ROW_BLOCK = 32
 WINDOW = 8192    # states of the bounds of Theorem 9.9 and of r_operator_bounds
-ELL_CAP = 512    # upper_9_9's double infimum takes ell below this
 TRAIL = 256      # trailing states read for the boundary flux and Cesaro averages
 
 
@@ -126,15 +122,17 @@ def r_operator_bounds(model: ChainModel, v, lo: int = 1,
 
 
 def upper_9_9(model: ChainModel, lm: Optional[tuple] = None):
-    """Weighted-test-function upper bound: the double infimum, or its value at
-    a pinned (ell, m); also the looser single-infimum variant. Returns the
-    tighter value and the details, a ``series.Labelled`` pair with the
-    float-safe window's certainty.
+    """Theorem 9.9's weighted-test-function upper bound: the double infimum,
+    or its value at a pinned (ell, m) with base <= ell <= m <= top; also the
+    looser single-infimum variant. Returns the tighter value and the
+    details, a ``series.Labelled`` pair with the float-safe window's certainty.
 
-    The double infimum runs over the (ell, m) triangle with ell below
-    ``ELL_CAP``, in blocks of ``ROW_BLOCK`` rows; ``at`` is its first
-    strict minimum in (ell, m) row-major order, and a row holding a NaN is
-    skipped.
+    The double infimum runs over the whole (ell, m) triangle of the window.
+    Its entry, (1/nu_b[ell, m] + mc_m) / mu[1, ell], has a Monge numerator
+    (1/t is convex, and the nu_b and killing-mass prefixes do not decrease),
+    so each row's leftmost argmin comes exactly from the package's one Monge
+    search, ``series._monge_argmins``. ``at`` is the first least entry in
+    (ell, m) row-major order, where a NaN entry counts as inf.
     """
     ws, W = _arrays(model)
     mu = ws.mu[:W]
@@ -144,34 +142,25 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None):
     c, cmin = _killing_floor(ws, W)
     ct = c - cmin
     nbc = ws.nu_prefix("b", W)
+    below = np.concatenate([[0.0], nbc[:-1]])    # nu_b summed below ell
     mc = np.cumsum(mu * ct)
     muc = ws.mu_prefix_arr[:W]
+    if lm is None:
+        k, j = series._monge_argmins(np.zeros(W), mc, below, nbc, lambda t: 1.0 / t)
+    elif ws.base <= lm[0] <= lm[1] <= ws.base + W - 1:
+        k, j = lm[0] - ws.base, lm[1] - ws.base
+    else:
+        raise BadParameter("(ell, m) needs %d <= ell <= m <= %d" % (ws.base, ws.base + W - 1))
     with np.errstate(all="ignore"):
         loose_vals = (mu * ws.b[:W] + mc) / muc
-    loose_vals = loose_vals[np.isfinite(loose_vals)]
-    loose = cmin + float(np.min(loose_vals)) if len(loose_vals) else math.inf
-
+        t = (1.0 / (nbc[j] - below[k]) + mc[j]) / muc[k]
+    loose = cmin + float(np.min(loose_vals, initial=math.inf, where=np.isfinite(loose_vals)))
     if lm is not None:
-        k, j = lm[0] - ws.base, lm[1] - ws.base
-        mid = nbc[j] - (nbc[k - 1] if k >= 1 else 0.0)
-        return series.Labelled((cmin + (1.0 / mid + mc[j]) / muc[k],
-                                {"at": tuple(lm), "loose_9_10": loose}), ws.certainty(W))
-    best, arg = math.inf, None
-    rows = min(ELL_CAP, W - 1)
-    for k0 in range(0, rows, ROW_BLOCK):
-        k = np.arange(k0, min(k0 + ROW_BLOCK, rows))
-        j = np.arange(k0, W)
-        below = np.where(k >= 1, nbc[k - 1], 0.0)
-        with np.errstate(all="ignore"):
-            vals = (1.0 / (nbc[k0:] - below[:, None]) + mc[k0:]) / muc[k, None]
-        vals[j < k[:, None]] = math.inf   # m < ell lies outside the triangle
-        t = np.min(vals, axis=1)
-        t[np.isnan(t)] = math.inf
-        r = int(np.argmin(t))
-        if t[r] < best:
-            best = float(t[r])
-            arg = (int(ws.base + k[r]), int(ws.base + j[int(np.argmin(vals[r]))]))
-    return series.Labelled((min(cmin + best, loose), {"at": arg, "loose_9_10": loose,
+        return series.Labelled((cmin + t, {"at": tuple(lm), "loose_9_10": loose}), ws.certainty(W))
+    t = np.fmin(t, math.inf)     # a NaN entry reads as inf
+    r = int(np.argmin(t))        # the search keeps row 1: mc_1 is finite, nu_b[1, 1] > 0
+    best, at = float(t[r]), (int(ws.base + k[r]), int(ws.base + j[r]))
+    return series.Labelled((min(cmin + best, loose), {"at": at, "loose_9_10": loose,
                                                       "double_inf": cmin + best}), ws.certainty(W))
 
 

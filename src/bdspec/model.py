@@ -279,12 +279,13 @@ def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX) -> WeightSystem:
     estimate: divergent if either is infinite, converged if the remainder is
     below DEFAULT_TOL of the window part, else estimated.
 
-    A call with the same model object and ``n_max`` as the previous call
+    A call with the same model object and window as the previous call
     returns the previous weight system, tail caches included; the model's
     other windows share its arrays (:func:`_rates_and_weights`).
     """
-    if not (_held.model is model and _held.last[0] == n_max):
-        _held.last = (n_max, _build(model, n_max))    # _build leaves the model held
+    states = n_max if model.hi is None else min(n_max, model.hi - model.base + 1)
+    if not (_held.model is model and _held.last[0] == states):
+        _held.last = (states, _build(model, n_max))    # _build leaves the model held
     return _held.last[1]
 
 

@@ -3,16 +3,17 @@
 The one-index suprema (delta^(3.1), delta^(4.4) and their L^(p/2) forms)
 are a max over one window array, taken with their objectives in
 ``estimates._delta_sup``. The two-index constants, infima over n <= m of
-(L_n + R_m) M(n, m)^-s or of L_n R_m M(n, m)^-s (a supremum is taken
-through its reciprocal), go through
-:func:`half_line_pairs` (linear weights, prefix-difference middle sums) or
-:func:`log_triangle` (log weights, for two-sided chains whose weights leave
-float range both ways); the caller's boundary code picks the routine.
-:func:`half_line_pairs` searches the finite part of its window exactly, by
-Dinkelbach's iteration for the sum (kappa of (6.13) and (7.5), B of (8.6);
-ranked by complex lexicographic order) and a monotone-argmin search for the
-product (the half-line split B), both stopped at the column where the middle
-prefix saturates when every later column is dominated by it.
+(L_n + R_m) M(n, m)^-s or of L_n R_m M(n, m)^-s (a supremum is taken through
+its reciprocal), go through :func:`half_line_pairs` (linear weights,
+prefix-difference middle sums) or :func:`log_triangle` (log weights, for
+two-sided chains whose weights leave float range both ways); the caller's
+boundary code picks the routine. :func:`half_line_pairs` searches the finite
+part of its window exactly, by Dinkelbach's iteration for the sum (kappa of
+(6.13) and (7.5), B of (8.6); ranked by complex lexicographic order) and a
+monotone-argmin search for the product (the half-line split B), both stopped
+at the column where the middle prefix saturates when every later column is
+dominated by it. That search, :func:`_monge_argmins`, also takes Theorem
+9.9's double infimum (``killing.upper_9_9``) over the whole (ell, m) triangle.
 Every tail goes one route: :func:`estimate_remainder_block` is the one
 remainder estimator and :func:`tail_sums` the one suffix-plus-remainder sum.
 ``model.WeightSystem`` owns the weight series' totals and tails and estimates
@@ -32,6 +33,7 @@ import numpy as np
 
 BLOCK_ENTRIES = 1 << 20  # entries per 2-D block of a two-index scan
 REMAINDER_BLOCK = 64     # terms per block of the remainder estimator
+DENSE_ENTRIES = 1 << 15  # a Monge staircase this small is searched in one step
 LIMIT_TOL = 1e-13        # a last step below this, relative to max(|limit|, 1), has converged
 
 
@@ -78,17 +80,17 @@ def estimate_remainder_block(terms: np.ndarray, start: int) -> float:
     ``terms[k]`` is the term of index ``start + k``. The estimate compares the
     sums of the last two blocks of REMAINDER_BLOCK terms, which is robust to
     periodic term patterns that confuse a per-term ratio (alternating-rate
-    chains); inputs shorter than two blocks compare their last two terms
-    instead (blocks of one term). Returns +inf when the terms do not decay,
-    or decay no faster than the harmonic series 1/j over the same two blocks.
-    Otherwise a ratio q clearly below 1 gives the geometric remainder
-    t q / (1 - q), and any other the integral test with the local power p
-    fitted from q, t k / (p - 1), t the mean trailing term and k the last index.
+    chains); shorter inputs compare blocks of two terms (one below 6 terms).
+    Returns +inf when the terms do not decay, or decay no faster than the
+    harmonic series 1/j over the same two blocks. Otherwise a ratio q clearly
+    below 1 gives the geometric remainder t q / (1 - q), and any other the
+    integral test with the local power p fitted from q, t k / (p - 1), t the
+    mean trailing term and k the last index.
     """
     n = len(terms)
     if n < 2:
         return math.inf if (n and terms[-1] > 0) else 0.0
-    block = REMAINDER_BLOCK if n >= 2 * REMAINDER_BLOCK + 2 else 1
+    block = REMAINDER_BLOCK if n >= 2 * REMAINDER_BLOCK + 2 else 2 if n >= 6 else 1
     with np.errstate(over="ignore"):
         s1 = float(np.sum(terms[-block:]))
         s0 = float(np.sum(terms[-2 * block:-block]))
@@ -236,17 +238,25 @@ def _monge_min(L, R, P, Q, s):
 def _monge_argmins(a, b, x, y, phi):
     """Row argmins of A[n, m] = a_n + b_m + phi(y_m - x_n), +inf where
     y_m <= x_n, for convex phi and nondecreasing x and y: the rows n with a
-    finite entry and their leftmost argmins m(n).
+    finite entry and their leftmost argmins m(n), for :func:`_fractional_min`
+    (s != 1), :func:`_monge_min` and Theorem 9.9's ``killing.upper_9_9``.
 
     A is Monge (phi(y - x) has a nonpositive mixed derivative, and the +inf
     staircase keeps the property), so m(n) does not decrease down the rows,
     and a divide and conquer on it (Aggarwal et al. 1987) evaluates
-    O(rows + columns) entries per level. Rows with a non-finite a_n, columns
-    with a non-finite b_m and the trailing rows no column reaches go first.
+    O(rows + columns) entries per level. A staircase of at most DENSE_ENTRIES
+    entries is evaluated whole in one 2-D step instead, which is cheaper.
+    Rows with a non-finite a_n, columns with a non-finite b_m and the
+    trailing rows no column reaches go first.
     """
     rows, cols = np.flatnonzero(np.isfinite(a)), np.flatnonzero(np.isfinite(b))
     rows = rows[x[rows] < y[cols[-1]]] if len(cols) else rows[:0]
     a, x, b, y = a[rows], x[rows], b[cols], y[cols]
+    if 0 < len(rows) * len(cols) <= DENSE_ENTRIES:
+        with np.errstate(all="ignore"):
+            d = y[None, :] - x[:, None]
+            v = np.where(d > 0.0, a[:, None] + b + phi(d), math.inf)
+        return rows, cols[np.argmin(v, axis=1)]
     row_arg = np.empty(len(rows), dtype=np.int64)
     r_lo, r_hi, c_lo, c_hi = (np.array([k]) for k in (0, len(rows) - 1, 0, len(cols) - 1))
     while len(rows) and len(r_lo):

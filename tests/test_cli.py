@@ -298,19 +298,19 @@ def test_json_nonfinite_flags(capsys):
 
 def test_killing_one_state_chain_returns_the_killing_floor(capsys):
     # ex7_5_1 (one state, killing c = 2) has no stop level for the square-root
-    # seeds: sqrt_test_bound returns the family floor, and lambda = c = 2
+    # seeds: sqrt_test_bound returns the family floor, and lambda = c = 2. The
+    # (ell, m) triangle is the one pair (1, 1), where the double infimum is c
     code, out = run_cli(["killing", "--model", "ex7_5_1", "--json"], capsys)
     assert code == 0
     doc = strict_json(out)
     del doc["wall_time_s"]
     assert doc == {
         "model": "ex7_5_1", "params": {"c": 2.0}, "command": "killing",
-        "upper_9_9": 2.0, "upper_detail": {"at": None, "loose_9_10": 2.0, "double_inf": None},
+        "upper_9_9": 2.0, "upper_detail": {"at": [1, 1], "loose_9_10": 2.0, "double_inf": 2.0},
         "lower_cor_9_9": 2.0, "xi": 0.0, "zeta": 0.0, "lower_sqrt_test": 2.0,
         "flags": {"eps": 0.05, "family_insufficient": True,
                   "sqrt": {"family_insufficient": True}},
-        "dispatch_9_12": "positive", "certified": "certified",
-        "nonfinite": {"upper_detail.double_inf": "inf"}}
+        "dispatch_9_12": "positive", "certified": "certified"}
 
 
 def test_oracle_one_state_chain_warns_nothing(capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bdspec import estimates, killing, oracle
 from bdspec.catalog import catalog
-from bdspec.errors import EtaOutOfRange, NotInF, ShapeViolation
+from bdspec.errors import BadParameter, EtaOutOfRange, NotInF, ShapeViolation
 from bdspec.model import BoundaryCode, ChainModel
 from bdspec.series import Certainty
 
@@ -57,6 +57,28 @@ def test_upper_9_9_values():
     u, det = killing.upper_9_9(catalog("ex9_21", printed_killing=True))
     assert u == pytest.approx(15.42, abs=0.02)
     assert det["at"] == (2, 4)
+
+
+@pytest.mark.parametrize("name,value,at", [("ex9_16", 0.0011782389121828476, (8162, 8192)),
+                                           ("ex9_17", 0.5000000595900964, (4096, 8192)),
+                                           ("ex9_20", 4.583271626253265, (5584, 8192))])
+def test_upper_9_9_double_infimum_lies_deep_in_the_triangle(name, value, at):
+    # the least (ell, m) entry of these windows has ell in the thousands and
+    # lies below the diagonal's loose_9_10, which then no longer decides
+    up, det = killing.upper_9_9(catalog(name))
+    assert det["double_inf"] == pytest.approx(value, rel=1e-12, abs=0)
+    assert det["at"] == at
+    assert up == det["double_inf"] < det["loose_9_10"]
+
+
+@pytest.mark.parametrize("lm", [(3, 1), (0, 2), (2, 9000)])
+def test_upper_9_9_refuses_a_pair_outside_the_triangle(lm):
+    # ex9_19's window is states 1..8192: m < ell, ell below the first state
+    # and m past the last are no test functions
+    with pytest.raises(BadParameter, match="1 <= ell <= m <= 8192"):
+        killing.upper_9_9(catalog("ex9_19"), lm=lm)
+    u, det = killing.upper_9_9(catalog("ex9_19"), lm=(8192, 8192))
+    assert math.isfinite(u) and det["at"] == (8192, 8192)
 
 
 def test_xi_zeta_examples():
@@ -443,7 +465,7 @@ def test_upper_9_9_matches_per_ell_loop(model):
     mc = np.cumsum(ws.mu[:W] * (c - cmin))
     muc = ws.mu_prefix_arr[:W]
     best, arg = math.inf, None
-    for k in range(min(512, W - 1)):
+    for k in range(W):   # every ell of the window, base <= ell <= m <= top
         j = np.arange(k, W)
         with np.errstate(all="ignore"):
             vals = (1.0 / (nbc[j] - (nbc[k - 1] if k else 0.0)) + mc[j]) / muc[k]
@@ -454,6 +476,13 @@ def test_upper_9_9_matches_per_ell_loop(model):
     assert detail["at"] == arg
     assert repr(detail["double_inf"]) == repr(cmin + best)
     assert repr(up) == repr(min(cmin + best, detail["loose_9_10"]))
+
+
+@pytest.mark.parametrize("model", _killed_models(), ids=lambda m: m.name)
+def test_upper_9_9_double_infimum_is_at_most_its_diagonal(model):
+    # loose_9_10 is the triangle's diagonal ell = m, the last state included
+    _, detail = killing.upper_9_9(model)
+    assert detail["double_inf"] <= detail["loose_9_10"] * (1.0 + 1e-12)
 
 
 def test_kernel_mixed_batch_matches_single_rows():

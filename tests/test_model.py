@@ -212,10 +212,10 @@ def _hinted_totals():
                                        for m, k in _hinted_totals()])
 def test_a_hinted_total_is_the_window_sum_plus_the_tail_past_it(model, key):
     # one closed form per series: the total is the tail hint at the first
-    # state, so it splits into the window and the hint past the window. The
-    # window lies inside the primal's default one, whose suffix sums a dual
-    # hint reads where the primal has no closed form
-    ws = build_weights(model, 4096)
+    # state, so it splits into the window and the hint past the window. At
+    # the default window too: a dual hint reads the suffix sums of a primal
+    # window that ends where the dual's does, where the primal has no closed form
+    ws = build_weights(model)
     total = getattr(ws, key + "_total")
     assert total.flag == "closed_form"
     if math.isfinite(total.value):
@@ -251,6 +251,14 @@ def _inverse_linear_nd_1_3(n_max):
     return v.condition_1_3, v.evidence["1.3"]
 
 
+def _table7_1_row9(n_max, key):
+    """(1.2) or (9.34)'s verdict and evidence on table7_1_row9, whose rates
+    alternate with period 2; under 130 terms the verdict compares blocks of
+    two terms, not single terms."""
+    v = classify_uniqueness(catalog("table7_1_row9"), n_max)
+    return {"1.2": v.condition_1_2, "9.34": v.condition_9_34}[key], v.evidence[key]
+
+
 LENGTHS = (66, 100, 200, 500, 2000, 4096)
 VERDICT_CASES = (
     [("hint", lambda: model_mod._classify_series(np.ones(500), "fails", 0), Verdict.FAILS),
@@ -264,7 +272,9 @@ VERDICT_CASES = (
     + [("p1.05_%d" % n, lambda n=n: _power_series(1.05, n), Verdict.FAILS)
        for n in LENGTHS[2:]]
     + [("inverse_linear_nd_%d" % n, lambda n=n: _inverse_linear_nd_1_3(n), Verdict.HOLDS)
-       for n in (100, 300, 1000, 4096)])
+       for n in (100, 300, 1000, 4096)]
+    + [("table7_1_row9_%s_%d" % (key, n), lambda n=n, key=key: _table7_1_row9(n, key),
+        Verdict.HOLDS) for key in ("1.2", "9.34") for n in (66, 100, 300)])
 
 
 @pytest.mark.parametrize("verdict_of,expected", [c[1:] for c in VERDICT_CASES],
@@ -272,8 +282,9 @@ VERDICT_CASES = (
 def test_divergence_verdict(verdict_of, expected):
     # the verdict is estimate_remainder_block's: an infinite remainder
     # diverges (HOLDS); the harmonic series and p-series on either side of
-    # p = 1 are read right at every length, and the chain with weights
-    # 1/(i+1) has (1.3) hold on its own terms, not by the implication from (1.2)
+    # p = 1 are read right at every length, the chain with weights 1/(i+1)
+    # has (1.3) hold on its own terms, not by the implication from (1.2), and
+    # table7_1_row9's period-2 rates read the same on short windows as on long
     verdict, evidence = verdict_of()
     assert verdict is expected
     assert "implied_by_1_2" not in evidence
@@ -525,6 +536,16 @@ def test_last_weight_system_is_reused_and_read_only():
     build_weights(twin, 64)
     gc.collect()
     assert ref() is None
+
+
+def test_a_finite_chain_s_window_is_built_once_for_every_n_max_past_its_top():
+    # the memo is keyed by the window: the forward dual's primal window of
+    # DEFAULT_NMAX + 1 states is the finite chain's whole window, already built
+    model = catalog("ex7_5_2")                 # states 1 and 2
+    ws = build_weights(model)
+    assert build_weights(model, DEFAULT_NMAX + 1) is ws
+    assert build_weights(model, 2) is ws
+    assert build_weights(model, 1) is not ws
 
 
 def test_the_held_window_goes_before_another_chain_s_weights_are_evaluated():

@@ -167,6 +167,60 @@ def test_fractional_min_ranks_like_a_lexsort(W, strict):
             assert series._fractional_min(*args) == _lexsort_fractional_min(*args)
 
 
+def _monge_staircase(rng, rows, cols, exact):
+    """Inputs of series._monge_argmins: non-finite a_n and b_m among finite
+    ones, nondecreasing x and y with ties, and a convex phi. ``exact`` draws
+    small integers and phi(t) = t^2, so every entry is exact and ties are
+    common; otherwise the draws are continuous and phi is 1/t, -t^(2/3) or
+    -log t."""
+    if exact:
+        a, b = rng.integers(0, 20, rows).astype(float), rng.integers(0, 20, cols).astype(float)
+        x = np.cumsum(rng.integers(0, 3, rows)).astype(float)
+        y = np.cumsum(rng.integers(0, 3, cols)).astype(float) + rng.integers(-3, 4)
+        phi = np.square
+    else:
+        a, b = rng.uniform(0.0, 5.0, rows), rng.uniform(0.0, 5.0, cols)
+        x = np.cumsum(rng.uniform(0.0, 1.0, rows) * (rng.random(rows) < 0.8))
+        y = np.cumsum(rng.uniform(0.0, 1.0, cols)) * rows / cols + rng.uniform(-2.0, 2.0)
+        phi = [lambda t: 1.0 / t, lambda t: -t ** (2.0 / 3.0), lambda t: -np.log(t)][
+            rng.integers(3)]
+    a[rng.random(rows) < 0.1] = math.inf
+    b[rng.random(cols) < 0.1] = math.nan
+    return a, b, x, y, phi
+
+
+def _brute_argmins(a, b, x, y, phi):
+    """Reference for series._monge_argmins: every entry of the staircase
+    evaluated; the rows with a finite entry and their leftmost argmins."""
+    rows, cols = np.flatnonzero(np.isfinite(a)), np.flatnonzero(np.isfinite(b))
+    with np.errstate(all="ignore"):
+        d = y[cols][None, :] - x[rows][:, None]
+        A = np.where(d > 0.0, a[rows, None] + b[None, cols] + phi(d), math.inf)
+    keep = np.isfinite(A).any(axis=1)
+    return rows[keep], cols[np.argmin(A[keep], axis=1)] if len(cols) else cols
+
+
+DENSE = series.DENSE_ENTRIES
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (2, 7), (64, 64), (DENSE // 128, 128),
+                                       (DENSE // 128 + 1, 128), (40, DENSE // 40 + 1),
+                                       (DENSE // 40 + 1, 40), (300, 300)])
+@pytest.mark.parametrize("exact", [True, False])
+def test_monge_argmins_matches_brute_force_on_both_paths(rows, cols, exact, monkeypatch):
+    # the same staircases, at most DENSE_ENTRIES entries and past it, searched
+    # as they come and with the threshold at 0 (divide and conquer down to
+    # single rows): both give the brute-force leftmost row argmins
+    rng = np.random.default_rng(rows * 1009 + cols * 7 + exact)
+    for _ in range(max(3, 20000 // (rows * cols))):
+        args = _monge_staircase(rng, rows, cols, exact)
+        ref = _brute_argmins(*args)
+        for dense in (DENSE, 0):
+            monkeypatch.setattr(series, "DENSE_ENTRIES", dense)
+            got = series._monge_argmins(*args)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
 def _uncut_pairs(L, R, mid_prefix, strict, base, s, product):
     """Reference for half_line_pairs' stop: its certified path with every
     one of the first W_eff columns handed to the kernel."""
@@ -277,6 +331,16 @@ def test_remainder_of_a_period_2_series():
     t = np.cumprod(np.concatenate([[1.0], np.tile([1.0 / 6.0, 1.5], 199)]))
     assert t[-1] / t[-2] == 1.5
     exact = 0.25 ** 199 * (1.0 / 6.0 + 0.25) * 4.0 / 3.0   # t_399 = 4^-199 / 6, ...
+    assert series.estimate_remainder_block(t, 0) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_remainder_of_a_short_period_2_series():
+    # the same period-2 terms, 101 of them: too few for two blocks of
+    # REMAINDER_BLOCK terms, so blocks of two terms are compared, which decay
+    # by exactly 1/4 where the last two terms read 3/2
+    t = np.cumprod(np.concatenate([[1.0], np.tile([1.0 / 6.0, 1.5], 50)]))
+    assert len(t) == 101 and t[-1] / t[-2] == 1.5
+    exact = (t[-2] + t[-1]) / 3.0
     assert series.estimate_remainder_block(t, 0) == pytest.approx(exact, rel=1e-13, abs=0)
 
 
