@@ -137,27 +137,25 @@ def kappa_bilateral(model: ChainModel, variant: str = "DD_7_11",
     """kappa on a two-sided state space: (7.11) for lambda_0, (7.12) for lambda_1.
 
     All sums are carried in the log domain so super-exponential weights (the
-    e^{i^2} family) stay representable.
+    e^{i^2} family) stay representable. A degenerate kappa is inf, window-
+    stopped: where 1/kappa = exp(infimum) is 0 or inf, or where kappa is over
+    5 % above its half-window value (the infimum keeps falling: recurrence).
     """
     if model.boundary is not BoundaryCode.DD_BILATERAL:
         raise WrongBoundary("kappa_bilateral needs a bilateral model")
     if variant not in ("DD_7_11", "NN_7_12"):
         raise WrongBoundary("variant must be DD_7_11 or NN_7_12")
-    method = "kappa_" + variant[-4:]
-    half = _kappa_bilateral_scan(model, variant, half_window // 2)
-    full = _kappa_bilateral_scan(model, variant, half_window)
-    if not math.isfinite(full[0]):
-        rep = series.ExtremumReport(None, 0.0, series.Certainty.WINDOW_STOPPED,
-                                    (-half_window, half_window))
-        return math.inf, Bracket(0.0, 0.0, method, rep)
-    if full[0] > half[0] * 1.05:
-        # the infimum keeps falling as the window grows: recurrent degeneracy
-        rep = series.ExtremumReport(full[1], math.inf, series.Certainty.WINDOW_STOPPED,
-                                    (-half_window, half_window))
-        return math.inf, Bracket(0.0, 0.0, method, rep)
-    kappa, arg, span = full
-    rep = series.ExtremumReport(arg, 1.0 / kappa, model.certainty(*span), span)
-    return kappa, _bracket_from_constant(kappa, method, rep)
+    kappas = []
+    for w in (half_window // 2, half_window):
+        log_best, arg, span = _bilateral_scan(model, variant, w)
+        inv_kappa = series.exp_or_inf(log_best)
+        kappas.append(1.0 / inv_kappa if 0.0 < inv_kappa < math.inf else math.inf)
+    half, kappa = kappas
+    certainty = model.certainty(*span)
+    if kappa == math.inf or kappa > half * 1.05:
+        kappa, certainty = math.inf, series.Certainty.WINDOW_STOPPED
+    rep = series.ExtremumReport(arg, 1.0 / kappa, certainty, span)
+    return kappa, _bracket_from_constant(kappa, "kappa_" + variant[-4:], rep)
 
 
 def _bilateral_sums(log_mua: np.ndarray, log_mub: np.ndarray):
@@ -183,13 +181,6 @@ def _bilateral_scan(model: ChainModel, variant: str, half_window: int, s: float 
     if arg is not None:
         arg = (int(idx[arg[0]]), int(idx[arg[1] + shift]))
     return log_best, arg, (int(idx[0]), int(idx[-1]))
-
-
-def _kappa_bilateral_scan(model: ChainModel, variant: str, half_window: int):
-    log_best, arg, span = _bilateral_scan(model, variant, half_window)
-    inv_kappa = math.exp(log_best) if math.isfinite(log_best) else math.inf
-    kappa = 1.0 / inv_kappa if inv_kappa > 0 and math.isfinite(inv_kappa) else math.inf
-    return kappa, arg, span
 
 
 def naive_upper(model: ChainModel) -> series.ExtremumReport:

@@ -30,7 +30,7 @@ TINY = np.finfo(float).tiny                 # the smallest normal float
 LOG_TINY = math.log(TINY)                   # -708.4: the underflow threshold
 LOG_HUGE = math.log(np.finfo(float).max)    # 709.8: the overflow threshold
 LOG_SAFE = 280.0    # |log mu| up to which mu and mu*f products stay well inside float range
-HINT_KEYS = {"mu_tail", "nu_a_tail", "nu_b_tail", "uniq_1_2", "uniq_1_3", "uniq_9_34"}
+HINT_KEYS = {"mu_tail", "nu_b_tail", "uniq_1_2", "uniq_1_3"}
 
 
 class BoundaryCode(enum.Enum):
@@ -62,14 +62,14 @@ class ChainModel:
     ``hi`` is a Dirichlet point at hi+1 for ND/DD and a reflecting top
     (birth(hi) = 0) for DN/NN.
 
-    ``tail_hint`` maps keys to closed forms: the tails ``mu_tail``,
-    ``nu_a_tail`` and ``nu_b_tail``, the uniqueness verdicts ``uniq_1_2``,
-    ``uniq_1_3`` and ``uniq_9_34``, and on a bilateral chain ``log_mu``; any
-    other key raises BadParameter. A hinted series' total is its tail at the
-    first state. A tail hint takes array in, array out: ``hint(n)`` accepts an
-    int or an int array and returns mu[n, N] (or nu[n, N]) as a float or as
-    an ndarray of the same shape, in O(len(n)) memory, and a window of tails
-    evaluated in one call equals the same tails evaluated one at a time.
+    ``tail_hint`` maps keys to closed forms: the tails ``mu_tail`` and
+    ``nu_b_tail`` and the uniqueness verdicts ``uniq_1_2`` and ``uniq_1_3``;
+    any other key raises BadParameter, as does an empty range (hi < lo). A
+    hinted series' total is its tail at the first state. A tail hint takes
+    array in, array out: ``hint(n)`` accepts an int or an int array and
+    returns mu[n, N] (or nu[n, N]) as a float or as an ndarray of the same
+    shape, in O(len(n)) memory, and a window of tails evaluated in one call
+    equals the same tails evaluated one at a time.
     Rate and hint callables must be element-wise, the value at i depending on
     i alone: a model's windows are prefix views of its largest (:func:`build_weights`).
     """
@@ -85,22 +85,17 @@ class ChainModel:
     source: Optional[dict] = None  # JSON document this model was loaded from
 
     def __post_init__(self):
-        bilateral = self.boundary is BoundaryCode.DD_BILATERAL
-        unknown = set(self.tail_hint or ()) - HINT_KEYS - ({"log_mu"} if bilateral else set())
+        unknown = set(self.tail_hint or ()) - HINT_KEYS
         if unknown:
             raise BadParameter("unknown tail hint keys %s" % sorted(unknown))
-        if bilateral:
-            if self.lo is not None and self.hi is not None and self.hi < self.lo:
-                raise BadParameter("empty bilateral range")
-        else:
-            if self.lo is None:
-                raise BadParameter("half-line models need a finite left end")
+        if self.boundary is not BoundaryCode.DD_BILATERAL and self.lo is None:
+            raise BadParameter("half-line models need a finite left end")
+        if None not in (self.lo, self.hi) and self.hi < self.lo:
+            raise BadParameter("empty range [%d, %d]" % (self.lo, self.hi))
 
     @property
     def base(self) -> int:
-        if self.lo is not None:
-            return self.lo
-        return 0  # bilateral reference point
+        return self.lo if self.lo is not None else 0    # 0: the bilateral reference point
 
     def rates(self, i0: int, i1: int):
         """(death, birth, killing) on [i0, i1] with boundary conventions applied."""
@@ -118,9 +113,7 @@ class ChainModel:
         return a, b, c
 
     def hint(self, key: str):
-        if self.tail_hint is None:
-            return None
-        return self.tail_hint.get(key)
+        return (self.tail_hint or {}).get(key)
 
     def certainty(self, lo: int, top: int) -> series.Certainty:
         """The one certainty rule: a bound computed on the states [lo, top]
@@ -398,38 +391,25 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
 def bilateral_log_weights(model: ChainModel, half_window: int):
     """Log-domain weights of a bilateral model on [-W, W] (clipped to lo/hi).
 
-    Normalized at the reference point 0 (or the nearest in-range state); only
+    By the recurrence mu_{i+1} a_{i+1} = mu_i b_i on positive finite rates,
+    normalized at the reference point 0 (or the nearest in-range state); only
     ratios matter for every bilateral quantity in this package. Returns
     ``(idx, log_mu, log_mua, log_mub)`` with log(mu_i a_i) = log(mu_{i-1} b_{i-1}).
     """
     lo = -half_window if model.lo is None else max(model.lo, -half_window)
     hi = half_window if model.hi is None else min(model.hi, half_window)
     idx = np.arange(lo, hi + 1, dtype=np.int64)
-    hint_log = model.hint("log_mu")
-    if hint_log is not None:
-        log_mu = np.asarray(hint_log(idx), dtype=float)
-        log_b = np.log(np.asarray(model.birth(idx), dtype=float))
-    else:
-        a = np.asarray(model.death(idx), dtype=float)
-        b = np.asarray(model.birth(idx), dtype=float)
-        if np.any(a <= 0.0) or np.any(b <= 0.0):
-            raise NonPositiveRate("bilateral rates must be positive")
-        log_b = np.log(b)
-        steps = log_b[:-1] - np.log(a[1:])
-        log_mu = np.concatenate([[0.0], np.cumsum(steps)])
-        ref = int(np.searchsorted(idx, min(max(0, lo), hi)))
-        log_mu -= log_mu[ref]
+    a = np.asarray(model.death(idx), dtype=float)
+    b = np.asarray(model.birth(idx), dtype=float)
+    if np.any(a <= 0.0) or np.any(b <= 0.0):
+        raise NonPositiveRate("bilateral rates must be positive")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise Overflow("rates not finite at some index")
+    log_b = np.log(b)
+    log_mu = np.concatenate([[0.0], np.cumsum(log_b[:-1] - np.log(a[1:]))])
+    log_mu -= log_mu[int(np.searchsorted(idx, min(max(0, lo), hi)))]
     log_mub = log_mu + log_b
-    log_mua = np.empty_like(log_mu)
-    log_mua[1:] = log_mub[:-1]
-    if hint_log is not None and (model.lo is None or lo > model.lo):
-        # window edge is not a true boundary: extend one step below via the hint
-        below = np.asarray([lo - 1], dtype=np.int64)
-        log_mua[0] = float(np.asarray(hint_log(below), dtype=float)[0]) \
-            + math.log(float(np.asarray(model.birth(below), dtype=float)[0]))
-    else:
-        a0 = float(np.asarray(model.death(idx[:1]), dtype=float)[0])
-        log_mua[0] = log_mu[0] + (math.log(a0) if a0 > 0 else -math.inf)
+    log_mua = np.concatenate([[log_mu[0] + math.log(a[0])], log_mub[:-1]])
     return idx, log_mu, log_mua, log_mub
 
 
@@ -463,21 +443,21 @@ def _classify_series(terms: np.ndarray, hint: Optional[str], start: int) -> tupl
 def classify_uniqueness(model: ChainModel, n_max: int = DEFAULT_NMAX) -> UniquenessVerdict:
     """Evaluate the three uniqueness series up to n_max (at most 4096 states)
     by the one divergence verdict (:func:`_classify_series`), heuristic for
-    truly asymptotic statements. (1.2) implies (1.3), so (1.3) holds with it.
+    truly asymptotic statements. (1.2) implies (1.3), so (1.3) holds with it;
+    without killing, (9.34)'s terms are (1.2)'s, and so is its verdict.
     """
     if n_max < GROWTH_WINDOW:
         raise BadParameter("need n_max >= %d" % GROWTH_WINDOW)
     ws = build_weights(model, n_max=min(n_max, 4096))
     mu, nu_b, c = ws.mu, ws.nu_b, ws.c
-    pref = ws.mu_prefix_arr
     with np.errstate(all="ignore"):
         ok = np.isfinite(mu * nu_b) & (nu_b > 0.0)
-        t12 = (nu_b * pref)[ok]
+        t12 = (nu_b * ws.mu_prefix_arr)[ok]
         t13 = (nu_b + mu)[ok]
         t934 = (nu_b * np.cumsum(mu * (1.0 + c)))[ok]
     v12, e12 = _classify_series(t12, model.hint("uniq_1_2"), ws.base)
     v13, e13 = _classify_series(t13, model.hint("uniq_1_3"), ws.base)
-    v934, e934 = _classify_series(t934, model.hint("uniq_9_34"), ws.base)
+    v934, e934 = _classify_series(t934, None, ws.base) if c.any() else (v12, e12)
     if v12 is Verdict.HOLDS and v13 is Verdict.FAILS:
         v13 = Verdict.HOLDS  # (1.2) implies (1.3); trust the stronger certificate
         e13 = {"implied_by_1_2": True}

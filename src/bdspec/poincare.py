@@ -61,10 +61,8 @@ def sobolev_constant(model: ChainModel, p: float, variant: str,
     if model.boundary is not BoundaryCode.DD_BILATERAL:
         raise WrongVariant("bilateral_8_4 needs a bilateral model")
     log_best, arg, span = _bilateral_scan(model, "DD_7_11", half_window, s=2.0 / p)
-    rep = series.ExtremumReport(arg, math.exp(log_best) if math.isfinite(log_best) else math.inf,
-                                model.certainty(*span), span)
-    B = math.exp(-log_best) if math.isfinite(log_best) else math.inf
-    return SobolevConstant(p, variant, B, rep)
+    rep = series.ExtremumReport(arg, series.exp_or_inf(log_best), model.certainty(*span), span)
+    return SobolevConstant(p, variant, series.exp_or_inf(-log_best), rep)
 
 
 def b_constants_split(model: ChainModel, p: float,
@@ -77,17 +75,15 @@ def b_constants_split(model: ChainModel, p: float,
         raise WrongVariant("p must be >= 2")
     t = 2.0 / p
     if model.boundary is BoundaryCode.DD_BILATERAL:
-        idx, log_mu, log_mua, log_mub = bilateral_log_weights(model, half_window)
+        _, log_mu, log_mua, log_mub = bilateral_log_weights(model, half_window)
         la, lb = _bilateral_sums(log_mua, log_mub)
         # B_L = sup_n nu_a[-M, n] * ||1_{[n, N]}||, norm = mu[n, N]^{2/p}
         with np.errstate(all="ignore"):
             bl = la + t * np.logaddexp.accumulate(log_mu[::-1])[::-1]
             br = lb + t * np.logaddexp.accumulate(log_mu)
-        B_L, B_R, S = (math.inf if x > 600 else float(np.exp(x))
-                       for x in (np.max(bl), np.max(br), la[-1]))
+        B_L, B_R, S = (series.exp_or_inf(x) for x in (np.max(bl), np.max(br), la[-1]))
         # log B = sup_{n<=m} log[nu_a[-M, n] nu_b[m, M] mu[n, m]^{2/p}]
-        log_best = -series.log_triangle(-la, -lb, log_mu, t, product=True)[0]
-        B = float(np.exp(log_best)) if log_best < 600 else math.inf
+        B = series.exp_or_inf(-series.log_triangle(-la, -lb, log_mu, t, product=True)[0])
     else:
         if model.boundary is not BoundaryCode.DD or model.base != 1:
             raise WrongVariant("split constants need the Dirichlet-origin shape")

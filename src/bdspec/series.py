@@ -304,6 +304,14 @@ def log_triangle(row: np.ndarray, col: np.ndarray, log_w: np.ndarray, s: float =
     return best, arg
 
 
+def exp_or_inf(x: float) -> float:
+    """exp(x), or inf where it overflows: the one way out of the log domain."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # sequence acceleration (used by the oracle's truncation limits)
 # ---------------------------------------------------------------------------

@@ -192,16 +192,44 @@ CONST_RATE = {"catalog": "const", "params": {"value": 1.0}}
     ({"boundary": "DD", "hi": "top", "birth": CONST_RATE, "death": CONST_RATE}, "hi"),
     ({"boundary": "DD", "birth": {"table": [], "then": "last"}, "death": CONST_RATE},
      "birth: a table needs at least one value"),
+    ({"boundary": "ND", "lo": 0, "hi": -1, "birth": CONST_RATE, "death": CONST_RATE},
+     "empty range [0, -1]"),
+    ({"boundary": "DD", "lo": 3, "hi": 2, "birth": CONST_RATE, "death": CONST_RATE},
+     "empty range [3, 2]"),
+    ({"boundary": "DD_bilateral", "birth": {"catalog": "const", "params": {"value": math.nan}},
+      "death": CONST_RATE}, "rates not finite"),
+    ({"boundary": "DD_bilateral", "birth": CONST_RATE,
+      "death": {"table": [1.0, math.inf, 1.0], "then": "last"}}, "rates not finite"),
 ], ids=["no_birth", "const_without_value", "top_level_list", "birth_not_a_spec",
-        "lo_a_list", "lo_not_an_integer", "hi_a_word", "empty_table"])
+        "lo_a_list", "lo_not_an_integer", "hi_a_word", "empty_table", "empty_nd_range",
+        "empty_dd_range", "bilateral_nan_birth", "bilateral_inf_death"])
 def test_malformed_model_file_exits_1_with_a_message(doc, named, tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["estimate", "--file", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and named in captured.err
-    assert "Traceback" not in captured.err
+    for command in ("estimate", "poincare"):
+        assert cli.main([command, "--file", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and named in captured.err
+        assert "Traceback" not in captured.err
+
+
+def test_poincare_on_a_weight_bump_past_float_range_prints_b_as_inf(tmp_path, capsys):
+    # mu rises by e^800 over states 0-8 and falls back by 16: B = kappa, and
+    # both are finite but past float range, so both print as inf; the chain
+    # is infinite, so neither is certified
+    big = math.exp(100.0)
+    doc = {"boundary": "DD_bilateral",
+           "birth": {"table": [big] * 8 + [1.0], "then": "last"},
+           "death": {"table": [1.0] * 9 + [big] * 8 + [1.0], "then": "last"}}
+    path = tmp_path / "bump.json"
+    path.write_text(json.dumps(doc))
+    for command, key in (("poincare", "B"), ("estimate", "kappa")):
+        assert cli.main([command, "--file", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out[key] is None and out["nonfinite"][key] == "inf"
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -159,6 +159,31 @@ def test_kappa_bilateral_of_a_chain_held_at_its_middle():
     assert br.delta_like.certified is Certainty.WINDOW_STOPPED
 
 
+def _weight_bump(lo=None, hi=None):
+    """Rates e^100 that raise mu by e^800 over the states 0-8 and bring it
+    back over 9-16: the exp of (7.11)'s log infimum underflows, so kappa = inf."""
+    big = math.exp(100.0)
+    return ChainModel(BoundaryCode.DD_BILATERAL, lo, hi,
+                      lambda i: np.where((i >= 0) & (i <= 7), big, 1.0),
+                      lambda i: np.where((i >= 9) & (i <= 16), big, 1.0))
+
+
+@pytest.mark.parametrize("model,half_window,span", [
+    (ChainModel(BoundaryCode.DD_BILATERAL, None, None, np.ones_like, np.ones_like), 128,
+     (-128, 128)),
+    (_weight_bump(), 256, (-256, 256)),
+    (_weight_bump(-20, 30), 256, (-20, 30)),
+], ids=["recurrent", "bump", "finite_bump"])
+def test_a_degenerate_kappa_bilateral_reports_zero_on_its_scan(model, half_window, span):
+    # kappa = inf, so the report's value 1/kappa is 0 and its span is the
+    # window scanned, the chain's own range where it is narrower
+    k, br = estimates.kappa_bilateral(model, half_window=half_window)
+    assert k == math.inf and (br.lower, br.upper) == (0.0, 0.0)
+    rep = br.delta_like
+    assert rep.value == 0.0 and rep.scanned == span
+    assert rep.certified is Certainty.WINDOW_STOPPED
+
+
 def test_naive_upper():
     # min over i of a+b+c: attained at i=1 (b_1 + c_1 = 5/2), still >= lambda_0
     rep = estimates.naive_upper(catalog("ex9_18"))

@@ -11,7 +11,7 @@ import pytest
 from bdspec import duality, series
 from bdspec import model as model_mod
 from bdspec.catalog import catalog, catalog_names
-from bdspec.errors import BadParameter, NonPositiveRate, UnknownModel
+from bdspec.errors import BadParameter, NonPositiveRate, Overflow, UnknownModel
 from bdspec.model import (DEFAULT_NMAX, BoundaryCode, ChainModel, Verdict,
                           bilateral_log_weights, build_weights, classify_uniqueness, dump_model,
                           load_model, model_from_dict)
@@ -184,13 +184,30 @@ def test_a_tail_hint_settles_an_infinite_remainder_estimate():
 
 
 def test_hint_keys_outside_the_protocol_are_refused():
-    # log_mu is a bilateral hint: half-line weights have one path, the recurrence
-    half = catalog("const_nd")
-    log_mu = catalog("ex8_9").hint("log_mu")
-    for hint in ({"mu_total": 1.0}, {"nu_b_total": 1.0}, {"log_mu": log_mu}, {"mu_tial": log_mu}):
-        with pytest.raises(BadParameter, match="unknown tail hint keys"):
-            dataclasses.replace(half, tail_hint=hint)
-    assert dataclasses.replace(catalog("bilateral_quadratic"), tail_hint={"log_mu": log_mu})
+    # weights have one path on half-line and bilateral chains alike, the
+    # recurrence, so log_mu is no hint; nor are the keys no chain sets
+    def log_mu(i):
+        return np.asarray(i, dtype=float) ** 2
+    for name in ("const_nd", "bilateral_quadratic"):
+        for key in ("mu_total", "nu_b_total", "log_mu", "mu_tial", "nu_a_tail", "uniq_9_34"):
+            with pytest.raises(BadParameter, match="unknown tail hint keys"):
+                dataclasses.replace(catalog(name), tail_hint={key: log_mu})
+
+
+@pytest.mark.parametrize("boundary,lo,hi", [(BoundaryCode.ND, 0, -1), (BoundaryCode.DD, 3, 2),
+                                            (BoundaryCode.DD_BILATERAL, 5, 4)])
+def test_an_empty_range_is_refused(boundary, lo, hi):
+    with pytest.raises(BadParameter, match=r"empty range \[%d, %d\]" % (lo, hi)):
+        ChainModel(boundary, lo, hi, np.ones_like, np.ones_like)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_bilateral_rates_must_be_finite(rate):
+    # as on the half line: a non-finite rate inside the window is an error
+    odd = ChainModel(BoundaryCode.DD_BILATERAL, None, None, np.ones_like,
+                     lambda i: np.where(np.asarray(i) == 1, rate, 1.0))
+    with pytest.raises(Overflow, match="rates not finite"):
+        bilateral_log_weights(odd, 8)
 
 
 def _hinted_totals():
@@ -259,6 +276,15 @@ def _table7_1_row9(n_max, key):
     return {"1.2": v.condition_1_2, "9.34": v.condition_9_34}[key], v.evidence[key]
 
 
+def _linear_nd_9_34(gamma):
+    """(9.34)'s verdict and evidence on the killing-free linear_nd: its terms
+    are (1.2)'s, so it takes (1.2)'s hinted verdict (its terms near 1/(i + gamma)
+    read as convergent on 4096 states)."""
+    v = classify_uniqueness(catalog("linear_nd", gamma=gamma))
+    assert v.condition_1_2 is Verdict.HOLDS
+    return v.condition_9_34, v.evidence["9.34"]
+
+
 LENGTHS = (66, 100, 200, 500, 2000, 4096)
 VERDICT_CASES = (
     [("hint", lambda: model_mod._classify_series(np.ones(500), "fails", 0), Verdict.FAILS),
@@ -274,7 +300,9 @@ VERDICT_CASES = (
     + [("inverse_linear_nd_%d" % n, lambda n=n: _inverse_linear_nd_1_3(n), Verdict.HOLDS)
        for n in (100, 300, 1000, 4096)]
     + [("table7_1_row9_%s_%d" % (key, n), lambda n=n, key=key: _table7_1_row9(n, key),
-        Verdict.HOLDS) for key in ("1.2", "9.34") for n in (66, 100, 300)])
+        Verdict.HOLDS) for key in ("1.2", "9.34") for n in (66, 100, 300)]
+    + [("linear_nd_9.34_gamma%g" % g, lambda g=g: _linear_nd_9_34(g), Verdict.HOLDS)
+       for g in (0.1, 0.5)])
 
 
 @pytest.mark.parametrize("verdict_of,expected", [c[1:] for c in VERDICT_CASES],
@@ -382,7 +410,7 @@ def test_saturated_weights_match_whole_window_exp():
     saturated = redone = 0
     for name in catalog_names():
         model = catalog(name)
-        if model.boundary is BoundaryCode.DD_BILATERAL or model.hint("log_mu") is not None:
+        if model.boundary is BoundaryCode.DD_BILATERAL:
             continue
         for n_max in (4096, 10 ** 5, 3 * 10 ** 5):
             ws = build_weights(model, n_max)

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
 from bdspec import estimates, poincare
 from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import WrongVariant
-from bdspec.model import BoundaryCode
+from bdspec.model import BoundaryCode, ChainModel
 
 
 def test_neumann_p2_equals_hardy_constant():
@@ -67,6 +68,42 @@ def test_ex8_9_split_constants():
     assert bl == math.inf and br == math.inf
     assert math.isfinite(bb)
     assert math.isfinite(S)
+
+
+def test_bilateral_split_leaves_the_log_domain_by_exp():
+    # a drift b = e^1.27 > a = 1: log B_L = 650.8993, past any fixed cut
+    # below the overflow threshold, yet B_L is a float
+    drift = ChainModel(BoundaryCode.DD_BILATERAL, None, None,
+                       lambda i: np.full(np.shape(i), math.exp(1.27)), np.ones_like)
+    assert poincare.b_constants_split(drift, 2.0)[0] == pytest.approx(
+        math.exp(650.8993195295578), rel=1e-12, abs=0)
+
+
+INF = math.inf
+EX8_9 = {  # kappa (7.11), (7.12); B at p = 2, 3; the split (B_L, B_R, B, S) at p = 2, 3
+    8: (1.0429942597397284, INF, 1.0429942597397284, 0.5884620583381314,
+        (1.1052660619328563e+28, 1.1052660619328563e+28, 1.7743489544274482,
+         1.7726372048266519),
+        (6.005066806741885e+18, 6.005066806741885e+18, 1.0431297382390434,
+         1.7726372048266519)),
+    256: (1.0429942597397284, INF, 1.0429942597397284, 0.5884620583381314,
+          (INF, INF, 1.7743489544274482, 1.7726372048266519),
+          (INF, INF, 1.0431297382390434, 1.7726372048266519)),
+}
+EX8_9[1000] = EX8_9[256]
+
+
+@pytest.mark.parametrize("half_window", sorted(EX8_9))
+def test_ex8_9_bilateral_values(half_window):
+    # mu_i = e^(i^2) by the log recurrence on the clipped death rates: bit
+    # for bit the values that the closed form log mu_i = i^2 gives
+    model, w = catalog("ex8_9"), half_window
+    got = (estimates.kappa_bilateral(model, "DD_7_11", half_window=w)[0],
+           estimates.kappa_bilateral(model, "NN_7_12", half_window=w)[0],
+           *(poincare.sobolev_constant(model, p, "bilateral_8_4", half_window=w).B
+             for p in (2.0, 3.0)),
+           *(poincare.b_constants_split(model, p, half_window=w) for p in (2.0, 3.0)))
+    assert repr(got) == repr(EX8_9[half_window])
 
 
 def test_half_line_split_sandwich():

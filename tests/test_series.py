@@ -315,6 +315,19 @@ def test_extrapolate_limit_modes():
     assert series.extrapolate_limit([1, 2, 3], flat)[1] == "converged"
 
 
+def test_extrapolate_limit_short_and_near_one_ratio_inputs():
+    # under 3 entries there is no increment ratio: the last entry is the limit
+    assert series.extrapolate_limit([1, 2], [1.0, 0.5]) == (0.5, "converged")
+    # lambda(m) = 1/4 + (ln m + 1)^-2 on a schedule so dense that every
+    # increment ratio is at least 0.999: the (ln m)^-2 model, which moves
+    # the last value toward 1/4
+    ms = [10 ** 6 + 100 * k for k in range(9)]
+    lams = [0.25 + (math.log(m) + 1.0) ** -2 for m in ms]
+    lim, mode = series.extrapolate_limit(ms, lams)
+    assert mode == "log_model" and 0.25 < lim < lams[-1]
+    assert lim == pytest.approx(0.252255, abs=1e-6)
+
+
 @pytest.mark.parametrize("r,n", [(0.5, 50), (0.95, 1000)])
 def test_remainder_of_a_geometric_series_is_exact(r, n):
     # 50 terms take the last-two-terms branch, 1000 the block branch

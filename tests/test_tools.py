@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from bdspec.model import HINT_KEYS
 from bdspec.series import Certainty, ExtremumReport, Labelled
 
 
@@ -119,6 +120,24 @@ def test_every_public_option_has_a_setter():
     assert ("estimates", "basic_bracket", "n_max") in options
     unset = [opt for opt, files in traffic.option_setters(options).items() if not files]
     assert unset == []
+
+
+def test_every_hint_key_has_a_setter():
+    # a hint key no chain, dual, test or benchmark job sets is a dead branch
+    keys = traffic.hint_keys()
+    assert set(keys) == HINT_KEYS
+    assert [key for key, files in traffic.hint_setters(keys).items() if not files] == []
+
+
+def test_hint_setters_count_dict_keys_and_stored_subscripts(tmp_path):
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_a.py").write_text('m = Model(tail_hint={"k1": f, **more})\n')
+    (tests / "test_b.py").write_text('hint = {}\nhint["k2"] = f\n')
+    (tests / "test_c.py").write_text('model.hint("k1")\nprint(hint["k2"])\n')   # reads
+    assert traffic.hint_setters(["k1", "k2", "k4"], str(tmp_path)) == {
+        "k1": [os.path.join("tests", "test_a.py")],
+        "k2": [os.path.join("tests", "test_b.py")], "k4": []}
 
 
 def test_option_setters_count_keywords_positions_and_unpacking(tmp_path):

@@ -1,5 +1,5 @@
 """List the statements of ``src/bdspec`` that a run never executes, or the
-public options that no caller sets.
+public options and hint keys that no caller sets.
 
     python3 tools/traffic.py --tests [PYTEST_ARG ...]
     python3 tools/traffic.py --workload W --seed S
@@ -20,8 +20,10 @@ defaulted parameter of a public module-level function of the package outside
 ``cli``. Each is printed with the files under ``src``, ``tests``,
 ``perfbench`` and ``tools`` that set it: a call of a function of that name
 (plain, as an attribute, or through ``partial``) that passes it by keyword,
-by position, or through ``*``/``**`` unpacking. The unset options follow,
-then the counts.
+by position, or through ``*``/``**`` unpacking. Each key of
+``model.HINT_KEYS`` follows with the files that set it: the key, as a
+string, keys a dict display or a subscript assigned to. The unset options
+and keys follow, then the counts.
 """
 
 from __future__ import annotations
@@ -145,6 +147,26 @@ def _callee(node):
     return name, args
 
 
+def hint_keys(package: str = PACKAGE) -> list:
+    """The sorted keys of ``HINT_KEYS`` in the package's ``model.py``."""
+    with open(os.path.join(package, "model.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and [getattr(t, "id", None) for t in n.targets] == ["HINT_KEYS"])
+    return sorted(ast.literal_eval(node.value))
+
+
+def _caller_trees(root: str):
+    """(path relative to ``root``, parsed module) of each Python file of ``CALLER_DIRS``."""
+    for top in CALLER_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if not d.startswith((".", "__")))
+            for fname in sorted(f for f in filenames if f.endswith(".py")):
+                path = os.path.join(dirpath, fname)
+                with open(path, encoding="utf-8") as fh:
+                    yield os.path.relpath(path, root), ast.parse(fh.read())
+
+
 def option_setters(options: dict, root: str = ROOT) -> dict:
     """{option: sorted files (relative to ``root``) that set it} over the
     Python files of ``CALLER_DIRS``, for the ``options`` of :func:`public_options`."""
@@ -152,37 +174,56 @@ def option_setters(options: dict, root: str = ROOT) -> dict:
     for opt, pos in options.items():
         by_name.setdefault(opt[1], []).append((opt, pos))
     found = {opt: set() for opt in options}
-    for top in CALLER_DIRS:
-        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
-            dirnames[:] = sorted(d for d in dirnames if not d.startswith((".", "__")))
-            for fname in sorted(f for f in filenames if f.endswith(".py")):
-                path = os.path.join(dirpath, fname)
-                with open(path, encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read())
-                rel = os.path.relpath(path, root)
-                for node in ast.walk(tree):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    name, args = _callee(node)
-                    # a *-unpacked argument may fill any later position, and a
-                    # **-unpacked one (keyword None) any keyword
-                    reach = math.inf if any(isinstance(x, ast.Starred) for x in args) \
-                        else len(args)
-                    keys = {kw.arg for kw in node.keywords}
-                    for opt, pos in by_name.get(name, ()):
-                        if opt[2] in keys or None in keys or (pos is not None and pos < reach):
-                            found[opt].add(rel)
+    for rel, tree in _caller_trees(root):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node)
+            # a *-unpacked argument may fill any later position, and a
+            # **-unpacked one (keyword None) any keyword
+            reach = math.inf if any(isinstance(x, ast.Starred) for x in args) else len(args)
+            keys = {kw.arg for kw in node.keywords}
+            for opt, pos in by_name.get(name, ()):
+                if opt[2] in keys or None in keys or (pos is not None and pos < reach):
+                    found[opt].add(rel)
     return {opt: sorted(files) for opt, files in found.items()}
+
+
+def hint_setters(keys, root: str = ROOT) -> dict:
+    """{key: sorted files (relative to ``root``) that set it} over the Python
+    files of ``CALLER_DIRS``: a file sets a hint key where the key, as a
+    string, keys a dict display (``{"mu_tail": f}``) or a subscript assigned
+    to (``hint["mu_tail"] = f``); reading it (``model.hint("mu_tail")``) does not."""
+    found = {key: set() for key in keys}
+    for rel, tree in _caller_trees(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                named = node.keys
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                named = [node.slice]
+            else:
+                continue
+            for k in named:
+                if isinstance(k, ast.Constant) and k.value in found:
+                    found[k.value].add(rel)
+    return {key: sorted(files) for key, files in found.items()}
 
 
 def _report_options():
     setters = option_setters(public_options())
+    hints = hint_setters(hint_keys())
     unset = [opt for opt, files in setters.items() if not files]
     for (module, fn, param), files in setters.items():
         print("%s.%s(%s): %s" % (module, fn, param, ", ".join(files) or "-"))
+    for key, files in hints.items():
+        print("hint %s: %s" % (key, ", ".join(files) or "-"))
     for module, fn, param in unset:
         print("unset: %s.%s(%s)" % (module, fn, param))
-    print("%d public options, %d unset" % (len(setters), len(unset)))
+    unset_hints = [key for key, files in hints.items() if not files]
+    for key in unset_hints:
+        print("unset: hint %s" % key)
+    print("%d public options, %d unset; %d hint keys, %d unset"
+          % (len(setters), len(unset), len(hints), len(unset_hints)))
 
 
 def _run_tests(args):
@@ -216,7 +257,7 @@ def main(argv=None) -> int:
     mode.add_argument("--workload", choices=("paper_tables", "catalog_brackets",
                                              "finite_sweep"))
     mode.add_argument("--options", action="store_true",
-                      help="list the public options and the files that set them")
+                      help="list the public options and hint keys and the files that set them")
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     args, rest = ap.parse_known_args(argv)
     if rest and not args.tests:
