@@ -213,19 +213,23 @@ def basic_bracket(model: ChainModel, n_max: int = DEFAULT_NMAX) -> BasicBracketR
     kappa^(7.5) when it absorbs, with 1/inf = 0 washing out infinite tails.
 
     The positivity verdict follows the dichotomy on sum(mu): finite total
-    weight defers to delta^(4.4), infinite to delta^(3.1).
+    weight defers to delta^(4.4), infinite to delta^(3.1). The report is kept
+    with the weight system: a second call on it returns the same object.
     """
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise WrongBoundary("basic_bracket covers the four half-line codes")
     ws = build_weights(model, n_max)
+    if "basic_bracket" in ws._cache:
+        return ws._cache["basic_bracket"]
     d44, d31 = _delta_sup(ws, "4_4"), _delta_sup(ws, "3_1")
     method = "kappa_6_13" if model.boundary.origin_reflecting else "kappa_7_5"
     criterion, verdict = (("delta_4_4", d44) if math.isfinite(ws.mu_total.value)
                           else ("delta_3_1", d31))
-    if not math.isfinite(verdict.value):
-        # rate zero: a window scan of kappa would give a vacuous finite value
-        return BasicBracketReport(Bracket(0.0, 0.0, method, verdict), math.inf, method,
-                                  d31.value, d44.value, False, criterion)
-    kappa, rep = _kappa(ws, model.boundary.origin_reflecting)
-    return BasicBracketReport(_bracket_from_constant(kappa, method, rep), kappa, method,
-                              d31.value, d44.value, True, criterion)
+    positive = math.isfinite(verdict.value)
+    if positive:
+        kappa, rep = _kappa(ws, model.boundary.origin_reflecting)
+        bracket = _bracket_from_constant(kappa, method, rep)
+    else:   # rate zero: a window scan of kappa would give a vacuous finite value
+        kappa, bracket = math.inf, Bracket(0.0, 0.0, method, verdict)
+    return ws._cache.setdefault("basic_bracket", BasicBracketReport(
+        bracket, kappa, method, d31.value, d44.value, positive, criterion))

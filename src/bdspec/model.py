@@ -124,13 +124,13 @@ class ChainModel:
 
 @dataclass(frozen=True)
 class WeightSystem:
-    """mu/nu weights of a half-line model on a finite window.
+    """mu/nu weights of a half-line model on a finite window (:func:`build_weights`).
 
     ``mu[k]`` is the weight of state ``base + k``; ``log_mu`` is always exact
-    while ``mu`` saturates to 0/inf outside float range. A call names the nu
-    it reads by ``kind``: "b" for 1/(mu_i b_i), "a" for 1/(mu_i a_i). Its
-    arrays, cached tails included, are read-only: a weight system is shared
-    by the calls on a model.
+    while ``mu`` saturates to 0/inf outside float range, where an infinite
+    chain's window ends early (at 2048 states). A call names the nu it reads by
+    ``kind``: "b" for 1/(mu_i b_i), "a" for 1/(mu_i a_i). Its arrays, cached
+    tails included, are read-only: a weight system is shared by the calls on a model.
     """
     model: ChainModel
     base: int
@@ -264,9 +264,10 @@ _EMPTY = np.empty(0)
 def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX) -> WeightSystem:
     """Weights by the multiplicative recurrence mu_{n+1} a_{n+1} = mu_n b_n.
 
-    The window ends at the model's top state, at ``n_max`` states, or where
-    the linear weights leave float range (log accumulation continues and the
-    saturated entries are inf/0; sums involving them are guarded upstream).
+    The window ends at the model's top state or at ``n_max`` states, or at 2048
+    on an infinite chain whose weights have saturated there (:func:`_saturated`),
+    assumed to stay so: the states past it add nothing to a sum, scan or remainder
+    estimate. Log accumulation goes on past float range, where weights are inf/0.
     A hinted series' total is its tail hint at the first state, flagged
     closed_form. Any other total is the window sum plus the remainder
     estimate: divergent if either is infinite, converged if the remainder is
@@ -277,9 +278,17 @@ def build_weights(model: ChainModel, n_max: int = DEFAULT_NMAX) -> WeightSystem:
     other windows share its arrays (:func:`_rates_and_weights`).
     """
     states = n_max if model.hi is None else min(n_max, model.hi - model.base + 1)
+    if model.hi is None and states > 2048 and _saturated(model):
+        states = 2048
     if not (_held.model is model and _held.last[0] == states):
-        _held.last = (states, _build(model, n_max))    # _build leaves the model held
+        _held.last = (states, _build(model, states))   # _build leaves the model held
     return _held.last[1]
+
+
+def _saturated(model: ChainModel) -> bool:
+    """Whether the first 2048 weights end in 2 REMAINDER_BLOCK + 3 all 0 or all inf."""
+    end = _rates_and_weights(model, model.base + 2047)[4][-2 * series.REMAINDER_BLOCK - 3:]
+    return any(np.all(end == v) for v in (0.0, math.inf))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -363,8 +372,7 @@ def _rates_and_weights(model: ChainModel, top: int):
 def _build(model: ChainModel, n_max: int) -> WeightSystem:
     if n_max < 1:
         raise BadParameter("n_max must be >= 1")
-    base = model.base
-    top = base + n_max - 1 if model.hi is None else min(model.hi, base + n_max - 1)
+    base, top = model.base, model.base + n_max - 1    # build_weights clips n_max to the chain
     a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b = _rates_and_weights(model, top)
     finite = model.hi is not None and top == model.hi
     # each series' remainder past the window, estimated once: the total and
@@ -441,7 +449,7 @@ def _classify_series(terms: np.ndarray, hint: Optional[str], start: int) -> tupl
 
 
 def classify_uniqueness(model: ChainModel, n_max: int = DEFAULT_NMAX) -> UniquenessVerdict:
-    """Evaluate the three uniqueness series up to n_max (at most 4096 states)
+    """Evaluate the three uniqueness series on the window of up to n_max (at most 4096) states
     by the one divergence verdict (:func:`_classify_series`), heuristic for
     truly asymptotic statements. (1.2) implies (1.3), so (1.3) holds with it;
     without killing, (9.34)'s terms are (1.2)'s, and so is its verdict.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bdspec import estimates, poincare
+from bdspec import model as model_mod
 from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import NotErgodic, WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel, build_weights
@@ -343,3 +344,24 @@ def test_bilateral_split_matches_brute_force(p):
     assert br == pytest.approx(max(nub[n:].sum() * mu[: n + 1].sum() ** t for n in range(5)),
                                rel=1e-12)
     assert S == pytest.approx(nua.sum(), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["table6_1_row7", "table6_1_row3", "table7_1_row8", "ex5_3"])
+def test_basic_bracket_is_kept_with_its_weight_system(name):
+    # kappa_nn / kappa_dd and a later basic_bracket on the same weight system
+    # share one report object, equal to one made afresh on a new weight system
+    model = catalog(name)
+    first = {BoundaryCode.NN: estimates.kappa_nn, BoundaryCode.DD: estimates.kappa_dd,
+             BoundaryCode.DN: estimates.delta_dn}[model.boundary](model)
+    rep = estimates.basic_bracket(model)
+    assert estimates.basic_bracket(model) is rep
+    if model.boundary is not BoundaryCode.DN:
+        assert first[-1] is rep.bracket and first[0] == rep.kappa
+    ws = build_weights(model)
+    assert ws._cache["basic_bracket"] is rep
+    model_mod._held = model_mod._NONE
+    fresh = estimates.basic_bracket(model)
+    assert fresh is not rep and fresh == rep
+    # a window of 4096 states is the same weight system where the weights
+    # have saturated by state 2048, and another one elsewhere
+    assert (estimates.basic_bracket(model, 4096) is fresh) == (len(ws) == 2048)

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdspec import duality, series
+from bdspec import approx, duality, estimates, killing, poincare, series
 from bdspec import model as model_mod
 from bdspec.catalog import catalog, catalog_names
 from bdspec.errors import BadParameter, NonPositiveRate, Overflow, UnknownModel
@@ -701,3 +701,125 @@ def test_a_window_short_of_the_subnormal_fix_up_is_evaluated_afresh(model):
         assert _snapshot(got) == _fresh(model, n_max), n_max
         if n_max == back:
             assert got.mu.tobytes() != big.mu[:n_max].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the window stop: an infinite chain's window ends where its weights saturate
+# ---------------------------------------------------------------------------
+
+STOPPED = ["const_dn", "const_nd", "ex5_3", "ex5_7", "ex6_11", "ex6_7", "ex9_18", "linear_nd",
+           "table6_1_row1", "table6_1_row2", "table6_1_row3", "table6_1_row4", "table6_1_row5",
+           "table6_1_row6", "table6_1_row8", "table7_1_row1", "table7_1_row2", "table7_1_row3",
+           "table7_1_row4", "table7_1_row5", "table7_1_row6", "table7_1_row7", "table7_1_row9"]
+
+
+def _bits(x):
+    """``x`` as nested tuples, floats by their bits, every ``scanned`` range left out."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(_bits(getattr(x, f.name))
+                                           for f in dataclasses.fields(x) if f.name != "scanned")
+    if isinstance(x, (tuple, list)):
+        return (type(x).__name__, getattr(x, "certified", None)) + tuple(map(_bits, x))
+    if isinstance(x, dict):
+        return tuple(sorted((k, _bits(v)) for k, v in x.items()))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return "nan" if x != x else x.hex()
+    return x
+
+
+def _stop_rule_calls(model):
+    """The public calls that read an infinite chain's default windows."""
+    code = model.boundary
+    calls = [lambda m: classify_uniqueness(m), lambda m: estimates.basic_bracket(m)]
+    if code is BoundaryCode.ND:
+        calls += [estimates.delta_nd, approx.first_step_closed,
+                  lambda m: poincare.sobolev_constant(m, 2.0, "neumann_8_9")]
+    elif code is BoundaryCode.DN:
+        calls += [estimates.delta_dn, approx.first_step_closed]
+    elif code is BoundaryCode.NN:
+        calls += [estimates.kappa_nn, approx.eta1_closed,
+                  lambda m: poincare.sobolev_constant(m, 2.0, "neumann_8_9")]
+    elif model.killing is None:
+        calls += [estimates.kappa_dd, approx.dd_first_step,
+                  lambda m: poincare.sobolev_constant(m, 2.0, "half_line_8_6")]
+    else:
+        calls += [killing.upper_9_9, killing.corollary_9_9, killing.sqrt_test_bound]
+    return calls
+
+
+def _outcomes(model):
+    model_mod._held = model_mod._NONE
+    out = []
+    for call in _stop_rule_calls(model):
+        try:
+            out.append(_bits(call(model)))
+        except Exception as exc:          # an exception is an outcome too
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("name", STOPPED)
+def test_a_window_stopped_at_saturated_weights_changes_no_output(name, monkeypatch):
+    # with the stop rule and without it, every output is equal bit for bit,
+    # except the scanned ranges, which name the states actually held
+    model = catalog(name)
+    stopped = _outcomes(model)
+    assert len(build_weights(model)) == 2048
+    monkeypatch.setattr(model_mod, "_saturated", lambda m: False)
+    whole = _outcomes(model)
+    assert len(build_weights(model)) == DEFAULT_NMAX
+    assert stopped == whole
+    model_mod._held = model_mod._NONE
+
+
+def _drawn_const_nd(ratio):
+    """const_nd as catalog_brackets draws it: a in [0.5, 2], b = a * ratio."""
+    return [catalog("const_nd", a=a, b=round(a * ratio, 3)) for a in (0.5, 1.234, 2.0)]
+
+
+def test_the_window_stops_exactly_on_the_saturating_chains():
+    infinite = [name for name in catalog_names() if catalog(name).hi is None
+                and catalog(name).boundary is not BoundaryCode.DD_BILATERAL]
+    assert [name for name in infinite if len(build_weights(catalog(name))) == 2048] == STOPPED
+    assert len(build_weights(catalog("table6_1_row3"))) == 2048
+    for name in ("quadratic_nd", "table6_1_row7"):
+        assert len(build_weights(catalog(name))) == DEFAULT_NMAX
+    # const_nd's weights grow as (b/a)^n: past float range by state 2048 at
+    # b/a = 1.5 (1.5^1750 > 1e308), still inside it at b/a = 1.3
+    for model in _drawn_const_nd(1.5):
+        ws = build_weights(model, 3 * DEFAULT_NMAX)
+        assert len(ws) == 2048 and build_weights(model) is ws
+    for model in _drawn_const_nd(1.3):
+        assert len(build_weights(model)) == DEFAULT_NMAX
+    # a window no longer than the first chunk is the window asked for
+    assert len(build_weights(catalog("table6_1_row3"), 2000)) == 2000
+
+
+def test_weights_that_underflow_and_come_back_inside_the_first_chunk_keep_the_window():
+    # a table-rate chain: b/a = e^-2 for 400 states (mu falls to e^-800,
+    # exactly 0 in floats), e^2 for the next 400 (back to 1), then 1: the
+    # subnormal fix-up brings the weights back, and the window is whole
+    up, down = math.exp(2.0), math.exp(-2.0)
+    model = model_from_dict({"boundary": "ND",
+                             "birth": {"table": [down] * 400 + [up] * 400 + [1.0], "then": "last"},
+                             "death": {"catalog": "const", "params": {"value": 1.0}}})
+    ws = build_weights(model)
+    assert len(ws) == DEFAULT_NMAX
+    assert ws.mu[400] < np.finfo(float).tiny and model_mod._held.stale[0] <= 400
+    assert ws.mu[-1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_a_stopped_window_reads_no_rate_past_it():
+    # b/a = 2 saturates the weights by state 2048: a table rate that ends at
+    # state 2999 with "then": "error" is never queried past the window, while
+    # one that ends inside the first 2048 states is
+    def doubling(states):
+        return model_from_dict({"boundary": "ND",
+                                "birth": {"table": [2.0] * states, "then": "error"},
+                                "death": {"catalog": "const", "params": {"value": 1.0}}})
+
+    assert len(build_weights(doubling(3000))) == 2048
+    with pytest.raises(BadParameter, match="outside its range"):
+        build_weights(doubling(2000))

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import os
 import textwrap
@@ -6,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from bdspec.estimates import BasicBracketReport, Bracket
 from bdspec.model import HINT_KEYS
 from bdspec.series import Certainty, ExtremumReport, Labelled
 
@@ -111,7 +113,33 @@ def test_same_outputs_takes_every_workload_and_repeated_seeds(monkeypatch, capsy
                          % (w, s, (w, s) == ("catalog_brackets", 71))
                          for w in same_outputs.WORKLOADS for s in (7, 71)]
     assert "differs: job/call" in lines
+    assert "  (value): 1.0 -> 2.0" in lines
     assert same_outputs.main(["P", "C", "--workload", "paper_tables", "--seed", "71"]) == 0
+
+
+def test_same_outputs_names_each_differing_leaf_past_the_first_300_characters(monkeypatch,
+                                                                                capsys):
+    # two reports whose canonical forms differ only in the scanned top, well
+    # past character 300: each differing leaf is printed by path, both values
+    def report(top):
+        rep = ExtremumReport((53, 54), 0.5, Certainty.WINDOW_STOPPED, (0, top))
+        return BasicBracketReport(Bracket(0.125, 0.5, "kappa_6_13", rep), 2.0, "kappa_6_13",
+                                  2.0, math.inf, True, "delta_3_1")
+
+    old, new = (["ok", canonical(report(top))] for top in (99999, 2047))
+    assert json.dumps(old)[:300] == json.dumps(new)[:300] and old != new
+    outcomes = {"P": {"job/basic_bracket": old, "job/err": ["err", "Overflow", "x"]},
+                "C": {"job/basic_bracket": new, "job/err": ["ok", canonical((1.5, None))]}}
+    monkeypatch.setattr(same_outputs, "run_checkout", lambda c, w, s: outcomes[c[-1]])
+    assert same_outputs.main(["P", "C", "--workload", "catalog_brackets", "--seed", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: job/basic_bracket",
+        "  bracket.delta_like.scanned[1]: 99999 -> 2047",
+        "differs: job/err",
+        "  (raises): Overflow: x -> (absent)",
+        "  [0]: (absent) -> 1.5",
+        "  [1]: (absent) -> null",
+        "catalog_brackets seed 1: 2 calls, 2 differ"]
 
 
 def test_every_public_option_has_a_setter():

@@ -11,8 +11,10 @@ subprocess of its own. Every call's outcome, a value or the type and message
 of the exception it raised, is reduced to a canonical form: floats and float
 arrays bit for bit, with every NaN equal to every other, object addresses and
 the command line's ``wall_time_s`` masked. Every call whose canonical outputs
-differ is listed, then one summary line for the pair. Exit codes: 0 all
-equal, 1 some output differs in some pair, 2 a checkout could not be run.
+differ is listed with each leaf that differs, by its path and both values
+(``bracket.delta_like.scanned[1]: 99999 -> 2047``), then one summary line for
+the pair. Exit codes: 0 all equal, 1 some output differs in some pair, 2 a
+checkout could not be run.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import sys
 WORKLOADS = ("paper_tables", "catalog_brackets", "finite_sweep")
 _ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 _WALL = re.compile(r'("wall_time_s":\s*)[-+0-9.eE]+')
+_HEX = re.compile(r"-?0x[01]\.[0-9a-f]+p[-+][0-9]+")
 
 
 def _text(s: str) -> str:
@@ -71,6 +74,45 @@ def canonical(x):
     if hasattr(x, "__dict__") and not callable(x):
         return [type(x).__name__, canonical(vars(x))]
     return _text(repr(x))
+
+
+def leaves(form, path=""):
+    """(path, leaf) for every leaf of a canonical form, in order: a field is
+    ``.name``, an item ``[i]``, a dict entry or an attribute ``[key]``."""
+    if isinstance(form, list) and len(form) >= 2 and isinstance(form[0], str) \
+            and form[0] != "ndarray":
+        head, body, extra = form[0], form[1], form[2:]
+        if isinstance(body, dict):                           # a dataclass
+            parts = [("." + name, v) for name, v in body.items()]
+        elif head == "dict":
+            parts = [("[%s]" % key, v) for key, v in body]
+        elif isinstance(body, list) and body[:1] == ["dict"] and not extra:
+            parts = [("", body)]                             # an object's attributes
+        elif isinstance(body, list):                         # a sequence
+            parts = [("[%d]" % i, v) for i, v in enumerate(body)] + [("", x) for x in extra]
+        else:
+            parts = None
+        if parts is not None:
+            for step, v in parts:
+                yield from leaves(v, path + step)
+            return
+    yield path, form
+
+
+def outcome_leaves(got) -> dict:
+    """{path: leaf} of a call's outcome; an exception is the one leaf ``(raises)``."""
+    if got is None:
+        return {}
+    if got[0] == "err":
+        return {"(raises)": "%s: %s" % tuple(got[1:])}
+    return {path.lstrip(".") or "(value)": leaf for path, leaf in leaves(got[1])}
+
+
+def _show(leaf) -> str:
+    """A leaf as printed: a float by its repr, other strings as they are."""
+    if isinstance(leaf, str):
+        return repr(float.fromhex(leaf)) if _HEX.fullmatch(leaf) else leaf
+    return json.dumps(leaf)
 
 
 def dump(checkout: str, workload: str, seed: int) -> dict:
@@ -141,8 +183,11 @@ def main(argv=None) -> int:
         differ = [k for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
         for key in differ:
             print("differs: %s" % key)
-            for side, got in (("parent", old.get(key)), ("change", new.get(key))):
-                print("  %-6s %s" % (side, json.dumps(got)[:300]))
+            was, now = outcome_leaves(old.get(key)), outcome_leaves(new.get(key))
+            for path in list(was) + [p for p in now if p not in was]:
+                pair = [side.get(path, "(absent)") for side in (was, now)]
+                if pair[0] != pair[1]:
+                    print("  %s: %s -> %s" % (path, *map(_show, pair)))
         print("%s seed %d: %d calls, %d differ" % (workload, seed,
                                                    len(old.keys() | new.keys()), len(differ)))
         status = max(status, 1 if differ else 0)
