@@ -19,7 +19,7 @@ import time
 
 from . import approx, duality, estimates, killing, oracle, poincare
 from .catalog import TABLE61_ROWS, TABLE71_ROWS, catalog, table71_v
-from .errors import BdspecError, KilledChain, NotErgodic
+from .errors import BadParameter, BdspecError, KilledChain, NotErgodic
 from .model import BoundaryCode, build_weights, load_model
 from .series import Certainty
 
@@ -190,6 +190,8 @@ def cmd_approx(model, args, res):
 
 def cmd_oracle(model, args, res):
     sr = oracle.principal_eigen(model, args.m)
+    if args.m < 10:
+        raise BadParameter("--m must be >= 10: the limit needs three truncation levels")
     sched = sorted({max(4, int(round(args.m / 2 ** k))) for k in range(6)} | {args.m})
     tr = oracle.truncation_limit(model, sched)
     res.update({"m": args.m, "lambda": sr.lam, "residual": sr.residual, "method": sr.method,

@@ -50,10 +50,6 @@ class NoConvergence(BdspecError):
     ``oracle.shooting_rate`` only)."""
 
 
-class DegenerateRecursion(BdspecError):
-    """Shooting recursion hit u = -1; treated as positivity failure."""
-
-
 class SingularM(BdspecError):
     """Similarity transform matrix singular (defensive; positive weights prevent it)."""
 

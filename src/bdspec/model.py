@@ -1,12 +1,13 @@
 """Chain specifications, symmetric-measure weights and uniqueness checks.
 
 A :class:`ChainModel` holds the boundary code, the index range and the rate
-rules. :func:`build_weights` turns it into windowed weight arrays (rescaled
-where they leave float range and come back) plus closed-form, summed or
-estimated tail sums; a chain's windows are prefix views of its largest, so
-memory is bounded by one chain's largest window. :meth:`ChainModel.certainty`
-is the one certainty rule; :func:`classify_uniqueness` evaluates the three
-divergence conditions that decide whether the process / Dirichlet form is unique.
+rules. :func:`build_weights` turns it into windowed weight arrays (past
+float range, the correctly rounded products of the rate ratios) plus
+closed-form, summed or estimated tail sums; every window of a chain is a
+prefix view of its largest, so memory is bounded by one chain's largest
+window. :meth:`ChainModel.certainty` is the one certainty rule;
+:func:`classify_uniqueness` evaluates the three divergence conditions that
+decide whether the process / Dirichlet form is unique.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ DEFAULT_NMAX = 10 ** 5
 DEFAULT_TOL = 1e-10
 GROWTH_WINDOW = 64                          # a uniqueness verdict needs GROWTH_WINDOW + 2 terms
 TINY = np.finfo(float).tiny                 # the smallest normal float
-LOG_TINY = math.log(TINY)                   # -708.4: the underflow threshold
-LOG_HUGE = math.log(np.finfo(float).max)    # 709.8: the overflow threshold
 LOG_SAFE = 280.0    # |log mu| up to which mu and mu*f products stay well inside float range
 HINT_KEYS = {"mu_tail", "nu_b_tail", "uniq_1_2", "uniq_1_3"}
 
@@ -178,7 +177,8 @@ class WeightSystem:
 
     def _suffix(self, key: str) -> np.ndarray:
         """Suffix sums of ``key`` plus the remainder past the window, which
-        the build settled (inf for a divergent series)."""
+        the build settled (inf for a divergent series): the series' one tail
+        array, cached, whose prefixes are its window tails."""
         out = self._cache.get(key)
         if out is None:
             out = series.tail_sums(getattr(self, key), self.base, self._cache["rem_" + key])
@@ -192,23 +192,23 @@ class WeightSystem:
         scalar = np.ndim(n) == 0
         if fn is not None:
             return float(fn(n)) if scalar else fn(n)
-        if math.isinf(self._cache["rem_" + key]):
-            return math.inf if scalar else np.full(np.shape(n), math.inf)
         suf = self._suffix(key)
         if scalar:
             return float(suf[min(max(n - self.base, 0), len(suf) - 1)])
         return suf[np.clip(np.asarray(n) - self.base, 0, len(suf) - 1)]
 
     def _window_tail(self, key: str, n: Optional[int] = None) -> np.ndarray:
-        """``key``[i, N] for the first ``n`` window indices i (all by default);
-        cached. A hinted tail is cut from the longest one held for the model,
-        which grows by the missing indices alone: hints are element-wise, so
-        a tail grown in pieces equals one evaluation bit for bit."""
+        """``key``[i, N] for the first ``n`` window indices i (all by default):
+        unhinted, a prefix view of the suffix sums. A hinted tail is cut from
+        the longest one held for the model, which grows by the missing indices
+        alone: hints are element-wise, so a tail grown in pieces equals one
+        evaluation bit for bit."""
         n = len(self) if n is None else min(n, len(self))
+        if self.model.hint(key + "_tail") is None:
+            return self._suffix(key)[:n]
         out = self._cache.get("tail_" + key, _EMPTY)
         if len(out) < n:
-            hinted = self.model.hint(key + "_tail") is not None
-            held = _held.tails if hinted and _held.model is self.model else {}
+            held = _held.tails if _held.model is self.model else {}
             have = max(out, held.get(key, out), key=len)
             if len(have) < n:
                 more = self._tail(key, np.arange(self.base + len(have), self.base + n))
@@ -256,7 +256,7 @@ def _sum_with_tail(arr: np.ndarray, rem: float) -> series.TailSum:
 
 
 # the current chain's largest evaluated window, whose prefixes serve the
-# chain's windows: model, arrays, stale lengths, hinted tails, last ws
+# chain's windows: model, arrays, hinted tails, last ws
 _held = _NONE = SimpleNamespace(model=None, tails={}, last=(None, None))
 _EMPTY = np.empty(0)
 
@@ -299,14 +299,16 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _rates_and_weights(model: ChainModel, top: int):
     """(a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b) on [base, top], read-only:
     the checked rates, the weights by mu_{n+1} a_{n+1} = mu_n b_n, mu_base = 1,
-    their prefix sums and the nu. All are element-wise or sequential, so the
-    held chain's windows up to its top are its prefix views, bit for bit,
-    unless stale (short of its subnormal fix-up); other windows become held."""
+    their prefix sums and the nu. From the first weight (or ratio) outside
+    the normal range on, the weights are the correctly rounded products of
+    the float ratios: 0 below about e^-745.1, inf above e^709.8. All are
+    element-wise or sequential, so the held chain's windows up to its top are
+    its prefix views, bit for bit; other windows become held."""
     global _held
     if model.boundary is BoundaryCode.DD_BILATERAL:
         raise BadParameter("use bilateral_log_weights for bilateral models")
     n, h = top - model.base + 1, _held
-    if h.model is model and 0 < n <= len(h.arrays[0]) and not h.stale[0] < n <= h.stale[1]:
+    if h.model is model and 0 < n <= len(h.arrays[0]):
         return tuple(x[:n] for x in h.arrays)
     tails = h.tails if h.model is model else {}
     base = model.base
@@ -325,7 +327,6 @@ def _rates_and_weights(model: ChainModel, top: int):
         raise NonPositiveRate("killing rate < 0")
     if not (np.isfinite(b[:-1]).all() and np.isfinite(a[1:]).all()):
         raise Overflow("rates not finite at some index")
-    stale = (0, 0)
     log_mu = np.zeros(n)
     np.cumsum(np.log(b[:-1]) - np.log(a[1:]), out=log_mu[1:])
     # multiplicative recurrence mu_{n+1} = mu_n b_n / a_{n+1}: exact where
@@ -337,21 +338,17 @@ def _rates_and_weights(model: ChainModel, top: int):
         np.cumprod(mu, out=mu)
     normal &= (mu >= TINY) & (mu < math.inf)
     if not normal.all():
-        # a subnormal, 0 or inf ratio or weight passes its lost digits on to
-        # every later weight; where the weights come back into float range,
-        # redo the recurrence from the last normal weight on mu_n 2^-s_n,
-        # s_n = log2 mu_n rounded, each ratio from the mantissas of b and a
+        # a subnormal, 0 or inf ratio or weight would pass its lost digits on
+        # to every later weight: from the last normal weight on, run the
+        # recurrence on mu_n 2^-s_n, s_n = log2 mu_n rounded, each ratio from
+        # the mantissas of b and a, and scale back once (exact where normal)
         k = int(np.argmin(normal))
-        lm = log_mu[k:]
-        back = np.flatnonzero((lm > LOG_TINY) & (lm < LOG_HUGE) | np.isnan(mu[k:]))
-        if len(back):
-            stale = (k, k + int(back[0]))
-            sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
-            (fb, eb), (fa, ea) = np.frexp(b[k - 1:-1]), np.frexp(a[k:])
-            m = np.ldexp(np.concatenate([mu[k - 1:k], fb / fa]),
-                         np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
-            with np.errstate(over="ignore"):
-                mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
+        sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
+        (fb, eb), (fa, ea) = np.frexp(b[k - 1:-1]), np.frexp(a[k:])
+        m = np.ldexp(np.concatenate([mu[k - 1:k], fb / fa]),
+                     np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
+        with np.errstate(over="ignore"):
+            mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (an overflowed
         # weight); the rates are positive and finite inside the range, so
@@ -364,8 +361,7 @@ def _rates_and_weights(model: ChainModel, top: int):
     if not (model.boundary in (BoundaryCode.DN, BoundaryCode.DD) and a[0] > 0.0):
         nu_a[0] = 0.0             # the bottom death rate is ignored or vanished
     arrays = tuple(map(_read_only, (a, b, c, log_mu, mu, mu_prefix, nu_a, nu_b)))
-    _held = SimpleNamespace(model=model, arrays=arrays, stale=stale,
-                            tails=tails, last=(None, None))
+    _held = SimpleNamespace(model=model, arrays=arrays, tails=tails, last=(None, None))
     return arrays
 
 

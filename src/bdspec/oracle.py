@@ -18,8 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import series
-from .errors import (BadParameter, DegenerateRecursion, NoConvergence,
-                     TruncationTooSmall, WrongBoundary)
+from .errors import BadParameter, NoConvergence, TruncationTooSmall, WrongBoundary
 from .model import BoundaryCode, ChainModel, _rates_and_weights
 
 
@@ -353,12 +352,11 @@ def _local_pair(model: ChainModel, theta: int, gamma: float, m: int):
 
 def gamma_from_eigvec(model: ChainModel, theta: int, g_theta_m1: float,
                       g_theta: float, g_theta_p1: float) -> float:
-    """Coupling constant (7.18) from eigenfunction values around a peak."""
+    """Coupling constant (7.18) from eigenfunction values around a peak;
+    nan unless theta is a strict peak."""
     num = float(model.birth(np.asarray([theta]))[0]) * (g_theta - g_theta_p1)
     den = float(model.death(np.asarray([theta]))[0]) * (g_theta - g_theta_m1)
-    if den <= 0:
-        raise DegenerateRecursion("gamma (7.18) needs a strict peak at theta")
-    return 1.0 + num / den
+    return 1.0 + num / den if den > 0 else math.nan
 
 
 def splitting_bracket(model: ChainModel, theta_grid, m: int = 400) -> SplitBracket:
@@ -381,13 +379,10 @@ def splitting_bracket(model: ChainModel, theta_grid, m: int = 400) -> SplitBrack
     pk = int(np.argmax(vec))
     if 0 < pk < len(vec) - 1:
         theta = full.base + pk
-        try:
-            gtheta = gamma_from_eigvec(model, theta, vec[pk - 1], vec[pk], vec[pk + 1])
-            if math.isfinite(gtheta) and gtheta > 1.0:
-                cands.append(gtheta)
-                theta_grid = sorted(set(list(theta_grid) + [theta]))
-        except DegenerateRecursion:
-            pass
+        gtheta = gamma_from_eigvec(model, theta, vec[pk - 1], vec[pk], vec[pk + 1])
+        if math.isfinite(gtheta) and gtheta > 1.0:
+            cands.append(gtheta)
+            theta_grid = sorted(set(list(theta_grid) + [theta]))
     lower, upper = -math.inf, math.inf
     best, detail = (None, None), {}
     for theta in theta_grid:

@@ -235,10 +235,12 @@ def test_poincare_on_a_weight_bump_past_float_range_prints_b_as_inf(tmp_path, ca
 @pytest.mark.parametrize("argv,message", [
     (["poincare", "--model", "const_nd", "--p", "0"], "error: p must be >= 2"),
     (["oracle", "--model", "const_nd", "--m", "0"], "error: need m >= 2"),
+    (["oracle", "--model", "const_nd", "--m", "2"], "error: --m must be >= 10"),
+    (["oracle", "--model", "const_nd", "--m", "9"], "error: --m must be >= 10"),
     (["killing", "--model", "ex9_18", "--m", "0"], "error: need m >= 2"),
     (["dual", "--model", "const_nd", "--check-similarity", "--n", "0"],
      "error: similarity check is a dense, small-n verification"),
-], ids=["poincare_p", "oracle_m", "killing_m", "dual_n"])
+], ids=["poincare_p", "oracle_m", "oracle_m_2", "oracle_m_9", "killing_m", "dual_n"])
 def test_zero_flags_reach_the_library_checks(argv, message, capsys):
     # a flag set to 0 is 0, not the flag's default
     assert cli.main(argv) == 1

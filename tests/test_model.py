@@ -401,45 +401,56 @@ def _ratio_product(b, a, start, mu_start, stop):
 
 
 def test_saturated_weights_match_whole_window_exp():
-    # reference: exp of the accumulated logs over the whole window, kept
-    # where the cumprod overflowed (build_weights evaluates only those); bit
-    # for bit. Past a subnormal weight that the weights come back from, where
-    # build_weights redoes the recurrence (table6_1_row8 from state 1020 on),
-    # the product of the float ratios at 40 digits, to 1e-14 and one
-    # subnormal unit, up to where it rounds to 0 for good
-    saturated = redone = 0
+    # reference: the float cumprod of the ratios b_{i-1}/a_i up to the first
+    # ratio or weight outside the normal range, bit for bit; from there on, on
+    # every chain, the product of the float ratios at 40 digits, to 1e-14 and
+    # one subnormal unit, exactly 0 where it rounds to 0 and inf where it
+    # overflows. The nu follow to the relative error of their weight
+    tiny, huge, least = np.finfo(float).tiny, np.finfo(float).max, mpmath.mpf(2) ** -1075
+    saturated = past = 0
     for name in catalog_names():
         model = catalog(name)
         if model.boundary is BoundaryCode.DD_BILATERAL:
             continue
+        previous = None
         for n_max in (4096, 10 ** 5, 3 * 10 ** 5):
             ws = build_weights(model, n_max)
-            a, b, log_mu = ws.a, ws.b, ws.log_mu
+            if ws is previous:           # a stopped window: the same weight system
+                continue
+            previous, a, b = ws, ws.a, ws.b
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                mu = np.cumprod(np.concatenate([[1.0], b[:-1] / a[1:]]))
-                saturated += int(np.any(~np.isfinite(mu)))
-                mu = np.where(np.isfinite(mu), mu, np.exp(np.clip(log_mu, -745.0, 709.0))
-                              * np.where(log_mu > 709.0, math.inf, 1.0))
-            k = j = int(np.argmax((mu > 0.0) & (mu < np.finfo(float).tiny)))
-            if k and np.any(log_mu[k:] > math.log(np.finfo(float).tiny)):
-                j = int(np.flatnonzero(log_mu > -760.0)[-1]) + 1
-                ref = _ratio_product(b, a, k, mu[k - 1], j)
-                mu[k:j] = [float(x) for x in ref]
-                gap = np.abs(ws.mu[k:j] - np.array(ref, dtype=object)).astype(float)
-                assert np.all(gap <= 1e-14 * mu[k:j] + 5e-324), name
-                redone += 1
+                ratio = np.concatenate([[1.0], b[:-1] / a[1:]])
+                mu = np.cumprod(ratio)
+            normal = (ratio >= tiny) & (ratio < math.inf) & (mu >= tiny) & (mu < math.inf)
+            k = len(mu) if normal.all() else int(np.argmin(normal))
+            saturated += int(np.any(~np.isfinite(mu) | (mu == 0.0)))
+            tol = np.zeros(len(mu))
+            if k < len(mu):
+                past += 1
+                ref = _ratio_product(b, a, k, mu[k - 1], len(mu))
+                for i, (got, want) in enumerate(zip(ws.mu[k:], ref), k):
+                    if want > huge:
+                        assert got == math.inf, (name, i)
+                    elif want < least:
+                        assert got == 0.0, (name, i)
+                    else:
+                        assert abs(got - want) <= 1e-14 * want + 5e-324, (name, i)
+                mu[k:] = [float(x) for x in ref]
+                with np.errstate(divide="ignore"):
+                    # the weight's relative error, plus two roundings in 1/(mu a)
+                    tol[k:] = np.where(mu[k:] > 0.0, 1e-14 + 5e-324 / mu[k:] + 2.0 ** -51, 0.0)
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 mub, mua = mu * b, mu * a
                 nu_b = np.where(np.isfinite(mub), np.where(mub > 0.0, 1.0 / mub, math.inf), 0.0)
                 nu_a = np.where(np.isfinite(mua), np.where(mua > 0.0, 1.0 / mua, math.inf), 0.0)
             nu_a[0] = ws.nu_a[0]    # nu_a at the bottom state follows the boundary convention
-            for ref, got in ((mu, ws.mu), (nu_b, ws.nu_b), (nu_a, ws.nu_a)):
-                for part in (slice(None, k), slice(j, None)):
-                    assert ref[part].tobytes() == got[part].tobytes(), name
-                with np.errstate(invalid="ignore"):
-                    gap = np.abs(got[k:j] - ref[k:j])
-                assert np.all((got[k:j] == ref[k:j]) | (gap <= 1e-14 * ref[k:j])), name
-    assert saturated >= 10 and redone >= 3
+            assert ws.mu[:k].tobytes() == mu[:k].tobytes(), name
+            for ref, got in ((nu_b, ws.nu_b), (nu_a, ws.nu_a)):
+                assert got[:k].tobytes() == ref[:k].tobytes(), name
+                with np.errstate(invalid="ignore"):     # inf - inf and 0 * inf: equal entries
+                    gap = np.abs(got[k:] - ref[k:])
+                    assert np.all((got[k:] == ref[k:]) | (gap <= tol[k:] * ref[k:])), name
+    assert saturated >= 23 and past >= 23
 
 
 def _subnormal_dip():
@@ -689,18 +700,21 @@ def test_hinted_tails_grow_by_the_missing_indices(model):
 
 @pytest.mark.parametrize("model", [_subnormal_dip(),
                                    _two_slope(BoundaryCode.ND, 0, None, -2.0, 2.0)])
-def test_a_window_short_of_the_subnormal_fix_up_is_evaluated_afresh(model):
-    # a window that ends between the weights' exit from the normal range and
-    # their return skips the fix-up the larger window made: a prefix view of
-    # that window would differ, so it is evaluated afresh
+def test_windows_that_end_inside_a_subnormal_dip_are_prefixes_of_the_largest(model):
+    # windows ending at the first state k below the normal range, at k + 1,
+    # at the first state r back in it and at r + 1 are prefix views of the
+    # 1001-state window, bit for bit, and equal builds made with nothing held
     big = build_weights(model, 1001)
-    k, back = model_mod._held.stale
-    assert k < back < 1001
-    for n_max in (k + 1, back, k, back + 1, 1001):
-        got = build_weights(model, n_max)
-        assert _snapshot(got) == _fresh(model, n_max), n_max
-        if n_max == back:
-            assert got.mu.tobytes() != big.mu[:n_max].tobytes()
+    low = big.log_mu < math.log(np.finfo(float).tiny)
+    k = int(np.argmax(low))
+    r = k + int(np.argmin(low[k:]))
+    assert 0 < k < r < 1000
+    for top in (k, k + 1, r, r + 1):
+        got = build_weights(model, top + 1)
+        for key in ("a", "b", "c", "log_mu", "mu", "mu_prefix_arr", "nu_a", "nu_b"):
+            assert np.shares_memory(getattr(got, key), getattr(big, key)), (top, key)
+            assert getattr(got, key).tobytes() == getattr(big, key)[:top + 1].tobytes(), (top, key)
+        assert _snapshot(got) == _fresh(model, top + 1), top
 
 
 # ---------------------------------------------------------------------------
@@ -760,11 +774,17 @@ def _outcomes(model):
     return out
 
 
-@pytest.mark.parametrize("name", STOPPED)
-def test_a_window_stopped_at_saturated_weights_changes_no_output(name, monkeypatch):
+def _drawn_ex5_3():
+    """ex5_3 as catalog_brackets draws it at seeds 2 and 7: b/a = 0.584, in
+    (1/2, 1), where a weight at the least subnormal times b/a rounds back to it."""
+    return catalog("ex5_3", a=1.002, b=0.585)
+
+
+@pytest.mark.parametrize("model", [pytest.param(catalog(name), id=name) for name in STOPPED]
+                         + [pytest.param(_drawn_ex5_3(), id="ex5_3_drawn")])
+def test_a_window_stopped_at_saturated_weights_changes_no_output(model, monkeypatch):
     # with the stop rule and without it, every output is equal bit for bit,
     # except the scanned ranges, which name the states actually held
-    model = catalog(name)
     stopped = _outcomes(model)
     assert len(build_weights(model)) == 2048
     monkeypatch.setattr(model_mod, "_saturated", lambda m: False)
@@ -807,8 +827,35 @@ def test_weights_that_underflow_and_come_back_inside_the_first_chunk_keep_the_wi
                              "death": {"catalog": "const", "params": {"value": 1.0}}})
     ws = build_weights(model)
     assert len(ws) == DEFAULT_NMAX
-    assert ws.mu[400] < np.finfo(float).tiny and model_mod._held.stale[0] <= 400
+    assert ws.mu[400] < np.finfo(float).tiny
     assert ws.mu[-1] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_weights_below_the_least_subnormal_are_0_and_stop_the_window():
+    # the weights are the correctly rounded products past the normal range:
+    # exactly 0 below log mu = -745.13 (half the least subnormal), not stuck at
+    # 5e-324 by b/a in (1/2, 1); so the window stops at 2048 states
+    ws = build_weights(_drawn_ex5_3())
+    assert len(ws) == 2048
+    below = ws.log_mu < -745.2
+    assert below.sum() > 600 and np.all(ws.mu[below] == 0.0)
+    assert np.all(ws.mu[ws.log_mu > -745.0] > 0.0)
+
+
+@pytest.mark.parametrize("name", ["quartic_nd", "ex9_19"])
+def test_an_unhinted_window_tail_is_a_view_of_the_suffix_sums(name):
+    # one tail array per unhinted series: the window tails of every length
+    # are prefix views of the suffix sums, which end with the remainder (inf
+    # everywhere on ex9_19's divergent mu)
+    ws = build_weights(catalog(name), 4096)
+    for key in WEIGHT_KEYS:
+        assert ws.model.hint(key + "_tail") is None
+        suffix = ws._suffix(key)
+        for n in (None, 100):
+            tails = _window_tails(ws, key, n)
+            assert np.shares_memory(tails, suffix)
+            assert tails.tobytes() == suffix[:len(tails)].tobytes() and len(tails) == (n or len(ws))
+    assert np.all(ws.mu_tails() == math.inf) == (name == "ex9_19")
 
 
 def test_a_stopped_window_reads_no_rate_past_it():
