@@ -53,8 +53,11 @@ def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumRe
     certainty. On an infinite window it is inf (window-stopped) when the
     objective's increments diverge as a series, by the divergence verdict of
     series.estimate_remainder_block: it reads their last 2 REMAINDER_BLOCK + 2
-    entries, so only that slice is differenced.
+    entries, so only that slice is differenced. The report is kept with the
+    weight system under (kind, s): a second call returns the same object.
     """
+    if (kind, s) in ws._cache:
+        return ws._cache[(kind, s)]
     with np.errstate(all="ignore"):
         if kind == "3_1":
             lo, total = ws.base, ws.nu_b_total
@@ -63,14 +66,16 @@ def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumRe
             lo, total = 1, ws.mu_total
             obj = (ws.nu_prefix("a") * ws.mu_tails() ** s)[1 - ws.base:]
     if not math.isfinite(total.value) or not len(obj):
-        return series.ExtremumReport(None, math.inf, series.Certainty.CERTIFIED, (lo, ws.top))
-    obj = np.where(np.isfinite(obj), obj, 0.0)
-    k = int(np.argmax(obj))
-    value = float(obj[k])
-    inc = np.diff(obj[-2 * series.REMAINDER_BLOCK - 3:])
-    if not ws.finite and math.isinf(series.estimate_remainder_block(inc, len(obj) - 1 - len(inc))):
-        value = math.inf
-    return series.ExtremumReport(lo + k, value, ws.certainty(), (lo, ws.top))
+        rep = series.ExtremumReport(None, math.inf, series.Certainty.CERTIFIED, (lo, ws.top))
+    else:
+        obj = np.where(np.isfinite(obj), obj, 0.0)
+        k = int(np.argmax(obj))
+        value = float(obj[k])
+        inc = np.diff(obj[-2 * series.REMAINDER_BLOCK - 3:])
+        if not ws.finite and math.isinf(series.estimate_remainder_block(inc, len(obj) - 1 - len(inc))):
+            value = math.inf
+        rep = series.ExtremumReport(lo + k, value, ws.certainty(), (lo, ws.top))
+    return ws._cache.setdefault((kind, s), rep)
 
 
 def _kappa_terms(ws: WeightSystem, reflecting: bool):

@@ -3,19 +3,23 @@
 The generator is symmetrized by diag(sqrt(mu)), which leaves a symmetric
 tridiagonal matrix whose entries depend on rate ratios only (no absolute
 weights, so nothing over- or underflows). The smallest eigenvalues come from
-LAPACK bisection through scipy; truncation sequences get a decay-aware
-extrapolation; the shooting recursion provides an independent route for the
-Dirichlet-at-origin chains.
+LAPACK bisection (scipy's dstebz and dstein wrappers), bracketed by the
+previous value along a truncation schedule or a splitting bracket's coupling
+sweep; each is reported as its flip point, the least float at which LAPACK's
+Sturm count passes its index, so it does not depend on the bracket.
+Truncation sequences get a decay-aware extrapolation; the shooting recursion
+provides an independent route for the Dirichlet-at-origin chains.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from . import series
 from .errors import BadParameter, NoConvergence, TruncationTooSmall, WrongBoundary
@@ -40,17 +44,101 @@ class SpectralResult:
 TOL = 2.0 * np.finfo(float).tiny
 SHOOTING_TOL = 1e-12    # relative width at which the shooting bisection stops
 GAMMA_GRID = (2.0,) + tuple(np.geomspace(1.01, 100.0, 21).tolist())
+_EPS = float(np.finfo(float).eps)
+_VALUE, _INDEX = 1, 2          # dstebz's RANGE 'V' and 'I' as scipy's wrapper codes them
 
 
-def _eig_k(diag: np.ndarray, off: np.ndarray, k: int = 0, vector: bool = False):
+def _ordinal(x: float) -> int:
+    """Position of x in the order of the floats (+0 and -0 share 0)."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _from_ordinal(i: int) -> float:
+    x = struct.unpack("<d", struct.pack("<q", abs(i)))[0]
+    return x if i >= 0 else -x
+
+
+_LEAST, _INF = _ordinal(-np.finfo(float).max), _ordinal(math.inf)
+
+
+def _stebz(diag, off, rng: int, vl: float, vu: float, k: int, tol: float = TOL):
+    """(w, iblock, isplit) of LAPACK's bisection: the eigenvalues w in (vl, vu]
+    (``rng`` _VALUE) or the k-th smallest (_INDEX), ascending; stein reads
+    the first len(w) entries of the block numbers iblock."""
+    m, w, iblock, isplit, info = dstebz(diag, off, rng, vl, vu, k + 1, k + 1, tol, b"E")
+    if info:
+        raise np.linalg.LinAlgError("stebz failed: info = %d" % info)
+    return w[:m], iblock, isplit
+
+
+def _count(diag, off, x: float) -> int:
+    """LAPACK's Sturm count at x: the eigenvalues stebz places at or below x
+    (a value-range call whose tolerance stops it after one bisection step)."""
+    return len(_stebz(diag, off, _VALUE, -math.inf, x, 0, math.inf)[0])
+
+
+def _flip_point(diag, off, k: int, w: float) -> float:
+    """The least float at which LAPACK's count exceeds k, from a bisection
+    result w: ulp steps away from w, doubling until they cross the flip,
+    then bisection on the float order. The count is monotone in the shift
+    (Demmel, Dhillon & Ren 1995), so this value does not depend on w."""
+    def above(i):
+        return _count(diag, off, _from_ordinal(i)) > k
+    i, step = _ordinal(w), 1
+    if above(i):            # the ends of the float range stand in for counts 0 and n
+        hi, lo = i, max(i - 1, _LEAST)
+        while lo > _LEAST and above(lo):
+            hi, lo, step = lo, max(lo - 2 * step, _LEAST), 2 * step
+    else:
+        lo, hi = i, min(i + 1, _INF)
+        while hi < _INF and not above(hi):
+            lo, hi, step = hi, min(hi + 2 * step, _INF), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return _from_ordinal(hi)
+
+
+def _eig_k(diag: np.ndarray, off: np.ndarray, k: int = 0, vector: bool = False,
+           above: Optional[float] = None, step: Optional[float] = None):
     """k-th smallest eigenvalue of the symmetric tridiagonal (diag, off), with
     its eigenvector when asked: LAPACK bisection (stebz) and inverse
-    iteration (stein)."""
-    out = eigh_tridiagonal(diag, off, eigvals_only=not vector, select="i",
-                           select_range=(k, k), lapack_driver="stebz", tol=TOL)
-    if vector:
-        return float(out[0][0]), out[1][:, 0]
-    return float(out[0])
+    iteration (stein).
+
+    The value returned is the flip point (``_flip_point``): the least float
+    at which LAPACK's Sturm count exceeds k, the same however the bisection
+    was bracketed. ``above`` is an expected upper bound of the eigenvalue
+    and ``step`` by how much it is expected to lie below it: the bisection
+    then covers only (vl, vu], vu = above + 8 eps |above| and vl = vu -
+    max(2 step, 64 eps vu), or vu/2 with no finite step, provided the count
+    at vl is k and the interval holds an eigenvalue. Otherwise, and without
+    ``above``, it is LAPACK's index bisection from the Gershgorin interval.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if not 0 <= k < len(diag):
+        raise ValueError("need 0 <= k < n = %d" % len(diag))
+    if len(diag) == 1:
+        return (float(diag[0]), np.ones(1)) if vector else float(diag[0])
+    w = ()
+    if above is not None and math.isfinite(above):
+        vu = above + 8.0 * _EPS * abs(above)
+        vl = vu - max(2.0 * step, 64.0 * _EPS * vu) if step is not None and math.isfinite(step) \
+            else 0.5 * vu
+        if vl < vu and _count(diag, off, vl) == k:
+            w, iblock, isplit = _stebz(diag, off, _VALUE, vl, vu, 0)
+    if not len(w):
+        w, iblock, isplit = _stebz(diag, off, _INDEX, 0.0, 1.0, k)
+    lam = _flip_point(diag, off, k, float(w[0]))
+    if not vector:
+        return lam
+    vec, info = dstein(diag, off, [lam], iblock, isplit)
+    if info:
+        raise np.linalg.LinAlgError("stein failed: info = %d" % info)
+    return lam, vec[:, 0]
 
 
 def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
@@ -146,7 +234,9 @@ def principal_eigen(model: ChainModel, m: int,
     For NN models the smallest eigenvalue of the conservative truncation is 0,
     so the reported value is the second-smallest (the spectral gap); every
     other code reports the smallest. Eigenvalue by LAPACK bisection (stebz),
-    eigenvector by LAPACK inverse iteration (stein). The class invariant is
+    reported as its flip point (``_eig_k``), the value ``truncation_limit``
+    gives at the same m bit for bit; eigenvector by LAPACK inverse iteration
+    (stein) at that value. The class invariant is
     the one their backward stability gives: with T the symmetrized
     truncation of order n, residual = max |T v - lam v| <= n * eps *
     ||T||_inf. A bound relative to lam does not hold on graded matrices: on
@@ -179,18 +269,33 @@ class TruncationTrace:
     monotone_ok: bool
 
 
+def _falling(problems) -> list:
+    """``_eig_k`` of each (diag, off, k) of a sequence whose eigenvalues are
+    expected to fall: each solve is bracketed by the value before it and the
+    last fall. A value that does not fall only costs the unbracketed solve."""
+    vals, step = [], None
+    for diag, off, k in problems:
+        prev = vals[-1] if vals else None
+        vals.append(_eig_k(diag, off, k, above=prev, step=step))
+        step = None if prev is None else prev - vals[-1]
+    return vals
+
+
 def truncation_limit(model: ChainModel, schedule) -> TruncationTrace:
     """lambda^(m) along an increasing schedule, plus an extrapolated limit.
 
     The truncated eigenvalues decrease to the true rate (Dirichlet and lumped
-    Neumann alike); the limit is a diagnostic chosen by decay class --
-    Aitken for geometric/algebraic decay, the (ln m)^-2 model for the
-    logarithmically slow chains at the bottom of their essential spectrum.
+    Neumann alike: by min-max the truncations are nested), so each level's
+    bisection is bracketed by its predecessor (``_falling``); each value is
+    ``principal_eigen``'s bit for bit. The limit is a diagnostic chosen by
+    decay class -- Aitken for geometric/algebraic decay, the (ln m)^-2 model
+    for the logarithmically slow chains at the bottom of their essential
+    spectrum.
     """
     ms = [int(v) for v in schedule]
     if len(ms) < 3 or any(y <= x for x, y in zip(ms, ms[1:])):
         raise TruncationTooSmall("schedule must be strictly increasing, >= 3 entries")
-    vals = [_eig_k(*_truncation(model, m, None)[2:]) for m in ms]
+    vals = _falling(_truncation(model, m, None)[2:] for m in ms)
     scale = max(abs(vals[-1]), 1.0)
     monotone = all(y <= x + 1e-9 * scale for x, y in zip(vals, vals[1:]))
     limit, mode = series.extrapolate_limit(ms, vals)
@@ -327,27 +432,36 @@ class SplitBracket:
     detail: dict
 
 
-def _local_pair(model: ChainModel, theta: int, gamma: float, m: int):
-    """Eigenvalues of the split processes left/right of theta (7.13)."""
+def _sides(model: ChainModel, theta: int, m: int):
+    """The (death, birth) rates of the split processes left and right of
+    theta (7.13): the left side on [lo, theta] mirrored (birth and death swap
+    roles), the right side on [theta, hi]; both reflect at theta."""
     lo = theta - m if model.lo is None else max(model.lo, theta - m)
     hi = theta + m if model.hi is None else min(model.hi, theta + m)
     if not lo <= theta <= hi:       # past a finite end (None: the side is unbounded)
         raise BadParameter("theta = %d lies outside the chain's range [%s, %s]"
                            % (theta, model.lo, model.hi))
-    # left side on [lo, theta] mirrored (birth and death swap roles): reflect at
-    # theta, a_theta -> gamma a_theta; right side on [theta, hi]: reflect at
-    # theta, b_theta -> gamma/(gamma-1) b_theta
-    lams = []
-    for idx, down, up, scale in (
-            (np.arange(theta, lo - 1, -1, dtype=np.int64), model.birth, model.death, gamma),
-            (np.arange(theta, hi + 1, dtype=np.int64), model.death, model.birth,
-             gamma / (gamma - 1.0))):
-        a = np.asarray(down(idx), dtype=float).copy()
-        b = np.asarray(up(idx), dtype=float).copy()
-        a[0] = 0.0
-        b[0] *= scale
-        lams.append(_eig_k(a + b, -np.sqrt(b[:-1] * a[1:])))
-    return lams[0], lams[1]
+    left = np.arange(theta, lo - 1, -1, dtype=np.int64)
+    right = np.arange(theta, hi + 1, dtype=np.int64)
+    return ((np.asarray(model.birth(left), dtype=float), np.asarray(model.death(left), dtype=float)),
+            (np.asarray(model.death(right), dtype=float), np.asarray(model.birth(right), dtype=float)))
+
+
+def _side_matrix(a: np.ndarray, b: np.ndarray, scale: float):
+    """(diag, off, 0) of one split side, its coupling b_theta -> scale b_theta."""
+    a, b = a.copy(), b.copy()
+    a[0] = 0.0
+    b[0] *= scale
+    return a + b, -np.sqrt(b[:-1] * a[1:]), 0
+
+
+def _local_pair(model: ChainModel, theta: int, gamma: float, m: int):
+    """Eigenvalues of the split processes left/right of theta (7.13): the
+    left side's a_theta -> gamma a_theta, the right side's b_theta ->
+    gamma/(gamma-1) b_theta."""
+    (la, lb), (ra, rb) = _sides(model, theta, m)
+    return (_eig_k(*_side_matrix(la, lb, gamma)),
+            _eig_k(*_side_matrix(ra, rb, gamma / (gamma - 1.0))))
 
 
 def gamma_from_eigvec(model: ChainModel, theta: int, g_theta_m1: float,
@@ -385,9 +499,15 @@ def splitting_bracket(model: ChainModel, theta_grid, m: int = 400) -> SplitBrack
             theta_grid = sorted(set(list(theta_grid) + [theta]))
     lower, upper = -math.inf, math.inf
     best, detail = (None, None), {}
+    up = sorted(set(cands))
     for theta in theta_grid:
+        # one read of theta's rates; each side's sweep runs the way its
+        # eigenvalue is expected to fall (``_falling``)
+        (la, lb), (ra, rb) = _sides(model, int(theta), m)
+        left = dict(zip(up[::-1], _falling(_side_matrix(la, lb, g) for g in up[::-1])))
+        right = dict(zip(up, _falling(_side_matrix(ra, rb, g / (g - 1.0)) for g in up)))
         for gv in cands:
-            lamL, lamR = detail[(int(theta), gv)] = _local_pair(model, int(theta), gv, m)
+            lamL, lamR = detail[(int(theta), gv)] = left[gv], right[gv]
             if min(lamL, lamR) > lower:
                 lower, best = min(lamL, lamR), (int(theta), gv)
             upper = min(upper, max(lamL, lamR))

@@ -365,3 +365,25 @@ def test_basic_bracket_is_kept_with_its_weight_system(name):
     # a window of 4096 states is the same weight system where the weights
     # have saturated by state 2048, and another one elsewhere
     assert (estimates.basic_bracket(model, 4096) is fresh) == (len(ws) == 2048)
+
+
+@pytest.mark.parametrize("name", ["quadratic_nd", "linear_nd", "ex5_3", "ex5_7"])
+def test_delta_sup_reports_are_kept_with_their_weight_system(name):
+    # delta_nd / delta_dn, then basic_bracket and (ND) the p = 2 neumann_8_9
+    # constant read one report per (kind, s), equal bit for bit to one made
+    # afresh on a new weight system
+    model = catalog(name)
+    kind, delta = (("3_1", estimates.delta_nd) if model.boundary is BoundaryCode.ND
+                   else ("4_4", estimates.delta_dn))
+    value, bracket = delta(model)
+    ws = build_weights(model)
+    rep = ws._cache[(kind, 1.0)]
+    assert bracket.delta_like is rep and estimates._delta_sup(ws, kind) is rep
+    assert getattr(estimates.basic_bracket(model), "delta_" + kind) == value
+    if model.boundary is BoundaryCode.ND:
+        assert poincare.sobolev_constant(model, 2.0, "neumann_8_9").extremum is rep
+    model_mod._held = model_mod._NONE
+    fresh_ws = build_weights(model)
+    assert fresh_ws is not ws
+    fresh = estimates._delta_sup(fresh_ws, kind)
+    assert fresh is not rep and fresh == rep and fresh.value.hex() == rep.value.hex()

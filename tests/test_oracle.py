@@ -7,8 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dstebz
 
 from bdspec import oracle
+from bdspec.cli import TABLE_SCHEDULE
 from bdspec.catalog import TABLE71_ROWS, catalog, catalog_names, table71_v
 from bdspec.errors import BadParameter, TruncationTooSmall, WrongBoundary
 from bdspec.model import BoundaryCode, ChainModel, _rates_and_weights, build_weights, load_model
@@ -516,3 +518,84 @@ def test_tail_ratio_at_a_finite_top_and_under_an_infinite_hint():
     infinite = ChainModel(BoundaryCode.NN, 0, None, one, one,
                           tail_hint={"mu_tail": lambda n: np.full(np.shape(n), math.inf)})
     assert oracle._tail_ratio(infinite, 20) == math.inf
+
+
+def _lapack_count(diag, off, x):
+    """LAPACK's Sturm count at x: the eigenvalues dstebz puts in (-inf, x]."""
+    return int(dstebz(diag, off, 1, -math.inf, x, 0, 0, math.inf, b"E")[0])
+
+
+@st.composite
+def _generators(draw):
+    """A symmetrized killed generator, diag a + b + c and off -sqrt(b_i a_{i+1}),
+    n from 2 to 300. Graded ones have all three rates growing like s^i, up to
+    e^210: the killing keeps a fixed share of every row's diagonal, so the
+    bisection keeps the small eigenvalues' relative digits (Barlow & Demmel
+    1990); with ungraded killing they lose up to 4 of them."""
+    n = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rates = [rng.uniform(0.1, 4.0, n), rng.uniform(0.1, 4.0, n), rng.uniform(0.05, 1.0, n)]
+    if draw(st.booleans()):
+        rates = [r * np.exp(np.arange(n) * rng.uniform(0.0, 0.7)) for r in rates]
+    a, b, c = rates
+    return a + b + c, -np.sqrt(b[:-1] * a[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_generators(), st.integers(0, 1))
+def test_eig_k_returns_the_flip_point_whatever_the_bracket(mat, k):
+    diag, off = mat
+    if len(diag) <= k:
+        k = 0
+    lam = oracle._eig_k(diag, off, k)
+    # the least float at which LAPACK's count passes k
+    assert _lapack_count(diag, off, lam) > k >= _lapack_count(diag, off, np.nextafter(lam, -1.0))
+    assert lam == pytest.approx(_mp_eig_k(diag, off, k), rel=1e-13, abs=0.0)
+    top = oracle._eig_k(diag, off, min(k + 2, len(diag) - 1))
+    mid = 0.5 * (oracle._eig_k(diag, off, k - 1) + lam) if k else 0.0
+    brackets = [(0.5 * lam, None),                # wholly below lambda_k
+                (4.0 * np.max(diag) + 1.0, None),  # far above lambda_k
+                (top, (top - mid) / 2),           # (vl, vu] holds lambda_k .. lambda_k+2
+                (lam, 0.0),                       # tight: 64 eps below, 8 eps above
+                (1.5 * lam, math.nan),            # no step: vl = vu / 2
+                (lam, -lam)]                      # a rise: the step is ignored
+    for above, step in brackets:
+        assert oracle._eig_k(diag, off, k, above=above, step=step) == lam
+    got, vec = oracle._eig_k(diag, off, k, vector=True, above=1.5 * lam)
+    assert got == lam and vec.shape == diag.shape
+
+
+def test_eig_k_of_a_1_by_1_matrix_and_of_non_finite_entries():
+    lam, vec = oracle._eig_k(np.array([2.5]), np.array([]), vector=True, above=1.0, step=0.5)
+    assert lam == 2.5 and np.array_equal(vec, [1.0])
+    assert oracle._eig_k(np.array([-0.5]), np.zeros(0)) == -0.5
+    for diag, off in (([1.0, math.nan], [-0.5]), ([1.0, 2.0], [-math.inf])):
+        with pytest.raises(ValueError):
+            oracle._eig_k(np.array(diag), np.array(off))
+
+
+@pytest.mark.parametrize("name", ["table6_1_row%d" % i for i in range(1, 9)]
+                         + ["table7_1_row%d" % i for i in range(1, 10)]
+                         + ["ex9_18", "quartic_nd"])
+def test_table_schedule_levels_are_principal_eigen_bit_for_bit(name):
+    # each level's bisection is bracketed by the level before; the values are
+    # the unbracketed solves' flip points all the same
+    model = catalog(name)
+    tr = oracle.truncation_limit(model, TABLE_SCHEDULE)
+    assert [v.hex() for v in tr.values] == \
+        [oracle.principal_eigen(model, m).lam.hex() for m in TABLE_SCHEDULE]
+
+
+def test_splitting_detail_is_the_unbracketed_local_pairs_bit_for_bit():
+    # both sides' gamma sweeps bracket each solve by the one before; the
+    # detail holds the unbracketed pairs' floats, keys in the same order
+    model = catalog("ex8_9")
+    sb = oracle.splitting_bracket(model, list(range(-3, 4)), m=100)
+    # the eigenvector's peak lies in the grid; its gamma (7.18) comes last
+    peak_gamma = list(sb.detail)[len(oracle.GAMMA_GRID)][1]
+    assert peak_gamma not in oracle.GAMMA_GRID
+    assert list(sb.detail) == [(t, g) for t in range(-3, 4)
+                               for g in oracle.GAMMA_GRID + (peak_gamma,)]
+    for (theta, gamma), pair in sb.detail.items():
+        want = oracle._local_pair(model, theta, gamma, 100)
+        assert [v.hex() for v in pair] == [v.hex() for v in want]

@@ -191,3 +191,33 @@ def test_option_setters_count_keywords_positions_and_unpacking(tmp_path):
         ("mod", "f", "y"): [os.path.join("tests", "test_a.py"),
                             os.path.join("tests", "test_c.py")],
         ("mod", "f", "z"): [os.path.join("tests", "test_b.py")]}
+
+
+def test_same_outputs_compares_json_stdout_leaf_by_leaf_with_ulp_distances(monkeypatch, capsys):
+    # a command line's --json stdout is compared as the document it parses
+    # to: only the leaf that moved is printed, a float with its ulp distance
+    def stdout(lam, wall):
+        return json.dumps({"model": "ex7_6_2", "kappa": 0.5, "bracket": [0.5, 2.0],
+                           "lambda_exact": lam, "wall_time_s": wall}, indent=2) + "\n"
+
+    moved, up2 = np.nextafter(2.0, 3.0), np.nextafter(np.nextafter(0.1, 1.0), 1.0)
+    outcomes = {"P": {"job/estimate": ["ok", canonical((0, stdout(2.0, 0.0123)))],
+                      "job/lams": ["ok", canonical([-5e-324, 0.1, 1.0, math.inf])]},
+                "C": {"job/estimate": ["ok", canonical((0, stdout(moved, 1.5e-05)))],
+                      "job/lams": ["ok", canonical([5e-324, up2, 2.0, 1.0])]}}
+    monkeypatch.setattr(same_outputs, "run_checkout", lambda c, w, s: outcomes[c[-1]])
+    assert same_outputs.main(["P", "C", "--workload", "catalog_brackets", "--seed", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: job/estimate",
+        "  [1]['lambda_exact']: 2.0 -> 2.0000000000000004 (1 ulp)",
+        "differs: job/lams",
+        "  [0]: -5e-324 -> 5e-324 (2 ulps)",
+        "  [1]: 0.1 -> 0.10000000000000003 (2 ulps)",
+        "  [2]: 1.0 -> 2.0 (4503599627370496 ulps)",
+        "  [3]: inf -> 1.0",
+        "catalog_brackets seed 1: 2 calls, 2 differ"]
+    # wall times aside, equal documents are equal; a JSON array parses too,
+    # and text that is not a JSON document stays text
+    assert canonical((0, stdout(2.0, 0.0123))) == canonical((0, stdout(2.0, 9.0)))
+    assert canonical("[1.5, 2]") == ["json", ["list", [float.hex(1.5), 2]]]
+    assert canonical("{not json} at 0x7f00") == "{not json} at 0x?"

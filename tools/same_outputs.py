@@ -10,11 +10,15 @@ of its own ``perfbench`` jobs (``perfbench/jobs.py`` and its library from
 subprocess of its own. Every call's outcome, a value or the type and message
 of the exception it raised, is reduced to a canonical form: floats and float
 arrays bit for bit, with every NaN equal to every other, object addresses and
-the command line's ``wall_time_s`` masked. Every call whose canonical outputs
-differ is listed with each leaf that differs, by its path and both values
-(``bracket.delta_like.scanned[1]: 99999 -> 2047``), then one summary line for
-the pair. Exit codes: 0 all equal, 1 some output differs in some pair, 2 a
-checkout could not be run.
+the command line's ``wall_time_s`` masked. A string that holds a JSON object
+or array (a command line's ``--json`` output) is compared as the document it
+parses to. Every call whose canonical outputs differ is listed with each leaf
+that differs, by its path and both values
+(``bracket.delta_like.scanned[1]: 99999 -> 2047``), two floats with their
+distance in units in the last place (``[1]['lambda_exact']: 2.0 ->
+2.0000000000000004 (1 ulp)``), then one summary line for the pair. Exit
+codes: 0 all equal, 1 some output differs in some pair, 2 a checkout could
+not be run.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -41,6 +46,17 @@ def _text(s: str) -> str:
     return _WALL.sub(r"\1?", _ADDRESS.sub(" at 0x?", s))
 
 
+def _json_document(s: str):
+    """The object or array ``s`` holds as JSON, its wall times null; None
+    when ``s`` is not such a document."""
+    if not s.lstrip().startswith(("{", "[")):
+        return None
+    try:
+        return json.loads(_WALL.sub(r"\1null", s))
+    except ValueError:
+        return None
+
+
 def canonical(x):
     """A JSON-able form of ``x`` that two outputs share iff they are equal
     bit for bit, NaN equal to NaN, addresses and wall times masked."""
@@ -50,7 +66,8 @@ def canonical(x):
     if isinstance(x, float):
         return "nan" if x != x else float.hex(x)
     if isinstance(x, str):
-        return _text(x)
+        doc = _json_document(x)
+        return _text(x) if doc is None else ["json", canonical(doc)]
     if isinstance(x, np.generic):
         return canonical(x.item())
     if isinstance(x, np.ndarray):
@@ -86,8 +103,8 @@ def leaves(form, path=""):
             parts = [("." + name, v) for name, v in body.items()]
         elif head == "dict":
             parts = [("[%s]" % key, v) for key, v in body]
-        elif isinstance(body, list) and body[:1] == ["dict"] and not extra:
-            parts = [("", body)]                             # an object's attributes
+        elif head == "json" or isinstance(body, list) and body[:1] == ["dict"] and not extra:
+            parts = [("", body)]                   # a JSON document, an object's attributes
         elif isinstance(body, list):                         # a sequence
             parts = [("[%d]" % i, v) for i, v in enumerate(body)] + [("", x) for x in extra]
         else:
@@ -113,6 +130,19 @@ def _show(leaf) -> str:
     if isinstance(leaf, str):
         return repr(float.fromhex(leaf)) if _HEX.fullmatch(leaf) else leaf
     return json.dumps(leaf)
+
+
+def _ulps(was, now) -> str:
+    """" (n ulps)": how many floats apart two float leaves are; "" for any
+    other pair of leaves."""
+    if not all(isinstance(v, str) and _HEX.fullmatch(v) for v in (was, now)):
+        return ""
+
+    def ordinal(leaf):
+        i = struct.unpack("<q", struct.pack("<d", float.fromhex(leaf)))[0]
+        return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+    n = abs(ordinal(was) - ordinal(now))
+    return " (%d ulp%s)" % (n, "" if n == 1 else "s")
 
 
 def dump(checkout: str, workload: str, seed: int) -> dict:
@@ -187,7 +217,7 @@ def main(argv=None) -> int:
             for path in list(was) + [p for p in now if p not in was]:
                 pair = [side.get(path, "(absent)") for side in (was, now)]
                 if pair[0] != pair[1]:
-                    print("  %s: %s -> %s" % (path, *map(_show, pair)))
+                    print("  %s: %s -> %s%s" % (path, *map(_show, pair), _ulps(*pair)))
         print("%s seed %d: %d calls, %d differ" % (workload, seed,
                                                    len(old.keys() | new.keys()), len(differ)))
         status = max(status, 1 if differ else 0)
