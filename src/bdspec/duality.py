@@ -55,7 +55,7 @@ def dualize(model: ChainModel, direction: str = "forward_5_1") -> DualPair:
             return np.asarray(model.birth(np.asarray(i, dtype=np.int64) - 1), dtype=float)
 
         code = BoundaryCode.DD if model.boundary is BoundaryCode.NN else BoundaryCode.DN
-        b0 = float(np.asarray(model.birth(np.asarray([0], dtype=np.int64)))[0])
+        b0 = float(model.rates(0, 0)[1][0])
         hint = _forward_hint(model, b0)
         dual = ChainModel(code, 1, n_prime, d_birth, d_death, tail_hint=hint,
                           name=model.name + "_dual", params=dict(model.params))
@@ -142,9 +142,7 @@ def v_transform(v: np.ndarray, direction: str, model: ChainModel = None) -> np.n
     if direction == "eq_5_7":
         if model is None:
             raise WrongShape("eq_5_7 needs the primal model for its rates")
-        i = np.arange(1, len(v) + 1, dtype=np.int64)
-        b = np.asarray(model.birth(i), dtype=float)
-        a = np.asarray(model.death(i), dtype=float)
+        a, b, _ = model.rates(1, len(v))
         return (b / a) * v
     raise WrongShape("direction must be eq_2_35 or eq_5_7")
 

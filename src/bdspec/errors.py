@@ -10,7 +10,7 @@ class NonPositiveRate(BdspecError):
 
 
 class Overflow(BdspecError):
-    """Weights exceeded representable magnitude even in the log domain."""
+    """A rate is not finite (NaN or infinite) where ``ChainModel.rates`` reads it."""
 
 
 class UnknownModel(BdspecError):

@@ -194,10 +194,9 @@ def naive_upper(model: ChainModel) -> series.ExtremumReport:
     base = model.base if model.boundary is not BoundaryCode.DD_BILATERAL else \
         (model.lo if model.lo is not None else -DEFAULT_NMAX // 2)
     top = model.hi if model.hi is not None else base + DEFAULT_NMAX - 1
-    with np.errstate(all="ignore"):
-        a, b, c = model.rates(base, top)
-        total = a + b + c
-    k = int(np.nanargmin(total))
+    a, b, c = model.rates(base, top)
+    total = a + b + c
+    k = int(np.argmin(total))
     return series.ExtremumReport(base + k, float(total[k]), model.certainty(base, top),
                                  (base, top))
 

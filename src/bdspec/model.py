@@ -71,6 +71,13 @@ class ChainModel:
     equals the same tails evaluated one at a time.
     Rate and hint callables must be element-wise, the value at i depending on
     i alone: a model's windows are prefix views of its largest (:func:`build_weights`).
+
+    The rate rule, checked by :meth:`rates`, the one reader of the rate
+    callables, on every range it reads: a rate that is not finite raises
+    Overflow; a birth or death rate <= 0 raises NonPositiveRate, except that
+    a half-line chain's bottom death rate and finite top birth rate may be 0
+    (a Dirichlet end's exit, or the rate a reflecting end sets to 0); a
+    killing rate < 0 raises NonPositiveRate.
     """
     boundary: BoundaryCode
     lo: Optional[int]
@@ -97,19 +104,34 @@ class ChainModel:
         return self.lo if self.lo is not None else 0    # 0: the bilateral reference point
 
     def rates(self, i0: int, i1: int):
-        """(death, birth, killing) on [i0, i1] with boundary conventions applied."""
+        """(death, birth, killing) on [i0, i1], read-only, with the boundary
+        conventions applied and the rate rule checked; a range inside the held
+        window (:func:`_rates_and_weights`) is served as views of its checked arrays."""
+        base, h = self.base, _held
+        if h.model is self and base <= i0 and i1 - base < len(h.arrays[0]):
+            return tuple(x[i0 - base:i1 - base + 1] for x in h.arrays[:3])
         idx = np.arange(i0, i1 + 1, dtype=np.int64)
-        a = np.asarray(self.death(idx), dtype=float).copy()
-        b = np.asarray(self.birth(idx), dtype=float).copy()
-        c = (np.asarray(self.killing(idx), dtype=float).copy()
-             if self.killing is not None else np.zeros_like(a))
-        if self.boundary is not BoundaryCode.DD_BILATERAL:
-            if self.boundary.origin_reflecting and i0 <= self.base:
-                a[self.base - i0] = 0.0
-            if self.hi is not None and self.boundary in (BoundaryCode.DN, BoundaryCode.NN) \
-                    and i1 >= self.hi:
-                b[self.hi - i0] = 0.0
-        return a, b, c
+        a, b = np.array(self.death(idx), dtype=float), np.array(self.birth(idx), dtype=float)
+        c = np.zeros_like(a) if self.killing is None else np.array(self.killing(idx), dtype=float)
+        # the positions of the rates that may be 0: a half-line chain's bottom
+        # death rate and finite top birth rate, which a reflecting end sets to 0
+        n, half = len(a), self.boundary is not BoundaryCode.DD_BILATERAL
+        bottom, top = (base - i0, n if self.hi is None else self.hi - i0) if half else (n, n)
+        if self.boundary.origin_reflecting and 0 <= bottom < n:
+            a[bottom] = 0.0
+        if self.boundary in (BoundaryCode.DN, BoundaryCode.NN) and 0 <= top < n:
+            b[top] = 0.0
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+            raise Overflow("rates not finite at some index")
+        for x, end, what in ((b, top, "birth"), (a, bottom, "death")):
+            low = x <= 0.0
+            if 0 <= end < n:
+                low[end] = x[end] < 0.0
+            if low.any():
+                raise NonPositiveRate("%s rate <= 0 inside the range" % what)
+        if np.any(c < 0.0):
+            raise NonPositiveRate("killing rate < 0")
+        return _read_only(a), _read_only(b), _read_only(c)
 
     def hint(self, key: str):
         return (self.tail_hint or {}).get(key)
@@ -314,19 +336,6 @@ def _rates_and_weights(model: ChainModel, top: int):
     base = model.base
     a, b, c = model.rates(base, top)
     _held = h = _NONE      # freed before the weights: two whole windows never coexist
-    finite = model.hi is not None and top == model.hi
-    if np.any((b[:-1] if finite else b) <= 0.0):
-        raise NonPositiveRate("birth rate <= 0 inside the range")
-    if finite and b[-1] < 0.0:
-        raise NonPositiveRate("top birth rate must be >= 0")
-    if np.any(a[1:] <= 0.0):
-        raise NonPositiveRate("death rate <= 0 inside the range")
-    if model.boundary in (BoundaryCode.DN, BoundaryCode.DD) and a[0] < 0.0:
-        raise NonPositiveRate("death rate at the bottom state must be >= 0")
-    if np.any(c < 0.0):
-        raise NonPositiveRate("killing rate < 0")
-    if not (np.isfinite(b[:-1]).all() and np.isfinite(a[1:]).all()):
-        raise Overflow("rates not finite at some index")
     log_mu = np.zeros(n)
     np.cumsum(np.log(b[:-1]) - np.log(a[1:]), out=log_mu[1:])
     # multiplicative recurrence mu_{n+1} = mu_n b_n / a_{n+1}: exact where
@@ -395,7 +404,7 @@ def _build(model: ChainModel, n_max: int) -> WeightSystem:
 def bilateral_log_weights(model: ChainModel, half_window: int):
     """Log-domain weights of a bilateral model on [-W, W] (clipped to lo/hi).
 
-    By the recurrence mu_{i+1} a_{i+1} = mu_i b_i on positive finite rates,
+    By the recurrence mu_{i+1} a_{i+1} = mu_i b_i on the rates of :meth:`ChainModel.rates`,
     normalized at the reference point 0 (or the nearest in-range state); only
     ratios matter for every bilateral quantity in this package. Returns
     ``(idx, log_mu, log_mua, log_mub)`` with log(mu_i a_i) = log(mu_{i-1} b_{i-1}).
@@ -403,12 +412,7 @@ def bilateral_log_weights(model: ChainModel, half_window: int):
     lo = -half_window if model.lo is None else max(model.lo, -half_window)
     hi = half_window if model.hi is None else min(model.hi, half_window)
     idx = np.arange(lo, hi + 1, dtype=np.int64)
-    a = np.asarray(model.death(idx), dtype=float)
-    b = np.asarray(model.birth(idx), dtype=float)
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise NonPositiveRate("bilateral rates must be positive")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise Overflow("rates not finite at some index")
+    a, b, _ = model.rates(lo, hi)
     log_b = np.log(b)
     log_mu = np.concatenate([[0.0], np.cumsum(log_b[:-1] - np.log(a[1:]))])
     log_mu -= log_mu[int(np.searchsorted(idx, min(max(0, lo), hi)))]

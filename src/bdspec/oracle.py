@@ -161,11 +161,9 @@ def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
     end = top + cap if model.hi is None else min(model.hi, top + cap)
     while j < end:
         hi = min(j + block, end)
-        idx = np.arange(j, hi, dtype=np.int64)
-        b = np.asarray(model.birth(idx), dtype=float)
-        a = np.asarray(model.death(idx + 1), dtype=float)
+        a, b, _ = model.rates(j, hi)
         with np.errstate(all="ignore"):
-            P = np.cumprod(np.concatenate([[p], b / a]))[1:]
+            P = np.cumprod(np.concatenate([[p], b[:-1] / a[1:]]))[1:]
             S = np.cumsum(np.concatenate([[s], P]))[1:]
             stop = (P < tol * S) | ~np.isfinite(S)
         if stop.any():
@@ -186,7 +184,7 @@ def _tridiag(model: ChainModel, lo: int, top: int, boundary_at_m: str):
     a, b, c = model.rates(lo, top)
     n = len(a)
     diag = a + b + c
-    off = np.sqrt(np.maximum(b[:-1] * a[1:], 0.0))
+    off = np.sqrt(b[:-1] * a[1:])
     mode = boundary_at_m.lower()
     at_model_top = model.hi is not None and top >= model.hi
     if not at_model_top and n >= 2:
@@ -316,13 +314,10 @@ def shooting_rate(model: ChainModel, m: int) -> SpectralResult:
     if m < 2:
         raise TruncationTooSmall("need m >= 2")
     top = m if model.hi is None else min(model.hi + 1, m)
-    idx = np.arange(1, top, dtype=np.int64)
-    a = np.asarray(model.death(idx), dtype=float)
-    b = np.asarray(model.birth(idx), dtype=float)
-    c = np.zeros_like(a) if model.killing is None else np.asarray(model.killing(idx), dtype=float)
+    a, b, c = model.rates(1, top - 1)
     if a[0] <= 0.0:
         raise WrongBoundary("shooting requires a positive death rate at state 1")
-    if len(a) < 2 or b[0] <= 0.0:
+    if len(a) < 2:      # with two states, b_1 > 0 (ChainModel.rates)
         raise TruncationTooSmall("the recursion needs two states and b_1 > 0")
     cert = model.certainty(1, top - 1)
     exit_top = model.boundary is BoundaryCode.DD and cert is series.Certainty.CERTIFIED
@@ -330,11 +325,12 @@ def shooting_rate(model: ChainModel, m: int) -> SpectralResult:
 
     def positive(z: float) -> bool:
         u = (a[0] + c[0] - z) / b[0]
-        for i in range(1, len(a)):
+        for i in range(1, len(a) - 1):
             if not u > -1.0:
                 return False
             u = (a[i] * u / (1.0 + u) + c[i] - z) / b[i]
-        return u > last
+        # the top's b_N u_N, tested against last * b_N: b_N may be 0
+        return u > -1.0 and a[-1] * u / (1.0 + u) + c[-1] - z > last * b[-1]
 
     lo = 0.0
     hi = float(np.min(a + b + c)) + 1.0
@@ -353,13 +349,14 @@ def shooting_rate(model: ChainModel, m: int) -> SpectralResult:
         else:
             hi = mid
     z = lo
-    # eigenvector from the ratio recursion at the admissible shift
-    u = np.empty(len(a))
+    # eigenvector from the ratio recursion at the admissible shift: g_1 .. g_N
+    # read u_1 .. u_{N-1}
+    u = np.empty(len(a) - 1)
     u[0] = (a[0] + c[0] - z) / b[0]
-    for i in range(1, len(a)):
+    for i in range(1, len(u)):
         u[i] = (a[i] * u[i - 1] / (1.0 + u[i - 1]) + c[i] - z) / b[i]
     with np.errstate(over="ignore"):
-        g = v_products(1.0 + u)
+        g = np.cumprod(np.concatenate([[1.0], 1.0 + u]))
     return SpectralResult(z, g, top - 1, hi - lo, "Shooting", 1, cert)
 
 
@@ -441,10 +438,9 @@ def _sides(model: ChainModel, theta: int, m: int):
     if not lo <= theta <= hi:       # past a finite end (None: the side is unbounded)
         raise BadParameter("theta = %d lies outside the chain's range [%s, %s]"
                            % (theta, model.lo, model.hi))
-    left = np.arange(theta, lo - 1, -1, dtype=np.int64)
-    right = np.arange(theta, hi + 1, dtype=np.int64)
-    return ((np.asarray(model.birth(left), dtype=float), np.asarray(model.death(left), dtype=float)),
-            (np.asarray(model.death(right), dtype=float), np.asarray(model.birth(right), dtype=float)))
+    a, b, _ = model.rates(lo, hi)
+    k = theta - lo
+    return (b[k::-1], a[k::-1]), (a[k:], b[k:])
 
 
 def _side_matrix(a: np.ndarray, b: np.ndarray, scale: float):
@@ -468,8 +464,9 @@ def gamma_from_eigvec(model: ChainModel, theta: int, g_theta_m1: float,
                       g_theta: float, g_theta_p1: float) -> float:
     """Coupling constant (7.18) from eigenfunction values around a peak;
     nan unless theta is a strict peak."""
-    num = float(model.birth(np.asarray([theta]))[0]) * (g_theta - g_theta_p1)
-    den = float(model.death(np.asarray([theta]))[0]) * (g_theta - g_theta_m1)
+    a, b, _ = model.rates(theta, theta)
+    num = float(b[0]) * (g_theta - g_theta_p1)
+    den = float(a[0]) * (g_theta - g_theta_m1)
     return 1.0 + num / den if den > 0 else math.nan
 
 

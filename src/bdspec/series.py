@@ -17,10 +17,11 @@ dominated by it. That search, :func:`_monge_argmins`, also takes Theorem
 Every tail goes one route: :func:`estimate_remainder_block` is the one
 remainder estimator and :func:`tail_sums` the one suffix-plus-remainder sum.
 ``model.WeightSystem`` owns the weight series' totals and tails and estimates
-each remainder once; the first-step sums of ``approx`` and the tail ratio
-of ``oracle`` read the same two functions. An infinite remainder is the one
-divergence verdict, of ``killing.reduce_9_11``, ``model.classify_uniqueness``
-and the one-index suprema of ``estimates._delta_sup``.
+each remainder once; the first-step sums of ``approx`` read the same two
+functions, and the tail ratio of ``oracle`` the remainder estimator. An
+infinite remainder is the one divergence verdict, of ``killing.reduce_9_11``,
+``model.classify_uniqueness`` and the one-index suprema of
+``estimates._delta_sup``.
 """
 
 from __future__ import annotations

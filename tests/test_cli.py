@@ -180,38 +180,66 @@ def test_flag_error_exits_1(argv, capsys):
 
 
 CONST_RATE = {"catalog": "const", "params": {"value": 1.0}}
+TWO = {"catalog": "const", "params": {"value": 2.0}}
+CHAIN_COMMANDS = ("estimate", "approx", "oracle", "killing", "dual", "poincare")
+# the commands that reach the fault; the others refuse the chain's shape
+# first (approx, killing and dual a bilateral chain, killing an ND one) or
+# its killing (estimate and approx), and exit 1 all the same
+BILATERAL = ("estimate", "oracle", "poincare")
+KILLED = ("oracle", "killing", "dual", "poincare")
 
 
-@pytest.mark.parametrize("doc,named", [
-    ({"boundary": "ND", "death": CONST_RATE}, "'birth'"),
-    ({"boundary": "ND", "birth": {"catalog": "const"}, "death": CONST_RATE}, "'value'"),
-    ([1, 2], "JSON object"),
-    ({"boundary": "ND", "birth": 3, "death": CONST_RATE}, "birth"),
-    ({"boundary": "DD", "lo": [1], "birth": CONST_RATE, "death": CONST_RATE}, "lo"),
-    ({"boundary": "DD", "lo": 1.5, "birth": CONST_RATE, "death": CONST_RATE}, "lo"),
-    ({"boundary": "DD", "hi": "top", "birth": CONST_RATE, "death": CONST_RATE}, "hi"),
+def _rate_table(*values):
+    return {"table": list(values), "then": "last"}
+
+
+@pytest.mark.parametrize("doc,named,naming", [
+    ({"boundary": "ND", "death": CONST_RATE}, "'birth'", CHAIN_COMMANDS),
+    ({"boundary": "ND", "birth": {"catalog": "const"}, "death": CONST_RATE}, "'value'",
+     CHAIN_COMMANDS),
+    ([1, 2], "JSON object", CHAIN_COMMANDS),
+    ({"boundary": "ND", "birth": 3, "death": CONST_RATE}, "birth", CHAIN_COMMANDS),
+    ({"boundary": "DD", "lo": [1], "birth": CONST_RATE, "death": CONST_RATE}, "lo",
+     CHAIN_COMMANDS),
+    ({"boundary": "DD", "lo": 1.5, "birth": CONST_RATE, "death": CONST_RATE}, "lo",
+     CHAIN_COMMANDS),
+    ({"boundary": "DD", "hi": "top", "birth": CONST_RATE, "death": CONST_RATE}, "hi",
+     CHAIN_COMMANDS),
     ({"boundary": "DD", "birth": {"table": [], "then": "last"}, "death": CONST_RATE},
-     "birth: a table needs at least one value"),
+     "birth: a table needs at least one value", CHAIN_COMMANDS),
     ({"boundary": "ND", "lo": 0, "hi": -1, "birth": CONST_RATE, "death": CONST_RATE},
-     "empty range [0, -1]"),
+     "empty range [0, -1]", CHAIN_COMMANDS),
     ({"boundary": "DD", "lo": 3, "hi": 2, "birth": CONST_RATE, "death": CONST_RATE},
-     "empty range [3, 2]"),
+     "empty range [3, 2]", CHAIN_COMMANDS),
     ({"boundary": "DD_bilateral", "birth": {"catalog": "const", "params": {"value": math.nan}},
-      "death": CONST_RATE}, "rates not finite"),
+      "death": CONST_RATE}, "rates not finite", BILATERAL),
     ({"boundary": "DD_bilateral", "birth": CONST_RATE,
-      "death": {"table": [1.0, math.inf, 1.0], "then": "last"}}, "rates not finite"),
+      "death": _rate_table(1.0, math.inf, 1.0)}, "rates not finite", BILATERAL),
+    ({"boundary": "ND", "birth": _rate_table(1.0, -1.0, 1.0), "death": TWO},
+     "birth rate <= 0 inside the range", ("estimate", "approx", "oracle", "dual", "poincare")),
+    ({"boundary": "DD", "birth": _rate_table(1.0, -1.0, 1.0), "death": TWO},
+     "birth rate <= 0 inside the range", CHAIN_COMMANDS),
+    ({"boundary": "DD", "birth": _rate_table(1.0, math.nan, 1.0), "death": TWO},
+     "rates not finite at some index", CHAIN_COMMANDS),
+    ({"boundary": "DD", "birth": CONST_RATE, "death": TWO,
+      "killing": _rate_table(0.5, -3.0, 0.5)}, "killing rate < 0", KILLED),
+    ({"boundary": "DD", "birth": CONST_RATE, "death": TWO,
+      "killing": _rate_table(0.5, math.nan, 0.5)}, "rates not finite at some index", KILLED),
 ], ids=["no_birth", "const_without_value", "top_level_list", "birth_not_a_spec",
         "lo_a_list", "lo_not_an_integer", "hi_a_word", "empty_table", "empty_nd_range",
-        "empty_dd_range", "bilateral_nan_birth", "bilateral_inf_death"])
-def test_malformed_model_file_exits_1_with_a_message(doc, named, tmp_path, capsys):
+        "empty_dd_range", "bilateral_nan_birth", "bilateral_inf_death", "nd_negative_birth",
+        "dd_negative_birth", "dd_nan_birth", "dd_negative_killing", "dd_nan_killing"])
+def test_malformed_model_file_exits_1_with_a_message(doc, named, naming, tmp_path, capsys):
+    # every chain subcommand exits 1 with one error line and no output; a bad
+    # rate is named by each command that reads it, whichever reader does
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(doc))
-    for command in ("estimate", "poincare"):
-        assert cli.main([command, "--file", str(path)]) == 1
+    for command in CHAIN_COMMANDS:
+        assert cli.main([command, "--file", str(path)]) == 1, command
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:") and named in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert (named in captured.err) == (command in naming), (command, captured.err)
 
 
 def test_poincare_on_a_weight_bump_past_float_range_prints_b_as_inf(tmp_path, capsys):

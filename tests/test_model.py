@@ -8,10 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdspec import approx, duality, estimates, killing, poincare, series
+from bdspec import approx, duality, estimates, killing, oracle, poincare, series
 from bdspec import model as model_mod
 from bdspec.catalog import catalog, catalog_names
-from bdspec.errors import BadParameter, NonPositiveRate, Overflow, UnknownModel
+from bdspec.errors import BadParameter, BdspecError, NonPositiveRate, Overflow, UnknownModel
 from bdspec.model import (DEFAULT_NMAX, BoundaryCode, ChainModel, Verdict,
                           bilateral_log_weights, build_weights, classify_uniqueness, dump_model,
                           load_model, model_from_dict)
@@ -55,12 +55,89 @@ def test_quadratic_weights():
     assert ws.nu_tail(1, "b") == pytest.approx(math.pi ** 2 / 6.0 - 1.0, rel=1e-12)
 
 
+BAD_RATES = [    # (rate, its value at state 3, the error, its message)
+    ("birth", 0.0, NonPositiveRate, "birth rate <= 0 inside the range"),
+    ("birth", -1.0, NonPositiveRate, "birth rate <= 0 inside the range"),
+    ("death", -2.0, NonPositiveRate, "death rate <= 0 inside the range"),
+    ("killing", -3.0, NonPositiveRate, "killing rate < 0"),
+    ("birth", math.nan, Overflow, "rates not finite at some index"),
+    ("death", math.inf, Overflow, "rates not finite at some index"),
+    ("killing", math.nan, Overflow, "rates not finite at some index"),
+]
+
+
+def _one_bad_rate(code, lo, rate, value):
+    """Birth 1, death 2 and killing 1/2 everywhere, but ``rate`` is ``value`` at state 3."""
+    fns = {key: (lambda i, v=(value if key == rate else base), base=base:
+                 np.where(np.asarray(i) == 3, v, base))
+           for key, base in (("birth", 1.0), ("death", 2.0), ("killing", 0.5))}
+    return ChainModel(code, lo, None, fns["birth"], fns["death"], killing=fns["killing"])
+
+
 def test_build_weights_rejects_bad_rates():
     bad = ChainModel(BoundaryCode.ND, 0, None,
                      lambda i: np.where(np.asarray(i) == 3, 0.0, 1.0),
                      lambda i: np.ones(np.shape(i)))
     with pytest.raises(NonPositiveRate):
         build_weights(bad, 10)
+    # every reader of the rates goes through ChainModel.rates, so one bad rate
+    # raises one error, with one message, whichever of them reads it first
+    for rate, value, error, message in BAD_RATES:
+        half = _one_bad_rate(BoundaryCode.DD, 1, rate, value)
+        both = _one_bad_rate(BoundaryCode.DD_BILATERAL, None, rate, value)
+        readers = [lambda: build_weights(half, 10),
+                   lambda: oracle.principal_eigen(half, 10),
+                   lambda: oracle.truncation_limit(half, [4, 6, 8]),
+                   lambda: oracle.shooting_rate(half, 10),
+                   lambda: oracle.difference_form(half, np.full(7, 0.5), 1, 6),
+                   lambda: bilateral_log_weights(both, 10),
+                   lambda: oracle.splitting_bracket(both, [0], m=10),
+                   lambda: oracle.principal_eigen(both, 10)]
+        for read in readers:
+            with pytest.raises(BdspecError) as exc:
+                read()
+            assert (type(exc.value), str(exc.value)) == (error, message), (rate, value)
+
+
+def _varied(code, hi):
+    """A chain with varied rates and killing, on [lo, hi] (hi None: unbounded),
+    and the list that records each rate evaluation."""
+    lo, evaluated = (0 if code.origin_reflecting else 1), []
+
+    def rule(fn):
+        return lambda i: (evaluated.append(np.size(i)), fn(np.asarray(i, dtype=float)))[1]
+
+    model = ChainModel(code, lo, hi, rule(lambda x: 1.0 + np.sin(x) ** 2),
+                       rule(lambda x: 1.5 + np.cos(x) ** 2), killing=rule(lambda x: 0.25 * (x % 3)),
+                       name="varied_%s_%s" % (code.value, hi))
+    return model, evaluated
+
+
+@pytest.mark.parametrize("code", list(BoundaryCode)[:4], ids=lambda code: code.value)
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "infinite"])
+def test_a_read_inside_the_held_window_is_a_view_of_its_checked_rates(code, finite):
+    # a read inside the held window evaluates nothing: it returns read-only
+    # views of the window's checked a, b and c, equal bit for bit to a read
+    # made with nothing held, boundary conventions included at both ends
+    lo = 0 if code.origin_reflecting else 1
+    model, evaluated = _varied(code, lo + 29 if finite else None)
+    ws = build_weights(model, 40)
+    top = ws.top
+    assert (top == model.hi) == finite and len(ws) == (30 if finite else 40)
+    for i0, i1 in ((lo, lo), (lo, top), (lo + 1, top), (lo + 5, lo + 12), (top, top)):
+        evaluated.clear()
+        served = model.rates(i0, i1)
+        assert not evaluated
+        held, model_mod._held = model_mod._held, model_mod._NONE
+        try:
+            fresh = model.rates(i0, i1)
+        finally:
+            model_mod._held = held
+        assert evaluated
+        for x, y, whole in zip(served, fresh, (ws.a, ws.b, ws.c)):
+            assert np.shares_memory(x, whole) and not x.flags.writeable
+            assert x.tobytes() == y.tobytes() and len(x) == i1 - i0 + 1
+    model_mod._held = model_mod._NONE
 
 
 def test_hint_vs_hintless_tails_agree():

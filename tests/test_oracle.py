@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg.lapack import dstebz
 
-from bdspec import oracle
+from bdspec import duality, oracle
 from bdspec.cli import TABLE_SCHEDULE
 from bdspec.catalog import TABLE71_ROWS, catalog, catalog_names, table71_v
 from bdspec.errors import BadParameter, TruncationTooSmall, WrongBoundary
@@ -251,6 +251,25 @@ def test_shooting_on_a_whole_finite_chain_matches_the_eigensolver(model):
         assert short.certified is Certainty.WINDOW_STOPPED
         reflected = oracle.principal_eigen(model, model.hi - 1, boundary_at_m="neumann_plain")
         assert short.lam == pytest.approx(reflected.lam, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shooting_on_the_forward_dual_of_a_finite_nd_chain_divides_by_no_top_rate(seed):
+    # the dual is a DN chain whose top birth rate is 0 (dualize's convention
+    # and the DN top's alike): the recursion's last step is tested as b_N u_N,
+    # without a division by b_N, and the eigenvector never reads u_N
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 40))
+    a, b = rng.uniform(0.2, 3.0, (2, n))
+    primal = ChainModel(BoundaryCode.ND, 0, n - 1, lambda i: b[np.asarray(i)],
+                        lambda i: a[np.asarray(i)])
+    dual = duality.dualize(primal, "forward_5_1").dual
+    assert dual.boundary is BoundaryCode.DN and dual.rates(1, dual.hi)[1][-1] == 0.0
+    sh = oracle.shooting_rate(dual, dual.hi + 1)
+    lam = oracle.principal_eigen(dual, dual.hi).lam
+    assert sh.lam == pytest.approx(lam, rel=oracle.SHOOTING_TOL, abs=0.0)
+    assert sh.certified is Certainty.CERTIFIED and len(sh.eigvec) == dual.hi
+    assert np.all(sh.eigvec > 0)
 
 
 def _slow_exit_chain(n, exit_rate):

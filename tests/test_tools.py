@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -140,6 +141,49 @@ def test_same_outputs_names_each_differing_leaf_past_the_first_300_characters(mo
         "  [0]: (absent) -> 1.5",
         "  [1]: (absent) -> null",
         "catalog_brackets seed 1: 2 calls, 2 differ"]
+
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "bdspec")
+RATE_CALLABLES = ("birth", "death", "killing")
+RATE_ERRORS = ("NonPositiveRate", "Overflow")
+# ChainModel.rates reads and checks the rates; the catalog and the derived
+# chains of dualize and reduce_9_11 define rates from other rates
+RATE_READERS = {"model.ChainModel.rates", "duality.dualize.d_birth", "duality.dualize.d_death",
+                "killing.reduce_9_11.chk_birth", "killing.reduce_9_11.chk_death",
+                "killing.reduce_9_11.hat_death"}
+
+
+def _scoped_nodes():
+    """(qualified name of the enclosing function, node) for every node of
+    the package's modules, the name led by its module (``model.ChainModel.rates``)."""
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                stack = [(fname[:-3], ast.parse(fh.read()))]
+            while stack:
+                scope, node = stack.pop()
+                yield scope, node
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    scope = "%s.%s" % (scope, node.name)
+                stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+
+
+def test_only_chain_model_rates_reads_and_checks_the_rate_callables():
+    # one reader and one check: a call of .birth, .death or .killing outside
+    # ChainModel.rates, the catalog and the derived-model rates, or a rate
+    # error raised anywhere else, would be a second rule for a valid rate
+    calls, raises = set(), set()
+    for scope, node in _scoped_nodes():
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in RATE_CALLABLES:
+            calls.add((scope, node.lineno))
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                and getattr(node.exc.func, "id", None) in RATE_ERRORS:
+            raises.add(scope)
+    assert {scope for scope, _ in calls} >= {"model.ChainModel.rates", "duality.dualize.d_birth"}
+    assert sorted(c for c in calls if c[0] not in RATE_READERS
+                  and c[0].split(".")[0] != "catalog") == []
+    assert raises == {"model.ChainModel.rates"}
 
 
 def test_every_public_option_has_a_setter():
