@@ -398,6 +398,19 @@ def test_console_entrypoint_runs():
     assert doc["kappa"] == pytest.approx(3.0 / 7.0, rel=1e-12)
 
 
+def test_estimate_on_a_hinted_chain_loads_no_scipy():
+    # the Hurwitz hints are numpy and the eigensolver binds LAPACK on first
+    # use, so neither import nor a call that solves nothing loads scipy
+    code = ("import contextlib, io, sys, bdspec\n"
+            "from bdspec import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['estimate', '--model', 'quadratic_nd', '--json'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_plain_text_output_prints_one_field_per_line(capsys):
     # no format flag: the flattened report, floats to 12 significant digits
     code, out = run_cli(["estimate", "--model", "ex7_6_1"], capsys)

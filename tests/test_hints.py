@@ -3,17 +3,19 @@
 Each catalog ``*_tail`` hint and each hint of a forward dual is called once on
 the whole default window and once per index; the two must agree bit for bit.
 The closed forms are checked against mpmath sums of the weight series, whose
-terms are checked against ``build_weights`` first.
+terms are checked against ``build_weights`` first, and the Hurwitz zeta
+kernel behind the p-series hints against mpmath's zeta.
 """
 
 import dataclasses
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
 from bdspec import duality
-from bdspec.catalog import catalog, catalog_names
+from bdspec.catalog import _hurwitz, catalog, catalog_names
 from bdspec.model import DEFAULT_NMAX, build_weights
 
 mpf = mpmath.mpf
@@ -129,3 +131,46 @@ def test_window_tails_without_hint_use_suffix_sums():
     idx = np.array([0, 5, 299, 400])
     assert np.array_equal(ws.mu_tail(idx), np.asarray([ws.mu_tail(int(n)) for n in idx]))
     assert tails == pytest.approx(hinted.hint("mu_tail")(np.arange(300)), rel=1e-12)
+
+
+# the Hurwitz kernel behind the p-series hints: q in 1..300 and 200 geometric
+# points up to 10^7; s from 1.01 to 30 and five gammas drawn as the benchmark
+# draws ex8_8's (uniform in [2, 5], 3 decimals)
+ZETA_QS = np.concatenate([np.arange(1.0, 301.0),
+                          np.unique(np.round(np.geomspace(301.0, 1e7, 200)))])
+DRAWN_GAMMAS = [round(random.Random(seed).uniform(2.0, 5.0), 3) for seed in range(5)]
+
+
+def _zeta_reference(s, dps):
+    """zeta(s, q) at every ZETA_QS point by mpmath at ``dps`` digits, the
+    q <= 300 values by adding k^-s onto zeta(s, 301) term by term."""
+    with mpmath.workdps(dps):
+        S = mpf(s)
+        far = [mpmath.zeta(S, int(q)) for q in ZETA_QS[300:]]
+        near, acc = [], far[0]
+        for k in range(300, 0, -1):
+            acc += mpf(k) ** -S
+            near.append(acc)
+        return np.array([float(v) for v in near[::-1] + far])
+
+
+def _ulps(x, y):
+    return np.abs(np.asarray(x, dtype=float).view(np.int64)
+                  - np.asarray(y, dtype=float).view(np.int64))
+
+
+@pytest.mark.parametrize("s", [1.01, 1.5, 2.0, 3.0, 16.0, 30.0] + DRAWN_GAMMAS)
+def test_hurwitz_is_within_4_ulps_of_mpmath(s):
+    assert len(ZETA_QS) == 500 and ZETA_QS[300] == 301.0
+    ref = _zeta_reference(s, 200)
+    # mpmath stops on an absolute tolerance, so a low precision can be far
+    # off (zeta(30, 2382) at 50 and 100 digits); the reference must not move
+    assert np.array_equal(ref, _zeta_reference(s, 220))
+    assert _ulps(_hurwitz(s, ZETA_QS), ref).max() <= 4
+
+
+def test_hurwitz_window_equals_scalar_calls():
+    q = np.arange(1.0, 100001.0)
+    window = _hurwitz(DRAWN_GAMMAS[0], q)
+    assert np.array_equal(window, [float(_hurwitz(DRAWN_GAMMAS[0], x)) for x in q])
+    assert _hurwitz(2.0, 1.0) == 1.6449340668482264 == np.pi ** 2 / 6

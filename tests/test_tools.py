@@ -143,6 +143,26 @@ def test_same_outputs_names_each_differing_leaf_past_the_first_300_characters(mo
         "catalog_brackets seed 1: 2 calls, 2 differ"]
 
 
+def test_same_outputs_summary_names_the_largest_float_move(monkeypatch, capsys):
+    # the summary line of a pair names its largest move in ulps, with the
+    # call and the leaf; moves that are not between two floats do not count
+    def values(*ulps):       # 4.0 and the floats ``ulps`` above it
+        return ["ok", canonical({"values": list((np.array([4.0]).view(np.int64) + ulps)
+                                                .view(np.float64))})]
+    outcomes = {"P": {"a/truncation_limit": values(0, 0), "b/kappa_nn": values(0),
+                      "c/estimate": ["ok", canonical({"scanned": 99999})]},
+                "C": {"a/truncation_limit": values(3, 5632), "b/kappa_nn": values(4),
+                      "c/estimate": ["ok", canonical({"scanned": 2047})]}}
+    monkeypatch.setattr(same_outputs, "run_checkout", lambda c, w, s: outcomes[c[-1]])
+    assert same_outputs.main(["P", "C", "--workload", "paper_tables", "--seed", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "paper_tables seed 2: 3 calls, 3 differ, largest move 5632 ulps: "
+        "a/truncation_limit ['values'][1]")
+    outcomes["C"] = dict(outcomes["P"], **{"c/estimate": outcomes["C"]["c/estimate"]})
+    assert same_outputs.main(["P", "C", "--workload", "paper_tables", "--seed", "2"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "paper_tables seed 2: 3 calls, 1 differ"
+
+
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "bdspec")
 RATE_CALLABLES = ("birth", "death", "killing")
 RATE_ERRORS = ("NonPositiveRate", "Overflow")
@@ -259,7 +279,8 @@ def test_same_outputs_compares_json_stdout_leaf_by_leaf_with_ulp_distances(monke
         "  [1]: 0.1 -> 0.10000000000000003 (2 ulps)",
         "  [2]: 1.0 -> 2.0 (4503599627370496 ulps)",
         "  [3]: inf -> 1.0",
-        "catalog_brackets seed 1: 2 calls, 2 differ"]
+        "catalog_brackets seed 1: 2 calls, 2 differ, largest move 4503599627370496 ulps: "
+        "job/lams [2]"]
     # wall times aside, equal documents are equal; a JSON array parses too,
     # and text that is not a JSON document stays text
     assert canonical((0, stdout(2.0, 0.0123))) == canonical((0, stdout(2.0, 9.0)))

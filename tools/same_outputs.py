@@ -16,7 +16,9 @@ parses to. Every call whose canonical outputs differ is listed with each leaf
 that differs, by its path and both values
 (``bracket.delta_like.scanned[1]: 99999 -> 2047``), two floats with their
 distance in units in the last place (``[1]['lambda_exact']: 2.0 ->
-2.0000000000000004 (1 ulp)``), then one summary line for the pair. Exit
+2.0000000000000004 (1 ulp)``), then one summary line for the pair, which
+names the largest such distance with its call and leaf (``largest move 5632
+ulps: table6_1_row7/truncation_limit values[5]``) when a float moved. Exit
 codes: 0 all equal, 1 some output differs in some pair, 2 a checkout could
 not be run.
 """
@@ -132,17 +134,16 @@ def _show(leaf) -> str:
     return json.dumps(leaf)
 
 
-def _ulps(was, now) -> str:
-    """" (n ulps)": how many floats apart two float leaves are; "" for any
-    other pair of leaves."""
+def _ulps(was, now):
+    """How many floats apart two float leaves are; None for any other pair
+    of leaves."""
     if not all(isinstance(v, str) and _HEX.fullmatch(v) for v in (was, now)):
-        return ""
+        return None
 
     def ordinal(leaf):
         i = struct.unpack("<q", struct.pack("<d", float.fromhex(leaf)))[0]
         return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
-    n = abs(ordinal(was) - ordinal(now))
-    return " (%d ulp%s)" % (n, "" if n == 1 else "s")
+    return abs(ordinal(was) - ordinal(now))
 
 
 def dump(checkout: str, workload: str, seed: int) -> dict:
@@ -211,15 +212,21 @@ def main(argv=None) -> int:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         differ = [k for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
+        largest = None                       # (ulps, call, leaf) of the largest float move
         for key in differ:
             print("differs: %s" % key)
             was, now = outcome_leaves(old.get(key)), outcome_leaves(new.get(key))
             for path in list(was) + [p for p in now if p not in was]:
                 pair = [side.get(path, "(absent)") for side in (was, now)]
                 if pair[0] != pair[1]:
-                    print("  %s: %s -> %s%s" % (path, *map(_show, pair), _ulps(*pair)))
-        print("%s seed %d: %d calls, %d differ" % (workload, seed,
-                                                   len(old.keys() | new.keys()), len(differ)))
+                    n = _ulps(*pair)
+                    print("  %s: %s -> %s%s" % (path, *map(_show, pair), "" if n is None
+                                                else " (%d ulp%s)" % (n, "" if n == 1 else "s")))
+                    if n is not None and (largest is None or n > largest[0]):
+                        largest = (n, key, path)
+        print("%s seed %d: %d calls, %d differ%s" % (
+            workload, seed, len(old.keys() | new.keys()), len(differ),
+            "" if largest is None else ", largest move %d ulps: %s %s" % largest))
         status = max(status, 1 if differ else 0)
     return status
 
