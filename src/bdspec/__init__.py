@@ -8,8 +8,7 @@ from .model import (BoundaryCode, ChainModel, UniquenessVerdict, Verdict,
 from .catalog import catalog, catalog_names, TABLE61_ROWS, TABLE71_ROWS, table71_v
 from .series import Certainty, ExtremumReport, Labelled, TailSum
 from .estimates import (Bracket, BasicBracketReport, basic_bracket, delta_dn,
-                        delta_nd, kappa_bilateral, kappa_dd, kappa_nn,
-                        naive_upper)
+                        delta_nd, kappa_bilateral, kappa_dd, kappa_nn)
 from .approx import (ApproxTrace, dd_first_step, delta_prime_seq_nd, delta_seq_nd,
                      eta1_closed, eta_seq_nn, first_step_closed)
 from .duality import DualPair, dualize, similarity_check, v_transform
@@ -19,7 +18,6 @@ from .oracle import (SpectralResult, TruncationTrace, difference_form,
 from .killing import (KillingBounds, ReductionResult, corollary_9_9,
                       dispatch_9_12, limsup_upper, r_operator_bounds,
                       reduce_9_11, sqrt_test_bound, upper_9_9, xi_zeta)
-from .poincare import (SobolevConstant, b_constants_split,
-                       recurrent_blowup_check, sobolev_constant)
+from .poincare import SobolevConstant, b_constants_split, sobolev_constant
 
 __version__ = "0.1.0"

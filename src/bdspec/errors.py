@@ -45,11 +45,6 @@ class TruncationTooSmall(BdspecError):
     """Eigensolver truncation level below the minimum (2 states)."""
 
 
-class NoConvergence(BdspecError):
-    """The shooting recursion found no admissible shift (raised by
-    ``oracle.shooting_rate`` only)."""
-
-
 class SingularM(BdspecError):
     """Similarity transform matrix singular (defensive; positive weights prevent it)."""
 

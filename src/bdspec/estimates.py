@@ -188,19 +188,6 @@ def _bilateral_scan(model: ChainModel, variant: str, half_window: int, s: float 
     return log_best, arg, (int(idx[0]), int(idx[-1]))
 
 
-def naive_upper(model: ChainModel) -> series.ExtremumReport:
-    """inf_i (a_i + b_i + c_i) >= lambda over the states up to the model's top,
-    or over a window of DEFAULT_NMAX states (window-stopped) when it has none."""
-    base = model.base if model.boundary is not BoundaryCode.DD_BILATERAL else \
-        (model.lo if model.lo is not None else -DEFAULT_NMAX // 2)
-    top = model.hi if model.hi is not None else base + DEFAULT_NMAX - 1
-    a, b, c = model.rates(base, top)
-    total = a + b + c
-    k = int(np.argmin(total))
-    return series.ExtremumReport(base + k, float(total[k]), model.certainty(base, top),
-                                 (base, top))
-
-
 @dataclass(frozen=True)
 class BasicBracketReport:
     bracket: Bracket

@@ -8,7 +8,9 @@ previous value along a truncation schedule or a splitting bracket's coupling
 sweep; each is reported as its flip point, the least float at which LAPACK's
 Sturm count passes its index, so it does not depend on the bracket.
 Truncation sequences get a decay-aware extrapolation; the shooting recursion
-provides an independent route for the Dirichlet-at-origin chains.
+provides an independent route for the Dirichlet-at-origin chains. One search
+on the float order (``_flip_point``) finds the flip of both counts: LAPACK's
+Sturm count and the failure of the shooting recursion.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from . import series
-from .errors import BadParameter, NoConvergence, TruncationTooSmall, WrongBoundary
-from .model import BoundaryCode, ChainModel, _rates_and_weights
+from .errors import BadParameter, TruncationTooSmall, WrongBoundary
+from .model import TINY, BoundaryCode, ChainModel, _rates_and_weights
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class SpectralResult:
 # matrices, whose smallest eigenvalue is tiny next to the norm (Demmel & Kahan
 # 1990; Barlow & Demmel 1990).
 TOL = 2.0 * np.finfo(float).tiny
-SHOOTING_TOL = 1e-12    # relative width at which the shooting bisection stops
 GAMMA_GRID = (2.0,) + tuple(np.geomspace(1.01, 100.0, 21).tolist())
 _EPS = float(np.finfo(float).eps)
 _VALUE, _INDEX = 1, 2          # dstebz's RANGE 'V' and 'I' as scipy's wrapper codes them
@@ -89,25 +90,27 @@ def _count(diag, off, x: float) -> int:
     return len(_stebz(diag, off, _VALUE, -math.inf, x, 0, math.inf)[0])
 
 
-def _flip_point(diag, off, k: int, w: float) -> float:
-    """The least float at which LAPACK's count exceeds k, from a bisection
-    result w: ulp steps away from w, doubling until they cross the flip,
-    then bisection on the float order. The count is monotone in the shift
-    (Demmel, Dhillon & Ren 1995), so this value does not depend on w."""
-    def above(i):
-        return _count(diag, off, _from_ordinal(i)) > k
-    i, step = _ordinal(w), 1
-    if above(i):            # the ends of the float range stand in for counts 0 and n
+def _flip_point(above, start: float) -> float:
+    """The least float x at which the predicate ``above(x)`` holds, for a
+    predicate monotone on the floats (false below a point, true from it on):
+    ulp steps away from ``start``, doubling until they cross the flip, then
+    bisection on the float order. Its value does not depend on ``start``, and
+    ``above`` is false at the float just below it. The ends of the float range
+    stand in for the predicate's constant values."""
+    def at(i):
+        return above(_from_ordinal(i))
+    i, step = _ordinal(start), 1
+    if at(i):
         hi, lo = i, max(i - 1, _LEAST)
-        while lo > _LEAST and above(lo):
+        while lo > _LEAST and at(lo):
             hi, lo, step = lo, max(lo - 2 * step, _LEAST), 2 * step
     else:
         lo, hi = i, min(i + 1, _INF)
-        while hi < _INF and not above(hi):
+        while hi < _INF and not at(hi):
             lo, hi, step = hi, min(hi + 2 * step, _INF), 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+        lo, hi = (lo, mid) if at(mid) else (mid, hi)
     return _from_ordinal(hi)
 
 
@@ -143,7 +146,8 @@ def _eig_k(diag: np.ndarray, off: np.ndarray, k: int = 0, vector: bool = False,
             w, iblock, isplit = _stebz(diag, off, _VALUE, vl, vu, 0)
     if not len(w):
         w, iblock, isplit = _stebz(diag, off, _INDEX, 0.0, 1.0, k)
-    lam = _flip_point(diag, off, k, float(w[0]))
+    # LAPACK's Sturm count is monotone in the shift (Demmel, Dhillon & Ren 1995)
+    lam = _flip_point(lambda x: _count(diag, off, x) > k, float(w[0]))
     if not vector:
         return lam
     vec, info = _lapack()[1](diag, off, [lam], iblock, isplit)
@@ -156,15 +160,21 @@ def _tail_ratio(model: ChainModel, top: int, tol: float = 1e-14,
                 cap: int = 200000) -> float:
     """t = sum_{k >= top} mu_k / mu_top, by forward products of b/a.
 
-    With a ``mu_tail`` hint, mu_top is read as hint(top) - hint(top + 1),
-    which cancels: the difference carries the hint's relative error times
-    mu[top, inf)/mu_top, about top on a p-series tail: hints moved by 1-2
-    ulps move table6_1_row7's lumped-Neumann truncations by up to 5,632 ulps
-    and their extrapolated limit by 5.2e-11 relative (an open fault)."""
+    With a ``mu_tail`` hint, t = hint(top) / mu_top, mu_top by the weights'
+    recurrence on the rates (``build_weights`` gives the same float) where
+    every weight up to top is a positive normal float. Elsewhere mu_top is
+    hint(top) - hint(top + 1), which cancels: it carries the hint's relative
+    error times t, about top on a p-series tail (1.3e-13 relative at top =
+    4000 on table6_1_row7, against 3.7e-15 from the weights). The product
+    loop below reads such a tail to 5e-8 only."""
     hint = model.hint("mu_tail")
     if hint is not None:
         num = float(hint(top))
-        den = num - float(hint(top + 1))
+        a, b, _ = model.rates(model.base, top)
+        with np.errstate(all="ignore"):
+            mu = np.cumprod(b[:-1] / a[1:])
+        normal = len(mu) and ((mu >= TINY) & (mu < math.inf)).all()
+        den = float(mu[-1]) if normal else num - float(hint(top + 1))
         if den > 0 and math.isfinite(num):
             return num / den
         if not math.isfinite(num):
@@ -324,7 +334,9 @@ def shooting_rate(model: ChainModel, m: int) -> SpectralResult:
     chain the recursion covers, g stays positive through the Dirichlet point N + 1
     (the exit b_N read): the chain's eigenvalue. Elsewhere the last u is positive
     (the flux into a reflecting top): the plainly-reflected truncation eigenvalue.
-    z is bisected to a relative width of SHOOTING_TOL, in at most 200 halvings.
+    z is the float just below the flip point (``_flip_point``) of the recursion's
+    failure, searched from min(a + b + c): the recursion holds at z and fails one
+    ulp above, the ``residual``. The eigenvector is g at z.
     """
     if model.boundary not in (BoundaryCode.DN, BoundaryCode.DD):
         raise WrongBoundary("shooting needs the Dirichlet-at-origin shape")
@@ -339,42 +351,28 @@ def shooting_rate(model: ChainModel, m: int) -> SpectralResult:
     cert = model.certainty(1, top - 1)
     exit_top = model.boundary is BoundaryCode.DD and cert is series.Certainty.CERTIFIED
     last = -1.0 if exit_top else 1e-300     # underflow of the last u counts as failure
+    start = float(np.min(a + b + c))
+    # the first, middle and top states' rates, as Python floats: the scalar
+    # loop runs about 4x faster on them than on numpy scalars
+    (a1, *a, aN), (b1, *b, bN), (c1, *c, cN) = a.tolist(), b.tolist(), c.tolist()
 
-    def positive(z: float) -> bool:
-        u = (a[0] + c[0] - z) / b[0]
-        for i in range(1, len(a) - 1):
+    def ratios(z: float):
+        """(u_1 .. u_{N-1} as far as g stays positive, whether it stays so at z)."""
+        u = (a1 + c1 - z) / b1
+        us = [u]
+        for ai, bi, ci in zip(a, b, c):
             if not u > -1.0:
-                return False
-            u = (a[i] * u / (1.0 + u) + c[i] - z) / b[i]
+                return us, False
+            u = (ai * u / (1.0 + u) + ci - z) / bi
+            us.append(u)
         # the top's b_N u_N, tested against last * b_N: b_N may be 0
-        return u > -1.0 and a[-1] * u / (1.0 + u) + c[-1] - z > last * b[-1]
+        return us, u > -1.0 and aN * u / (1.0 + u) + cN - z > last * bN
 
-    lo = 0.0
-    hi = float(np.min(a + b + c)) + 1.0
-    while not positive(lo):
-        # z = 0 is always admissible for a valid model; guard anyway
-        hi = lo
-        lo -= 1.0
-        if lo < -1e6:
-            raise NoConvergence("no admissible shift found")
-    for _ in range(200):
-        if hi - lo <= SHOOTING_TOL * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
-    z = lo
-    # eigenvector from the ratio recursion at the admissible shift: g_1 .. g_N
-    # read u_1 .. u_{N-1}
-    u = np.empty(len(a) - 1)
-    u[0] = (a[0] + c[0] - z) / b[0]
-    for i in range(1, len(u)):
-        u[i] = (a[i] * u[i - 1] / (1.0 + u[i - 1]) + c[i] - z) / b[i]
+    flip = _flip_point(lambda z: not ratios(z)[1], start)
+    z = math.nextafter(flip, -math.inf)
     with np.errstate(over="ignore"):
-        g = np.cumprod(np.concatenate([[1.0], 1.0 + u]))
-    return SpectralResult(z, g, top - 1, hi - lo, "Shooting", 1, cert)
+        g = np.cumprod(np.concatenate([[1.0], 1.0 + np.array(ratios(z)[0])]))
+    return SpectralResult(z, g, top - 1, flip - z, "Shooting", 1, cert)
 
 
 def difference_form(model: ChainModel, v, lo: int, hi: int) -> np.ndarray:

@@ -97,11 +97,3 @@ def b_constants_split(model: ChainModel, p: float,
     if not math.isfinite(S):
         B = min(B_L, B_R)
     return B_L, B_R, B, S
-
-
-def recurrent_blowup_check(model: ChainModel, p: float) -> str:
-    """'blowup' when both defining series diverge (B = inf for every p >= 2)."""
-    ws = build_weights(model, 8192)
-    mu_div = not math.isfinite(ws.mu_total.value)
-    nu_div = not math.isfinite(ws.nu_b_total.value)
-    return "blowup" if mu_div and nu_div else "not_applicable"

@@ -67,7 +67,6 @@ def _bounds(model):
         add("principal_eigen", lambda: oracle.principal_eigen(model, 100), _spectral)
         return out
     add("basic_bracket", lambda: estimates.basic_bracket(model).bracket.delta_like, _report)
-    add("naive_upper", lambda: estimates.naive_upper(model), _report)
     add("principal_eigen", lambda: oracle.principal_eigen(model, m), _spectral)
     if code is BoundaryCode.ND:
         add("delta_nd", lambda: estimates.delta_nd(model)[1].delta_like, _report)

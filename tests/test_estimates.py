@@ -185,21 +185,6 @@ def test_a_degenerate_kappa_bilateral_reports_zero_on_its_scan(model, half_windo
     assert rep.certified is Certainty.WINDOW_STOPPED
 
 
-def test_naive_upper():
-    # min over i of a+b+c: attained at i=1 (b_1 + c_1 = 5/2), still >= lambda_0
-    rep = estimates.naive_upper(catalog("ex9_18"))
-    assert rep.value == pytest.approx(2.5, rel=1e-12)
-    assert rep.value >= 5.0 / 6.0
-    # reflecting origin: the total jump rate at 0 is b_0 = 2, below a + b
-    rep = estimates.naive_upper(catalog("const_nd", a=1.0, b=2.0))
-    assert rep.value == pytest.approx(2.0, rel=1e-12)
-    decay = ChainModel(BoundaryCode.ND, 0, None,
-                       lambda i: 1.0 / (np.asarray(i, float) + 1.0),
-                       lambda i: 1.0 / (np.asarray(i, float) + 1.0))
-    rep = estimates.naive_upper(decay)
-    assert rep.value < 1e-3  # rate must be zero for vanishing total jump rates
-
-
 def test_basic_bracket_dispatch():
     rep = estimates.basic_bracket(catalog("const_nd", a=1.0, b=2.0))
     assert rep.method == "kappa_6_13" and rep.positive is True

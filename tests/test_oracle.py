@@ -230,10 +230,12 @@ def _seeded_finite(code, seed, killed=False):
                       killing=(lambda i: c[np.asarray(i) - 1]) if killed else None)
 
 
-@pytest.mark.parametrize("model", [catalog("ex7_5_2")]
-                         + [_seeded_finite(BoundaryCode.DD, s) for s in range(5)]
-                         + [_seeded_finite(code, s, killed=True) for s in range(5, 8)
-                            for code in (BoundaryCode.DN, BoundaryCode.DD)])
+WHOLE_FINITE = ([catalog("ex7_5_2")] + [_seeded_finite(BoundaryCode.DD, s) for s in range(5)]
+                + [_seeded_finite(code, s, killed=True) for s in range(5, 8)
+                   for code in (BoundaryCode.DN, BoundaryCode.DD)])
+
+
+@pytest.mark.parametrize("model", WHOLE_FINITE)
 def test_shooting_on_a_whole_finite_chain_matches_the_eigensolver(model):
     # g stays positive through the Dirichlet point N + 1, so the exit b_N is
     # read: ex7_5_2 gives its eigenvalue 2 (0.26795 with the top reflected);
@@ -267,9 +269,27 @@ def test_shooting_on_the_forward_dual_of_a_finite_nd_chain_divides_by_no_top_rat
     assert dual.boundary is BoundaryCode.DN and dual.rates(1, dual.hi)[1][-1] == 0.0
     sh = oracle.shooting_rate(dual, dual.hi + 1)
     lam = oracle.principal_eigen(dual, dual.hi).lam
-    assert sh.lam == pytest.approx(lam, rel=oracle.SHOOTING_TOL, abs=0.0)
+    assert sh.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
     assert sh.certified is Certainty.CERTIFIED and len(sh.eigvec) == dual.hi
     assert np.all(sh.eigvec > 0)
+
+
+@pytest.mark.parametrize("model,m", [(catalog("ex5_7"), 500)]
+                         + [(model, model.hi + 1) for model in WHOLE_FINITE]
+                         + [(model, model.hi) for model in WHOLE_FINITE if model.hi > 2])
+def test_shooting_rate_is_the_flip_point_of_its_recursion(model, m, monkeypatch):
+    # the predicate the search reads, "the ratio recursion fails at z", holds
+    # one ulp above the value returned and not at it
+    flip, seen = oracle._flip_point, []
+
+    def spy(above, start):
+        seen.append(above)
+        return flip(above, start)
+    monkeypatch.setattr(oracle, "_flip_point", spy)
+    sh = oracle.shooting_rate(model, m)
+    (fails,) = seen
+    assert not fails(sh.lam) and fails(math.nextafter(sh.lam, math.inf))
+    assert sh.residual == math.ulp(sh.lam) and np.all(sh.eigvec > 0)
 
 
 def _slow_exit_chain(n, exit_rate):
@@ -284,7 +304,7 @@ def _slow_exit_chain(n, exit_rate):
                          + [_seeded_finite(BoundaryCode.DD, 5000 + s, killed=s % 3 == 0)
                             for s in range(12)])
 def test_shooting_keeps_relative_digits_of_a_small_rate(model):
-    # the bisection stops at a width relative to z, so a rate of 2e-4 or 7e-6
+    # the flip-point search resolves z to one ulp, so a rate of 2e-4 or 7e-6
     # keeps as many digits as one of order 1
     lam = oracle.principal_eigen(model, model.hi).lam
     if model.name == "slow_exit":
@@ -457,13 +477,20 @@ def test_principal_eigen_residual_relative_to_norm(m):
 
 
 def _tail_ratio_loop(model, top, tol=1e-14, cap=200000):
-    """The per-term reference of ``oracle._tail_ratio``: the hint's ratio, or
-    p = mu_k / mu_top and s = sum of p multiplied and added one term at a
-    time, stopping at the first p < tol * s; None where it reaches the cap."""
+    """The per-term reference of ``oracle._tail_ratio``: the hint over mu_top,
+    the weights' products of b/a one term at a time while they stay normal,
+    else over hint(top) - hint(top + 1); or p = mu_k / mu_top and s = sum of
+    p multiplied and added one term at a time, stopping at the first
+    p < tol * s; None where it reaches the cap."""
     hint = model.hint("mu_tail")
     if hint is not None:
         num = float(hint(top))
-        den = float(hint(top)) - float(hint(top + 1))
+        idx = np.arange(model.base, top + 1, dtype=np.int64)
+        mu, normal = 1.0, top > model.base
+        for bk, ak in zip(model.birth(idx[:-1]).tolist(), model.death(idx[1:]).tolist()):
+            mu *= bk / ak
+            normal = normal and np.finfo(float).tiny <= mu < math.inf
+        den = mu if normal else float(hint(top)) - float(hint(top + 1))
         if den > 0 and math.isfinite(num):
             return num / den
         if not math.isfinite(num):
@@ -537,6 +564,23 @@ def test_tail_ratio_at_a_finite_top_and_under_an_infinite_hint():
     infinite = ChainModel(BoundaryCode.NN, 0, None, one, one,
                           tail_hint={"mu_tail": lambda n: np.full(np.shape(n), math.inf)})
     assert oracle._tail_ratio(infinite, 20) == math.inf
+
+
+@pytest.mark.parametrize("name", ["ex5_5", "table6_1_row7"])
+def test_tail_ratio_of_a_hurwitz_tail_reads_mu_from_the_weights(name):
+    # mu_k = C/k^2, so t = m^2 zeta(2, m); mu_m is the weights' float, not
+    # hint(m) - hint(m + 1), which carries the hint's error times about m
+    model = catalog(name)
+    for m in (250, 1000, 2828, 4000):
+        refs = []
+        for dps in (40, 60):
+            with mpmath.workdps(dps):
+                refs.append(mpmath.mpf(m) ** 2 * mpmath.zeta(2, m))
+        assert abs(refs[0] - refs[1]) <= 1e-35 * refs[1]
+        t = oracle._tail_ratio(model, m)
+        assert t == pytest.approx(float(refs[1]), rel=1e-14, abs=0.0)
+        ws = build_weights(model)     # after t: _tail_ratio reads no held window
+        assert t == float(model.hint("mu_tail")(m)) / ws.mu[m - ws.base]
 
 
 def _lapack_count(diag, off, x):

@@ -123,13 +123,6 @@ def test_half_line_split_sandwich():
     assert bb == min(bl, br) == sc.B == 0.5
 
 
-def test_recurrent_blowup():
-    walk = catalog("symmetric_nn")
-    assert poincare.recurrent_blowup_check(walk, 2.0) == "blowup"
-    assert poincare.recurrent_blowup_check(catalog("const_nd", a=1.0, b=2.0), 2.0) \
-        == "not_applicable"
-
-
 def test_variant_guards():
     with pytest.raises(WrongVariant):
         poincare.sobolev_constant(catalog("const_nd"), 1.5, "neumann_8_9")
