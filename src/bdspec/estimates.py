@@ -71,9 +71,10 @@ def _delta_sup(ws: WeightSystem, kind: str, s: float = 1.0) -> series.ExtremumRe
         obj = np.where(np.isfinite(obj), obj, 0.0)
         k = int(np.argmax(obj))
         value = float(obj[k])
-        inc = np.diff(obj[-2 * series.REMAINDER_BLOCK - 3:])
-        if not ws.finite and math.isinf(series.estimate_remainder_block(inc, len(obj) - 1 - len(inc))):
-            value = math.inf
+        if not ws.finite:
+            inc = np.diff(obj[-2 * series.REMAINDER_BLOCK - 3:])
+            if math.isinf(series.estimate_remainder_block(inc, len(obj) - 1 - len(inc))):
+                value = math.inf
         rep = series.ExtremumReport(lo + k, value, ws.certainty(), (lo, ws.top))
     return ws._cache.setdefault((kind, s), rep)
 

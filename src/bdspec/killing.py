@@ -6,18 +6,19 @@ infima. The reduction maps a killed chain to a plain dual chain whenever the
 killing dominates the stated rate differences.
 
 One kernel, ``_xi_zeta_rows``, evaluates the xi/zeta bound for a whole grid
-of test functions (one per row) on weights built once: ``xi_zeta`` is its
-one-row call, and the two explicit families (``corollary_9_9`` and
-``sqrt_test_bound``) make one call over their grid. A test function that is
-not positive and finite on the window, or that breaks the membership
-inequality, is not admissible; the families skip it.
+of test functions (one per row) on weights built once, as per-row arrays:
+``xi_zeta`` is its one-row call, and the two explicit families
+(``corollary_9_9`` and ``sqrt_test_bound``) make one call over their grid
+and build one result object, for their first best row. A test function
+that is not positive and finite on the window, or that breaks the
+membership inequality, is not admissible; the families skip it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -164,24 +165,21 @@ def upper_9_9(model: ChainModel, lm: Optional[tuple] = None):
                                                       "double_inf": cmin + best}), ws.certainty(W))
 
 
-def _xi_zeta_rows(ws, W: int, F: np.ndarray, eta=None) -> list:
+def _xi_zeta_rows(ws, W: int, F: np.ndarray, eta=None):
     """The bound inf c + zeta(eta, f) for each row f of the (G, W) array ``F``.
 
-    Returns one ``KillingBounds`` per row, or the ``NotInF`` error of a row
-    outside the admissible family. ``eta = None`` picks eta = xi_f per row.
-    Rows are independent: each equals the same computation on that row
-    alone, bit for bit (every window sum is a cumsum along the row). A row is
-    labelled by the window, or CERTIFIED where no xi objective is finite.
+    Returns ``(rows, xi, zeta, eta, proven, refused)``: the indices of the
+    admissible rows in order, their xi, zeta, eta and proven arrays, and the
+    ``NotInF`` error of every other row by its index. ``eta = None`` picks
+    eta = xi_f per row. Rows are independent: each equals the same
+    computation on that row alone, bit for bit (every window sum is a cumsum
+    along the row). :func:`_bounds` makes one row's ``KillingBounds``.
     """
-    cert = ws.certainty(W)
-    finite = cert is series.Certainty.CERTIFIED
     mu, nu_b = ws.mu[:W], ws.nu_b[:W]
     c, cmin = _killing_floor(ws, W)
     ct = c - cmin
-    out = [None] * len(F)
     positive = np.all(np.isfinite(F) & (F > 0), axis=1)
-    for g in np.flatnonzero(~positive):
-        out[g] = NotInF("f must be positive and finite")
+    refused = {int(g): NotInF("f must be positive and finite") for g in np.flatnonzero(~positive)}
     rows = np.flatnonzero(positive)
     Fa = F[rows]
     # II^r_i(f) = sum_{k<i} nu_k sum_{j<=k} r_j mu_j f_j, with r = 1 and r = ct
@@ -189,10 +187,11 @@ def _xi_zeta_rows(ws, W: int, F: np.ndarray, eta=None) -> list:
     IIc = _II(ct * mu, nu_b, Fa, "prefix", "exclusive")[1]
     member = ~np.any(Fa[:, 1:] >= Fa[:, :1] + IIc[:, 1:], axis=1)
     for g in rows[~member]:
-        out[g] = NotInF("membership inequality f_i < f_1 + II^c(f) fails on the range")
+        refused[int(g)] = NotInF("membership inequality f_i < f_1 + II^c(f) fails on the range")
     rows, Fa, II1, IIc = rows[member], Fa[member], II1[member], IIc[member]
     if not len(rows):
-        return out
+        return (rows,) + (np.empty(0),) * 4 + (refused,)
+    finite = ws.certainty(W) is series.Certainty.CERTIFIED
     with np.errstate(all="ignore"):
         obj = (Fa[:, :1] - Fa + IIc) / II1
     xi, proven = _robust_inf(obj[:, 1:], finite)
@@ -211,13 +210,20 @@ def _xi_zeta_rows(ws, W: int, F: np.ndarray, eta=None) -> list:
     zeta, _ = _robust_inf(np.where(mask & (den[:, 1:] > 0), vals, math.inf), finite)
     zeta = np.where(mask.any(axis=1) & ~(etas < zeta), zeta, etas)
     zeta = np.where(0.0 > zeta, 0.0, zeta)
-    for r, g in enumerate(rows):
-        out[g] = KillingBounds(
-            lower=cmin + float(zeta[r]), upper=math.inf, xi=float(xi[r]),
-            zeta=float(zeta[r]), eta_used=float(etas[r]), c_floor=cmin,
-            certified=series.Certainty.CERTIFIED if proven[r] else cert,
-            f_used=Fa[r].copy())   # a view would pin the whole batch
-    return out
+    return rows, xi, zeta, etas, proven, refused
+
+
+def _bounds(ws, W: int, F: np.ndarray, kernel, r: int, **flags) -> KillingBounds:
+    """The ``KillingBounds`` of the r-th admissible row of ``_xi_zeta_rows``'
+    result ``kernel`` on ``F``: labelled by the window, or CERTIFIED where no
+    xi objective is finite."""
+    rows, xi, zeta, etas, proven, _ = kernel
+    cmin = _killing_floor(ws, W)[1]
+    return KillingBounds(
+        lower=cmin + float(zeta[r]), upper=math.inf, xi=float(xi[r]), zeta=float(zeta[r]),
+        eta_used=float(etas[r]), c_floor=cmin,
+        certified=series.Certainty.CERTIFIED if proven[r] else ws.certainty(W),
+        f_used=F[rows[r]].copy(), flags=flags)   # a view would pin the whole batch
 
 
 def xi_zeta(model: ChainModel, f, eta: Optional[float] = None) -> KillingBounds:
@@ -232,10 +238,11 @@ def xi_zeta(model: ChainModel, f, eta: Optional[float] = None) -> KillingBounds:
     ws, W = _arrays(model)
     idx = np.arange(ws.base, ws.base + W, dtype=np.int64)
     fv = np.asarray(f(idx), dtype=float) if callable(f) else np.asarray(f, dtype=float)[:W]
-    kb, = _xi_zeta_rows(ws, W, fv[None, :], eta)
-    if isinstance(kb, NotInF):
-        raise kb
-    return kb
+    F = fv[None, :]
+    kernel = _xi_zeta_rows(ws, W, F, eta)
+    if 0 in kernel[-1]:
+        raise kernel[-1][0]
+    return _bounds(ws, W, F, kernel, 0)
 
 
 def corollary_9_9(model: ChainModel, eps_grid=None) -> KillingBounds:
@@ -243,7 +250,8 @@ def corollary_9_9(model: ChainModel, eps_grid=None) -> KillingBounds:
 
     eps = 1 is admitted additionally when the shifted killing at state 1 is
     positive (the constant function is then admissible). When no grid point
-    produces a positive gain the family is flagged insufficient.
+    produces a positive gain the family is flagged insufficient. The bound is
+    the first grid point's of the greatest zeta.
     """
     ws, W = _arrays(model)
     c, cmin = _killing_floor(ws, W)
@@ -254,44 +262,38 @@ def corollary_9_9(model: ChainModel, eps_grid=None) -> KillingBounds:
         grid.append(1.0)
     F = np.repeat(np.reshape(grid, (-1, 1)), W, axis=1)
     F[:, 0] = 1.0
-    best = None
-    for eps, kb in zip(grid, _xi_zeta_rows(ws, W, F)):
-        if isinstance(kb, KillingBounds) and (best is None or kb.zeta > best.zeta):
-            best = replace(kb, flags=dict(kb.flags, eps=eps))
-    if best is None:
+    kernel = rows, _, zeta, _, _, _ = _xi_zeta_rows(ws, W, F)
+    if not len(rows):
         return _family_floor(cmin, ws.certainty(W))
-    scale = max(abs(best.c_floor), 1.0)
-    if best.zeta <= 1e-9 * scale:
-        best = replace(best, flags=dict(best.flags, family_insufficient=True))
-    return best
+    r = int(np.argmax(zeta))
+    flags = {"eps": grid[rows[r]]}
+    if zeta[r] <= 1e-9 * max(abs(cmin), 1.0):
+        flags["family_insufficient"] = True
+    return _bounds(ws, W, F, kernel, r, **flags)
 
 
 def sqrt_test_bound(model: ChainModel) -> KillingBounds:
-    """Lower bound from the square-root tail seeds, optimized over 16 stop
-    levels m, geometric from 2 to min(512, W - 1)."""
+    """Lower bound from the square-root tail seeds, optimized over up to 16
+    distinct stop levels m, geometric from 2 to min(512, W - 1); the first
+    level wins a tie. Level m's seed is the square root of nu_b's sums over
+    [k, m]: one 2-D ``series.tail_sums`` of nu_b, each row zeroed past its
+    level, gives every level's."""
     ws, W = _arrays(model)
     c, cmin = _killing_floor(ws, W)
     if W < 2:
         return _family_floor(cmin, ws.certainty(W))   # no stop level to optimize over
-    ct1 = c[0] - cmin
-    nu_b = ws.nu_b[:W]
-    k = np.arange(W)
-    levels, seeds = [], []
-    for m in sorted({int(round(g)) for g in np.geomspace(2, min(512, W - 1), 16)}):
-        if m < 2 and ct1 <= 0:
-            continue
-        km = np.minimum(k, m - ws.base)
-        suf = series.tail_sums(nu_b[: m - ws.base + 1], 0, 0.0)
-        fv = np.sqrt(np.maximum(suf[km], suf[m - ws.base]))
-        seeds.append(np.where(fv > 0, fv, math.sqrt(max(nu_b[m - ws.base], 1e-300))))
-        levels.append(m)
-    best = None
-    for m, kb in zip(levels, _xi_zeta_rows(ws, W, np.reshape(seeds, (-1, W)))):
-        if isinstance(kb, KillingBounds) and (best is None or kb.lower > best.lower):
-            best = replace(kb, flags=dict(kb.flags, m=m))
-    if best is None:
+    grid = sorted({int(round(g)) for g in np.geomspace(2, min(512, W - 1), 16)})
+    levels = np.array([m for m in grid if m >= 2 or c[0] - cmin > 0])
+    j, top = levels - ws.base, int(levels[-1]) - ws.base + 1     # j: each level's window index
+    suf = series.tail_sums(np.where(np.arange(top) <= j[:, None], ws.nu_b[:top], 0.0), 0, 0.0)
+    last = suf[np.arange(len(j)), j][:, None]
+    fv = np.sqrt(np.maximum(suf[:, np.minimum(np.arange(W), top)], last))
+    F = np.where(fv > 0, fv, np.sqrt(np.maximum(ws.nu_b[j], 1e-300))[:, None])
+    kernel = rows, _, zeta, _, _, _ = _xi_zeta_rows(ws, W, F)
+    if not len(rows):
         return _family_floor(cmin, ws.certainty(W))
-    return best
+    r = int(np.argmax(cmin + zeta))
+    return _bounds(ws, W, F, kernel, r, m=int(levels[rows[r]]))
 
 
 def reduce_9_11(model: ChainModel, beta: float, gamma: Optional[float] = None, shift: float = 0.0,

@@ -111,27 +111,30 @@ class ChainModel:
         if h.model is self and base <= i0 and i1 - base < len(h.arrays[0]):
             return tuple(x[i0 - base:i1 - base + 1] for x in h.arrays[:3])
         idx = np.arange(i0, i1 + 1, dtype=np.int64)
-        a, b = np.array(self.death(idx), dtype=float), np.array(self.birth(idx), dtype=float)
-        c = np.zeros_like(a) if self.killing is None else np.array(self.killing(idx), dtype=float)
+        rates = np.zeros((3, len(idx)))     # rows: death, birth, killing
+        rates[0], rates[1] = self.death(idx), self.birth(idx)
+        if self.killing is not None:
+            rates[2] = self.killing(idx)
         # the positions of the rates that may be 0: a half-line chain's bottom
         # death rate and finite top birth rate, which a reflecting end sets to 0
-        n, half = len(a), self.boundary is not BoundaryCode.DD_BILATERAL
+        n, half = len(idx), self.boundary is not BoundaryCode.DD_BILATERAL
         bottom, top = (base - i0, n if self.hi is None else self.hi - i0) if half else (n, n)
         if self.boundary.origin_reflecting and 0 <= bottom < n:
-            a[bottom] = 0.0
+            rates[0, bottom] = 0.0
         if self.boundary in (BoundaryCode.DN, BoundaryCode.NN) and 0 <= top < n:
-            b[top] = 0.0
-        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+            rates[1, top] = 0.0
+        if not np.isfinite(rates).all():
             raise Overflow("rates not finite at some index")
-        for x, end, what in ((b, top, "birth"), (a, bottom, "death")):
-            low = x <= 0.0
+        low = rates[:2] <= 0.0
+        for row, end in ((0, bottom), (1, top)):
             if 0 <= end < n:
-                low[end] = x[end] < 0.0
-            if low.any():
-                raise NonPositiveRate("%s rate <= 0 inside the range" % what)
-        if np.any(c < 0.0):
+                low[row, end] = rates[row, end] < 0.0
+        if low.any():
+            what = "birth" if low[1].any() else "death"
+            raise NonPositiveRate("%s rate <= 0 inside the range" % what)
+        if np.any(rates[2] < 0.0):
             raise NonPositiveRate("killing rate < 0")
-        return _read_only(a), _read_only(b), _read_only(c)
+        return tuple(_read_only(rates))
 
     def hint(self, key: str):
         return (self.tail_hint or {}).get(key)
@@ -337,28 +340,26 @@ def _rates_and_weights(model: ChainModel, top: int):
     a, b, c = model.rates(base, top)
     _held = h = _NONE      # freed before the weights: two whole windows never coexist
     log_mu = np.zeros(n)
-    np.cumsum(np.log(b[:-1]) - np.log(a[1:]), out=log_mu[1:])
     # multiplicative recurrence mu_{n+1} = mu_n b_n / a_{n+1}: exact where
     # the ratios are, unlike exp of the accumulated logs
     mu = np.ones(n)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        np.cumsum(np.log(b[:-1]) - np.log(a[1:]), out=log_mu[1:])
         np.divide(b[:-1], a[1:], out=mu[1:])
         normal = (mu >= TINY) & (mu < math.inf)          # the ratios
         np.cumprod(mu, out=mu)
-    normal &= (mu >= TINY) & (mu < math.inf)
-    if not normal.all():
-        # a subnormal, 0 or inf ratio or weight would pass its lost digits on
-        # to every later weight: from the last normal weight on, run the
-        # recurrence on mu_n 2^-s_n, s_n = log2 mu_n rounded, each ratio from
-        # the mantissas of b and a, and scale back once (exact where normal)
-        k = int(np.argmin(normal))
-        sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
-        (fb, eb), (fa, ea) = np.frexp(b[k - 1:-1]), np.frexp(a[k:])
-        m = np.ldexp(np.concatenate([mu[k - 1:k], fb / fa]),
-                     np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
-        with np.errstate(over="ignore"):
+        normal &= (mu >= TINY) & (mu < math.inf)
+        if not normal.all():
+            # a subnormal, 0 or inf ratio or weight would pass its lost digits on to
+            # every later weight: from the last normal weight on, run the recurrence
+            # on mu_n 2^-s_n, s_n = log2 mu_n rounded, each ratio from the mantissas
+            # of b and a, and scale back once (exact where normal)
+            k = int(np.argmin(normal))
+            sc = np.rint(log_mu[k - 1:] / math.log(2.0)).astype(np.int64)
+            (fb, eb), (fa, ea) = np.frexp(b[k - 1:-1]), np.frexp(a[k:])
+            m = np.ldexp(np.concatenate([mu[k - 1:k], fb / fa]),
+                         np.concatenate([-sc[:1], eb - ea + sc[:-1] - sc[1:]]))
             mu[k:] = np.ldexp(np.cumprod(m)[1:], sc[1:])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # conventions: 1/0 = inf (a vanished rate), 1/inf = 0 (an overflowed
         # weight); the rates are positive and finite inside the range, so
         # inf * 0 = nan can only arise at the top state, where nu is 0

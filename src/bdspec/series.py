@@ -185,19 +185,32 @@ def half_line_pairs(left: np.ndarray, right: np.ndarray, mid_prefix: np.ndarray,
 def _fractional_min(L, R, P, Q, s):
     """(min, argmin) of (L_n + R_m) / (Q_m - P_n)^s over Q_m > P_n, or (inf, None).
 
-    Dinkelbach's iteration (1967), from the pairs of the first row with
-    finite L: given the least ratio c so far, the pairs minimising
-    (L_n + R_m) / c - (Q_m - P_n)^s are found, and c falls to their least
-    exact ratio until it stops falling. At s = 1 the form is separable and
-    column m takes the prefix argmin of P_n + L_n / c as an exact two-sum
-    (hi, lo), as rounding drops L_n / c below an ulp of P_n and misses small
-    middle sums: a running ``np.fmin`` of hi + i lo (numpy orders complex
-    numbers lexicographically) in O(W), earliest index first, NaN keys (hi =
-    inf) skipped. Otherwise each row takes its argmin from :func:`_monge_argmins`.
+    A staircase of at most DENSE_ENTRIES entries (rows with finite L times
+    columns) is evaluated whole in one 2-D step, as in :func:`_monge_argmins`,
+    and the pair returned is the first least entry in row-major order.
+    Above that size, Dinkelbach's iteration (1967), from the pairs of the
+    first row with finite L: given the least ratio c so far, the pairs
+    minimising (L_n + R_m) / c - (Q_m - P_n)^s are found, and c falls to
+    their least exact ratio until it stops falling. At s = 1 the form is
+    separable and column m takes the prefix argmin of P_n + L_n / c as an
+    exact two-sum (hi, lo), as rounding drops L_n / c below an ulp of P_n
+    and misses small middle sums: a running ``np.fmin`` of hi + i lo (numpy
+    orders complex numbers lexicographically) in O(W), earliest index first,
+    NaN keys (hi = inf) skipped. Otherwise each row takes its argmin from
+    :func:`_monge_argmins`. Both paths evaluate the same float expression
+    at a pair. On an exact tie the iteration returns the pair its last step
+    ranked first, which need not be the row-major first; and its rounding
+    can hide the least ratio where middle sums near overflow.
     """
     rows = np.flatnonzero(np.isfinite(L))
     if not len(rows):
         return math.inf, None
+    if len(rows) * len(Q) <= DENSE_ENTRIES:
+        with np.errstate(all="ignore"):
+            d = Q - P[rows, None]
+            r = np.where(d > 0.0, (L[rows, None] + R) / (d if s == 1.0 else d ** s), math.inf)
+        n, m = divmod(int(np.argmin(r)), len(Q))
+        return (float(r[n, m]), (int(rows[n]), m)) if r[n, m] < math.inf else (math.inf, None)
     idx = np.arange(len(Q))
     n, m, c, arg = np.full(len(Q), rows[0]), slice(None), math.inf, None  # m: all columns
     with np.errstate(all="ignore"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdspec import estimates, killing, oracle
+from bdspec import estimates, killing, oracle, series
 from bdspec.catalog import catalog
 from bdspec.errors import BadParameter, EtaOutOfRange, NotInF, ShapeViolation
 from bdspec.model import BoundaryCode, ChainModel
@@ -439,13 +439,14 @@ def test_families_match_xi_zeta_loops(model):
             extra["family_insufficient"] = True
         _same(kb, best[1], **extra)
 
-    nu_b = ws.nu_b[:W]
+    # the seeds one stop level at a time, each from its own tail sums
+    nu_b, k = ws.nu_b[:W], np.arange(W)
     rows = []
     for m in sorted({int(round(g)) for g in np.geomspace(2, min(512, W - 1), 16)}):
         if m < 2 and ct1 <= 0:
             continue
-        suf = np.cumsum(nu_b[:m][::-1])[::-1]
-        f = np.sqrt(suf[np.minimum(np.arange(W), m - 1)])
+        suf = series.tail_sums(nu_b[:m], 0, 0.0)
+        f = np.sqrt(np.maximum(suf[np.minimum(k, m - 1)], suf[m - 1]))
         rows.append((m, np.where(f > 0, f, math.sqrt(max(nu_b[m - 1], 1e-300)))))
     kb = killing.sqrt_test_bound(model)
     best = _best_of_loop(model, rows, lambda r: r.lower)
@@ -492,7 +493,11 @@ def test_kernel_mixed_batch_matches_single_rows():
     batch = np.array([np.ones(W), np.where(i == 1, 1.0, 0.5), -np.ones(W),
                       np.where(i == 3, math.inf, 1.0), i ** 2, np.where(i == 1, 1.0, 0.8),
                       np.where(i == 2, math.nan, 1.0)])
-    out = killing._xi_zeta_rows(ws, W, batch)
+    kernel = killing._xi_zeta_rows(ws, W, batch)
+    rows, refused = list(kernel[0]), kernel[-1]
+    assert sorted(rows + list(refused)) == list(range(len(batch)))
+    out = [refused[g] if g in refused else killing._bounds(ws, W, batch, kernel, rows.index(g))
+           for g in range(len(batch))]
     admissible = 0
     for row, got in zip(batch, out):
         try:

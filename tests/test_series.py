@@ -140,13 +140,15 @@ def _lexsort_fractional_min(L, R, P, Q, s):
 
 @pytest.mark.parametrize("W", [3, 4, 17, 64, 1000, 4096, 10 ** 5])
 @pytest.mark.parametrize("strict", [True, False])
-def test_fractional_min_ranks_like_a_lexsort(W, strict):
-    # seeded windows with L = inf rows, R = 0 columns, zero and overflowing
-    # middle weights; every third draw has its values on a coarse grid, whose
-    # pairs tie exactly, and every third a first middle weight of 2^40 and
-    # the others 0 to 2 ulps of it, where L_n / c falls below an ulp of P_n
-    # and only the two-sum's low part ranks the rows; the columns are cut as
-    # half_line_pairs cuts them
+def test_fractional_min_ranks_like_a_lexsort(W, strict, monkeypatch):
+    # Dinkelbach's iteration, which runs past DENSE_ENTRIES and here on every
+    # window, on seeded windows with L = inf rows, R = 0 columns, zero and
+    # overflowing middle weights; every third draw has its values on a coarse
+    # grid, whose pairs tie exactly, and every third a first middle weight of
+    # 2^40 and the others 0 to 2 ulps of it, where L_n / c falls below an ulp
+    # of P_n and only the two-sum's low part ranks the rows; the columns are
+    # cut as half_line_pairs cuts them
+    monkeypatch.setattr(series, "DENSE_ENTRIES", 0)
     rng = np.random.default_rng(7 * W + strict)
     for draw in range(max(3, 4000 // W)):
         L, R, mid = _random_terms(rng, W)
@@ -219,6 +221,67 @@ def test_monge_argmins_matches_brute_force_on_both_paths(rows, cols, exact, monk
             monkeypatch.setattr(series, "DENSE_ENTRIES", dense)
             got = series._monge_argmins(*args)
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def _brute_fractional_min(L, R, P, Q, s):
+    """Reference for series._fractional_min: every pair's (L_n + R_m) /
+    (Q_m - P_n)^s over Q_m > P_n, row by row over the rows with finite L;
+    the first least in row-major order, or (inf, None)."""
+    best, arg = math.inf, None
+    for n in np.flatnonzero(np.isfinite(L)):
+        with np.errstate(all="ignore"):
+            den = Q - P[n]
+            v = np.where(den > 0.0, (L[n] + R) / (den if s == 1.0 else den ** s), math.inf)
+        m = int(np.argmin(v)) if len(v) else 0
+        if len(v) and v[m] < best:
+            best, arg = float(v[m]), (int(n), m)
+    return best, arg
+
+
+def _ratio(args, arg):
+    L, R, P, Q, s = args
+    den = Q[arg[1]] - P[arg[0]]
+    return float((L[arg[0]] + R[arg[1]]) / (den if s == 1.0 else den ** s))
+
+
+@pytest.mark.parametrize("W", [1, 3, 17, 64, 181])
+@pytest.mark.parametrize("kind", ["random", "ties", "saturating"])
+def test_fractional_min_matches_brute_force_on_both_paths(W, kind, monkeypatch):
+    # the same staircases searched in one step (at most DENSE_ENTRIES
+    # entries: 181^2 is the largest square) and by Dinkelbach's iteration
+    # (threshold 0): the step returns the brute-force value and first least
+    # pair in row-major order; the iteration the same value bit for bit, at
+    # that pair or at another that ties it exactly
+    rng = np.random.default_rng(W * 31 + len(kind))
+    ties = 0
+    for draw in range(max(20, 3000 // W)):
+        if kind == "saturating":
+            L, R, mid_prefix = _saturating_terms(rng, W, ["rising", "ties", "zeros"][draw % 3])
+        else:
+            L, R, mid = _random_terms(rng, W)
+            if kind == "ties":
+                L, R, mid = (np.where(np.isfinite(x), np.round(np.minimum(x, 8.0) * 4) / 4, x)
+                             for x in (L, R, mid))
+            mid_prefix = _prefix(mid)
+        midc = np.concatenate([[0.0], mid_prefix])
+        for strict in (True, False):
+            P, Q = midc[:W], midc[1 - strict:W + 1 - strict]
+            cols = np.flatnonzero(np.isfinite(Q) & np.isfinite(R))
+            w = int(cols[-1]) + 1 if len(cols) else 0      # cut as half_line_pairs cuts
+            for s in (1.0, 2.0 / 3.0):
+                args = (L[:w], R[:w], P[:w], Q[:w], s)
+                value, arg = _brute_fractional_min(*args)
+                monkeypatch.setattr(series, "DENSE_ENTRIES", DENSE)
+                got = series._fractional_min(*args)
+                assert got[1] == arg and float(got[0]).hex() == value.hex()
+                monkeypatch.setattr(series, "DENSE_ENTRIES", 0)
+                it_value, it_arg = series._fractional_min(*args)
+                assert float(it_value).hex() == value.hex()
+                if it_arg != arg:
+                    assert _ratio(args, it_arg) == value
+                    ties += 1
+    if kind == "ties" and W >= 17:
+        assert ties > 0
 
 
 def _uncut_pairs(L, R, mid_prefix, strict, base, s, product):
